@@ -105,15 +105,6 @@ class KeyDirectory:
         return self.sign(key_id, msg).mac == sig.mac
 
 
-def sign(directory: KeyDirectory, keypair: KeyPair, msg: bytes) -> Signature:
-    """Sign `msg` with a registered keypair (UnknownKey if unregistered)."""
-    return directory.sign(keypair.key_id, msg)
-
-
-def verify(directory: KeyDirectory, key_id: str, msg: bytes, sig: Signature) -> bool:
-    return directory.verify(key_id, msg, sig)
-
-
 def attest_location(
     directory: KeyDirectory, authority: str, host: str, location: str, at: int
 ) -> Attestation:

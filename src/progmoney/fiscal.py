@@ -9,16 +9,10 @@ field/literal comparison; sources compose by concatenation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .policy import compile_policy
-from .registry import RecordKind
-from .sim_types import LawStatus, LawTable, Role
-
-if TYPE_CHECKING:
-    from .sim import Simulation
+from .sim_types import LawStatus, LawTable
 
 TAX_AUTHORITY = "tax_authority"
 GOVERNMENT = "government"
@@ -26,47 +20,6 @@ GOVERNMENT = "government"
 
 class BadRate(ValueError):
     pass
-
-
-@dataclass
-class ScenarioOutcome:
-    """The assertable result of a scenario run."""
-
-    balances: dict[str, int] = field(default_factory=dict)
-    tax_collected: int = 0
-    burns: list[tuple[str, int]] = field(default_factory=list)
-    forbidden_count: int = 0
-
-    def reconciles_with(self, registry) -> bool:
-        live = sum(self.balances.values())
-        burned = sum(amount for _, amount in self.burns)
-        return (
-            live == registry.live_supply
-            and burned == registry.total_burned
-            and registry.total_minted - registry.total_burned == registry.live_supply
-        )
-
-
-def outcome_of(sim: "Simulation") -> ScenarioOutcome:
-    """Summarize a finished simulation for scenario-level assertions."""
-    balances = {host_id: sim.balance_of(host_id) for host_id in sorted(sim.hosts)}
-    tax_hosts = {h.id for h in sim.hosts.values() if h.role is Role.TAX_AUTHORITY}
-    tax_collected = sum(
-        rec.amounts[0]
-        for rec in sim.registry.records
-        if rec.kind is RecordKind.TRANSFER and rec.parties[1] in tax_hosts
-    )
-    burns = [
-        (rec.reason or "unspecified", rec.amounts[0])
-        for rec in sim.registry.records
-        if rec.kind is RecordKind.BURN
-    ]
-    return ScenarioOutcome(
-        balances=balances,
-        tax_collected=tax_collected,
-        burns=burns,
-        forbidden_count=sim.forbidden_count,
-    )
 
 
 def sales_tax_policy(

@@ -9,7 +9,7 @@ search that for a fixed total the most-equal split maximizes total utility.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 MAX_TOTAL = 10_000
 MAX_OWNERS = 6
@@ -71,7 +71,3 @@ def equality_check(total: int, owners: int) -> tuple[int, ...]:
     if max(best) - min(best) > 1:
         raise AssertionError(f"maximizer {best} is not a most-equal split")
     return best
-
-
-def utility_of(allocation: Sequence[int]) -> float:
-    return log_utility(allocation)

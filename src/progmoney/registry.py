@@ -2,11 +2,18 @@
 
 Every lifecycle operation on a unit (mint, transfer, split, merge, burn) is
 an endorsement request.  The registry is the single serialization point:
-requests are validated against the live-unit set, committed in arrival
+requests are checked against the live-unit set, committed in arrival
 order, and each committed record is signed by the registry key.  A unit id
 is consumed by split/merge/burn; a transfer keeps the id live and moves its
 owner, so a replayed transfer fails the owner check and is rejected as a
-double spend.
+double spend.  A self-transfer (sender == new owner) leaves the owner as it
+was, so its replay is endorsed again.
+
+`step` is the ledger's one transition.  `Registry.endorse` runs it on the
+live state; `replay_records` folds it over records from seq 0, and so do
+`Registry.audit`, `audit_export` and the report rebuild, through it.  A
+replay therefore makes every check an endorsement makes except the issuer
+allowance, which the ledger export does not carry.
 """
 
 from __future__ import annotations
@@ -116,11 +123,108 @@ class SupplyStats:
 
 @dataclass
 class _State:
+    """What the ledger determines: live units, consumed ids, mint/burn totals."""
+
     live: dict[str, tuple[str, int]] = field(default_factory=dict)  # id -> (owner, value)
     consumed: set[str] = field(default_factory=set)
-    issuers: dict[str, int] = field(default_factory=dict)  # key_id -> remaining allowance
     minted: int = 0
     burned: int = 0
+
+
+def _owned_value(state: _State, unit_id: str, owner: str) -> int:
+    entry = state.live.get(unit_id)
+    if entry is None:
+        raise DoubleSpend(f"unit {unit_id} is not live")
+    if entry[0] != owner:
+        raise DoubleSpend(f"unit {unit_id} is not owned by {owner}")
+    return entry[1]
+
+
+def _require_fresh(state: _State, unit_id: str) -> None:
+    if unit_id in state.live or unit_id in state.consumed:
+        raise DoubleSpend(f"unit id {unit_id} already exists")
+
+
+# bound once: looking an Enum member up on its class is slow on the replay path
+_MINT, _TRANSFER, _SPLIT, _MERGE, _BURN = (
+    RecordKind.MINT, RecordKind.TRANSFER, RecordKind.SPLIT, RecordKind.MERGE, RecordKind.BURN
+)
+
+
+def step(
+    state: _State, rec: LedgerRecord, issuers: Optional[dict[str, int]] = None
+) -> None:
+    """The ledger's one transition: check `rec` against `state`, then apply it.
+
+    Raises a RegistryError, leaving `state` untouched, if the record may not
+    follow `state`.  `parties[0]` is the requester, who must own every unit
+    the record consumes or moves; a TRANSFER's `parties[1]` is the new owner.
+    `issuers` (key id -> remaining allowance) is checked and charged on MINT
+    when given; a replayed ledger carries no allowances and passes None.
+    """
+    kind, ids, amounts, parties = rec.kind, rec.unit_ids, rec.amounts, rec.parties
+    live = state.live
+    if kind is _MINT:
+        if len(ids) != 1 or len(amounts) != 1 or amounts[0] <= 0 or len(parties) != 1:
+            raise InvalidRequest("MINT wants one id, one positive amount, one issuer")
+        _require_fresh(state, ids[0])
+        if issuers is not None:
+            allowance = issuers.get(parties[0])
+            if allowance is None:
+                raise UnauthorizedIssuer(f"{parties[0]} is not an issuer")
+            if amounts[0] > allowance:
+                raise UnauthorizedIssuer(
+                    f"{parties[0]} allowance {allowance} < mint {amounts[0]}"
+                )
+            issuers[parties[0]] = allowance - amounts[0]
+        live[ids[0]] = (parties[0], amounts[0])
+        state.minted += amounts[0]
+    elif kind is _TRANSFER:
+        if len(ids) != 1 or len(amounts) != 1 or len(parties) != 2 or not parties[1]:
+            raise InvalidRequest("TRANSFER wants one id, one amount, a new owner")
+        value = _owned_value(state, ids[0], parties[0])
+        if amounts[0] != value:
+            raise InvalidRequest(f"TRANSFER amount {amounts[0]} != unit value {value}")
+        live[ids[0]] = (parties[1], value)
+    elif kind is _SPLIT:
+        if len(ids) != 3 or len(amounts) != 3 or len(parties) != 1:
+            raise InvalidRequest("SPLIT wants parent and two children")
+        parent, c1, c2 = ids
+        pv, a, b = amounts
+        value = _owned_value(state, parent, parties[0])
+        if pv != value or a <= 0 or b <= 0 or a + b != pv:
+            raise InvalidRequest("SPLIT amounts do not conserve")
+        _require_fresh(state, c1)
+        _require_fresh(state, c2)
+        del live[parent]
+        state.consumed.add(parent)
+        live[c1] = (parties[0], a)
+        live[c2] = (parties[0], b)
+    elif kind is _MERGE:
+        if len(ids) != 3 or len(amounts) != 3 or len(parties) != 1:
+            raise InvalidRequest("MERGE wants two parents and the result")
+        a_id, b_id, m_id = ids
+        av, bv, mv = amounts
+        a_val = _owned_value(state, a_id, parties[0])
+        if b_id == a_id:
+            raise DoubleSpend(f"unit {a_id} used twice in one merge")
+        b_val = _owned_value(state, b_id, parties[0])
+        if av != a_val or bv != b_val or mv != av + bv:
+            raise InvalidRequest("MERGE amounts do not conserve")
+        _require_fresh(state, m_id)
+        del live[a_id]
+        del live[b_id]
+        state.consumed.update((a_id, b_id))
+        live[m_id] = (parties[0], mv)
+    elif kind is _BURN:
+        if len(ids) != 1 or len(amounts) != 1 or len(parties) != 1:
+            raise InvalidRequest("BURN wants one id and one amount")
+        value = _owned_value(state, ids[0], parties[0])
+        if amounts[0] != value:
+            raise InvalidRequest(f"BURN amount {amounts[0]} != unit value {value}")
+        del live[ids[0]]
+        state.consumed.add(ids[0])
+        state.burned += value
 
 
 class Registry:
@@ -135,6 +239,7 @@ class Registry:
         self.records: list[LedgerRecord] = []
         self.record_sigs: list[Signature] = []
         self._state = _State()
+        self._issuers: dict[str, int] = {}  # key_id -> remaining allowance
         self._id_counter = 0
         self.now = 0
         self.last_request: Optional[EndorseRequest] = None
@@ -142,7 +247,7 @@ class Registry:
     # -- setup ---------------------------------------------------------
 
     def authorize_issuer(self, key_id: str, allowance: int) -> None:
-        self._state.issuers[key_id] = allowance
+        self._issuers[key_id] = allowance
 
     def new_unit_id(self) -> str:
         self._id_counter += 1
@@ -156,10 +261,6 @@ class Registry:
     def owner_of(self, unit_id: str) -> Optional[str]:
         entry = self._state.live.get(unit_id)
         return entry[0] if entry else None
-
-    def live_value(self, unit_id: str) -> Optional[int]:
-        entry = self._state.live.get(unit_id)
-        return entry[1] if entry else None
 
     def is_live(self, unit_id: str) -> bool:
         return unit_id in self._state.live
@@ -176,9 +277,6 @@ class Registry:
     def live_supply(self) -> int:
         return sum(v for _, v in self._state.live.values())
 
-    def issuer_allowance(self, key_id: str) -> Optional[int]:
-        return self._state.issuers.get(key_id)
-
     # -- endorsement -----------------------------------------------------
 
     def sign_bytes(self, msg: bytes) -> Signature:
@@ -189,118 +287,25 @@ class Registry:
             request.sender, request.body(), request.sig
         ):
             raise BadSignature(f"endorsement request by {request.sender}")
-        self._validate(request)
-        self._apply(request)
+        parties: tuple[str, ...] = (request.sender,)
+        if request.kind is RecordKind.TRANSFER and request.new_owner:
+            parties += (request.new_owner,)
         record = LedgerRecord(
             seq=len(self.records),
             at=request.at,
             kind=request.kind,
             unit_ids=request.unit_ids,
             amounts=request.amounts,
-            parties=self._parties(request),
+            parties=parties,
             reason=request.reason,
         )
+        step(self._state, record, self._issuers)
         sig = self.sign_bytes(record.line().encode())
         self.records.append(record)
         self.record_sigs.append(sig)
         self.now = max(self.now, request.at)
         self.last_request = request
         return Endorsement(record, sig)
-
-    def _parties(self, req: EndorseRequest) -> tuple[str, ...]:
-        if req.kind is RecordKind.TRANSFER:
-            return (req.sender, req.new_owner or "-")
-        return (req.sender,)
-
-    def _require_owned_live(self, unit_id: str, sender: str) -> int:
-        entry = self._state.live.get(unit_id)
-        if entry is None:
-            raise DoubleSpend(f"unit {unit_id} is not live")
-        owner, value = entry
-        if owner != sender:
-            raise DoubleSpend(f"unit {unit_id} is not owned by {sender}")
-        return value
-
-    def _validate(self, req: EndorseRequest) -> None:
-        kind = req.kind
-        if kind is RecordKind.MINT:
-            if len(req.unit_ids) != 1 or len(req.amounts) != 1 or req.amounts[0] <= 0:
-                raise InvalidRequest("MINT wants one id and one positive amount")
-            if req.unit_ids[0] in self._state.live or req.unit_ids[0] in self._state.consumed:
-                raise DoubleSpend(f"unit id {req.unit_ids[0]} already exists")
-            allowance = self._state.issuers.get(req.sender)
-            if allowance is None:
-                raise UnauthorizedIssuer(f"{req.sender} is not an issuer")
-            if req.amounts[0] > allowance:
-                raise UnauthorizedIssuer(
-                    f"{req.sender} allowance {allowance} < mint {req.amounts[0]}"
-                )
-        elif kind is RecordKind.TRANSFER:
-            if len(req.unit_ids) != 1 or len(req.amounts) != 1 or not req.new_owner:
-                raise InvalidRequest("TRANSFER wants one id, one amount, a new owner")
-            value = self._require_owned_live(req.unit_ids[0], req.sender)
-            if req.amounts[0] != value:
-                raise InvalidRequest(
-                    f"TRANSFER amount {req.amounts[0]} != unit value {value}"
-                )
-        elif kind is RecordKind.SPLIT:
-            if len(req.unit_ids) != 3 or len(req.amounts) != 3:
-                raise InvalidRequest("SPLIT wants parent and two children")
-            parent, c1, c2 = req.unit_ids
-            pv, a, b = req.amounts
-            value = self._require_owned_live(parent, req.sender)
-            if pv != value or a <= 0 or b <= 0 or a + b != pv:
-                raise InvalidRequest("SPLIT amounts do not conserve")
-            for child in (c1, c2):
-                if child in self._state.live or child in self._state.consumed:
-                    raise DoubleSpend(f"unit id {child} already exists")
-        elif kind is RecordKind.MERGE:
-            if len(req.unit_ids) != 3 or len(req.amounts) != 3:
-                raise InvalidRequest("MERGE wants two parents and the result")
-            a_id, b_id, m_id = req.unit_ids
-            av, bv, mv = req.amounts
-            a_val = self._require_owned_live(a_id, req.sender)
-            if b_id == a_id:
-                raise DoubleSpend(f"unit {a_id} used twice in one merge")
-            b_val = self._require_owned_live(b_id, req.sender)
-            if av != a_val or bv != b_val or mv != av + bv:
-                raise InvalidRequest("MERGE amounts do not conserve")
-            if m_id in self._state.live or m_id in self._state.consumed:
-                raise DoubleSpend(f"unit id {m_id} already exists")
-        elif kind is RecordKind.BURN:
-            if len(req.unit_ids) != 1 or len(req.amounts) != 1:
-                raise InvalidRequest("BURN wants one id and one amount")
-            value = self._require_owned_live(req.unit_ids[0], req.sender)
-            if req.amounts[0] != value:
-                raise InvalidRequest(
-                    f"BURN amount {req.amounts[0]} != unit value {value}"
-                )
-
-    def _apply(self, req: EndorseRequest) -> None:
-        live, consumed = self._state.live, self._state.consumed
-        if req.kind is RecordKind.MINT:
-            live[req.unit_ids[0]] = (req.sender, req.amounts[0])
-            self._state.issuers[req.sender] -= req.amounts[0]
-            self._state.minted += req.amounts[0]
-        elif req.kind is RecordKind.TRANSFER:
-            assert req.new_owner is not None
-            live[req.unit_ids[0]] = (req.new_owner, req.amounts[0])
-        elif req.kind is RecordKind.SPLIT:
-            parent, c1, c2 = req.unit_ids
-            del live[parent]
-            consumed.add(parent)
-            live[c1] = (req.sender, req.amounts[1])
-            live[c2] = (req.sender, req.amounts[2])
-        elif req.kind is RecordKind.MERGE:
-            a_id, b_id, m_id = req.unit_ids
-            del live[a_id]
-            del live[b_id]
-            consumed.update((a_id, b_id))
-            live[m_id] = (req.sender, req.amounts[2])
-        elif req.kind is RecordKind.BURN:
-            del live[req.unit_ids[0]]
-            consumed.add(req.unit_ids[0])
-            self._state.burned += req.amounts[0]
 
     # -- statistics ------------------------------------------------------
 
@@ -327,7 +332,7 @@ class Registry:
         return "\n".join(rec.line() for rec in self.records)
 
     def audit(self) -> list[str]:
-        """Recompute state from records and verify every record signature."""
+        """Verify every record signature and replay the records through `step`."""
         violations: list[str] = []
         for i, (rec, sig) in enumerate(zip(self.records, self.record_sigs)):
             if rec.seq != i:
@@ -352,83 +357,20 @@ class Registry:
         return violations
 
 
-@dataclass
-class ReplayedState:
-    live: dict[str, tuple[str, int]]
-    minted: int
-    burned: int
+def replay_records(records: list[LedgerRecord]) -> tuple[Optional[_State], list[str]]:
+    """Fold `step` over records from seq 0; the first violation ends the fold.
 
-
-def replay_records(records: list[LedgerRecord]) -> tuple[Optional[ReplayedState], list[str]]:
-    """Fold records from seq 0; structural violations are returned, not raised."""
-    errors: list[str] = []
-    live: dict[str, tuple[str, int]] = {}
-    consumed: set[str] = set()
-    minted = burned = 0
-    live_total = 0
+    Violations are returned, not raised.  No issuer allowances are checked.
+    """
+    state = _State()
     for i, rec in enumerate(records):
         if rec.seq != i:
-            errors.append(f"seq gap: expected {i}, found {rec.seq}")
-            return None, errors
+            return None, [f"seq gap: expected {i}, found {rec.seq}"]
         try:
-            if rec.kind is RecordKind.MINT:
-                uid = rec.unit_ids[0]
-                if uid in live or uid in consumed:
-                    raise ValueError(f"mint of existing id {uid}")
-                if rec.amounts[0] <= 0:
-                    raise ValueError("non-positive mint")
-                live[uid] = (rec.parties[0], rec.amounts[0])
-                minted += rec.amounts[0]
-                live_total += rec.amounts[0]
-            elif rec.kind is RecordKind.TRANSFER:
-                uid = rec.unit_ids[0]
-                if uid not in live:
-                    raise ValueError(f"transfer of non-live id {uid}")
-                owner, value = live[uid]
-                if owner != rec.parties[0] or value != rec.amounts[0]:
-                    raise ValueError(f"transfer mismatch on {uid}")
-                live[uid] = (rec.parties[1], value)
-            elif rec.kind is RecordKind.SPLIT:
-                parent, c1, c2 = rec.unit_ids
-                pv, a, b = rec.amounts
-                if parent not in live or live[parent][1] != pv or a + b != pv or a <= 0 or b <= 0:
-                    raise ValueError(f"split mismatch on {parent}")
-                owner = live[parent][0]
-                del live[parent]
-                consumed.add(parent)
-                live[c1] = (owner, a)
-                live[c2] = (owner, b)
-            elif rec.kind is RecordKind.MERGE:
-                a_id, b_id, m_id = rec.unit_ids
-                av, bv, mv = rec.amounts
-                if (
-                    a_id not in live
-                    or b_id not in live
-                    or live[a_id][1] != av
-                    or live[b_id][1] != bv
-                    or mv != av + bv
-                ):
-                    raise ValueError(f"merge mismatch on {a_id},{b_id}")
-                owner = live[a_id][0]
-                del live[a_id]
-                del live[b_id]
-                consumed.update((a_id, b_id))
-                live[m_id] = (owner, mv)
-            elif rec.kind is RecordKind.BURN:
-                uid = rec.unit_ids[0]
-                if uid not in live or live[uid][1] != rec.amounts[0]:
-                    raise ValueError(f"burn mismatch on {uid}")
-                del live[uid]
-                consumed.add(uid)
-                burned += rec.amounts[0]
-                live_total -= rec.amounts[0]
-        except ValueError as exc:
-            errors.append(f"seq {rec.seq}: {exc}")
-            return None, errors
-        if minted - burned != live_total:
-            errors.append(f"seq {rec.seq}: conservation broken after append")
-            return None, errors
-    return ReplayedState(live, minted, burned), errors
+            step(state, rec)
+        except RegistryError as exc:
+            return None, [f"seq {rec.seq}: {exc}"]
+    return state, []
 
 
 def parse_ledger_line(line: str) -> LedgerRecord:
@@ -448,7 +390,13 @@ def parse_ledger_line(line: str) -> LedgerRecord:
 
 
 def audit_export(text: str) -> list[str]:
-    """Structural audit of an exported ledger (no signatures in the format)."""
+    """Audit an exported ledger by replaying it through `step`.
+
+    Returns the violations, never raises: an unparseable line, a seq gap, or
+    the first record `step` refuses, as "seq N: ...".  The format carries no
+    signatures or issuer allowances, so neither is checked; a replayed
+    self-transfer passes, as it does at endorsement.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     try:
         records = [parse_ledger_line(ln) for ln in lines]

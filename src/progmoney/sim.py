@@ -324,16 +324,12 @@ class Simulation:
             self.obs(
                 host.id, "tamper_detected", unit=unit.id, problems=len(integrity.problems)
             )
-            value = unit.value
-            notes = money.zeroise(unit, "tamper", self.registry, self.now)
-            self.obs(host.id, "zeroise", unit=unit.id, reason="tamper", value=value)
-            self._drop_unit(unit.id)
-            self._dispatch_notifications(host.id, notes)
+            self._zeroise(host.id, unit, "tamper")
             return
 
         if host.id in self.withholding or host.role is Role.ADVERSARY:
             decision = pol.evaluate(
-                unit.policy, pol.EventKind.ATTEST_FAIL, self._tick_ctx(host, unit, None)
+                unit.policy, pol.EventKind.ATTEST_FAIL, self._eval_ctx(host, unit)
             )
             self.obs(host.id, "attest_fail", unit=unit.id)
             self._execute_obligations(host, unit, decision.obligations)
@@ -343,17 +339,23 @@ class Simulation:
         if not verify_attestation(self.directory, attestation):
             self.obs(host.id, "attest_invalid", unit=unit.id)
             return
-        ctx = self._tick_ctx(host, unit, attestation.location)
+        ctx = self._eval_ctx(host, unit, location=attestation.location)
         decision = pol.evaluate(unit.policy, pol.EventKind.TICK, ctx)
         self._execute_obligations(host, unit, decision.obligations)
 
-    def _tick_ctx(
-        self, host: Host, unit: MoneyUnit, location: Optional[str]
+    def _eval_ctx(
+        self,
+        host: Host,
+        unit: MoneyUnit,
+        location: Optional[str] = None,
+        category: Optional[str] = None,
+        counterparty: Optional[str] = None,
     ) -> pol.EvalContext:
+        """The context `unit` is evaluated in under `host`'s licence."""
         return pol.EvalContext(
             amount=unit.value,
-            category=None,
-            counterparty=None,
+            category=category,
+            counterparty=counterparty,
             location=location,
             now=self.now,
             expiry=unit.expiry,
@@ -361,6 +363,13 @@ class Simulation:
             licence=host.licence,
             home=unit.home,
         )
+
+    def _zeroise(self, host_id: str, unit: MoneyUnit, reason: str) -> None:
+        value = unit.value
+        notes = money.zeroise(unit, reason, self.registry, self.now)
+        self.obs(host_id, "zeroise", unit=unit.id, reason=reason, value=value)
+        self._drop_unit(unit.id)
+        self._dispatch_notifications(host_id, notes)
 
     def _execute_obligations(self, host: Host, unit: MoneyUnit, obligations) -> None:
         current = unit
@@ -374,13 +383,7 @@ class Simulation:
                     host.id, [(ob.target, f"tick unit={current.id}")]
                 )
             elif isinstance(ob, pol.ZeroiseObligation):
-                value = current.value
-                notes = money.zeroise(current, ob.reason, self.registry, self.now)
-                self.obs(
-                    host.id, "zeroise", unit=current.id, reason=ob.reason, value=value
-                )
-                self._drop_unit(current.id)
-                self._dispatch_notifications(host.id, notes)
+                self._zeroise(host.id, current, ob.reason)
                 current = None
             elif isinstance(ob, pol.MoveToBestRateObligation):
                 self._plan_delegated_move(host, current)
@@ -399,16 +402,8 @@ class Simulation:
         else:
             pay_unit, remainder = money.split(unit, ob.amount, self.registry, self.now)
             self._drop_unit(unit.id)
-        ctx = pol.EvalContext(
-            amount=pay_unit.value,
-            category=money.OBLIGATION_CATEGORY,
-            counterparty=ob.payee,
-            location=host.location,
-            now=self.now,
-            expiry=pay_unit.expiry,
-            last_contact=self.now - pay_unit.last_contact,
-            licence=host.licence,
-            home=pay_unit.home,
+        ctx = self._eval_ctx(
+            host, pay_unit, host.location, money.OBLIGATION_CATEGORY, ob.payee
         )
         try:
             outcome = money.transfer(pay_unit, ob.payee, ctx, self.registry, at=self.now)
@@ -459,17 +454,7 @@ class Simulation:
         target_host = self.hosts.get(target)
         if target_host is None:
             return
-        ctx = pol.EvalContext(
-            amount=unit.value,
-            category=target_host.category,
-            counterparty=target,
-            location=holder.location,
-            now=self.now,
-            expiry=unit.expiry,
-            last_contact=self.now - unit.last_contact,
-            licence=holder.licence,
-            home=unit.home,
-        )
+        ctx = self._eval_ctx(holder, unit, holder.location, target_host.category, target)
         try:
             outcome = markets.delegated_move(unit, target, ctx, self.registry, self.now)
         except money.PolicyForbids:
@@ -561,15 +546,8 @@ class Simulation:
             u.value for u in self.active_units_of(issuer.id) if u.id not in self.deposits
         )
         periods_per_year = max(1, self.year_ticks // self.period_ticks)
+        # the treasury is part of live supply: clamp a burn to it here
         directive = supply_mod.issuance(
-            self.supply_rule,
-            period,
-            stats,
-            periods_per_year=periods_per_year,
-            treasury=treasury_total,
-            at=self.now,
-        )
-        unclamped = supply_mod.issuance(
             self.supply_rule,
             period,
             stats,
@@ -577,11 +555,12 @@ class Simulation:
             treasury=stats.live_supply,
             at=self.now,
         )
-        if unclamped.burn > directive.burn:
+        burn = min(directive.burn, treasury_total)
+        if directive.burn > treasury_total:
             self.obs(
                 issuer.id,
                 "supply_clamp",
-                requested=unclamped.burn,
+                requested=directive.burn,
                 treasury=treasury_total,
             )
         minted = burned = 0
@@ -597,9 +576,9 @@ class Simulation:
             self._place_unit(unit)
             minted = directive.mint
             self.obs(issuer.id, "supply_mint", unit=unit.id, amount=minted)
-        elif directive.burn > 0:
-            burned = self._burn_from_treasury(issuer, directive.burn)
-            self.obs(issuer.id, "supply_burn", amount=burned, requested=directive.burn)
+        elif burn > 0:
+            burned = self._burn_from_treasury(issuer, burn)
+            self.obs(issuer.id, "supply_burn", amount=burned, requested=burn)
         point = supply_mod.TrajectoryPoint(
             period=period,
             supply=self.registry.live_supply,
@@ -683,17 +662,8 @@ class Simulation:
         unit = self.act_mint(bank_id, value, policy_name)
         bank = self.host(bank_id)
         target = self.host(recipient)
-        ctx = pol.EvalContext(
-            amount=unit.value,
-            category="issuance",
-            counterparty=recipient,
-            location=bank.location,
-            now=self.now,
-            expiry=unit.expiry,
-            last_contact=0,
-            licence=target.licence,
-            home=unit.home,
-        )
+        # the recipient's licence; the unit was minted now, so last_contact is 0
+        ctx = self._eval_ctx(target, unit, bank.location, "issuance", recipient)
         try:
             outcome = money.transfer(unit, recipient, ctx, self.registry, at=self.now)
         except money.PolicyForbids:
@@ -712,17 +682,7 @@ class Simulation:
         if payment is None:
             self.obs(buyer_id, "insufficient_funds", price=amount, category=category)
             return
-        ctx = pol.EvalContext(
-            amount=amount,
-            category=category,
-            counterparty=vendor_id,
-            location=buyer.location,
-            now=self.now,
-            expiry=payment.expiry,
-            last_contact=self.now - payment.last_contact,
-            licence=buyer.licence,
-            home=payment.home,
-        )
+        ctx = self._eval_ctx(buyer, payment, buyer.location, category, vendor_id)
         try:
             outcome = money.transfer(payment, vendor_id, ctx, self.registry, at=self.now)
         except money.PolicyForbids as exc:
@@ -762,11 +722,7 @@ class Simulation:
             # a unit failing integrity zeroises the moment it is touched
             if not money.verify_integrity(unit, self.directory, self.registry.key_id):
                 self.obs(buyer.id, "tamper_detected", unit=unit.id, problems="spend")
-                value = unit.value
-                notes = money.zeroise(unit, "tamper", self.registry, self.now)
-                self.obs(buyer.id, "zeroise", unit=unit.id, reason="tamper", value=value)
-                self._drop_unit(unit.id)
-                self._dispatch_notifications(buyer.id, notes)
+                self._zeroise(buyer.id, unit, "tamper")
                 continue
             pool.append(unit)
             total += unit.value
@@ -881,17 +837,7 @@ class Simulation:
         if payment is None:
             self.obs(trade.buyer, "settlement_failed", cost=cost)
             return
-        ctx = pol.EvalContext(
-            amount=cost,
-            category="trade",
-            counterparty=trade.seller,
-            location=buyer.location,
-            now=self.now,
-            expiry=payment.expiry,
-            last_contact=self.now - payment.last_contact,
-            licence=buyer.licence,
-            home=payment.home,
-        )
+        ctx = self._eval_ctx(buyer, payment, buyer.location, "trade", trade.seller)
         try:
             outcome = money.transfer(payment, trade.seller, ctx, self.registry, at=self.now)
         except money.PolicyForbids:

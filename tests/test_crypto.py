@@ -12,8 +12,6 @@ from progmoney.crypto import (
     attest_location,
     digest_hex,
     h64,
-    sign,
-    verify,
     verify_attestation,
 )
 
@@ -69,38 +67,36 @@ class TestSignatures:
     def setup_method(self):
         self.rng = random.Random(7)
         self.directory = KeyDirectory()
-        self.alice = self.directory.create("alice", self.rng)
-        self.bob = self.directory.create("bob", self.rng)
+        self.directory.create("alice", self.rng)
+        self.directory.create("bob", self.rng)
 
     def test_sign_is_deterministic(self):
         msg = b"pay bob 100"
-        assert sign(self.directory, self.alice, msg) == sign(
-            self.directory, self.alice, msg
-        )
+        assert self.directory.sign("alice", msg) == self.directory.sign("alice", msg)
 
     def test_round_trip(self):
         msg = b"hello world"
-        sig = sign(self.directory, self.alice, msg)
-        assert verify(self.directory, "alice", msg, sig)
+        sig = self.directory.sign("alice", msg)
+        assert self.directory.verify("alice", msg, sig)
 
     def test_wrong_key_rejected(self):
         msg = b"hello world"
-        sig = sign(self.directory, self.alice, msg)
-        assert not verify(self.directory, "bob", msg, sig)
+        sig = self.directory.sign("alice", msg)
+        assert not self.directory.verify("bob", msg, sig)
         # the macs themselves differ, not just the signer label
-        assert sig.mac != sign(self.directory, self.bob, msg).mac
+        assert sig.mac != self.directory.sign("bob", msg).mac
 
     def test_flipped_message_byte_rejected(self):
         msg = bytearray(b"transfer 5000 to bob")
-        sig = sign(self.directory, self.alice, bytes(msg))
+        sig = self.directory.sign("alice", bytes(msg))
         msg[3] ^= 0x01
-        assert not verify(self.directory, "alice", bytes(msg), sig)
+        assert not self.directory.verify("alice", bytes(msg), sig)
 
     def test_flipped_mac_bit_rejected(self):
         msg = b"transfer 5000 to bob"
-        sig = sign(self.directory, self.alice, msg)
+        sig = self.directory.sign("alice", msg)
         bad = Signature(sig.signer, sig.mac ^ 1)
-        assert not verify(self.directory, "alice", msg, bad)
+        assert not self.directory.verify("alice", msg, bad)
 
     def test_unknown_keyable(self):
         with pytest.raises(UnknownKey):
@@ -116,8 +112,8 @@ class TestSignatures:
         rng = random.Random(5)
         for size in (0, 1, 255, 4096, 65536):
             msg = rng.randbytes(size)
-            sig = sign(self.directory, self.alice, msg)
-            assert verify(self.directory, "alice", msg, sig)
+            sig = self.directory.sign("alice", msg)
+            assert self.directory.verify("alice", msg, sig)
 
     def test_single_bit_mutations_detected(self):
         # 10,000 random single-bit flips across message and mac; the 64-bit
@@ -127,14 +123,14 @@ class TestSignatures:
         trials = 10_000
         for _ in range(trials):
             msg = bytearray(rng.randbytes(rng.randrange(1, 48)))
-            sig = sign(self.directory, self.alice, bytes(msg))
+            sig = self.directory.sign("alice", bytes(msg))
             if rng.random() < 0.5:
                 bit = rng.randrange(len(msg) * 8)
                 msg[bit // 8] ^= 1 << (bit % 8)
-                ok = verify(self.directory, "alice", bytes(msg), sig)
+                ok = self.directory.verify("alice", bytes(msg), sig)
             else:
                 bad = Signature(sig.signer, sig.mac ^ (1 << rng.randrange(64)))
-                ok = verify(self.directory, "alice", bytes(msg), bad)
+                ok = self.directory.verify("alice", bytes(msg), bad)
             if not ok:
                 detected += 1
         assert detected >= trials * 0.999

@@ -197,6 +197,8 @@ class TestPackFiles:
 
 class TestScenarioOutcome:
     def test_outcome_reconciles_with_registry(self):
+        from progmoney.registry import RecordKind
+        from progmoney.report import report_for
         from progmoney.sim import Simulation
         from progmoney.sim_types import Role
 
@@ -215,9 +217,12 @@ class TestScenarioOutcome:
         sim.schedule_script(2, ("BUY", "alice", "bob", "100", "stolen_goods"))
         sim.schedule_script(3, ("TAMPER", "alice"))
         sim.run_until(4)
-        outcome = fiscal.outcome_of(sim)
-        assert outcome.tax_collected == 120  # floor(600/5)
-        assert outcome.forbidden_count == 1
-        assert outcome.balances["bob"] == 480
-        assert [reason for reason, _ in outcome.burns] == ["tamper"]
-        assert outcome.reconciles_with(sim.registry)
+        report = report_for(sim)
+        assert report.tax_collected == 120  # floor(600/5)
+        assert report.forbidden_count == 1
+        assert report.balances["bob"] == 480
+        burns = [rec.reason for rec in sim.registry.records if rec.kind is RecordKind.BURN]
+        assert burns == ["tamper"]
+        assert report.live_supply == sum(report.balances.values()) == sim.registry.live_supply
+        assert sum(report.burns_by_reason.values()) == sim.registry.total_burned
+        assert sim.registry.audit() == []

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from progmoney.cli import run_cli
 from progmoney.crypto import KeyDirectory
 from progmoney.registry import (
     BadSignature,
@@ -315,3 +316,33 @@ class TestAudit:
         assert audit_export("\n".join(corrupt)) != []
         missing = lines[:1] + lines[2:]
         assert any("seq" in v for v in audit_export("\n".join(missing)))
+
+
+MINT_U1 = "0|0|MINT|u1|100|central|-"
+
+# Ledgers endorsement refuses; replay must refuse them by the same rules
+REFUSED_LEDGERS = {
+    "mint_without_id": ("0|0|MINT||100|central|-", 0),
+    "mint_without_party": ("0|0|MINT|u1|100||-", 0),
+    "transfer_with_one_party": (MINT_U1 + "\n1|1|TRANSFER|u1|100|central|-", 1),
+    "burn_without_amount": (MINT_U1 + "\n1|1|BURN|u1||central|-", 1),
+    "merge_of_one_unit_twice": (MINT_U1 + "\n1|1|MERGE|u1,u1,u2|100,100,200|central|-", 1),
+    "split_by_non_owner": (MINT_U1 + "\n1|1|SPLIT|u1,u2,u3|100,40,60|mallory|-", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_LEDGERS))
+def test_refused_ledger_is_a_violation_not_a_crash(name, tmp_path):
+    text, seq = REFUSED_LEDGERS[name]
+    violations = audit_export(text)
+    assert len(violations) == 1
+    assert violations[0].startswith(f"seq {seq}: ")
+    (tmp_path / "ledger.txt").write_text(text + "\n", encoding="utf-8")
+    (tmp_path / "observations.log").write_text("", encoding="utf-8")
+    assert run_cli(["audit", str(tmp_path / "ledger.txt")]) == 2
+    assert run_cli(["report", str(tmp_path)]) == 2
+
+
+def test_replayed_self_transfer_still_passes():
+    # sender == new owner leaves the owner as it was; replay endorses it again
+    assert audit_export(MINT_U1 + "\n1|1|TRANSFER|u1|100|central,central|-") == []
