@@ -196,6 +196,8 @@ def step(
             raise InvalidRequest("SPLIT amounts do not conserve")
         _require_fresh(state, c1)
         _require_fresh(state, c2)
+        if c1 == c2:
+            raise InvalidRequest(f"SPLIT children share id {c1}")
         del live[parent]
         state.consumed.add(parent)
         live[c1] = (parties[0], a)

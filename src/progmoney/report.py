@@ -48,21 +48,24 @@ def build_report(obs_lines: list[str], ledger_lines: list[str]) -> Report:
             continue
         _tick, _host, event, details = parts
         report.event_counts[event] = report.event_counts.get(event, 0) + 1
-        if event == "config":
-            info = _parse_details(details)
-            report.scenario = info.get("scenario", report.scenario)
-            report.seed = int(info.get("seed", "0"))
-        elif event == "host":
-            info = _parse_details(details)
-            roles[info["id"]] = info["role"]
-        elif event == "forbidden":
-            report.forbidden_count += 1
-        elif event == "trajectory":
-            info = _parse_details(details)
-            report.trajectory.append(
-                f"{info['period']}|{info['supply']}|{info['mint']}"
-                f"|{info['burn']}|{info['volume']}"
-            )
+        try:
+            if event == "config":
+                info = _parse_details(details)
+                report.scenario = info.get("scenario", report.scenario)
+                report.seed = int(info.get("seed", "0"))
+            elif event == "host":
+                info = _parse_details(details)
+                roles[info["id"]] = info["role"]
+            elif event == "forbidden":
+                report.forbidden_count += 1
+            elif event == "trajectory":
+                info = _parse_details(details)
+                report.trajectory.append(
+                    f"{info['period']}|{info['supply']}|{info['mint']}"
+                    f"|{info['burn']}|{info['volume']}"
+                )
+        except KeyError as exc:
+            raise ValueError(f"observation {line!r} lacks {exc}") from None
 
     records: list[LedgerRecord] = [
         parse_ledger_line(line) for line in ledger_lines if line.strip()

@@ -31,34 +31,30 @@ Format (UTF-8, "#" comments):
     0 ISSUE central alice 1000 retail
     1 BUY alice bob 1000 cake
 
-Script actions: MINT, ISSUE, BUY, CONTACT, MOVE_HOST, TAMPER, REPLAY,
-RATE, ORDER, WITHHOLD, SPOOF.
+Script action names and argument counts are those of the handlers in
+`sim.ACTIONS`; a script line that does not fit one fails at load.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from . import fiscal
-from .sim import Simulation
+from .sim import ACTIONS, Simulation
 from .sim_types import LawStatus, LawTable, Role
 from .supply import ConstantGrowth, FixedCapGeometric, SupplyRule, VolumeResponsive
 
-SCRIPT_ACTIONS = {
-    "MINT",
-    "ISSUE",
-    "BUY",
-    "CONTACT",
-    "MOVE_HOST",
-    "TAMPER",
-    "REPLAY",
-    "RATE",
-    "ORDER",
-    "WITHHOLD",
-    "SPOOF",
-}
+
+def _arity(handler) -> tuple[int, int]:
+    """(required, total) arguments of a script action handler, past `self`."""
+    params = list(inspect.signature(handler).parameters.values())[1:]
+    return sum(p.default is p.empty for p in params), len(params)
+
+
+_ARITY = {name: _arity(handler) for name, handler in ACTIONS.items()}
 
 
 class ScenarioError(ValueError):
@@ -149,8 +145,10 @@ def _parse_sim_entry(cfg: ScenarioConfig, key: str, value: str, line_no: int) ->
         elif key == "period_ticks":
             cfg.period_ticks = int(value)
         elif key == "latency":
-            lo, hi = value.split()
-            cfg.latency = (int(lo), int(hi))
+            lo, hi = (int(part) for part in value.split())
+            if not 0 <= lo <= hi:
+                raise ValueError(f"latency wants 0 <= lo <= hi, got {lo} {hi}")
+            cfg.latency = (lo, hi)
         elif key == "currency":
             cfg.currency = value
         else:
@@ -199,7 +197,10 @@ def _parse_supply_entry(cfg: ScenarioConfig, key: str, value: str, line_no: int)
         cfg.supply_issuer = value
         return
     if key == "allowance":
-        cfg.supply_allowance = int(value)
+        try:
+            cfg.supply_allowance = int(value)
+        except ValueError:
+            raise ScenarioError(f"bad [supply] allowance {value!r}", line_no) from None
         return
     if key == "policy":
         cfg.supply_policy = value
@@ -233,8 +234,14 @@ def _parse_script_line(cfg: ScenarioConfig, line: str, line_no: int) -> None:
         tick = int(parts[0])
     except ValueError:
         raise ScenarioError(f"script line must start with a tick: {parts[0]!r}", line_no) from None
-    if len(parts) < 2 or parts[1] not in SCRIPT_ACTIONS:
+    if len(parts) < 2 or parts[1] not in _ARITY:
         raise ScenarioError(f"unknown script action {parts[1] if len(parts) > 1 else ''!r}", line_no)
+    required, total = _ARITY[parts[1]]
+    if not required <= len(parts) - 2 <= total:
+        wanted = required if required == total else f"{required} to {total}"
+        raise ScenarioError(
+            f"{parts[1]} wants {wanted} arguments, got {len(parts) - 2}", line_no
+        )
     cfg.script.append((tick, tuple(parts[1:])))
 
 

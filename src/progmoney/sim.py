@@ -22,7 +22,7 @@ import heapq
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from . import markets, money, policy as pol, supply as supply_mod
 from .crypto import (
@@ -546,14 +546,8 @@ class Simulation:
             u.value for u in self.active_units_of(issuer.id) if u.id not in self.deposits
         )
         periods_per_year = max(1, self.year_ticks // self.period_ticks)
-        # the treasury is part of live supply: clamp a burn to it here
         directive = supply_mod.issuance(
-            self.supply_rule,
-            period,
-            stats,
-            periods_per_year=periods_per_year,
-            treasury=stats.live_supply,
-            at=self.now,
+            self.supply_rule, period, stats, periods_per_year=periods_per_year
         )
         burn = min(directive.burn, treasury_total)
         if directive.burn > treasury_total:
@@ -620,11 +614,7 @@ class Simulation:
     # -- script actions ------------------------------------------------------
 
     def _run_script_action(self, parts: tuple[str, ...]) -> None:
-        action, args = parts[0], parts[1:]
-        handler = getattr(self, f"act_{action.lower()}", None)
-        if handler is None:
-            raise ValueError(f"unknown script action {action!r}")
-        handler(*args)
+        ACTIONS[parts[0]](self, *parts[1:])
 
     def act_mint(self, bank_id: str, value: str, policy_name: str = "empty") -> MoneyUnit:
         bank = self.host(bank_id)
@@ -860,3 +850,20 @@ class Simulation:
         self.host(victim_id)
         self.send(adversary_id, target_id, "spoofed", claimed_sender=victim_id)
         self.obs(adversary_id, "spoof", victim=victim_id, target=target_id)
+
+
+# script action name -> handler; the scenario loader checks each script
+# line's name and argument count against this table
+ACTIONS: dict[str, Callable[..., object]] = {
+    "MINT": Simulation.act_mint,
+    "ISSUE": Simulation.act_issue,
+    "BUY": Simulation.act_buy,
+    "CONTACT": Simulation.act_contact,
+    "MOVE_HOST": Simulation.act_move_host,
+    "TAMPER": Simulation.act_tamper,
+    "REPLAY": Simulation.act_replay,
+    "RATE": Simulation.act_rate,
+    "ORDER": Simulation.act_order,
+    "WITHHOLD": Simulation.act_withhold,
+    "SPOOF": Simulation.act_spoof,
+}

@@ -12,23 +12,17 @@ Three rule variants:
                          k_t = k0 + alpha * (V_t - v_star) / v_star, where
                          V_t is the transfer volume of the last window.
 
-Controllers are pure functions of (rule, period, stats); `run_supply` drives
-a registry so every directive lands as a ledger MINT/BURN record.
+Controllers are pure functions of (rule, period, stats); the simulation
+executes each period's directive as ledger MINT/BURN records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
-from . import money, policy as pol
-from .crypto import KeyPair
-from .registry import Registry, SupplyStats, UnauthorizedIssuer
-
-
-class AllowanceExceeded(ValueError):
-    pass
+from .registry import SupplyStats
 
 
 @dataclass(frozen=True)
@@ -66,7 +60,6 @@ SupplyRule = Union[FixedCapGeometric, ConstantGrowth, VolumeResponsive]
 
 @dataclass(frozen=True)
 class SupplyDirective:
-    at: int
     mint: int = 0
     burn: int = 0
 
@@ -75,37 +68,29 @@ class SupplyDirective:
             raise ValueError("directive must mint or burn, never both")
 
 
-def _growth_directive(
-    supply: int, rate: Fraction, periods_per_year: int, treasury: int, at: int
-) -> SupplyDirective:
+def _growth_directive(supply: int, rate: Fraction, periods_per_year: int) -> SupplyDirective:
     scaled = rate / periods_per_year
     delta = (supply * scaled.numerator) // scaled.denominator
     if delta >= 0:
-        return SupplyDirective(at=at, mint=delta)
-    return SupplyDirective(at=at, burn=min(-delta, treasury))
+        return SupplyDirective(mint=delta)
+    # a volume-responsive rate can fall below -100%/yr; no burn exceeds supply
+    return SupplyDirective(burn=min(-delta, supply))
 
 
 def issuance(
-    rule: SupplyRule,
-    period: int,
-    stats: SupplyStats,
-    periods_per_year: int = 1,
-    treasury: int = 0,
-    at: int = 0,
+    rule: SupplyRule, period: int, stats: SupplyStats, periods_per_year: int = 1
 ) -> SupplyDirective:
     """The directive for `period` given the registry's latest statistics."""
     if period < 0:
         raise ValueError("period must be >= 0")
     if isinstance(rule, FixedCapGeometric):
         mint = rule.issuance_start >> (period // rule.halving_periods)
-        return SupplyDirective(at=at, mint=mint)
+        return SupplyDirective(mint=mint)
     if isinstance(rule, ConstantGrowth):
-        return _growth_directive(
-            stats.live_supply, rule.rate_per_year, periods_per_year, treasury, at
-        )
+        return _growth_directive(stats.live_supply, rule.rate_per_year, periods_per_year)
     deviation = Fraction(stats.tx_volume - rule.target_volume, rule.target_volume)
     effective = rule.base_rate + rule.sensitivity * deviation
-    return _growth_directive(stats.live_supply, effective, periods_per_year, treasury, at)
+    return _growth_directive(stats.live_supply, effective, periods_per_year)
 
 
 @dataclass(frozen=True)
@@ -115,124 +100,3 @@ class TrajectoryPoint:
     mint: int
     burn: int
     tx_volume: int
-
-    def line(self) -> str:
-        return f"{self.period}|{self.supply}|{self.mint}|{self.burn}|{self.tx_volume}"
-
-
-def render_trajectory(points: list[TrajectoryPoint]) -> str:
-    return "\n".join(p.line() for p in points)
-
-
-@dataclass
-class Treasury:
-    """The central bank's own holdings, consumed youngest-first on burns."""
-
-    bank: KeyPair
-    units: list[money.MoneyUnit] = field(default_factory=list)
-
-    def total(self) -> int:
-        return sum(u.value for u in self.units if u.state is money.UnitState.ACTIVE)
-
-    def add(self, unit: money.MoneyUnit) -> None:
-        self.units.append(unit)
-
-    def burn(self, amount: int, registry: Registry, at: int, reason: str) -> int:
-        """Burn up to `amount`, splitting the last unit for exact change."""
-        burned = 0
-        while burned < amount:
-            live = [u for u in self.units if u.state is money.UnitState.ACTIVE]
-            if not live:
-                break
-            unit = live[-1]
-            need = amount - burned
-            if unit.value > need:
-                carved, rest = money.split(unit, need, registry, at)
-                self.units.remove(unit)
-                self.units.append(rest)
-                unit = carved
-            else:
-                self.units.remove(unit)
-            value = unit.value
-            money.zeroise(unit, reason, registry, at)
-            burned += value
-        return burned
-
-
-def apply_directive(
-    directive: SupplyDirective,
-    treasury: Treasury,
-    registry: Registry,
-    currency: str,
-    default_policy: pol.CheckedPolicy,
-) -> tuple[int, int]:
-    """Execute a directive against the ledger; returns (minted, burned)."""
-    minted = burned = 0
-    if directive.mint > 0:
-        try:
-            unit = money.mint(
-                treasury.bank,
-                directive.mint,
-                currency,
-                default_policy,
-                registry,
-                at=directive.at,
-            )
-        except UnauthorizedIssuer as exc:
-            raise AllowanceExceeded(str(exc)) from exc
-        treasury.add(unit)
-        minted = directive.mint
-    elif directive.burn > 0:
-        burned = treasury.burn(directive.burn, registry, directive.at, reason="supply")
-    return minted, burned
-
-
-def run_supply(
-    rule: SupplyRule,
-    periods: int,
-    registry: Registry,
-    bank: KeyPair,
-    initial_supply: int = 0,
-    periods_per_year: int = 1,
-    period_ticks: int = 1,
-    currency: str = "SIM",
-    default_policy: Optional[pol.CheckedPolicy] = None,
-) -> list[TrajectoryPoint]:
-    """Drive `rule` for `periods` periods on a fresh treasury."""
-    default_policy = default_policy or pol.EMPTY_POLICY
-    treasury = Treasury(bank)
-    if initial_supply > 0:
-        try:
-            seed_unit = money.mint(
-                bank, initial_supply, currency, default_policy, registry, at=0
-            )
-        except UnauthorizedIssuer as exc:
-            raise AllowanceExceeded(str(exc)) from exc
-        treasury.add(seed_unit)
-    trajectory: list[TrajectoryPoint] = []
-    for period in range(periods):
-        at = (period + 1) * period_ticks
-        window = (period * period_ticks + 1, at) if period else (0, at)
-        registry.now = max(registry.now, at)
-        stats = registry.supply_stats(window)
-        directive = issuance(
-            rule,
-            period,
-            stats,
-            periods_per_year=periods_per_year,
-            treasury=treasury.total(),
-            at=at,
-        )
-        minted, burned = apply_directive(
-            directive, treasury, registry, currency, default_policy
-        )
-        trajectory.append(
-            TrajectoryPoint(
-                period=period,
-                supply=registry.live_supply,
-                mint=minted,
-                burn=burned,
-                tx_volume=stats.tx_volume,
-            )
-        )
-    return trajectory

@@ -21,10 +21,11 @@ from progmoney.money import PolicyForbids, UnitState, mint, transfer, verify_int
 from progmoney.registry import RecordKind, Registry
 from progmoney.sim import Simulation
 from progmoney.sim_types import LawStatus, Role
-from progmoney.supply import ConstantGrowth, FixedCapGeometric, issuance, run_supply
+from progmoney.supply import ConstantGrowth, FixedCapGeometric, issuance
 
 from test_markets import brute_force_submit, random_book_and_order
 from test_policy import CORPUS
+from test_supply import supply_sim
 
 SCENARIO_DIR = (
     Path(__file__).resolve().parents[1] / "src" / "progmoney" / "data" / "scenarios"
@@ -251,17 +252,13 @@ def test_05_jurisdiction_and_annual_contact():
 def test_06_supply_rules():
     with criterion(6, "constant growth matches compounding; fixed cap bounded"):
         # constant growth: 2%/yr over 10 years within 10 minor units of S0*1.02^10
-        rng, directory, registry, keys = fresh_world(seed=66)
-        trajectory = run_supply(
-            ConstantGrowth(Fraction(2, 100)), 10, registry, keys["central"],
-            initial_supply=1_000_000,
-        )
+        sim = supply_sim(ConstantGrowth(Fraction(2, 100)), 10, initial_supply=1_000_000)
         exact = Fraction(1_000_000) * Fraction(51, 50) ** 10
-        assert abs(exact - trajectory[-1].supply) <= 10
+        assert abs(exact - sim.trajectory[-1].supply) <= 10
         # fixed cap: brute-force summation oracle over 200 periods
         oracle_total = sum(50 // (2 ** (t // 10)) for t in range(200))
         rule = FixedCapGeometric(50, 10)
-        stats = registry.supply_stats((0, 0))
+        stats = sim.registry.supply_stats((0, 0))
         controller_total = sum(
             issuance(rule, t, stats).mint for t in range(200)
         )

@@ -3,6 +3,8 @@
 import os
 from pathlib import Path
 
+import pytest
+
 from progmoney.cli import LEDGER_FILE, OBSERVATIONS_FILE, REPORT_FILE, run_cli
 
 SCENARIO_DIR = (
@@ -167,6 +169,14 @@ class TestReport:
         ledger = out / LEDGER_FILE
         lines = ledger.read_text(encoding="utf-8").splitlines()
         ledger.write_text("\n".join(lines[:1] + lines[2:]) + "\n", encoding="utf-8")
+        assert run(["report", out]) == 2
+
+    @pytest.mark.parametrize("crafted", ["0|sim|host|role=CONSUMER", "0|sim|trajectory|period=0"])
+    def test_crafted_observation_exits_2(self, tmp_path, crafted):
+        out = tmp_path / "out"
+        run(["run", SALES_TAX_SCN, "--seed", 7, "--out", out])
+        log = out / OBSERVATIONS_FILE
+        log.write_text(crafted + "\n" + log.read_text(encoding="utf-8"), encoding="utf-8")
         assert run(["report", out]) == 2
 
     def test_report_contents(self, tmp_path):

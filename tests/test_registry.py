@@ -116,6 +116,23 @@ class TestEndorse:
         with pytest.raises(InvalidRequest):
             registry.endorse(bad)
 
+    def test_split_children_share_id(self):
+        directory, registry = make_registry()
+        req = mint_request(registry).signed(directory)
+        registry.endorse(req)
+        child = registry.new_unit_id()
+        split = EndorseRequest(
+            RecordKind.SPLIT,
+            (req.unit_ids[0], child, child),
+            (1000, 400, 600),
+            "central",
+            "central",
+            1,
+        ).signed(directory)
+        with pytest.raises(InvalidRequest):
+            registry.endorse(split)
+        assert registry.live_units() == {req.unit_ids[0]: ("central", 1000)}
+
     def test_merge_same_id_twice(self):
         directory, registry = make_registry()
         req = mint_request(registry).signed(directory)
@@ -328,6 +345,7 @@ REFUSED_LEDGERS = {
     "burn_without_amount": (MINT_U1 + "\n1|1|BURN|u1||central|-", 1),
     "merge_of_one_unit_twice": (MINT_U1 + "\n1|1|MERGE|u1,u1,u2|100,100,200|central|-", 1),
     "split_by_non_owner": (MINT_U1 + "\n1|1|SPLIT|u1,u2,u3|100,40,60|mallory|-", 1),
+    "split_into_one_id_twice": (MINT_U1 + "\n1|1|SPLIT|u1,u2,u2|100,40,60|central|-", 1),
 }
 
 

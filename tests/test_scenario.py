@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from progmoney.cli import run_cli
 from progmoney.scenario import (
     ScenarioError,
     build_policy_source,
@@ -98,6 +99,25 @@ class TestParsing:
         assert cfg.supply_rule == FixedCapGeometric(50, 10)
         growth = parse_scenario("[supply]\nissuer = c\nrule = CONSTANT_GROWTH 2/100\n")
         assert growth.supply_rule == ConstantGrowth(Fraction(2, 100))
+
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [
+            ("[hosts]\nalice = CONSUMER HOME\n[script]\n0 BUY alice\n", 4),
+            ("[script]\n0 CONTACT alice bob\n", 2),
+            ("[supply]\nissuer = central\nallowance = lots\n", 3),
+            ("[sim]\nlatency = 3 1\n", 2),
+            ("[sim]\nlatency = -1 1\n", 2),
+        ],
+        ids=["too_few_args", "too_many_args", "allowance", "latency_reversed", "latency_negative"],
+    )
+    def test_bad_line_fails_at_load(self, tmp_path, text, line_no):
+        with pytest.raises(ScenarioError) as exc_info:
+            parse_scenario(text)
+        assert exc_info.value.line_no == line_no
+        path = tmp_path / "bad.scn"
+        path.write_text(text, encoding="utf-8")
+        assert run_cli(["run", str(path), "--out", str(tmp_path / "out")]) == 1
 
     def test_supply_rule_requires_issuer(self):
         with pytest.raises(ScenarioError):

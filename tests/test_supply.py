@@ -1,21 +1,19 @@
 """Supply controllers: fixed cap, constant growth, volume response."""
 
-import random
 from fractions import Fraction
 
 import pytest
 
-from progmoney.crypto import KeyDirectory
-from progmoney.registry import Registry, SupplyStats
+from progmoney.registry import SupplyStats, UnauthorizedIssuer
+from progmoney.report import report_for
+from progmoney.sim import Simulation
+from progmoney.sim_types import Role
 from progmoney.supply import (
-    AllowanceExceeded,
     ConstantGrowth,
     FixedCapGeometric,
     SupplyDirective,
     VolumeResponsive,
     issuance,
-    render_trajectory,
-    run_supply,
 )
 
 
@@ -23,13 +21,29 @@ def stats(live=0, volume=0):
     return SupplyStats(live_supply=live, minted=0, burned=0, tx_count=0, tx_volume=volume)
 
 
-def fresh_registry(allowance=10**12):
-    rng = random.Random(8)
-    directory = KeyDirectory()
-    registry = Registry(directory, "registry", rng=rng)
-    bank = directory.create("central", rng)
-    registry.authorize_issuer("central", allowance)
-    return registry, bank
+def supply_sim(
+    rule, periods, initial_supply=0, periods_per_year=1, period_ticks=1, allowance=None
+):
+    """A central bank alone under `rule`, run for `periods` supply periods.
+
+    The initial supply is minted into the bank's treasury at tick 0, and
+    `sim.trajectory` holds one point per period.
+    """
+    sim = Simulation(
+        seed=8,
+        scenario_name="supply",
+        year_ticks=periods_per_year * period_ticks,
+        period_ticks=period_ticks,
+    )
+    sim.add_host("central", Role.CENTRAL_BANK, "HOME")
+    if allowance is not None:
+        sim.set_issuer_allowance("central", allowance)
+    sim.supply_rule = rule
+    sim.supply_issuer = "central"
+    if initial_supply > 0:
+        sim.schedule_script(0, ("MINT", "central", str(initial_supply)))
+    sim.run_until(periods * period_ticks)
+    return sim
 
 
 class TestIssuance:
@@ -75,14 +89,22 @@ class TestIssuance:
         assert cold.burn > 0 or cold.mint < 20_000
 
     def test_deflation_clamped_to_treasury(self):
-        rule = ConstantGrowth(Fraction(-1, 100))
-        directive = issuance(rule, 0, stats(live=1_000_000), treasury=200)
-        assert directive.burn == 200
-        assert directive.mint == 0
+        # 1% of a 1,000,000 supply is due, but the treasury holds only 200
+        sim = Simulation(seed=8, scenario_name="deflate", year_ticks=1, period_ticks=1)
+        sim.add_host("central", Role.CENTRAL_BANK, "HOME")
+        sim.add_host("alice", Role.CONSUMER, "HOME")
+        sim.supply_rule = ConstantGrowth(Fraction(-1, 100))
+        sim.supply_issuer = "central"
+        sim.schedule_script(0, ("MINT", "central", "200"))
+        sim.schedule_script(0, ("ISSUE", "central", "alice", "999800"))
+        sim.run_until(1)
+        point = sim.trajectory[0]
+        assert point.burn == 200
+        assert point.mint == 0
 
     def test_directive_never_both(self):
         with pytest.raises(ValueError):
-            SupplyDirective(at=0, mint=5, burn=5)
+            SupplyDirective(mint=5, burn=5)
 
     def test_rule_invariants(self):
         with pytest.raises(ValueError):
@@ -95,70 +117,48 @@ class TestIssuance:
 
 class TestRunSupply:
     def test_zero_rate_flat(self):
-        registry, bank = fresh_registry()
-        trajectory = run_supply(
-            ConstantGrowth(Fraction(0)), 5, registry, bank, initial_supply=1_000
-        )
-        assert [p.supply for p in trajectory] == [1_000] * 5
-        assert registry.audit() == []
+        sim = supply_sim(ConstantGrowth(Fraction(0)), 5, initial_supply=1_000)
+        assert [p.supply for p in sim.trajectory] == [1_000] * 5
+        assert sim.registry.audit() == []
 
     def test_two_percent_ten_years_close_to_compound(self):
         # closed form computed exactly with Fraction arithmetic
-        registry, bank = fresh_registry()
-        trajectory = run_supply(
-            ConstantGrowth(Fraction(2, 100)), 10, registry, bank, initial_supply=1_000_000
-        )
+        sim = supply_sim(ConstantGrowth(Fraction(2, 100)), 10, initial_supply=1_000_000)
         exact = Fraction(1_000_000) * Fraction(51, 50) ** 10
-        drift = exact - trajectory[-1].supply
+        drift = exact - sim.trajectory[-1].supply
         assert 0 <= drift <= 10  # cumulative flooring, one unit per period max
-        assert trajectory[-1].supply == 1_218_991
+        assert sim.trajectory[-1].supply == 1_218_991
 
     def test_growth_within_t_units_every_period(self):
-        registry, bank = fresh_registry()
-        trajectory = run_supply(
-            ConstantGrowth(Fraction(2, 100)), 10, registry, bank, initial_supply=1_000_000
-        )
-        for t, point in enumerate(trajectory, start=1):
+        sim = supply_sim(ConstantGrowth(Fraction(2, 100)), 10, initial_supply=1_000_000)
+        for t, point in enumerate(sim.trajectory, start=1):
             exact = Fraction(1_000_000) * Fraction(51, 50) ** t
             assert 0 <= exact - point.supply <= t
 
     def test_deflation_halves_supply(self):
-        registry, bank = fresh_registry()
-        trajectory = run_supply(
-            ConstantGrowth(Fraction(-1, 2)), 3, registry, bank, initial_supply=100
-        )
-        assert [p.supply for p in trajectory] == [50, 25, 12]
-        assert [p.burn for p in trajectory] == [50, 25, 13]
-        assert registry.total_burned == 88
-        assert registry.audit() == []
+        sim = supply_sim(ConstantGrowth(Fraction(-1, 2)), 3, initial_supply=100)
+        assert [p.supply for p in sim.trajectory] == [50, 25, 12]
+        assert [p.burn for p in sim.trajectory] == [50, 25, 13]
+        assert sim.registry.total_burned == 88
+        assert sim.registry.audit() == []
 
     def test_full_deflation_burns_everything_then_stops(self):
-        registry, bank = fresh_registry()
-        trajectory = run_supply(
-            ConstantGrowth(Fraction(-1)), 3, registry, bank, initial_supply=100
-        )
-        assert [p.supply for p in trajectory] == [0, 0, 0]
-        assert registry.total_burned == 100
-        assert registry.live_supply == 0
-        assert registry.audit() == []
+        sim = supply_sim(ConstantGrowth(Fraction(-1)), 3, initial_supply=100)
+        assert [p.supply for p in sim.trajectory] == [0, 0, 0]
+        assert sim.registry.total_burned == 100
+        assert sim.registry.live_supply == 0
+        assert sim.registry.audit() == []
 
     def test_directives_appear_in_ledger_one_to_one(self):
-        registry, bank = fresh_registry()
-        trajectory = run_supply(
-            FixedCapGeometric(50, 2), 6, registry, bank, initial_supply=0
-        )
-        mints = [r for r in registry.records if r.kind.value == "MINT"]
-        assert [r.amounts[0] for r in mints] == [p.mint for p in trajectory if p.mint]
+        sim = supply_sim(FixedCapGeometric(50, 2), 6, initial_supply=0)
+        mints = [r for r in sim.registry.records if r.kind.value == "MINT"]
+        assert [r.amounts[0] for r in mints] == [p.mint for p in sim.trajectory if p.mint]
 
     def test_allowance_exceeded(self):
-        registry, bank = fresh_registry(allowance=10)
-        with pytest.raises(AllowanceExceeded):
-            run_supply(ConstantGrowth(Fraction(0)), 1, registry, bank, initial_supply=100)
+        with pytest.raises(UnauthorizedIssuer):
+            supply_sim(ConstantGrowth(Fraction(0)), 1, initial_supply=100, allowance=10)
 
     def test_trajectory_export_format(self):
-        registry, bank = fresh_registry()
-        trajectory = run_supply(
-            FixedCapGeometric(4, 1), 3, registry, bank, initial_supply=0
-        )
-        text = render_trajectory(trajectory)
+        sim = supply_sim(FixedCapGeometric(4, 1), 3, initial_supply=0)
+        text = "\n".join(report_for(sim).trajectory)
         assert text.splitlines() == ["0|4|4|0|0", "1|6|2|0|0", "2|7|1|0|0"]
