@@ -13,7 +13,7 @@ obligations of their own, which keeps tax-on-tax recursion impossible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
@@ -334,7 +334,7 @@ def transfer(
         raise PolicyForbids(
             f"unit {unit.id} refuses transfer", pol.EventKind.TRANSFER_REQUEST
         )
-    receive_ctx = ctx.with_counterparty(unit.owner)
+    receive_ctx = replace(ctx, counterparty=unit.owner)
     receive_decision = pol.evaluate(unit.policy, pol.EventKind.RECEIVE, receive_ctx)
     if not receive_decision.permitted:
         raise PolicyForbids(f"unit {unit.id} refuses receipt", pol.EventKind.RECEIVE)
@@ -351,16 +351,8 @@ def transfer(
     # pre-flight the inner pay transfers so nothing is endorsed that could
     # later be vetoed; inner transfers never run obligations of their own
     for ob in pays:
-        pay_ctx = pol.EvalContext(
-            amount=ob.amount,
-            category=OBLIGATION_CATEGORY,
-            counterparty=ob.payee,
-            location=ctx.location,
-            now=ctx.now,
-            expiry=ctx.expiry,
-            last_contact=ctx.last_contact,
-            licence=ctx.licence,
-            home=ctx.home,
+        pay_ctx = replace(
+            ctx, amount=ob.amount, category=OBLIGATION_CATEGORY, counterparty=ob.payee
         )
         for event in (pol.EventKind.TRANSFER_REQUEST, pol.EventKind.RECEIVE):
             if not pol.evaluate(unit.policy, event, pay_ctx).permitted:
@@ -449,14 +441,6 @@ def verify_integrity(
     if problems:
         return IntegrityResult(False, tuple(problems))
     return INTEGRITY_OK
-
-
-def replay_provenance(unit: MoneyUnit) -> tuple[str, int]:
-    """Fold stamps from the mint forward; returns the implied (owner, value)."""
-    owner, value = "", 0
-    for stamp in unit.provenance:
-        owner, value = stamp.to, stamp.amount
-    return owner, value
 
 
 def zeroise(unit: MoneyUnit, reason: str, registry: Registry, at: int) -> list[tuple[str, str]]:

@@ -19,7 +19,7 @@ evidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
@@ -587,9 +587,6 @@ class EvalContext:
     licence: Optional[str] = None
     home: Optional[str] = None
 
-    def with_counterparty(self, counterparty: str) -> "EvalContext":
-        return replace(self, counterparty=counterparty)
-
 
 @dataclass(frozen=True)
 class PayObligation:
@@ -628,9 +625,6 @@ class Decision:
     @property
     def permitted(self) -> bool:
         return self.verdict is Verdict.PERMIT
-
-
-PERMIT_ALL = Decision(Verdict.PERMIT)
 
 
 def _compare(ctx_value: object, op: str, lit: Literal) -> bool:

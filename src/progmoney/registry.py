@@ -14,6 +14,10 @@ live state; `replay_records` folds it over records from seq 0, and so do
 `Registry.audit`, `audit_export` and the report rebuild, through it.  A
 replay therefore makes every check an endorsement makes except the issuer
 allowance, which the ledger export does not carry.
+
+`Registry.holdings` answers "which live units does this owner hold" from an
+owner -> ids index that `endorse` refreshes, after `step` succeeds, for the
+ids the new record names; replay has no use for it and does not keep one.
 """
 
 from __future__ import annotations
@@ -241,6 +245,7 @@ class Registry:
         self.records: list[LedgerRecord] = []
         self.record_sigs: list[Signature] = []
         self._state = _State()
+        self._held: dict[str, set[str]] = {}  # owner -> ids of the live units held
         self._issuers: dict[str, int] = {}  # key_id -> remaining allowance
         self._id_counter = 0
         self.now = 0
@@ -264,8 +269,9 @@ class Registry:
         entry = self._state.live.get(unit_id)
         return entry[0] if entry else None
 
-    def is_live(self, unit_id: str) -> bool:
-        return unit_id in self._state.live
+    def holdings(self, owner: str) -> list[str]:
+        """The sorted ids of the live units `owner` holds."""
+        return sorted(self._held.get(owner, ()))
 
     @property
     def total_minted(self) -> int:
@@ -301,7 +307,15 @@ class Registry:
             parties=parties,
             reason=request.reason,
         )
+        live = self._state.live
+        before = [live.get(uid) for uid in record.unit_ids]
         step(self._state, record, self._issuers)
+        for uid, old in zip(record.unit_ids, before):
+            if old is not None:
+                self._held[old[0]].discard(uid)
+            new = live.get(uid)
+            if new is not None:
+                self._held.setdefault(new[0], set()).add(uid)
         sig = self.sign_bytes(record.line().encode())
         self.records.append(record)
         self.record_sigs.append(sig)

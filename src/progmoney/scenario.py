@@ -134,25 +134,27 @@ def parse_scenario(text: str) -> ScenarioConfig:
     return cfg
 
 
+# integer [sim] keys -> the least value each may take
+_SIM_INT_LEAST = {"until": 0, "year_ticks": 1, "period_ticks": 1}
+
+
 def _parse_sim_entry(cfg: ScenarioConfig, key: str, value: str, line_no: int) -> None:
+    if key in ("name", "currency"):
+        setattr(cfg, key, value)
+        return
+    if key != "latency" and key not in _SIM_INT_LEAST:
+        raise ScenarioError(f"unknown [sim] key {key!r}", line_no)
     try:
-        if key == "name":
-            cfg.name = value
-        elif key == "until":
-            cfg.until = int(value)
-        elif key == "year_ticks":
-            cfg.year_ticks = int(value)
-        elif key == "period_ticks":
-            cfg.period_ticks = int(value)
-        elif key == "latency":
+        if key == "latency":
             lo, hi = (int(part) for part in value.split())
             if not 0 <= lo <= hi:
                 raise ValueError(f"latency wants 0 <= lo <= hi, got {lo} {hi}")
             cfg.latency = (lo, hi)
-        elif key == "currency":
-            cfg.currency = value
         else:
-            raise ScenarioError(f"unknown [sim] key {key!r}", line_no)
+            number, least = int(value), _SIM_INT_LEAST[key]
+            if number < least:
+                raise ValueError(f"must be at least {least}, got {number}")
+            setattr(cfg, key, number)
     except ValueError as exc:
         raise ScenarioError(f"bad [sim] value for {key!r}: {exc}", line_no) from None
 
@@ -192,6 +194,15 @@ def _parse_law_entry(cfg: ScenarioConfig, key: str, value: str, line_no: int) ->
     cfg.law.append((key, status, _parse_fraction(parts[1], line_no)))
 
 
+# supply rule name -> the arguments it takes, in order
+_SUPPLY_RULE_ARGS = {
+    "NONE": (),
+    "FIXED_CAP": ("issuance_start", "halving_periods"),
+    "CONSTANT_GROWTH": ("rate_per_year",),
+    "VOLUME_RESPONSIVE": ("base_rate", "sensitivity", "target_volume"),
+}
+
+
 def _parse_supply_entry(cfg: ScenarioConfig, key: str, value: str, line_no: int) -> None:
     if key == "issuer":
         cfg.supply_issuer = value
@@ -207,24 +218,29 @@ def _parse_supply_entry(cfg: ScenarioConfig, key: str, value: str, line_no: int)
         return
     if key != "rule":
         raise ScenarioError(f"unknown [supply] key {key!r}", line_no)
-    parts = value.split()
-    kind = parts[0]
+    kind, *args = value.split() or [""]
+    if kind not in _SUPPLY_RULE_ARGS:
+        raise ScenarioError(f"unknown supply rule {kind!r}", line_no)
+    wanted = _SUPPLY_RULE_ARGS[kind]
+    if len(args) != len(wanted):
+        usage = " ".join((kind,) + wanted)
+        raise ScenarioError(f"expected 'rule = {usage}', got {len(args)} arguments", line_no)
     try:
         if kind == "NONE":
             cfg.supply_rule = None
         elif kind == "FIXED_CAP":
-            cfg.supply_rule = FixedCapGeometric(int(parts[1]), int(parts[2]))
+            cfg.supply_rule = FixedCapGeometric(int(args[0]), int(args[1]))
         elif kind == "CONSTANT_GROWTH":
-            cfg.supply_rule = ConstantGrowth(_parse_fraction(parts[1], line_no))
-        elif kind == "VOLUME_RESPONSIVE":
-            cfg.supply_rule = VolumeResponsive(
-                _parse_fraction(parts[1], line_no),
-                _parse_fraction(parts[2], line_no),
-                int(parts[3]),
-            )
+            cfg.supply_rule = ConstantGrowth(_parse_fraction(args[0], line_no))
         else:
-            raise ScenarioError(f"unknown supply rule {kind!r}", line_no)
-    except (IndexError, ValueError) as exc:
+            cfg.supply_rule = VolumeResponsive(
+                _parse_fraction(args[0], line_no),
+                _parse_fraction(args[1], line_no),
+                int(args[2]),
+            )
+    except ScenarioError:
+        raise
+    except ValueError as exc:
         raise ScenarioError(f"bad supply rule: {exc}", line_no) from None
 
 

@@ -78,7 +78,7 @@ class Simulation:
         self.seed = seed
         self.scenario_name = scenario_name
         self.year_ticks = year_ticks
-        self.period_ticks = period_ticks or year_ticks
+        self.period_ticks = year_ticks if period_ticks is None else period_ticks
         self.latency = latency
         self.currency = currency
         self.directory = KeyDirectory()
@@ -250,27 +250,20 @@ class Simulation:
             return
         self.obs(target, "message", sender=message.claimed_sender, body=message.body)
 
-    # -- wallets ----------------------------------------------------------
+    # -- holdings ---------------------------------------------------------
+    # The registry's live set is the one record of who holds what; `units`
+    # maps each id to its unit object, and an id stays there once consumed.
 
     def _place_unit(self, unit: MoneyUnit) -> None:
         self.units[unit.id] = unit
-        owner_host = self.hosts.get(unit.owner)
-        if owner_host is not None and unit.state is UnitState.ACTIVE:
-            owner_host.wallet.add(unit.id)
-        elif owner_host is None:
+        if unit.owner not in self.hosts:
             self.obs("sim", "orphan_unit", unit=unit.id, owner=unit.owner)
 
-    def _drop_unit(self, unit_id: str) -> None:
-        for host in self.hosts.values():
-            host.wallet.discard(unit_id)
-        self.deposits.discard(unit_id)
-
     def _absorb_outcome(self, outcome: TransferOutcome, moved_id: str) -> None:
-        self._drop_unit(moved_id)
+        # the unit left its holder whole, so it is no longer that bank's deposit
+        self.deposits.discard(moved_id)
         for unit in outcome.all_units():
             self._place_unit(unit)
-        for zeroised, _reason in outcome.zeroised:
-            self._drop_unit(zeroised.id)
 
     def _dispatch_notifications(self, frm: str, notifications: list[tuple[str, str]]) -> None:
         for target, body in notifications:
@@ -282,17 +275,8 @@ class Simulation:
                 self.obs(frm, "notify_undeliverable", target=target)
 
     def active_units_of(self, host_id: str) -> list[MoneyUnit]:
-        host = self.host(host_id)
-        out = []
-        for uid in sorted(host.wallet):
-            unit = self.units.get(uid)
-            if (
-                unit is not None
-                and unit.state is UnitState.ACTIVE
-                and self.registry.owner_of(uid) == host_id
-            ):
-                out.append(unit)
-        return out
+        self.host(host_id)
+        return [self.units[uid] for uid in self.registry.holdings(host_id)]
 
     def balance_of(self, host_id: str) -> int:
         return sum(u.value for u in self.active_units_of(host_id))
@@ -303,20 +287,12 @@ class Simulation:
         pairs = [
             (host_id, uid)
             for host_id in sorted(self.hosts)
-            for uid in sorted(self.hosts[host_id].wallet)
+            for uid in self.registry.holdings(host_id)
         ]
         for host_id, uid in pairs:
-            host = self.hosts[host_id]
-            if uid not in host.wallet:
-                continue
-            unit = self.units.get(uid)
-            if unit is None or unit.state is not UnitState.ACTIVE:
-                host.wallet.discard(uid)
-                continue
-            if self.registry.owner_of(uid) != host_id:
-                host.wallet.discard(uid)
-                continue
-            self._upkeep_unit(host, unit)
+            # an earlier unit's upkeep this tick may have moved or consumed it
+            if self.registry.owner_of(uid) == host_id:
+                self._upkeep_unit(self.hosts[host_id], self.units[uid])
 
     def _upkeep_unit(self, host: Host, unit: MoneyUnit) -> None:
         integrity = money.verify_integrity(unit, self.directory, self.registry.key_id)
@@ -368,7 +344,6 @@ class Simulation:
         value = unit.value
         notes = money.zeroise(unit, reason, self.registry, self.now)
         self.obs(host_id, "zeroise", unit=unit.id, reason=reason, value=value)
-        self._drop_unit(unit.id)
         self._dispatch_notifications(host_id, notes)
 
     def _execute_obligations(self, host: Host, unit: MoneyUnit, obligations) -> None:
@@ -401,7 +376,6 @@ class Simulation:
             pay_unit, remainder = unit, None
         else:
             pay_unit, remainder = money.split(unit, ob.amount, self.registry, self.now)
-            self._drop_unit(unit.id)
         ctx = self._eval_ctx(
             host, pay_unit, host.location, money.OBLIGATION_CATEGORY, ob.payee
         )
@@ -440,12 +414,10 @@ class Simulation:
         self.obs(host.id, "move_planned", unit=unit.id, target=target)
 
     def _execute_delegated_move(self, unit_id: str, target: str) -> None:
-        unit = self.units.get(unit_id)
-        if unit is None or unit.state is not UnitState.ACTIVE:
-            return
-        holder = self.hosts.get(unit.owner)
-        if holder is None or unit_id not in holder.wallet:
-            return
+        owner = self.registry.owner_of(unit_id)
+        if owner not in self.hosts:
+            return  # moved to a non-host, or consumed, since the move was planned
+        holder, unit = self.hosts[owner], self.units[unit_id]
         # re-check under the board as it stands now (it may have moved on)
         best = select_best_rate(self.rate_board, self._current_bank_of(holder, unit_id))
         if best is None:
@@ -491,10 +463,10 @@ class Simulation:
             rate = self.rate_board.get(bank_id)
             if not rate or rate <= 0:
                 continue
-            for uid in sorted(self.deposits & bank.wallet):
-                deposit = self.units.get(uid)
-                if deposit is None or deposit.state is not UnitState.ACTIVE:
+            for uid in self.registry.holdings(bank_id):
+                if uid not in self.deposits:
                     continue
+                deposit = self.units[uid]
                 interest = markets.interest_payment(
                     deposit.value, rate, periods_per_year
                 )
@@ -505,8 +477,6 @@ class Simulation:
                     self.obs(bank_id, "interest_unfunded", unit=uid, amount=interest)
                     continue
                 merged = money.merge(deposit, funding, self.registry, self.now)
-                self._drop_unit(deposit.id)
-                self._drop_unit(funding.id)
                 self._place_unit(merged)
                 self.deposits.add(merged.id)
                 self.obs(
@@ -516,22 +486,20 @@ class Simulation:
     def _treasury_piece(
         self, bank: Host, deposit: MoneyUnit, amount: int
     ) -> Optional[MoneyUnit]:
-        for uid in sorted(bank.wallet - self.deposits):
-            unit = self.units.get(uid)
+        for uid in self.registry.holdings(bank.id):
+            if uid in self.deposits:
+                continue
+            unit = self.units[uid]
             if (
-                unit is None
-                or unit.state is not UnitState.ACTIVE
-                or unit.policy_hash != deposit.policy_hash
+                unit.policy_hash != deposit.policy_hash
                 or unit.currency != deposit.currency
                 or unit.home != deposit.home
                 or unit.value < amount
             ):
                 continue
             if unit.value == amount:
-                bank.wallet.discard(uid)
                 return unit
             piece, rest = money.split(unit, amount, self.registry, self.now)
-            self._drop_unit(uid)
             self._place_unit(rest)
             return piece
         return None
@@ -601,11 +569,8 @@ class Simulation:
             need = amount - burned
             if unit.value > need:
                 piece, rest = money.split(unit, need, self.registry, self.now)
-                self._drop_unit(unit.id)
                 self._place_unit(rest)
                 unit = piece
-            else:
-                self._drop_unit(unit.id)
             value = unit.value
             money.zeroise(unit, "supply", self.registry, self.now)
             burned += value
@@ -705,7 +670,7 @@ class Simulation:
         )
 
     def _gather_payment(self, buyer: Host, amount: int) -> Optional[MoneyUnit]:
-        """Assemble one unit worth exactly `amount` from the buyer's wallet."""
+        """Assemble one unit worth exactly `amount` from the units the buyer holds."""
         pool: list[MoneyUnit] = []
         total = 0
         for unit in self.active_units_of(buyer.id):
@@ -733,15 +698,12 @@ class Simulation:
             last = pool.pop()
             keep = amount - sum(u.value for u in pool)
             piece, rest = money.split(last, keep, self.registry, self.now)
-            self._drop_unit(last.id)
             self._place_unit(rest)
             self._place_unit(piece)
             pool.append(piece)
         merged = pool[0]
         for unit in pool[1:]:
             combined = money.merge(merged, unit, self.registry, self.now)
-            self._drop_unit(merged.id)
-            self._drop_unit(unit.id)
             self._place_unit(combined)
             merged = combined
         return merged

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
@@ -27,7 +27,6 @@ class Host:
     location: str
     keys: KeyPair
     role: Role
-    wallet: set[str] = field(default_factory=set)
     licence: Optional[str] = None
     category: str = "deposit"  # what a transfer to this host counts as
 
@@ -76,6 +75,3 @@ class LawTable:
 
     def status(self, category: str) -> LawStatus:
         return self.query(category).status
-
-    def tax_rate(self, category: str) -> Fraction:
-        return self.query(category).tax_rate

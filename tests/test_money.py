@@ -19,7 +19,6 @@ from progmoney.money import (
     UnitState,
     mint,
     merge,
-    replay_provenance,
     split,
     transfer,
     verify_integrity,
@@ -104,7 +103,7 @@ class TestSplit:
         assert a.value + b.value == 100
         assert a.owner == b.owner == "central"
         assert a.policy_hash == b.policy_hash == unit.policy_hash
-        assert not registry.is_live(unit.id)
+        assert registry.owner_of(unit.id) is None
 
     def test_split_whole_value_rejected(self, world):
         _, registry, bank = world
@@ -128,7 +127,8 @@ class TestSplit:
         for child in (a, b):
             assert child.provenance[0] == unit.provenance[0]
             assert verify_integrity(child, directory).ok
-            assert replay_provenance(child) == (child.owner, child.value)
+            assert child.provenance[-1].to == child.owner
+            assert child.provenance[-1].amount == child.value
 
 
 class TestMerge:
@@ -139,8 +139,8 @@ class TestMerge:
         merged = merge(a, b, registry, at=2)
         assert merged.value == 100
         assert verify_integrity(merged, directory).ok
-        assert not registry.is_live(a.id)
-        assert not registry.is_live(b.id)
+        assert registry.owner_of(a.id) is None
+        assert registry.owner_of(b.id) is None
 
     def test_merge_mixed_policy(self, world):
         _, registry, bank = world
@@ -265,11 +265,13 @@ class TestTransfer:
         assert targets == ["watcher", "auditor"]
 
     def test_full_provenance_replay(self, world):
-        _, registry, bank = world
+        directory, registry, bank = world
         unit = mint(bank, 1000, "SIM", pol.compile_policy(SALES_TAX), registry)
         outcome = transfer(unit, "bob", ctx_for(unit, category="sale"), registry, at=1)
         for current in outcome.all_units():
-            assert replay_provenance(current) == (current.owner, current.value)
+            assert verify_integrity(current, directory).ok
+            assert current.provenance[-1].to == current.owner
+            assert current.provenance[-1].amount == current.value
 
 
 class TestIntegrity:

@@ -364,3 +364,71 @@ def test_refused_ledger_is_a_violation_not_a_crash(name, tmp_path):
 def test_replayed_self_transfer_still_passes():
     # sender == new owner leaves the owner as it was; replay endorses it again
     assert audit_export(MINT_U1 + "\n1|1|TRANSFER|u1|100|central,central|-") == []
+
+
+OWNERS = ("central", "alice", "bob", "mallory")
+
+
+def held_by_live_set(registry):
+    """owner -> sorted ids, computed from the live set itself."""
+    live = registry.live_units()
+    return {o: sorted(uid for uid, (owner, _) in live.items() if owner == o) for o in OWNERS}
+
+
+def random_request(rng, registry, at, self_transfer):
+    """One endorse request, often one the registry must refuse."""
+    live = registry.live_units()
+    ids = sorted(live)
+    kind = rng.choice(("mint", "mint", "transfer", "split", "merge", "burn", "replay"))
+    if kind == "replay" and self_transfer is not None:
+        return self_transfer
+    if kind == "mint" or not ids:
+        issuer = rng.choice(("central", "central", "central", "mallory"))
+        return EndorseRequest(
+            RecordKind.MINT, (registry.new_unit_id(),), (rng.randint(1, 50),), issuer, issuer, at
+        )
+    uid = rng.choice(ids)
+    owner, value = live[uid]
+    mates = [other for other in ids if live[other][0] == owner and other != uid]
+    other = rng.choice(mates) if mates and rng.random() < 0.9 else uid
+    # a wrong sender, or a unit id that was consumed or never existed
+    sender = owner if rng.random() < 0.8 else rng.choice(OWNERS)
+    if rng.random() < 0.1:
+        uid = rng.choice(("u1", "u3", "nope"))
+    if kind == "transfer":
+        to = rng.choice(OWNERS)
+        return EndorseRequest(RecordKind.TRANSFER, (uid,), (value,), to, sender, at)
+    if kind == "split":
+        a = rng.randint(0, value)
+        children = (registry.new_unit_id(), registry.new_unit_id())
+        return EndorseRequest(
+            RecordKind.SPLIT, (uid, *children), (value, a, value - a), None, sender, at
+        )
+    if kind == "merge":
+        amounts = (value, live[other][1], value + live[other][1])
+        return EndorseRequest(
+            RecordKind.MERGE, (uid, other, registry.new_unit_id()), amounts, None, sender, at
+        )
+    return EndorseRequest(RecordKind.BURN, (uid,), (value,), None, sender, at, reason="test")
+
+
+def test_holdings_follow_the_live_set():
+    directory, registry = make_registry()
+    rng = random.Random(4)
+    self_transfer = None
+    accepted = refused = replays = 0
+    for at in range(1500):
+        request = random_request(rng, registry, at, self_transfer)
+        replays += request is self_transfer
+        before = {o: registry.holdings(o) for o in OWNERS}
+        try:
+            registry.endorse(request.signed(directory))
+            accepted += 1
+        except (DoubleSpend, InvalidRequest, UnauthorizedIssuer):
+            refused += 1
+            assert {o: registry.holdings(o) for o in OWNERS} == before
+        if request.kind is RecordKind.TRANSFER and request.new_owner == request.sender:
+            self_transfer = request
+        assert {o: registry.holdings(o) for o in OWNERS} == held_by_live_set(registry)
+    assert accepted > 500 and refused > 200 and replays > 20
+    assert registry.audit() == []

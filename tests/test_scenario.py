@@ -108,8 +108,20 @@ class TestParsing:
             ("[supply]\nissuer = central\nallowance = lots\n", 3),
             ("[sim]\nlatency = 3 1\n", 2),
             ("[sim]\nlatency = -1 1\n", 2),
+            ("[sim]\nname = x\nyear_ticks = 0\n", 3),
+            ("[sim]\nperiod_ticks = 0\n", 2),
+            ("[sim]\nuntil = -1\n", 2),
         ],
-        ids=["too_few_args", "too_many_args", "allowance", "latency_reversed", "latency_negative"],
+        ids=[
+            "too_few_args",
+            "too_many_args",
+            "allowance",
+            "latency_reversed",
+            "latency_negative",
+            "year_ticks_zero",
+            "period_ticks_zero",
+            "until_negative",
+        ],
     )
     def test_bad_line_fails_at_load(self, tmp_path, text, line_no):
         with pytest.raises(ScenarioError) as exc_info:
@@ -118,6 +130,23 @@ class TestParsing:
         path = tmp_path / "bad.scn"
         path.write_text(text, encoding="utf-8")
         assert run_cli(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[sim]\nfoo = 1\n", "line 2: unknown [sim] key 'foo'"),
+            (
+                "[supply]\nrule = FIXED_CAP\n",
+                "line 2: expected 'rule = FIXED_CAP issuance_start halving_periods',"
+                " got 0 arguments",
+            ),
+        ],
+        ids=["unknown_sim_key", "supply_rule_without_arguments"],
+    )
+    def test_error_message_names_the_line_once(self, text, message):
+        with pytest.raises(ScenarioError) as exc_info:
+            parse_scenario(text)
+        assert str(exc_info.value) == message
 
     def test_supply_rule_requires_issuer(self):
         with pytest.raises(ScenarioError):

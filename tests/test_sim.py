@@ -1,12 +1,19 @@
 """The discrete-event environment: clock, messaging, upkeep, delegation."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from progmoney.report import render_report, report_for
+from progmoney.scenario import load_scenario, run_scenario
 from progmoney.sim import SimEvent, Simulation
 from progmoney.sim_types import LawStatus, Role, SchedulePast, UnknownCategory, UnknownHost
 from progmoney.supply import ConstantGrowth
+
+SCENARIO_DIR = (
+    Path(__file__).resolve().parents[1] / "src" / "progmoney" / "data" / "scenarios"
+)
 
 
 def basic_sim(seed=1, **kwargs):
@@ -414,3 +421,18 @@ class TestSupplyInSim:
         sim.run_until(12)
         rows = [line for line in sim.observations if "|trajectory|" in line]
         assert len(rows) == len(sim.trajectory) == 3
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.scn")))
+def test_balances_match_the_report(name):
+    # the simulation reads holdings from the live registry; the report
+    # rebuilds them by replaying the exported ledger
+    sim = run_scenario(load_scenario(str(SCENARIO_DIR / name)), seed=7)
+    lines = render_report(report_for(sim)).splitlines()
+    reported = {
+        key[len("balance."):]: int(value)
+        for key, value in (line.split(" = ", 1) for line in lines if line.startswith("balance."))
+    }
+    assert set(reported) >= set(sim.hosts)
+    for host_id in sim.hosts:
+        assert sim.balance_of(host_id) == reported[host_id], host_id
