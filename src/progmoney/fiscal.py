@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .policy import compile_policy
 from .sim_types import LawStatus, LawTable
 
 TAX_AUTHORITY = "tax_authority"
@@ -116,21 +115,3 @@ def compose(*sources: str) -> str:
     """Concatenate policy sources (skipping empties) into one program."""
     return "\n".join(s for s in sources if s)
 
-
-def validate_pack() -> None:
-    """Compile every generator's output once; raises on any regression."""
-    law = LawTable()
-    law.add("cake", LawStatus.LEGAL, Fraction(1, 5))
-    law.add("weapons", LawStatus.LICENCE_REQUIRED, Fraction(1, 5))
-    law.add("stolen_goods", LawStatus.ILLEGAL, Fraction(0, 1))
-    for source in (
-        sales_tax_policy(Fraction(1, 5)),
-        legality_policy(law),
-        annual_contact_policy(360),
-        jurisdiction_policy("HOME"),
-        owner_restriction_policy(["arms"]),
-        expiry_policy(360),
-        rate_seeking_policy(),
-        tamper_notify_policy(),
-    ):
-        compile_policy(source)

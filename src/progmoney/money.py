@@ -93,26 +93,6 @@ class MoneyUnit:
     def birth_body(self) -> bytes:
         return f"{self.id}|{self.value}|{self.currency}|{digest_hex(self.policy_hash)}".encode()
 
-    def serialize(self) -> str:
-        """Golden-file form: fixed-order field=value lines plus stamp lines."""
-        lines = [
-            f"id={self.id}",
-            f"value={self.value}",
-            f"currency={self.currency}",
-            f"owner={self.owner}",
-            f"policy_hash={digest_hex(self.policy_hash)}",
-            f"state={self.state.value}",
-            f"expiry={self.expiry if self.expiry is not None else '-'}",
-            f"home={self.home or '-'}",
-            f"last_contact={self.last_contact}",
-        ]
-        for stamp in self.provenance:
-            lines.append(
-                f"stamp={stamp.frm}|{stamp.to}|{stamp.amount}|{stamp.at}"
-                f"|{stamp.endorsement}|{stamp.sender_sig}"
-            )
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class IntegrityResult:

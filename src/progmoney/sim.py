@@ -99,10 +99,8 @@ class Simulation:
         self.observations: list[str] = []
         self.trajectory: list[supply_mod.TrajectoryPoint] = []
         self.forbidden_count = 0
-        self.obligation_paid: dict[str, int] = {}
         self.scheduled_count = 0
         self.executed_count = 0
-        self.undeliverable_count = 0
         self._queue: list[SimEvent] = []
         self._event_seq = 0
         self._order_seq = 0
@@ -252,18 +250,94 @@ class Simulation:
 
     # -- holdings ---------------------------------------------------------
     # The registry's live set is the one record of who holds what; `units`
-    # maps each id to its unit object, and an id stays there once consumed.
+    # maps each live id to its unit object.  Mint, split, merge, burn and
+    # transfer each go through one wrapper below, which places the units
+    # the operation made and drops the ones it consumed, so `units` always
+    # holds exactly the registry's live ids.
 
     def _place_unit(self, unit: MoneyUnit) -> None:
         self.units[unit.id] = unit
         if unit.owner not in self.hosts:
             self.obs("sim", "orphan_unit", unit=unit.id, owner=unit.owner)
 
-    def _absorb_outcome(self, outcome: TransferOutcome, moved_id: str) -> None:
-        # the unit left its holder whole, so it is no longer that bank's deposit
-        self.deposits.discard(moved_id)
-        for unit in outcome.all_units():
-            self._place_unit(unit)
+    def _consume_unit(self, unit: MoneyUnit) -> None:
+        del self.units[unit.id]
+        self.deposits.discard(unit.id)
+
+    def _mint(
+        self,
+        issuer: Host,
+        value: int,
+        policy_name: str,
+        expiry: Optional[int] = None,
+        home: Optional[str] = None,
+    ) -> MoneyUnit:
+        policy = self.policies[policy_name]
+        unit = money.mint(
+            issuer.keys, value, self.currency, policy, self.registry, self.now, expiry, home
+        )
+        self._place_unit(unit)
+        return unit
+
+    def _split(self, unit: MoneyUnit, amount: int) -> tuple[MoneyUnit, MoneyUnit]:
+        carved, rest = money.split(unit, amount, self.registry, self.now)
+        self._consume_unit(unit)
+        self._place_unit(carved)
+        self._place_unit(rest)
+        return carved, rest
+
+    def _merge(self, a: MoneyUnit, b: MoneyUnit) -> MoneyUnit:
+        merged = money.merge(a, b, self.registry, self.now)
+        self._consume_unit(a)
+        self._consume_unit(b)
+        self._place_unit(merged)
+        return merged
+
+    def _burn(self, unit: MoneyUnit, reason: str) -> list[tuple[str, str]]:
+        notes = money.zeroise(unit, reason, self.registry, self.now)
+        self._consume_unit(unit)
+        return notes
+
+    def _transfer(
+        self,
+        licensee: Host,
+        unit: MoneyUnit,
+        to: str,
+        category: str,
+        location: Optional[str],
+    ) -> TransferOutcome | ValueError:
+        """Move `unit` whole to `to`, evaluated under `licensee`'s licence.
+
+        Returns the outcome, or the refusal (the policy forbids, the taxes
+        exceed the unit's value, or the registry refuses), in which case
+        nothing has changed.  On success the recipient `to` is the host
+        named in each tax payment, zeroise and notification line.
+        """
+        ctx = self._eval_ctx(licensee, unit, location, category, to)
+        try:
+            outcome = money.transfer(unit, to, ctx, self.registry, at=self.now)
+        except (money.PolicyForbids, money.ObligationUnpayable, RegistryError) as refusal:
+            return refusal
+        # the unit left its holder (and its bank, if a deposit); what it
+        # became is placed again, payments before the received unit
+        self._consume_unit(unit)
+        for placed in outcome.all_units():
+            self._place_unit(placed)
+        for payee, paid in outcome.payments:
+            self.obs(to, "pay_obligation", unit=paid.id, to=payee, amount=paid.value)
+        for zeroised, reason in outcome.zeroised:
+            self.obs(to, "zeroise", unit=zeroised.id, reason=reason, value=0)
+        self._dispatch_notifications(to, outcome.notifications)
+        return outcome
+
+    def _forbidden(
+        self, host_id: str, unit: MoneyUnit, category: str, refusal: ValueError, **details
+    ) -> None:
+        # a refusal other than the policy's own veto names its error
+        self.forbidden_count += 1
+        if not isinstance(refusal, money.PolicyForbids):
+            details["error"] = type(refusal).__name__
+        self.obs(host_id, "forbidden", unit=unit.id, category=category, **details)
 
     def _dispatch_notifications(self, frm: str, notifications: list[tuple[str, str]]) -> None:
         for target, body in notifications:
@@ -271,7 +345,6 @@ class Simulation:
                 self.send(frm, target, body)
                 self.obs(frm, "notify", target=target)
             else:
-                self.undeliverable_count += 1
                 self.obs(frm, "notify_undeliverable", target=target)
 
     def active_units_of(self, host_id: str) -> list[MoneyUnit]:
@@ -342,7 +415,7 @@ class Simulation:
 
     def _zeroise(self, host_id: str, unit: MoneyUnit, reason: str) -> None:
         value = unit.value
-        notes = money.zeroise(unit, reason, self.registry, self.now)
+        notes = self._burn(unit, reason)
         self.obs(host_id, "zeroise", unit=unit.id, reason=reason, value=value)
         self._dispatch_notifications(host_id, notes)
 
@@ -375,27 +448,18 @@ class Simulation:
         if ob.amount == unit.value:
             pay_unit, remainder = unit, None
         else:
-            pay_unit, remainder = money.split(unit, ob.amount, self.registry, self.now)
-        ctx = self._eval_ctx(
-            host, pay_unit, host.location, money.OBLIGATION_CATEGORY, ob.payee
+            pay_unit, remainder = self._split(unit, ob.amount)
+        outcome = self._transfer(
+            host, pay_unit, ob.payee, money.OBLIGATION_CATEGORY, host.location
         )
-        try:
-            outcome = money.transfer(pay_unit, ob.payee, ctx, self.registry, at=self.now)
-        except (money.PolicyForbids, RegistryError) as exc:
-            self.obs(host.id, "obligation_blocked", unit=pay_unit.id, error=type(exc).__name__)
-            self._place_unit(pay_unit)
-            if remainder is not None:
-                self._place_unit(remainder)
+        if not isinstance(outcome, TransferOutcome):
+            error = type(outcome).__name__
+            self.obs(host.id, "obligation_blocked", unit=pay_unit.id, error=error)
             return remainder if remainder is not None else pay_unit
-        self._absorb_outcome(outcome, pay_unit.id)
-        self._note_payment(host.id, ob.payee, pay_unit.value, pay_unit.id)
-        if remainder is not None:
-            self._place_unit(remainder)
+        self.obs(
+            host.id, "pay_obligation", unit=pay_unit.id, to=ob.payee, amount=pay_unit.value
+        )
         return remainder
-
-    def _note_payment(self, frm: str, payee: str, amount: int, unit_id: str) -> None:
-        self.obligation_paid[payee] = self.obligation_paid.get(payee, 0) + amount
-        self.obs(frm, "pay_obligation", unit=unit_id, to=payee, amount=amount)
 
     # -- delegation --------------------------------------------------------
 
@@ -426,16 +490,13 @@ class Simulation:
         target_host = self.hosts.get(target)
         if target_host is None:
             return
-        ctx = self._eval_ctx(holder, unit, holder.location, target_host.category, target)
-        try:
-            outcome = markets.delegated_move(unit, target, ctx, self.registry, self.now)
-        except money.PolicyForbids:
+        outcome = self._transfer(holder, unit, target, target_host.category, holder.location)
+        if isinstance(outcome, money.PolicyForbids):
             self.obs(holder.id, "move_forbidden", unit=unit_id, target=target)
             return
-        except RegistryError as exc:
-            self.obs(holder.id, "move_failed", unit=unit_id, error=type(exc).__name__)
+        if not isinstance(outcome, TransferOutcome):
+            self.obs(holder.id, "move_failed", unit=unit_id, error=type(outcome).__name__)
             return
-        self._absorb_outcome(outcome, unit_id)
         if outcome.received is not None:
             self.deposits.add(outcome.received.id)
         self.obs(
@@ -445,7 +506,6 @@ class Simulation:
             target=target,
             rate=self.rate_board[target],
         )
-        self._dispatch_notifications(holder.id, outcome.notifications)
 
     # -- period boundary ---------------------------------------------------
 
@@ -476,8 +536,7 @@ class Simulation:
                 if funding is None:
                     self.obs(bank_id, "interest_unfunded", unit=uid, amount=interest)
                     continue
-                merged = money.merge(deposit, funding, self.registry, self.now)
-                self._place_unit(merged)
+                merged = self._merge(deposit, funding)
                 self.deposits.add(merged.id)
                 self.obs(
                     bank_id, "interest", unit=uid, merged=merged.id, amount=interest
@@ -499,9 +558,7 @@ class Simulation:
                 continue
             if unit.value == amount:
                 return unit
-            piece, rest = money.split(unit, amount, self.registry, self.now)
-            self._place_unit(rest)
-            return piece
+            return self._split(unit, amount)[0]
         return None
 
     def _apply_supply_rule(self) -> None:
@@ -527,15 +584,7 @@ class Simulation:
             )
         minted = burned = 0
         if directive.mint > 0:
-            unit = money.mint(
-                issuer.keys,
-                directive.mint,
-                self.currency,
-                self.policies[self.supply_policy_name],
-                self.registry,
-                at=self.now,
-            )
-            self._place_unit(unit)
+            unit = self._mint(issuer, directive.mint, self.supply_policy_name)
             minted = directive.mint
             self.obs(issuer.id, "supply_mint", unit=unit.id, amount=minted)
         elif burn > 0:
@@ -568,11 +617,9 @@ class Simulation:
                 continue
             need = amount - burned
             if unit.value > need:
-                piece, rest = money.split(unit, need, self.registry, self.now)
-                self._place_unit(rest)
-                unit = piece
+                unit = self._split(unit, need)[0]
             value = unit.value
-            money.zeroise(unit, "supply", self.registry, self.now)
+            self._burn(unit, "supply")
             burned += value
         return burned
 
@@ -583,17 +630,9 @@ class Simulation:
 
     def act_mint(self, bank_id: str, value: str, policy_name: str = "empty") -> MoneyUnit:
         bank = self.host(bank_id)
-        unit = money.mint(
-            bank.keys,
-            int(value),
-            self.currency,
-            self.policies[policy_name],
-            self.registry,
-            at=self.now,
-            expiry=self._policy_expiry(policy_name),
-            home=bank.location,
+        unit = self._mint(
+            bank, int(value), policy_name, self._policy_expiry(policy_name), bank.location
         )
-        self._place_unit(unit)
         self.obs(bank_id, "mint", unit=unit.id, value=unit.value, policy=policy_name)
         return unit
 
@@ -617,15 +656,12 @@ class Simulation:
         unit = self.act_mint(bank_id, value, policy_name)
         bank = self.host(bank_id)
         target = self.host(recipient)
-        # the recipient's licence; the unit was minted now, so last_contact is 0
-        ctx = self._eval_ctx(target, unit, bank.location, "issuance", recipient)
-        try:
-            outcome = money.transfer(unit, recipient, ctx, self.registry, at=self.now)
-        except money.PolicyForbids:
-            self.forbidden_count += 1
-            self.obs(bank_id, "forbidden", unit=unit.id, category="issuance")
+        # the recipient's licence at the bank's location; the unit was
+        # minted now, so last_contact is 0
+        outcome = self._transfer(target, unit, recipient, "issuance", bank.location)
+        if not isinstance(outcome, TransferOutcome):
+            self._forbidden(bank_id, unit, "issuance", outcome)
             return None
-        self._absorb_outcome(outcome, unit.id)
         self.obs(bank_id, "issue", unit=unit.id, to=recipient, value=unit.value)
         return outcome.received
 
@@ -637,29 +673,14 @@ class Simulation:
         if payment is None:
             self.obs(buyer_id, "insufficient_funds", price=amount, category=category)
             return
-        ctx = self._eval_ctx(buyer, payment, buyer.location, category, vendor_id)
-        try:
-            outcome = money.transfer(payment, vendor_id, ctx, self.registry, at=self.now)
-        except money.PolicyForbids as exc:
-            self.forbidden_count += 1
-            self.obs(
-                buyer_id,
-                "forbidden",
-                unit=payment.id,
-                category=category,
-                on=exc.event.value,
-                status=entry.status.value,
-            )
+        outcome = self._transfer(buyer, payment, vendor_id, category, buyer.location)
+        if isinstance(outcome, money.PolicyForbids):
+            on, status = outcome.event.value, entry.status.value
+            self._forbidden(buyer_id, payment, category, outcome, on=on, status=status)
             return
-        except (money.ObligationUnpayable, RegistryError) as exc:
-            self.obs(buyer_id, "buy_failed", error=type(exc).__name__)
+        if not isinstance(outcome, TransferOutcome):
+            self.obs(buyer_id, "buy_failed", error=type(outcome).__name__)
             return
-        self._absorb_outcome(outcome, payment.id)
-        for payee, unit in outcome.payments:
-            self._note_payment(vendor_id, payee, unit.value, unit.id)
-        for zeroised, reason in outcome.zeroised:
-            self.obs(vendor_id, "zeroise", unit=zeroised.id, reason=reason, value=0)
-        self._dispatch_notifications(vendor_id, outcome.notifications)
         self.obs(
             buyer_id,
             "transfer_complete",
@@ -697,15 +718,10 @@ class Simulation:
         if total > amount:
             last = pool.pop()
             keep = amount - sum(u.value for u in pool)
-            piece, rest = money.split(last, keep, self.registry, self.now)
-            self._place_unit(rest)
-            self._place_unit(piece)
-            pool.append(piece)
+            pool.append(self._split(last, keep)[0])
         merged = pool[0]
         for unit in pool[1:]:
-            combined = money.merge(merged, unit, self.registry, self.now)
-            self._place_unit(combined)
-            merged = combined
+            merged = self._merge(merged, unit)
         return merged
 
     def act_contact(self, host_id: str) -> None:
@@ -789,14 +805,10 @@ class Simulation:
         if payment is None:
             self.obs(trade.buyer, "settlement_failed", cost=cost)
             return
-        ctx = self._eval_ctx(buyer, payment, buyer.location, "trade", trade.seller)
-        try:
-            outcome = money.transfer(payment, trade.seller, ctx, self.registry, at=self.now)
-        except money.PolicyForbids:
-            self.forbidden_count += 1
-            self.obs(trade.buyer, "forbidden", unit=payment.id, category="trade")
+        outcome = self._transfer(buyer, payment, trade.seller, "trade", buyer.location)
+        if not isinstance(outcome, TransferOutcome):
+            self._forbidden(trade.buyer, payment, "trade", outcome)
             return
-        self._absorb_outcome(outcome, payment.id)
         self.obs(trade.buyer, "settled", to=trade.seller, amount=cost)
 
     def act_withhold(self, host_id: str, flag: str = "on") -> None:

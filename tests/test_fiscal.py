@@ -184,9 +184,6 @@ class TestPackFiles:
         for path in sorted(PACK_DIR.glob("*.pol")):
             compile_policy(path.read_text(encoding="utf-8"))
 
-    def test_validate_pack_helper(self):
-        fiscal.validate_pack()
-
     def test_compose_concatenates(self):
         combined = fiscal.compose(
             sales_tax_policy(Fraction(1, 5)), "", rate_seeking_policy()

@@ -388,23 +388,3 @@ class TestZeroise:
         burn = registry.records[-1]
         assert burn.reason == "jurisdiction"
         assert burn.amounts == (100,)
-
-
-class TestSerialization:
-    def test_fixed_field_order(self, world):
-        _, registry, bank = world
-        unit = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
-        lines = unit.serialize().splitlines()
-        fields = [line.split("=", 1)[0] for line in lines]
-        assert fields == [
-            "id",
-            "value",
-            "currency",
-            "owner",
-            "policy_hash",
-            "state",
-            "expiry",
-            "home",
-            "last_contact",
-            "stamp",
-        ]

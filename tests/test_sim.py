@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from progmoney.cli import LEDGER_FILE, OBSERVATIONS_FILE, run_cli
+from progmoney.registry import parse_ledger_line
 from progmoney.report import render_report, report_for
-from progmoney.scenario import load_scenario, run_scenario
+from progmoney.scenario import build_simulation, load_scenario, run_scenario
 from progmoney.sim import SimEvent, Simulation
 from progmoney.sim_types import LawStatus, Role, SchedulePast, UnknownCategory, UnknownHost
 from progmoney.supply import ConstantGrowth
@@ -436,3 +438,83 @@ def test_balances_match_the_report(name):
     assert set(reported) >= set(sim.hosts)
     for host_id in sim.hosts:
         assert sim.balance_of(host_id) == reported[host_id], host_id
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.scn")))
+def test_unit_store_is_the_live_set(name):
+    cfg = load_scenario(str(SCENARIO_DIR / name))
+    sim = build_simulation(cfg, seed=7)
+    for tick in range(cfg.until + 1):
+        sim.run_until(tick)
+        live = sim.registry.live_units()
+        assert set(sim.units) == set(live), tick
+        for uid, unit in sim.units.items():
+            assert (unit.owner, unit.value) == live[uid], (tick, uid)
+
+
+def taxed_scenario(policy: str, script: str) -> str:
+    return (
+        "[sim]\nname = taxed\nuntil = 6\nyear_ticks = 20\nperiod_ticks = 10\n"
+        "[hosts]\ncentral = CENTRAL_BANK HOME\ntaker = CONSUMER HOME\n"
+        "maker = VENDOR HOME\nbank_a = BANK HOME\ntax_authority = TAX_AUTHORITY HOME\n"
+        f"[policies]\ntaxed = {policy}\n[script]\n{script}"
+    )
+
+
+def run_cli_scenario(tmp_path, text: str):
+    """Run `text` through `progmoney run`; returns (observation lines, ledger lines)."""
+    scenario, out = tmp_path / "taxed.scn", tmp_path / "out"
+    scenario.write_text(text, encoding="utf-8")
+    assert run_cli(["run", str(scenario), "--seed", "7", "--out", str(out)]) == 0
+    assert run_cli(["audit", str(out / LEDGER_FILE)]) == 0
+    return (
+        (out / OBSERVATIONS_FILE).read_text(encoding="utf-8").splitlines(),
+        (out / LEDGER_FILE).read_text(encoding="utf-8").splitlines(),
+    )
+
+
+ONE_TRADE = "0 ISSUE central taker 1000 taxed\n2 ORDER ASK 100 1 maker\n3 ORDER BID 100 1 taker\n"
+
+
+@pytest.mark.parametrize(
+    "policy, script, refusal",
+    [
+        (
+            "sales_tax 3/5 issuance + sales_tax 3/5 issuance",
+            "0 ISSUE central taker 1000 taxed\n",
+            "|central|forbidden|unit=u1 category=issuance error=ObligationUnpayable",
+        ),
+        (
+            "sales_tax 3/5 trade + sales_tax 3/5 trade",
+            ONE_TRADE,
+            "|taker|forbidden|unit=u2 category=trade error=ObligationUnpayable",
+        ),
+        (
+            "rate_seeker + sales_tax 3/5 deposit + sales_tax 3/5 deposit",
+            "0 ISSUE central taker 1000 taxed\n2 RATE bank_a 1/100\n",
+            "|taker|move_failed|unit=u1 error=ObligationUnpayable",
+        ),
+    ],
+    ids=["issue", "trade_settlement", "delegated_move"],
+)
+def test_unpayable_taxes_are_refused_not_a_crash(tmp_path, policy, script, refusal):
+    # the two rules together pay 6/5 of the unit, more than it is worth
+    observations, _ = run_cli_scenario(tmp_path, taxed_scenario(policy, script))
+    assert any(refusal in line for line in observations)
+
+
+def test_issue_and_trade_taxes_are_observed(tmp_path):
+    observations, ledger = run_cli_scenario(
+        tmp_path, taxed_scenario("sales_tax 1/5 issuance + sales_tax 1/10 trade", ONE_TRADE)
+    )
+    records = [parse_ledger_line(line) for line in ledger]
+    taxes = [
+        (rec.unit_ids[0], rec.amounts[0])
+        for rec in records
+        if rec.kind.value == "TRANSFER" and rec.parties[1] == "tax_authority"
+    ]
+    assert [amount for _, amount in taxes] == [200, 10]
+    paid = [line for line in observations if "|pay_obligation|" in line]
+    assert [line.split("|", 3)[3] for line in paid] == [
+        f"unit={uid} to=tax_authority amount={amount}" for uid, amount in taxes
+    ]
