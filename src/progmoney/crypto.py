@@ -1,10 +1,15 @@
 """Deterministic hashing, keyed signatures, and location attestations.
 
-The reference scheme is a keyed 64-bit hash resolved through an in-simulation
-key directory: `key_id` plays the role of a public key, and a trusted
-directory maps it to the signing secret.  The signer/verifier interface is
-the contract, so a real public-key scheme can replace this one without
-touching any caller.
+Two 64-bit functions with different jobs:
+
+- `h64` is FNV-1a-64, the content digest of policy text (`policy_hash`).  It
+  takes no key and is not a MAC: its output is its whole state, so anyone
+  holding a digest can extend it.
+- `KeyDirectory.sign`/`verify` compute keyed BLAKE2b-64 (RFC 7693 keyed
+  mode) as the MAC, resolved through an in-simulation key directory:
+  `key_id` plays the role of a public key, and the trusted directory holds
+  the signing secret.  The signer/verifier interface is the contract, so a
+  real public-key scheme can replace this one without touching any caller.
 
 Byte serialization convention for every signed payload in the system:
 fields joined with "|" (0x7C), integers as ASCII decimal, digests as
@@ -13,6 +18,7 @@ exactly 16 lowercase hex characters.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 FNV_OFFSET_BASIS = 14695981039346656037
@@ -71,15 +77,16 @@ class Attestation:
 
 
 class KeyDirectory:
-    """Trusted map key_id -> secret, append-only after simulation setup."""
+    """Trusted map key_id -> keyed MAC, append-only after simulation setup."""
 
     def __init__(self) -> None:
-        self._secrets: dict[str, bytes] = {}
+        # one keyed BLAKE2b state per key; sign and verify copy it
+        self._macs: dict[str, hashlib.blake2b] = {}
 
     def register(self, key_id: str, secret: bytes) -> KeyPair:
-        if key_id in self._secrets:
+        if key_id in self._macs:
             raise ValueError(f"key_id already registered: {key_id}")
-        self._secrets[key_id] = secret
+        self._macs[key_id] = hashlib.blake2b(digest_size=8, key=secret)
         return KeyPair(key_id, secret)
 
     def create(self, key_id: str, rng) -> KeyPair:
@@ -87,22 +94,23 @@ class KeyDirectory:
         return self.register(key_id, rng.randbytes(16))
 
     def knows(self, key_id: str) -> bool:
-        return key_id in self._secrets
+        return key_id in self._macs
 
-    def _secret(self, key_id: str) -> bytes:
+    def _mac(self, key_id: str, msg: bytes) -> int:
         try:
-            return self._secrets[key_id]
+            hasher = self._macs[key_id].copy()
         except KeyError:
             raise UnknownKey(key_id) from None
+        hasher.update(msg)
+        return int.from_bytes(hasher.digest(), "big")
 
     def sign(self, key_id: str, msg: bytes) -> Signature:
-        # 0x00 between secret and message prevents extension ambiguity.
-        return Signature(key_id, h64(self._secret(key_id) + b"\x00" + msg))
+        return Signature(key_id, self._mac(key_id, msg))
 
     def verify(self, key_id: str, msg: bytes, sig: Signature) -> bool:
         if sig.signer != key_id:
             return False
-        return self.sign(key_id, msg).mac == sig.mac
+        return self._mac(key_id, msg) == sig.mac
 
 
 def attest_location(

@@ -94,7 +94,10 @@ class EndorseRequest:
     def body(self) -> bytes:
         ids = ",".join(self.unit_ids)
         amounts = ",".join(str(a) for a in self.amounts)
-        return f"{self.kind.value}|{ids}|{amounts}|{self.new_owner or '-'}|{self.at}".encode()
+        return (
+            f"{self.kind.value}|{ids}|{amounts}|{self.new_owner or '-'}|{self.at}"
+            f"|{self.reason or '-'}"
+        ).encode()
 
     def signed(self, directory: KeyDirectory) -> "EndorseRequest":
         sig = directory.sign(self.sender, self.body())

@@ -89,6 +89,8 @@ class Simulation:
         self.law = LawTable()
         self.policies: dict[str, pol.CheckedPolicy] = {"empty": pol.EMPTY_POLICY}
         self.rate_board: RateBoard = {}
+        # (unit id, target) moves refused under the current rate board
+        self._refused_moves: set[tuple[str, str]] = set()
         self.book = OrderBook()
         self.supply_rule: Optional[supply_mod.SupplyRule] = None
         self.supply_issuer: Optional[str] = None
@@ -472,7 +474,7 @@ class Simulation:
         if host.role in (Role.BANK, Role.CENTRAL_BANK) and unit.id not in self.deposits:
             return  # a bank's own treasury stays put
         target = select_best_rate(self.rate_board, self._current_bank_of(host, unit.id))
-        if target is None or target == host.id:
+        if target is None or target == host.id or (unit.id, target) in self._refused_moves:
             return
         self._schedule(self.now + 1, "move", host.id, (unit.id, target))
         self.obs(host.id, "move_planned", unit=unit.id, target=target)
@@ -491,11 +493,12 @@ class Simulation:
         if target_host is None:
             return
         outcome = self._transfer(holder, unit, target, target_host.category, holder.location)
-        if isinstance(outcome, money.PolicyForbids):
-            self.obs(holder.id, "move_forbidden", unit=unit_id, target=target)
-            return
         if not isinstance(outcome, TransferOutcome):
-            self.obs(holder.id, "move_failed", unit=unit_id, error=type(outcome).__name__)
+            self._refused_moves.add((unit_id, target))
+            if isinstance(outcome, money.PolicyForbids):
+                self.obs(holder.id, "move_forbidden", unit=unit_id, target=target)
+            else:
+                self.obs(holder.id, "move_failed", unit=unit_id, error=type(outcome).__name__)
             return
         if outcome.received is not None:
             self.deposits.add(outcome.received.id)
@@ -779,6 +782,7 @@ class Simulation:
         self.host(bank_id)
         num, den = rate.split("/")
         self.rate_board[bank_id] = Fraction(int(num), int(den))
+        self._refused_moves.clear()
         self.obs(bank_id, "rate", rate=self.rate_board[bank_id])
 
     def act_order(self, side: str, price: str, qty: str, owner: str) -> None:

@@ -1,10 +1,12 @@
 """Hashing, signatures, and attestations against an independent reference."""
 
+import hashlib
 import random
 
 import pytest
 
 from progmoney.crypto import (
+    FNV_PRIME,
     Attestation,
     KeyDirectory,
     Signature,
@@ -134,6 +136,27 @@ class TestSignatures:
             if not ok:
                 detected += 1
         assert detected >= trials * 0.999
+
+
+    def test_length_extended_mac_rejected(self):
+        # FNV-1a's 64-bit output is its whole state: continuing it over b"0"
+        # from a MAC on "...|5" gives an FNV MAC on "...|50" without the key
+        sig = self.directory.sign("alice", b"alice|bob|100|5")
+        forged = ((sig.mac ^ ord("0")) * FNV_PRIME) % 2**64
+        assert not self.directory.verify(
+            "alice", b"alice|bob|100|50", Signature("alice", forged)
+        )
+
+
+def test_mac_matches_keyed_blake2b_reference():
+    rng = random.Random(23)
+    directory = KeyDirectory()
+    for n in range(200):
+        secret = rng.randbytes(rng.randrange(1, 65))
+        directory.register(f"k{n}", secret)
+        msg = rng.randbytes(rng.randrange(0, 128))
+        expected = hashlib.blake2b(msg, key=secret, digest_size=8).digest()
+        assert directory.sign(f"k{n}", msg).mac == int.from_bytes(expected, "big")
 
 
 class TestAttestations:

@@ -1,5 +1,6 @@
 """Registry: endorsement protocol, double-spend rejection, audit, stats."""
 
+import dataclasses
 import random
 
 import pytest
@@ -85,6 +86,19 @@ class TestEndorse:
         with pytest.raises(BadSignature):
             registry.endorse(forged)
         assert registry.records == []
+
+    def test_edited_burn_reason_rejected(self):
+        # the reason a unit was burned is part of what its sender signed
+        directory, registry = make_registry()
+        req = mint_request(registry).signed(directory)
+        registry.endorse(req)
+        burn = EndorseRequest(
+            RecordKind.BURN, req.unit_ids, (1000,), None, "central", 1, reason="tamper"
+        ).signed(directory)
+        edited = dataclasses.replace(burn, reason="expiry")
+        with pytest.raises(BadSignature):
+            registry.endorse(edited)
+        assert registry.owner_of(req.unit_ids[0]) == "central"
 
     def test_mint_beyond_allowance(self):
         directory, registry = make_registry()

@@ -503,6 +503,31 @@ def test_unpayable_taxes_are_refused_not_a_crash(tmp_path, policy, script, refus
     assert any(refusal in line for line in observations)
 
 
+@pytest.mark.parametrize(
+    "policy, refusal",
+    [
+        ("rate_seeker + sales_tax 3/5 deposit + sales_tax 3/5 deposit", "move_failed"),
+        ("rate_seeker + owner_restriction deposit", "move_forbidden"),
+    ],
+    ids=["move_failed", "move_forbidden"],
+)
+def test_refused_move_waits_for_a_new_rate(tmp_path, policy, refusal):
+    def moves(script):
+        observations, _ = run_cli_scenario(tmp_path, taxed_scenario(policy, script))
+        return [
+            (int(tick), event)
+            for tick, host, event, _ in (line.split("|") for line in observations)
+            if host == "taker" and event.startswith("move_")
+        ]
+
+    script = "0 ISSUE central taker 1000 taxed\n2 RATE bank_a 1/100\n"
+    assert moves(script) == [(2, "move_planned"), (3, refusal)]
+    # a new rate clears the refusal, so the move is tried once more
+    assert moves(script + "4 RATE bank_a 2/100\n") == [
+        (2, "move_planned"), (3, refusal), (4, "move_planned"), (5, refusal)
+    ]
+
+
 def test_issue_and_trade_taxes_are_observed(tmp_path):
     observations, ledger = run_cli_scenario(
         tmp_path, taxed_scenario("sales_tax 1/5 issuance + sales_tax 1/10 trade", ONE_TRADE)
