@@ -49,7 +49,7 @@ class KeyPair:
     secret: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
     signer: str
     mac: int

@@ -9,16 +9,26 @@ Obligations raised by the RECEIVE evaluation (e.g. a sales-tax PAY) execute
 synchronously inside the transfer as split+transfer to the payee.  Those
 inner transfers carry the reserved category "obligation" and do not execute
 obligations of their own, which keeps tax-on-tax recursion impossible.
+
+A unit's history is a DAG of immutable `LineageNode`s, one per stamp: mint
+is a root, a transfer appends one node, each split child gets one node over
+the parent's, and a merge gets one node over both.  Nodes are shared by
+every descendant and never copied, so lineage grows with the ledger, not
+with the number of splits and merges behind a unit.  `verify_integrity`
+checks each node once per `KeyDirectory` and remembers the result on the
+node; the policy text check is remembered on each `PolicyProgram`.  Edited
+stamps, nodes and policies are new objects, so they are checked afresh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 from . import policy as pol
-from .crypto import KeyDirectory, KeyPair, Signature, digest_hex, h64
+from .crypto import KeyDirectory, KeyPair, Signature, digest_hex
+from .crypto import h64  # noqa: F401 -- perfbench/tracing.py wraps money.h64 by name
 from .registry import EndorseRequest, RecordKind, Registry
 
 OBLIGATION_CATEGORY = "obligation"
@@ -60,7 +70,7 @@ class ObligationUnpayable(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransferStamp:
     """One provenance step; both signatures cover "from|to|amount|at"."""
 
@@ -75,6 +85,60 @@ class TransferStamp:
         return f"{self.frm}|{self.to}|{self.amount}|{self.at}".encode()
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class LineageNode:
+    """One stamp and the nodes it follows: none for a mint, two for a merge.
+
+    Nodes are shared by every unit descending from them and never change,
+    except that `verify_integrity` records in `verified_by` the directory
+    under which the node and all its ancestors checked out.
+    """
+
+    stamp: TransferStamp
+    parents: tuple[LineageNode, ...] = ()
+    # from-party of the first stamp along first parents: the minting issuer
+    issuer: str = field(init=False)
+    verified_by: Optional[KeyDirectory] = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        issuer = self.parents[0].issuer if self.parents else self.stamp.frm
+        object.__setattr__(self, "issuer", issuer)
+
+    def __deepcopy__(self, memo) -> LineageNode:
+        # immutable and shared by design; a copy would also drag along
+        # `verified_by`, whose keyed hashers cannot be copied
+        return self
+
+
+def _ancestry(
+    head: LineageNode, skip: Optional[Callable[[LineageNode], bool]] = None
+) -> list[LineageNode]:
+    """`head` and its ancestors, each once, every node after its parents.
+
+    Nodes for which `skip` is true are left out, and so are their ancestors.
+    """
+    order: list[LineageNode] = []
+    seen = {head}
+    stack = [(head, iter(head.parents))]
+    while stack:
+        node, parents = stack[-1]
+        for parent in parents:
+            if parent not in seen:
+                seen.add(parent)
+                if skip is None or not skip(parent):
+                    stack.append((parent, iter(parent.parents)))
+                    break
+        else:
+            stack.pop()
+            order.append(node)
+    return order
+
+
+def _in_tick_order(head: LineageNode) -> list[LineageNode]:
+    # a stable sort keeps parents first among nodes of one tick
+    return sorted(_ancestry(head), key=lambda node: node.stamp.at)
+
+
 @dataclass(eq=False)  # units are entities: compare by identity, not structure
 class MoneyUnit:
     id: str
@@ -84,11 +148,16 @@ class MoneyUnit:
     policy: pol.CheckedPolicy
     policy_hash: int
     mint_sig: Signature
-    provenance: list[TransferStamp]
+    lineage: LineageNode
     state: UnitState = UnitState.ACTIVE
     expiry: Optional[int] = None
     home: Optional[str] = None
     last_contact: int = 0
+
+    @property
+    def provenance(self) -> tuple[TransferStamp, ...]:
+        """Every stamp of the lineage in tick order, shared ancestors once."""
+        return tuple(node.stamp for node in _in_tick_order(self.lineage))
 
     def birth_body(self) -> bytes:
         return f"{self.id}|{self.value}|{self.currency}|{digest_hex(self.policy_hash)}".encode()
@@ -175,15 +244,14 @@ def mint(
         policy=policy,
         policy_hash=policy.content_hash,
         mint_sig=Signature(bank.key_id, 0),  # placeholder until body exists
-        provenance=[],
+        lineage=LineageNode(
+            _stamp(registry, bank.key_id, bank.key_id, bank.key_id, value, at)
+        ),
         expiry=expiry,
         home=home,
         last_contact=at,
     )
     unit.mint_sig = registry.directory.sign(bank.key_id, unit.birth_body())
-    unit.provenance.append(
-        _stamp(registry, bank.key_id, bank.key_id, bank.key_id, value, at)
-    )
     return unit
 
 
@@ -219,15 +287,15 @@ def split(unit: MoneyUnit, amount: int, registry: Registry, at: int) -> tuple[Mo
             policy=unit.policy,
             policy_hash=unit.policy_hash,
             mint_sig=Signature(registry.key_id, 0),
-            provenance=list(unit.provenance),
+            lineage=LineageNode(
+                _stamp(registry, unit.owner, unit.owner, unit.owner, child_value, at),
+                (unit.lineage,),
+            ),
             expiry=unit.expiry,
             home=unit.home,
             last_contact=unit.last_contact,
         )
         c.mint_sig = _birth_sig(registry, c)
-        c.provenance.append(
-            _stamp(registry, unit.owner, unit.owner, unit.owner, child_value, at)
-        )
         return c
 
     return child(c1_id, amount), child(c2_id, unit.value - amount)
@@ -259,16 +327,16 @@ def merge(a: MoneyUnit, b: MoneyUnit, registry: Registry, at: int) -> MoneyUnit:
         policy=a.policy,
         policy_hash=a.policy_hash,
         mint_sig=Signature(registry.key_id, 0),
-        # both histories kept, interleaved by tick so replay stays monotone
-        provenance=sorted(a.provenance + b.provenance, key=lambda s: s.at),
+        # one node over both histories; ancestors they share stay shared
+        lineage=LineageNode(
+            _stamp(registry, a.owner, a.owner, a.owner, a.value + b.value, at),
+            (a.lineage, b.lineage),
+        ),
         expiry=min(expiries) if expiries else None,
         home=a.home,
         last_contact=min(a.last_contact, b.last_contact),
     )
     merged.mint_sig = _birth_sig(registry, merged)
-    merged.provenance.append(
-        _stamp(registry, a.owner, a.owner, a.owner, merged.value, at)
-    )
     return merged
 
 
@@ -287,7 +355,8 @@ def _endorse_transfer(unit: MoneyUnit, to: str, registry: Registry, at: int) -> 
 def _move(unit: MoneyUnit, to: str, registry: Registry, at: int) -> None:
     """Endorse and record an ownership change, no policy involvement."""
     _endorse_transfer(unit, to, registry, at)
-    unit.provenance.append(_stamp(registry, unit.owner, unit.owner, to, unit.value, at))
+    stamp = _stamp(registry, unit.owner, unit.owner, to, unit.value, at)
+    unit.lineage = LineageNode(stamp, (unit.lineage,))
     unit.owner = to
 
 
@@ -378,49 +447,83 @@ def transfer(
 def verify_integrity(
     unit: MoneyUnit, directory: KeyDirectory, registry_key: str = "registry"
 ) -> IntegrityResult:
-    """Recompute the policy hash and every signature; report all mismatches.
+    """Check the policy text, the birth signature and the lineage; report all mismatches.
 
     Signer identities are pinned, not taken at face value: stamp
     endorsements must come from the registry key, each sender signature
     from the stamp's own from-party, and the birth signature from the
     registry or the minting issuer — so an adversary re-signing a unit
-    wholesale with their own key is still a detected tamper.
+    wholesale with their own key is still a detected tamper.  Each stamp's
+    tick must be no earlier than its parents'.
+
+    Work is done once per object: the policy text's hash and render are
+    remembered on its `PolicyProgram`, and a lineage node that checks out
+    records `directory` in `verified_by`, so a unit whose lineage is already
+    verified costs one birth-signature check.  The birth signature, owner
+    and value are read from the unit on every call.
     """
     problems: list[str] = []
-    source = unit.policy.program.source_canonical
-    if h64(source.encode()) != unit.policy_hash:
+    program = unit.policy.program
+    if program.text_hash != unit.policy_hash:
         problems.append("policy text hash mismatch")
-    if pol.render_rules(unit.policy.rules) != source:
+    if not program.rules_match_text:
         problems.append("policy rules do not match canonical text")
+    head = unit.lineage
     if unit.state is UnitState.ACTIVE:
-        birth_signers = {registry_key}
-        if unit.provenance:
-            birth_signers.add(unit.provenance[0].frm)
-        if unit.mint_sig.signer not in birth_signers:
+        signer = unit.mint_sig.signer
+        if signer != registry_key and signer != head.issuer:
             problems.append("birth signature by unexpected key")
-        elif not directory.verify(unit.mint_sig.signer, unit.birth_body(), unit.mint_sig):
+        elif not directory.verify(signer, unit.birth_body(), unit.mint_sig):
             problems.append("birth signature mismatch")
-        if not unit.provenance:
-            problems.append("missing mint stamp")
-        else:
-            last = unit.provenance[-1]
-            if last.to != unit.owner or last.amount != unit.value:
-                problems.append("provenance does not reproduce owner/value")
-    for i, stamp in enumerate(unit.provenance):
-        body = stamp.body()
-        if stamp.endorsement.signer != registry_key:
-            problems.append(f"stamp {i} endorsement by unexpected key")
-        elif not directory.verify(registry_key, body, stamp.endorsement):
-            problems.append(f"stamp {i} endorsement mismatch")
-        if stamp.sender_sig.signer != stamp.frm:
-            problems.append(f"stamp {i} sender is not the from-party")
-        elif not directory.verify(stamp.frm, body, stamp.sender_sig):
-            problems.append(f"stamp {i} sender signature mismatch")
-        if i > 0 and stamp.at < unit.provenance[i - 1].at:
-            problems.append(f"stamp {i} out of tick order")
+        if head.stamp.to != unit.owner or head.stamp.amount != unit.value:
+            problems.append("provenance does not reproduce owner/value")
+    if not _trusted(head, directory, registry_key):
+        problems.extend(_verify_lineage(head, directory, registry_key))
     if problems:
         return IntegrityResult(False, tuple(problems))
     return INTEGRITY_OK
+
+
+def _trusted(node: LineageNode, directory: KeyDirectory, registry_key: str) -> bool:
+    # a verified node's ancestors share its endorsement signer, so pinning
+    # the node's signer pins theirs
+    return node.verified_by is directory and node.stamp.endorsement.signer == registry_key
+
+
+def _verify_lineage(head: LineageNode, directory: KeyDirectory, registry_key: str) -> list[str]:
+    """Check every node not yet trusted, parents first; mark the sound ones."""
+    faults: dict[LineageNode, list[str]] = {}
+    for node in _ancestry(head, skip=lambda n: _trusted(n, directory, registry_key)):
+        found = _node_faults(node, directory, registry_key)
+        if found:
+            faults[node] = found
+        elif all(_trusted(parent, directory, registry_key) for parent in node.parents):
+            object.__setattr__(node, "verified_by", directory)
+    if not faults:
+        return []
+    index = {node: i for i, node in enumerate(_in_tick_order(head))}
+    return [
+        f"stamp {index[node]} {fault}"
+        for node in sorted(faults, key=index.__getitem__)
+        for fault in faults[node]
+    ]
+
+
+def _node_faults(node: LineageNode, directory: KeyDirectory, registry_key: str) -> list[str]:
+    stamp = node.stamp
+    body = stamp.body()
+    faults = []
+    if stamp.endorsement.signer != registry_key:
+        faults.append("endorsement by unexpected key")
+    elif not directory.verify(registry_key, body, stamp.endorsement):
+        faults.append("endorsement mismatch")
+    if stamp.sender_sig.signer != stamp.frm:
+        faults.append("sender is not the from-party")
+    elif not directory.verify(stamp.frm, body, stamp.sender_sig):
+        faults.append("sender signature mismatch")
+    if any(stamp.at < parent.stamp.at for parent in node.parents):
+        faults.append("out of tick order")
+    return faults
 
 
 def zeroise(unit: MoneyUnit, reason: str, registry: Registry, at: int) -> list[tuple[str, str]]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Union
 
 from .crypto import h64
@@ -162,6 +163,18 @@ class PolicyProgram:
     rules: tuple[Rule, ...]
     source_canonical: str
     content_hash: int
+
+    # the fields never change, so each program hashes and renders its text
+    # once; an edited program is a new object and is checked afresh
+    @cached_property
+    def text_hash(self) -> int:
+        """h64 of `source_canonical` as it is now, whatever `content_hash` claims."""
+        return h64(self.source_canonical.encode())
+
+    @cached_property
+    def rules_match_text(self) -> bool:
+        """Whether `rules` render to exactly `source_canonical`."""
+        return render_rules(self.rules) == self.source_canonical
 
 
 # --- Errors ------------------------------------------------------------

@@ -31,30 +31,38 @@ Format (UTF-8, "#" comments):
     0 ISSUE central alice 1000 retail
     1 BUY alice bob 1000 cake
 
-Script action names and argument counts are those of the handlers in
-`sim.ACTIONS`; a script line that does not fit one fails at load.
+Script action names, argument counts and argument kinds are those of the
+handlers in `sim.ACTIONS`: a host or policy argument must be declared in
+the file, a number must parse.  A script line that does not fit one fails
+at load.
 """
 
 from __future__ import annotations
 
 import inspect
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from operator import itemgetter
+from typing import Optional, get_args
 
 from . import fiscal
 from .sim import ACTIONS, Simulation
-from .sim_types import LawStatus, LawTable, Role
+from .sim_types import ArgKind, LawStatus, LawTable, Role
 from .supply import ConstantGrowth, FixedCapGeometric, SupplyRule, VolumeResponsive
 
 
-def _arity(handler) -> tuple[int, int]:
-    """(required, total) arguments of a script action handler, past `self`."""
-    params = list(inspect.signature(handler).parameters.values())[1:]
-    return sum(p.default is p.empty for p in params), len(params)
+def _params(handler) -> tuple[int, tuple[tuple[str, Optional[ArgKind]], ...]]:
+    """(required count, (name, kind) of each argument) of a script action handler.
+
+    `self` is left out; an argument annotated plainly `str` has no kind.
+    """
+    params = list(inspect.signature(handler, eval_str=True).parameters.values())[1:]
+    kinds = tuple((p.name, next(iter(get_args(p.annotation)[1:]), None)) for p in params)
+    return sum(p.default is p.empty for p in params), kinds
 
 
-_ARITY = {name: _arity(handler) for name, handler in ACTIONS.items()}
+_PARAMS = {name: _params(handler) for name, handler in ACTIONS.items()}
 
 
 class ScenarioError(ValueError):
@@ -103,6 +111,9 @@ def _parse_fraction(text: str, line_no: int) -> Fraction:
 
 def parse_scenario(text: str) -> ScenarioConfig:
     cfg = ScenarioConfig()
+    # script arguments by action, and the file line of each cfg.script entry
+    script_rows: dict[str, list[tuple[str, ...]]] = defaultdict(list)
+    script_line_nos: list[int] = []
     section = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -116,7 +127,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
         if section is None:
             raise ScenarioError("content before any [section]", line_no)
         if section == "script":
-            _parse_script_line(cfg, line, line_no)
+            args = _parse_script_line(cfg, line, line_no)
+            script_rows[args[0]].append(args)
+            script_line_nos.append(line_no)
             continue
         if "=" not in line:
             raise ScenarioError("expected 'key = value'", line_no)
@@ -131,6 +144,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
             _parse_supply_entry(cfg, key, value, line_no)
         elif section == "policies":
             cfg.policies.append((key, value))
+    _check_script_args(cfg, script_rows, script_line_nos)
     return cfg
 
 
@@ -244,21 +258,81 @@ def _parse_supply_entry(cfg: ScenarioConfig, key: str, value: str, line_no: int)
         raise ScenarioError(f"bad supply rule: {exc}", line_no) from None
 
 
-def _parse_script_line(cfg: ScenarioConfig, line: str, line_no: int) -> None:
+def _parse_script_line(cfg: ScenarioConfig, line: str, line_no: int) -> tuple[str, ...]:
     parts = line.split()
     try:
         tick = int(parts[0])
     except ValueError:
         raise ScenarioError(f"script line must start with a tick: {parts[0]!r}", line_no) from None
-    if len(parts) < 2 or parts[1] not in _ARITY:
+    if len(parts) < 2 or parts[1] not in _PARAMS:
         raise ScenarioError(f"unknown script action {parts[1] if len(parts) > 1 else ''!r}", line_no)
-    required, total = _ARITY[parts[1]]
-    if not required <= len(parts) - 2 <= total:
-        wanted = required if required == total else f"{required} to {total}"
+    required, params = _PARAMS[parts[1]]
+    if not required <= len(parts) - 2 <= len(params):
+        wanted = required if required == len(params) else f"{required} to {len(params)}"
         raise ScenarioError(
             f"{parts[1]} wants {wanted} arguments, got {len(parts) - 2}", line_no
         )
-    cfg.script.append((tick, tuple(parts[1:])))
+    args = tuple(parts[1:])
+    cfg.script.append((tick, args))
+    return args
+
+
+def _check_script_args(
+    cfg: ScenarioConfig, rows: dict[str, list[tuple[str, ...]]], line_nos: list[int]
+) -> None:
+    """Check the kind of every script argument, once every host and policy is known.
+
+    Arguments are checked a column at a time: one argument position over
+    the lines of one action, each distinct value once.  Only a column
+    holding a misfit sends the check through the lines, for the first one
+    to report.
+    """
+    declared = {
+        ArgKind.HOST: {spec.id for spec in cfg.hosts},
+        # "empty" is the policy every Simulation starts with
+        ArgKind.POLICY: {"empty"} | {name for name, _ in cfg.policies},
+    }
+    for action, same in rows.items():
+        required, params = _PARAMS[action]
+        for pos, (_, kind) in enumerate(params, start=1):
+            if kind is None:
+                continue
+            if pos <= required:
+                column = set(map(itemgetter(pos), same))
+            else:
+                column = {args[pos] for args in same if len(args) > pos}
+            if not _column_fits(kind, column, declared):
+                _raise_first_misfit(cfg, line_nos, declared)
+
+
+def _raise_first_misfit(
+    cfg: ScenarioConfig, line_nos: list[int], declared: dict[ArgKind, set[str]]
+) -> None:
+    for line_no, (_, args) in zip(line_nos, cfg.script):
+        for text, (name, kind) in zip(args[1:], _PARAMS[args[0]][1]):
+            if kind is not None and not _fits(kind, text, declared):
+                raise ScenarioError(f"{args[0]} {name} must be {kind.value}, got {text!r}", line_no)
+
+
+def _column_fits(kind: ArgKind, column: set[str], declared: dict[ArgKind, set[str]]) -> bool:
+    if kind in declared:
+        return column <= declared[kind]
+    # plain decimal digits are what int() reads as a non-negative integer;
+    # only the other values need a parse of their own
+    plain = set(filter(str.isdecimal, column))
+    if kind is ArgKind.POSITIVE_INT and plain and min(map(int, plain)) == 0:
+        return False
+    return all(_fits(kind, text, declared) for text in column - plain)
+
+
+def _fits(kind: ArgKind, text: str, declared: dict[ArgKind, set[str]]) -> bool:
+    if kind in declared:
+        return text in declared[kind]
+    try:
+        number = Fraction(text) if kind is ArgKind.FRACTION else int(text)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return kind is not ArgKind.POSITIVE_INT or number > 0
 
 
 # -- policy builders -----------------------------------------------------

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import markets, money, policy as pol, supply as supply_mod
 from .crypto import (
@@ -36,9 +36,14 @@ from .markets import Order, OrderBook, RateBoard, Side, cda_submit, select_best_
 from .money import MoneyUnit, TransferOutcome, UnitState
 from .registry import DoubleSpend, Registry, RegistryError
 from .sim_types import (
+    FractionArg,
     Host,
+    HostArg,
+    IntArg,
     LawEntry,
     LawTable,
+    PolicyArg,
+    PositiveIntArg,
     Role,
     SchedulePast,
     UnknownHost,
@@ -55,13 +60,14 @@ class Message:
     sig: Signature
 
 
-@dataclass(frozen=True, order=True)
-class SimEvent:
+class SimEvent(NamedTuple):
+    """A scheduled event; events run in (at, seq) order, and seq is unique."""
+
     at: int
     seq: int
-    kind: str = field(compare=False)
-    target: str = field(compare=False)
-    args: tuple = field(compare=False, default=())
+    kind: str
+    target: str
+    args: tuple = ()
 
 
 class Simulation:
@@ -631,7 +637,9 @@ class Simulation:
     def _run_script_action(self, parts: tuple[str, ...]) -> None:
         ACTIONS[parts[0]](self, *parts[1:])
 
-    def act_mint(self, bank_id: str, value: str, policy_name: str = "empty") -> MoneyUnit:
+    def act_mint(
+        self, bank_id: HostArg, value: PositiveIntArg, policy_name: PolicyArg = "empty"
+    ) -> MoneyUnit:
         bank = self.host(bank_id)
         unit = self._mint(
             bank, int(value), policy_name, self._policy_expiry(policy_name), bank.location
@@ -654,7 +662,11 @@ class Simulation:
         return min(ints) if ints else None
 
     def act_issue(
-        self, bank_id: str, recipient: str, value: str, policy_name: str = "empty"
+        self,
+        bank_id: HostArg,
+        recipient: HostArg,
+        value: PositiveIntArg,
+        policy_name: PolicyArg = "empty",
     ) -> Optional[MoneyUnit]:
         unit = self.act_mint(bank_id, value, policy_name)
         bank = self.host(bank_id)
@@ -668,7 +680,9 @@ class Simulation:
         self.obs(bank_id, "issue", unit=unit.id, to=recipient, value=unit.value)
         return outcome.received
 
-    def act_buy(self, buyer_id: str, vendor_id: str, price: str, category: str) -> None:
+    def act_buy(
+        self, buyer_id: HostArg, vendor_id: HostArg, price: PositiveIntArg, category: str
+    ) -> None:
         buyer, vendor = self.host(buyer_id), self.host(vendor_id)
         amount = int(price)
         entry = self.query_law(category)
@@ -727,7 +741,7 @@ class Simulation:
             merged = self._merge(merged, unit)
         return merged
 
-    def act_contact(self, host_id: str) -> None:
+    def act_contact(self, host_id: HostArg) -> None:
         host = self.host(host_id)
         touched = 0
         for unit in self.active_units_of(host_id):
@@ -735,12 +749,12 @@ class Simulation:
             touched += 1
         self.obs(host_id, "contact", units=touched)
 
-    def act_move_host(self, host_id: str, location: str) -> None:
+    def act_move_host(self, host_id: HostArg, location: str) -> None:
         host = self.host(host_id)
         host.location = location
         self.obs(host_id, "move_host", location=location)
 
-    def act_tamper(self, host_id: str, index: str = "0") -> None:
+    def act_tamper(self, host_id: HostArg, index: IntArg = "0") -> None:
         """Flip one character of a held unit's canonical policy text."""
         host = self.host(host_id)
         units = self.active_units_of(host_id)
@@ -763,7 +777,7 @@ class Simulation:
         )
         self.obs(host_id, "tamper", unit=unit.id, pos=pos)
 
-    def act_replay(self, adversary_id: str, count: str = "1") -> None:
+    def act_replay(self, adversary_id: HostArg, count: IntArg = "1") -> None:
         self.host(adversary_id)
         request = self.registry.last_request
         if request is None:
@@ -778,14 +792,15 @@ class Simulation:
             except RegistryError as exc:
                 self.obs(adversary_id, "replay_rejected", error=type(exc).__name__)
 
-    def act_rate(self, bank_id: str, rate: str) -> None:
+    def act_rate(self, bank_id: HostArg, rate: FractionArg) -> None:
         self.host(bank_id)
-        num, den = rate.split("/")
-        self.rate_board[bank_id] = Fraction(int(num), int(den))
+        self.rate_board[bank_id] = Fraction(rate)
         self._refused_moves.clear()
         self.obs(bank_id, "rate", rate=self.rate_board[bank_id])
 
-    def act_order(self, side: str, price: str, qty: str, owner: str) -> None:
+    def act_order(
+        self, side: str, price: PositiveIntArg, qty: PositiveIntArg, owner: HostArg
+    ) -> None:
         self.host(owner)
         self._order_seq += 1
         order = Order(Side(side), int(price), int(qty), owner, self._order_seq)
@@ -815,7 +830,7 @@ class Simulation:
             return
         self.obs(trade.buyer, "settled", to=trade.seller, amount=cost)
 
-    def act_withhold(self, host_id: str, flag: str = "on") -> None:
+    def act_withhold(self, host_id: HostArg, flag: str = "on") -> None:
         self.host(host_id)
         if flag == "on":
             self.withholding.add(host_id)
@@ -823,7 +838,7 @@ class Simulation:
             self.withholding.discard(host_id)
         self.obs(host_id, "withhold", flag=flag)
 
-    def act_spoof(self, adversary_id: str, victim_id: str, target_id: str) -> None:
+    def act_spoof(self, adversary_id: HostArg, victim_id: HostArg, target_id: HostArg) -> None:
         """Send a message claiming to be someone else; drops on receipt."""
         self.host(victim_id)
         self.send(adversary_id, target_id, "spoofed", claimed_sender=victim_id)
@@ -831,7 +846,7 @@ class Simulation:
 
 
 # script action name -> handler; the scenario loader checks each script
-# line's name and argument count against this table
+# line's name, argument count and argument kinds against this table
 ACTIONS: dict[str, Callable[..., object]] = {
     "MINT": Simulation.act_mint,
     "ISSUE": Simulation.act_issue,

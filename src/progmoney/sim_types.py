@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import Annotated, Optional
 
 from .crypto import KeyPair
 
@@ -33,6 +33,24 @@ class Host:
 
 class UnknownHost(KeyError):
     pass
+
+
+class ArgKind(Enum):
+    """What a script action argument must be; the scenario loader checks it."""
+
+    HOST = "a declared host"
+    POLICY = "a declared policy"
+    INT = "an integer"
+    POSITIVE_INT = "a positive integer"
+    FRACTION = "a fraction"
+
+
+# script action handlers annotate their text arguments with these kinds
+HostArg = Annotated[str, ArgKind.HOST]
+PolicyArg = Annotated[str, ArgKind.POLICY]
+IntArg = Annotated[str, ArgKind.INT]
+PositiveIntArg = Annotated[str, ArgKind.POSITIVE_INT]
+FractionArg = Annotated[str, ArgKind.FRACTION]
 
 
 class UnknownCategory(KeyError):

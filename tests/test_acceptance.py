@@ -219,6 +219,18 @@ def test_04_tamper_always_zeroises():
         assert registry.audit() == []
 
 
+def test_04_tamper_zeroises_after_a_warm_check(monkeypatch):
+    # criterion 4 as written, with each unit verified once before it is
+    # mutated, so every lineage node and policy check is already cached
+    def mint_and_verify(bank, value, currency, policy, registry, **kwargs):
+        unit = money.mint(bank, value, currency, policy, registry, **kwargs)
+        assert verify_integrity(unit, registry.directory).ok
+        return unit
+
+    monkeypatch.setitem(globals(), "mint", mint_and_verify)
+    test_04_tamper_always_zeroises()
+
+
 def test_05_jurisdiction_and_annual_contact():
     with criterion(5, "foreign host and missed annual contact both zeroise on time"):
         sim = Simulation(seed=55, scenario_name="borders", year_ticks=30, period_ticks=30)

@@ -47,12 +47,13 @@ class TestRun:
         assert run(["run", bad, "--out", tmp_path / "o"]) == 1
 
     def test_runtime_error_exits_3(self, tmp_path):
-        # parses fine but the script touches a host that does not exist
+        # parses fine, but the second mint exceeds what is left of the allowance
         broken = tmp_path / "broken.scn"
         broken.write_text(
             "[sim]\nname = broken\nuntil = 3\n"
             "[hosts]\ncentral = CENTRAL_BANK HOME\n"
-            "[script]\n0 CONTACT ghost\n",
+            "[supply]\nissuer = central\nallowance = 10\n"
+            "[script]\n0 MINT central 6\n1 MINT central 6\n",
             encoding="utf-8",
         )
         assert run(["run", broken, "--out", tmp_path / "o"]) == 3

@@ -2,6 +2,7 @@
 
 import copy
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +11,7 @@ from progmoney.crypto import KeyDirectory
 from progmoney.money import (
     InvalidAmount,
     InvalidPolicy,
+    LineageNode,
     MixedOwner,
     MixedPolicy,
     NotActive,
@@ -24,7 +26,9 @@ from progmoney.money import (
     verify_integrity,
     zeroise,
 )
-from progmoney.registry import DoubleSpend, Registry, UnauthorizedIssuer
+from progmoney.registry import DoubleSpend, RecordKind, Registry, UnauthorizedIssuer
+from progmoney.sim import Simulation
+from progmoney.sim_types import Role
 
 SALES_TAX = 'OBLIGATION ON RECEIVE IF category == "sale" DO PAY 1/5 TO "tax_authority";'
 WEAPONS_BAN = (
@@ -310,10 +314,9 @@ class TestIntegrity:
     def test_stamp_amount_edit_detected(self, world):
         directory, registry, bank = world
         unit = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
-        stamp = unit.provenance[0]
-        unit.provenance[0] = TransferStamp(
-            stamp.frm, stamp.to, 99, stamp.at, stamp.endorsement, stamp.sender_sig
-        )
+        assert verify_integrity(unit, directory).ok
+        node = unit.lineage
+        unit.lineage = LineageNode(replace(node.stamp, amount=99), node.parents)
         result = verify_integrity(unit, directory)
         assert not result.ok
         assert any("stamp 0" in p for p in result.problems)
@@ -335,8 +338,9 @@ class TestIntegrity:
         unit.policy = swapped
         unit.policy_hash = swapped.content_hash
         unit.mint_sig = directory.sign("mallory", unit.birth_body())
-        unit.provenance = [
-            TransferStamp(
+        forged = None
+        for stamp in unit.provenance:
+            resigned = TransferStamp(
                 frm="mallory",
                 to=unit.owner,
                 amount=unit.value,
@@ -344,11 +348,104 @@ class TestIntegrity:
                 endorsement=directory.sign("mallory", stamp.body()),
                 sender_sig=directory.sign("mallory", stamp.body()),
             )
-            for stamp in unit.provenance
-        ]
+            forged = LineageNode(resigned, (forged,) if forged else ())
+        unit.lineage = forged
         result = verify_integrity(unit, directory)
         assert not result.ok
         assert any("unexpected key" in p for p in result.problems)
+
+
+class TestVerifyOnce:
+    """A warm verification cache never hides a later edit."""
+
+    def test_tamper_after_a_warm_check_detected(self):
+        sim = Simulation(seed=3)
+        sim.add_host("central", Role.CENTRAL_BANK, "HOME")
+        sim.add_host("alice", Role.CONSUMER, "HOME")
+        sim.add_policy("taxed", SALES_TAX)
+        sim.schedule_script(0, ("ISSUE", "central", "alice", "100", "taxed"))
+        sim.run_until(1)
+        [unit] = sim.active_units_of("alice")
+        assert verify_integrity(unit, sim.directory, sim.registry.key_id).ok
+        sim.act_tamper("alice")
+        result = verify_integrity(unit, sim.directory, sim.registry.key_id)
+        assert "policy text hash mismatch" in result.problems
+        sim.run_until(2)
+        assert unit.state is UnitState.ZEROISED
+
+    @pytest.mark.parametrize(
+        "attr, forged, problem",
+        [
+            ("value", 1_000_000, "birth signature mismatch"),
+            ("owner", "alice", "provenance does not reproduce owner/value"),
+        ],
+    )
+    def test_unit_edit_after_a_warm_check_detected(self, world, attr, forged, problem):
+        directory, registry, bank = world
+        unit = mint(bank, 100, "SIM", pol.compile_policy(SALES_TAX), registry)
+        assert verify_integrity(unit, directory).ok
+        setattr(unit, attr, forged)
+        result = verify_integrity(unit, directory)
+        assert problem in result.problems
+
+    def test_lineage_verified_under_one_directory_not_trusted_by_another(self, world):
+        directory, registry, bank = world
+        unit = mint(bank, 1000, "SIM", pol.compile_policy(SALES_TAX), registry)
+        received = transfer(unit, "bob", ctx_for(unit, category="sale"), registry, at=1).received
+        assert verify_integrity(received, directory).ok
+        # the same key ids under other secrets
+        other = KeyDirectory()
+        rng = random.Random(7)
+        for key_id in ("registry", "central", "alice", "bob", "tax_authority"):
+            other.create(key_id, rng)
+        result = verify_integrity(received, other)
+        assert "stamp 0 endorsement mismatch" in result.problems
+        assert verify_integrity(received, directory).ok
+
+    def test_tampered_ancestor_detected_on_every_check(self, world):
+        directory, registry, bank = world
+        unit = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
+        transfer(unit, "alice", ctx_for(unit), registry, at=1)
+        assert verify_integrity(unit, directory).ok
+        head = unit.lineage
+        [root] = head.parents
+        forged_root = LineageNode(replace(root.stamp, amount=99))
+        unit.lineage = LineageNode(head.stamp, (forged_root,))
+        for _ in range(2):
+            result = verify_integrity(unit, directory)
+            assert "stamp 0 endorsement mismatch" in result.problems
+
+    def test_verified_unit_deep_copies(self, world):
+        directory, registry, bank = world
+        unit = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
+        assert verify_integrity(unit, directory).ok
+        clone = copy.deepcopy(unit)
+        assert clone.lineage is unit.lineage
+        assert verify_integrity(clone, directory).ok
+
+    def test_split_merge_cycles_grow_lineage_linearly(self, world):
+        directory, registry, bank = world
+        unit = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
+        for tick in range(1, 21):
+            unit = merge(*split(unit, 40, registry, at=tick), registry, at=tick)
+        seen, todo = set(), [unit.lineage]
+        while todo:
+            node = todo.pop()
+            if node not in seen:
+                seen.add(node)
+                todo.extend(node.parents)
+        # a SPLIT is one record but gives each of its two children a stamp
+        splits = sum(record.kind is RecordKind.SPLIT for record in registry.records)
+        bound = len(registry.records) + splits
+        assert len(seen) <= bound
+        assert len(unit.provenance) <= bound
+        assert verify_integrity(unit, directory).ok
+
+        checked = []
+        verify = directory.verify
+        directory.verify = lambda *args: checked.append(args[0]) or verify(*args)
+        assert verify_integrity(unit, directory).ok
+        assert checked == ["registry"]  # the birth signature only
 
 
 class TestZeroise:

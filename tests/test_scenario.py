@@ -40,6 +40,13 @@ plain = empty
 """
 
 
+# hosts and a policy for script lines to refer to; a script line here is line 8
+WORLD = (
+    "[hosts]\ncentral = CENTRAL_BANK HOME\nalice = CONSUMER HOME\nbob = VENDOR HOME\n"
+    "[policies]\nretail = sales_tax 1/5\n[script]\n"
+)
+
+
 class TestParsing:
     def test_minimal_scenario(self):
         cfg = parse_scenario(MINIMAL)
@@ -111,6 +118,13 @@ class TestParsing:
             ("[sim]\nname = x\nyear_ticks = 0\n", 3),
             ("[sim]\nperiod_ticks = 0\n", 2),
             ("[sim]\nuntil = -1\n", 2),
+            (WORLD + "2 BUY alice zed 10 sale\n", 8),
+            (WORLD + "2 BUY alice bob ten sale\n", 8),
+            (WORLD + "0 ISSUE central alice -5 retail\n", 8),
+            (WORLD + "0 ISSUE central alice 5 nopolicy\n", 8),
+            (WORLD + "2 RATE central 1/0\n", 8),
+            (WORLD + "2 RATE central half\n", 8),
+            (WORLD + "0 CONTACT ghost\n", 8),
         ],
         ids=[
             "too_few_args",
@@ -121,6 +135,13 @@ class TestParsing:
             "year_ticks_zero",
             "period_ticks_zero",
             "until_negative",
+            "unknown_host",
+            "price_not_a_number",
+            "negative_amount",
+            "unknown_policy",
+            "rate_over_zero",
+            "rate_not_a_fraction",
+            "contact_unknown_host",
         ],
     )
     def test_bad_line_fails_at_load(self, tmp_path, text, line_no):
