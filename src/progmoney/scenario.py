@@ -43,12 +43,12 @@ import inspect
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
+from itertools import zip_longest
 from typing import Optional, get_args
 
 from . import fiscal
 from .sim import ACTIONS, Simulation
-from .sim_types import ArgKind, LawStatus, LawTable, Role
+from .sim_types import ArgKind, LawStatus, LawTable, Role, parse_fraction
 from .supply import ConstantGrowth, FixedCapGeometric, SupplyRule, VolumeResponsive
 
 
@@ -101,19 +101,14 @@ class ScenarioConfig:
 
 def _parse_fraction(text: str, line_no: int) -> Fraction:
     try:
-        if "/" in text:
-            num, den = text.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+        return parse_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ScenarioError(f"bad fraction {text!r}: {exc}", line_no) from None
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
     cfg = ScenarioConfig()
-    # script arguments by action, and the file line of each cfg.script entry
-    script_rows: dict[str, list[tuple[str, ...]]] = defaultdict(list)
-    script_line_nos: list[int] = []
+    script_line_nos: list[int] = []  # the file line of each cfg.script entry
     section = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -127,8 +122,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         if section is None:
             raise ScenarioError("content before any [section]", line_no)
         if section == "script":
-            args = _parse_script_line(cfg, line, line_no)
-            script_rows[args[0]].append(args)
+            _parse_script_line(cfg, line, line_no)
             script_line_nos.append(line_no)
             continue
         if "=" not in line:
@@ -144,7 +138,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
             _parse_supply_entry(cfg, key, value, line_no)
         elif section == "policies":
             cfg.policies.append((key, value))
-    _check_script_args(cfg, script_rows, script_line_nos)
+    _check_script_args(cfg, script_line_nos)
     return cfg
 
 
@@ -258,7 +252,7 @@ def _parse_supply_entry(cfg: ScenarioConfig, key: str, value: str, line_no: int)
         raise ScenarioError(f"bad supply rule: {exc}", line_no) from None
 
 
-def _parse_script_line(cfg: ScenarioConfig, line: str, line_no: int) -> tuple[str, ...]:
+def _parse_script_line(cfg: ScenarioConfig, line: str, line_no: int) -> None:
     parts = line.split()
     try:
         tick = int(parts[0])
@@ -272,67 +266,71 @@ def _parse_script_line(cfg: ScenarioConfig, line: str, line_no: int) -> tuple[st
         raise ScenarioError(
             f"{parts[1]} wants {wanted} arguments, got {len(parts) - 2}", line_no
         )
-    args = tuple(parts[1:])
-    cfg.script.append((tick, args))
-    return args
+    cfg.script.append((tick, tuple(parts[1:])))
 
 
-def _check_script_args(
-    cfg: ScenarioConfig, rows: dict[str, list[tuple[str, ...]]], line_nos: list[int]
-) -> None:
+def _check_script_args(cfg: ScenarioConfig, line_nos: list[int]) -> None:
     """Check the kind of every script argument, once every host and policy is known.
 
-    Arguments are checked a column at a time: one argument position over
-    the lines of one action, each distinct value once.  Only a column
-    holding a misfit sends the check through the lines, for the first one
-    to report.
+    A script repeats its hosts, policies and amounts, so the kind test runs
+    once per distinct value of an argument position; the lines are read
+    again only to report the first one holding a value that failed it.
     """
-    declared = {
-        ArgKind.HOST: {spec.id for spec in cfg.hosts},
-        # "empty" is the policy every Simulation starts with
-        ArgKind.POLICY: {"empty"} | {name for name, _ in cfg.policies},
+    hosts = {spec.id for spec in cfg.hosts}
+    # "empty" is the policy every Simulation starts with
+    policies = {"empty"} | {name for name, _ in cfg.policies}
+    fits = {
+        ArgKind.HOST: hosts.__contains__,
+        ArgKind.POLICY: policies.__contains__,
+        ArgKind.INT: _is_int,
+        ArgKind.POSITIVE_INT: _is_positive_int,
+        ArgKind.FRACTION: _is_fraction,
     }
+    rows = defaultdict(list)
+    for _, args in cfg.script:
+        rows[args[0]].append(args)
+    misfits = set()  # (action, position, text) that failed its kind test
     for action, same in rows.items():
-        required, params = _PARAMS[action]
-        for pos, (_, kind) in enumerate(params, start=1):
-            if kind is None:
-                continue
-            if pos <= required:
-                column = set(map(itemgetter(pos), same))
-            else:
-                column = {args[pos] for args in same if len(args) > pos}
-            if not _column_fits(kind, column, declared):
-                _raise_first_misfit(cfg, line_nos, declared)
-
-
-def _raise_first_misfit(
-    cfg: ScenarioConfig, line_nos: list[int], declared: dict[ArgKind, set[str]]
-) -> None:
+        # one column per argument position; an omitted optional argument reads None
+        columns = list(zip_longest(*same))[1:]
+        for pos, ((_, kind), column) in enumerate(zip(_PARAMS[action][1], columns), start=1):
+            if kind is not None:
+                test = fits[kind]
+                misfits.update(
+                    (action, pos, text)
+                    for text in set(column)
+                    if text is not None and not test(text)
+                )
+    if not misfits:
+        return
     for line_no, (_, args) in zip(line_nos, cfg.script):
-        for text, (name, kind) in zip(args[1:], _PARAMS[args[0]][1]):
-            if kind is not None and not _fits(kind, text, declared):
+        for pos, text in enumerate(args[1:], start=1):
+            if (args[0], pos, text) in misfits:
+                name, kind = _PARAMS[args[0]][1][pos - 1]
                 raise ScenarioError(f"{args[0]} {name} must be {kind.value}, got {text!r}", line_no)
 
 
-def _column_fits(kind: ArgKind, column: set[str], declared: dict[ArgKind, set[str]]) -> bool:
-    if kind in declared:
-        return column <= declared[kind]
-    # plain decimal digits are what int() reads as a non-negative integer;
-    # only the other values need a parse of their own
-    plain = set(filter(str.isdecimal, column))
-    if kind is ArgKind.POSITIVE_INT and plain and min(map(int, plain)) == 0:
-        return False
-    return all(_fits(kind, text, declared) for text in column - plain)
-
-
-def _fits(kind: ArgKind, text: str, declared: dict[ArgKind, set[str]]) -> bool:
-    if kind in declared:
-        return text in declared[kind]
+def _is_int(text: str) -> bool:
     try:
-        number = Fraction(text) if kind is ArgKind.FRACTION else int(text)
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _is_positive_int(text: str) -> bool:
+    try:
+        return int(text) > 0
+    except ValueError:
+        return False
+
+
+def _is_fraction(text: str) -> bool:
+    try:
+        parse_fraction(text)
     except (ValueError, ZeroDivisionError):
         return False
-    return kind is not ArgKind.POSITIVE_INT or number > 0
+    return True
 
 
 # -- policy builders -----------------------------------------------------

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 from . import markets, money, policy as pol, supply as supply_mod
 from .crypto import (
@@ -47,6 +46,7 @@ from .sim_types import (
     Role,
     SchedulePast,
     UnknownHost,
+    parse_fraction,
 )
 
 LOCATION_AUTHORITY_KEY = "location_authority"
@@ -60,14 +60,13 @@ class Message:
     sig: Signature
 
 
-class SimEvent(NamedTuple):
-    """A scheduled event; events run in (at, seq) order, and seq is unique."""
-
+@dataclass(frozen=True, order=True, slots=True)
+class SimEvent:
     at: int
     seq: int
-    kind: str
-    target: str
-    args: tuple = ()
+    kind: str = field(compare=False)
+    target: str = field(compare=False)
+    args: tuple = field(compare=False, default=())
 
 
 class Simulation:
@@ -794,7 +793,7 @@ class Simulation:
 
     def act_rate(self, bank_id: HostArg, rate: FractionArg) -> None:
         self.host(bank_id)
-        self.rate_board[bank_id] = Fraction(rate)
+        self.rate_board[bank_id] = parse_fraction(rate)
         self._refused_moves.clear()
         self.obs(bank_id, "rate", rate=self.rate_board[bank_id])
 

@@ -45,6 +45,17 @@ class ArgKind(Enum):
     FRACTION = "a fraction"
 
 
+def parse_fraction(text: str) -> Fraction:
+    """A scenario file's fraction: `num/den` or an integer.
+
+    Raises ValueError or ZeroDivisionError on anything else.
+    """
+    if "/" in text:
+        num, den = text.split("/")
+        return Fraction(int(num), int(den))
+    return Fraction(int(text))
+
+
 # script action handlers annotate their text arguments with these kinds
 HostArg = Annotated[str, ArgKind.HOST]
 PolicyArg = Annotated[str, ArgKind.POLICY]

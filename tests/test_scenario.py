@@ -124,6 +124,7 @@ class TestParsing:
             (WORLD + "0 ISSUE central alice 5 nopolicy\n", 8),
             (WORLD + "2 RATE central 1/0\n", 8),
             (WORLD + "2 RATE central half\n", 8),
+            (WORLD + "2 RATE central 0.5\n", 8),
             (WORLD + "0 CONTACT ghost\n", 8),
         ],
         ids=[
@@ -141,6 +142,7 @@ class TestParsing:
             "unknown_policy",
             "rate_over_zero",
             "rate_not_a_fraction",
+            "rate_decimal_point",
             "contact_unknown_host",
         ],
     )
@@ -161,8 +163,16 @@ class TestParsing:
                 "line 2: expected 'rule = FIXED_CAP issuance_start halving_periods',"
                 " got 0 arguments",
             ),
+            (
+                # hosts declared after the script; "retail" fits as a
+                # category but not as a host
+                "[script]\n0 MINT central 5\n1 BUY alice bob 10 retail\n"
+                "2 MINT central 5 retail\n3 RATE central 1/2\n4 MINT central 5 nopolicy\n"
+                "5 BUY alice retail 10 sale\n6 MINT central 0\n" + WORLD.split("[script]")[0],
+                "line 6: MINT policy_name must be a declared policy, got 'nopolicy'",
+            ),
         ],
-        ids=["unknown_sim_key", "supply_rule_without_arguments"],
+        ids=["unknown_sim_key", "supply_rule_without_arguments", "first_bad_script_argument"],
     )
     def test_error_message_names_the_line_once(self, text, message):
         with pytest.raises(ScenarioError) as exc_info:

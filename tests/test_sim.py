@@ -9,7 +9,7 @@ from progmoney.cli import LEDGER_FILE, OBSERVATIONS_FILE, run_cli
 from progmoney.registry import parse_ledger_line
 from progmoney.report import render_report, report_for
 from progmoney.scenario import build_simulation, load_scenario, run_scenario
-from progmoney.sim import SimEvent, Simulation
+from progmoney.sim import Message, SimEvent, Simulation
 from progmoney.sim_types import LawStatus, Role, SchedulePast, UnknownCategory, UnknownHost
 from progmoney.supply import ConstantGrowth
 
@@ -39,6 +39,17 @@ class TestClock:
         assert moves[0].endswith("location=A")
         assert moves[1].endswith("location=B")
         assert sim.hosts["alice"].location == "B"
+
+    def test_caller_events_sharing_a_seq_are_not_compared_beyond_it(self):
+        # schedule() takes any seq, so two events can tie on (at, seq); the
+        # queue must not fall through to comparing their payloads
+        sim = basic_sim()
+        for body in ("first", "second"):
+            message = Message("alice", body, sim.directory.sign("alice", body.encode()))
+            sim.schedule(SimEvent(2, 1, "deliver", "bob", (message,)))
+        sim.run_until(3)
+        bodies = sorted(line.rsplit("body=", 1)[1] for line in sim.observations if "body=" in line)
+        assert bodies == ["first", "second"]
 
     def test_schedule_past_rejected(self):
         sim = basic_sim()
