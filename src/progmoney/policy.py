@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Optional, Union
+from operator import attrgetter
+from typing import Callable, Optional, Union
 
 from .crypto import h64
 
@@ -175,6 +176,14 @@ class PolicyProgram:
     def rules_match_text(self) -> bool:
         """Whether `rules` render to exactly `source_canonical`."""
         return render_rules(self.rules) == self.source_canonical
+
+    @cached_property
+    def by_event(self) -> dict[EventKind, tuple[tuple[int, Rule, Matcher], ...]]:
+        """Each event's (rule index, rule, compiled condition) entries, in rule order."""
+        index: dict[EventKind, list[tuple[int, Rule, Matcher]]] = {e: [] for e in EventKind}
+        for i, rule in enumerate(self.rules):
+            index[rule.event].append((i, rule, _compile_condition(rule.condition)))
+        return {event: tuple(entries) for event, entries in index.items()}
 
 
 # --- Errors ------------------------------------------------------------
@@ -640,28 +649,65 @@ class Decision:
         return self.verdict is Verdict.PERMIT
 
 
-def _compare(ctx_value: object, op: str, lit: Literal) -> bool:
-    rhs = None if isinstance(lit, _NoneLiteral) else lit
-    if op == "==":
-        return ctx_value == rhs
-    if op == "!=":
-        return ctx_value != rhs
+# A rule's condition compiled to one test of a context
+Matcher = Callable[[EvalContext], bool]
+
+
+def _always(ctx: EvalContext) -> bool:
+    return True
+
+
+def _never(ctx: EvalContext) -> bool:
+    return False
+
+
+def _compile_comparison(factor: Comparison) -> Matcher:
+    get = attrgetter(factor.field)
+    rhs = None if isinstance(factor.literal, _NoneLiteral) else factor.literal
+    if factor.op == "==":
+        return lambda ctx: get(ctx) == rhs
+    if factor.op == "!=":
+        return lambda ctx: get(ctx) != rhs
     # ordering is defined over integers only; anything else never matches
-    if isinstance(ctx_value, bool) or not isinstance(ctx_value, int):
-        return False
     if not isinstance(rhs, int):
-        return False
-    return ctx_value < rhs if op == "<" else ctx_value > rhs
+        return _never
+    if factor.op == "<":
+        return lambda ctx: isinstance(v := get(ctx), int) and not isinstance(v, bool) and v < rhs
+    return lambda ctx: isinstance(v := get(ctx), int) and not isinstance(v, bool) and v > rhs
 
 
-def _matches(rule: Rule, event: EventKind, ctx: EvalContext) -> bool:
-    if rule.event is not event:
-        return False
-    if rule.condition is None:
+def _compile_all(tests: list[Matcher]) -> Matcher:
+    if len(tests) == 1:
+        return tests[0]
+
+    def all_hold(ctx: EvalContext) -> bool:
+        for test in tests:
+            if not test(ctx):
+                return False
         return True
-    return any(
-        all(_compare(getattr(ctx, f.field), f.op, f.literal) for f in term.factors)
-        for term in rule.condition.terms
+
+    return all_hold
+
+
+def _compile_any(tests: list[Matcher]) -> Matcher:
+    if len(tests) == 1:
+        return tests[0]
+
+    def any_holds(ctx: EvalContext) -> bool:
+        for test in tests:
+            if test(ctx):
+                return True
+        return False
+
+    return any_holds
+
+
+def _compile_condition(condition: Optional[OrCondition]) -> Matcher:
+    """One callable deciding `condition`: an OR of ANDs of comparisons."""
+    if condition is None:
+        return _always
+    return _compile_any(
+        [_compile_all([_compile_comparison(f) for f in term.factors]) for term in condition.terms]
     )
 
 
@@ -692,10 +738,12 @@ def evaluate(policy: CheckedPolicy, event: EventKind, ctx: EvalContext) -> Decis
     Precedence is PROHIBITION > OBLIGATION > PERMISSION: any matching
     prohibition (or a FORBID action on a matching rule) yields FORBID with no
     obligations; otherwise matching obligations resolve in rule order.
+
+    Only the rules written for `event` are tested, each through the matcher
+    its program compiled once (`PolicyProgram.by_event`); rules for other
+    events cost nothing.
     """
-    matching = [
-        (i, r) for i, r in enumerate(policy.rules) if _matches(r, event, ctx)
-    ]
+    matching = [(i, r) for i, r, matches in policy.program.by_event[event] if matches(ctx)]
     for _, rule in matching:
         if rule.kind is RuleKind.PROHIBITION:
             return Decision(Verdict.FORBID)

@@ -47,6 +47,7 @@ from itertools import zip_longest
 from typing import Optional, get_args
 
 from . import fiscal
+from .markets import Side
 from .sim import ACTIONS, Simulation
 from .sim_types import ArgKind, LawStatus, LawTable, Role, parse_fraction
 from .supply import ConstantGrowth, FixedCapGeometric, SupplyRule, VolumeResponsive
@@ -285,6 +286,7 @@ def _check_script_args(cfg: ScenarioConfig, line_nos: list[int]) -> None:
         ArgKind.INT: _is_int,
         ArgKind.POSITIVE_INT: _is_positive_int,
         ArgKind.FRACTION: _is_fraction,
+        ArgKind.SIDE: _SIDES.__contains__,
     }
     rows = defaultdict(list)
     for _, args in cfg.script:
@@ -308,6 +310,9 @@ def _check_script_args(cfg: ScenarioConfig, line_nos: list[int]) -> None:
             if (args[0], pos, text) in misfits:
                 name, kind = _PARAMS[args[0]][1][pos - 1]
                 raise ScenarioError(f"{args[0]} {name} must be {kind.value}, got {text!r}", line_no)
+
+
+_SIDES = frozenset(side.value for side in Side)
 
 
 def _is_int(text: str) -> bool:
@@ -348,7 +353,7 @@ def build_policy_source(spec: str, law: LawTable, year_ticks: int) -> str:
             if builder == "empty":
                 sources.append("")
             elif builder == "sales_tax":
-                rate = Fraction(args[0])
+                rate = parse_fraction(args[0])
                 category = args[1] if len(args) > 1 else "sale"
                 authority = args[2] if len(args) > 2 else fiscal.TAX_AUTHORITY
                 sources.append(fiscal.sales_tax_policy(rate, category, authority))

@@ -9,7 +9,8 @@ Each tick runs three phases in fixed order:
   1. scheduled events, in (tick, seq) order — script actions, message
      deliveries, delegated moves;
   2. unit upkeep, in (host id, unit id) order — integrity check, location
-     attestation, TICK policy evaluation and its obligations;
+     attestation (made and verified once per host), TICK policy evaluation
+     and its obligations;
   3. period boundary work — bank interest accrual and the supply rule.
 
 Observations are "tick|host|event|details" lines and are the authoritative
@@ -45,6 +46,7 @@ from .sim_types import (
     PositiveIntArg,
     Role,
     SchedulePast,
+    SideArg,
     UnknownHost,
     parse_fraction,
 )
@@ -112,6 +114,8 @@ class Simulation:
         self._event_seq = 0
         self._order_seq = 0
         self._config_observed = False
+        # (host id, location, tick) -> that attestation and its verdict
+        self._attested: dict[tuple[str, str, int], tuple[Attestation, bool]] = {}
 
     # -- observations ----------------------------------------------------
 
@@ -364,6 +368,7 @@ class Simulation:
     # -- upkeep -----------------------------------------------------------
 
     def _upkeep(self) -> None:
+        self._attested.clear()
         pairs = [
             (host_id, uid)
             for host_id in sorted(self.hosts)
@@ -391,13 +396,28 @@ class Simulation:
             self._execute_obligations(host, unit, decision.obligations)
             return
 
-        attestation = self.attest(host.id)
-        if not verify_attestation(self.directory, attestation):
+        attestation, valid = self._attestation_of(host)
+        if not valid:
             self.obs(host.id, "attest_invalid", unit=unit.id)
             return
         ctx = self._eval_ctx(host, unit, location=attestation.location)
         decision = pol.evaluate(unit.policy, pol.EventKind.TICK, ctx)
         self._execute_obligations(host, unit, decision.obligations)
+
+    def _attestation_of(self, host: Host) -> tuple[Attestation, bool]:
+        """`host`'s location attestation now, and whether it verifies.
+
+        Every unit of a host at one tick gets the same "host|location|now"
+        statement, so it is made and checked once, at the host's first unit
+        that asks, and kept until the next upkeep phase.
+        """
+        key = (host.id, host.location, self.now)
+        attested = self._attested.get(key)
+        if attested is None:
+            attestation = self.attest(host.id)
+            attested = (attestation, verify_attestation(self.directory, attestation))
+            self._attested[key] = attested
+        return attested
 
     def _eval_ctx(
         self,
@@ -798,7 +818,7 @@ class Simulation:
         self.obs(bank_id, "rate", rate=self.rate_board[bank_id])
 
     def act_order(
-        self, side: str, price: PositiveIntArg, qty: PositiveIntArg, owner: HostArg
+        self, side: SideArg, price: PositiveIntArg, qty: PositiveIntArg, owner: HostArg
     ) -> None:
         self.host(owner)
         self._order_seq += 1

@@ -43,6 +43,7 @@ class ArgKind(Enum):
     INT = "an integer"
     POSITIVE_INT = "a positive integer"
     FRACTION = "a fraction"
+    SIDE = "BID or ASK"
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -62,6 +63,7 @@ PolicyArg = Annotated[str, ArgKind.POLICY]
 IntArg = Annotated[str, ArgKind.INT]
 PositiveIntArg = Annotated[str, ArgKind.POSITIVE_INT]
 FractionArg = Annotated[str, ArgKind.FRACTION]
+SideArg = Annotated[str, ArgKind.SIDE]
 
 
 class UnknownCategory(KeyError):

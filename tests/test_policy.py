@@ -406,3 +406,163 @@ class TestEvaluate:
         assert isinstance(decision.obligations[0], pol.PayObligation)
         assert isinstance(decision.obligations[1], NotifyAction) is False
         assert decision.obligations[1].target == "second"
+
+    def test_rule_index_holds_each_events_rules_in_order(self):
+        checked = compile_policy(
+            "OBLIGATION ON TICK IF now > 5 DO ZEROISE;\n"
+            'PROHIBITION ON TRANSFER_REQUEST IF category == "x";\n'
+            'OBLIGATION ON TICK DO NOTIFY "n";'
+        )
+        index = checked.program.by_event
+        assert set(index) == set(EventKind)
+        assert [(i, rule) for i, rule, _ in index[EventKind.TICK]] == [
+            (0, checked.rules[0]),
+            (2, checked.rules[2]),
+        ]
+        assert [i for i, _, _ in index[EventKind.TRANSFER_REQUEST]] == [1]
+        assert index[EventKind.RECEIVE] == () and index[EventKind.TAMPER] == ()
+        assert checked.program.by_event is index  # compiled once per program
+
+    def test_rebuilt_program_gets_its_own_index(self):
+        # a program rebuilt around the same text (as a tamper does) is matched
+        # by its own rules, not by the index of the program it copies
+        checked = compile_policy("PROHIBITION ON RECEIVE;")
+        assert not evaluate(checked, EventKind.RECEIVE, EvalContext()).permitted
+        program = checked.program
+        rebuilt = pol.CheckedPolicy(
+            pol.PolicyProgram((), program.source_canonical, program.content_hash)
+        )
+        assert evaluate(rebuilt, EventKind.RECEIVE, EvalContext()).permitted
+
+
+# -- a reference evaluator: rule by rule, condition by condition --------------
+
+
+def reference_compare(value, op, literal):
+    rhs = None if literal is pol.NONE else literal
+    if op == "==":
+        return value == rhs
+    if op == "!=":
+        return value != rhs
+    # ordering is defined over integers only; anything else never matches
+    if isinstance(value, bool) or not isinstance(value, int):
+        return False
+    if not isinstance(rhs, int):
+        return False
+    return value < rhs if op == "<" else value > rhs
+
+
+def reference_matches(rule, event, ctx):
+    if rule.event is not event:
+        return False
+    if rule.condition is None:
+        return True
+    return any(
+        all(reference_compare(getattr(ctx, f.field), f.op, f.literal) for f in term.factors)
+        for term in rule.condition.terms
+    )
+
+
+def reference_zeroise_reason(rule, event):
+    if event is EventKind.TAMPER:
+        return "tamper"
+    if event is EventKind.ATTEST_FAIL:
+        return "attest_fail"
+    fields = rule.condition.fields() if rule.condition is not None else ()
+    if "last_contact" in fields:
+        return "contact"
+    if "location" in fields or "home" in fields:
+        return "jurisdiction"
+    if "expiry" in fields or "now" in fields:
+        return "expiry"
+    return "policy"
+
+
+def reference_evaluate(checked, event, ctx):
+    matching = [
+        (i, rule) for i, rule in enumerate(checked.rules) if reference_matches(rule, event, ctx)
+    ]
+    for _, rule in matching:
+        if rule.kind is RuleKind.PROHIBITION or any(
+            isinstance(a, pol.ForbidAction) for a in rule.actions
+        ):
+            return pol.Decision(Verdict.FORBID)
+    obligations = []
+    for i, rule in matching:
+        if rule.kind is not RuleKind.OBLIGATION:
+            continue
+        for action in rule.actions:
+            if isinstance(action, PayAction):
+                amount = ctx.amount * action.fraction.num // action.fraction.den
+                obligations.append(pol.PayObligation(action.payee, amount, i))
+            elif isinstance(action, NotifyAction):
+                obligations.append(pol.NotifyObligation(action.target, i))
+            elif isinstance(action, pol.ZeroiseAction):
+                obligations.append(ZeroiseObligation(reference_zeroise_reason(rule, event), i))
+            elif isinstance(action, pol.MoveToBestRateAction):
+                obligations.append(pol.MoveToBestRateObligation(i))
+    return pol.Decision(Verdict.PERMIT, tuple(obligations))
+
+
+# literals and context values drawn from one small pool, so that == and the
+# orderings match often; strings, bools and None sit beside the integers
+LITERALS = [0, 1, 5, 12, "HOME", "ABROAD", "sale", "5", pol.NONE]
+CONTEXT_VALUES = [None, 0, 1, 5, 12, True, False, "HOME", "ABROAD", "sale", "5"]
+
+
+def differential_rule(rng, events):
+    kind = rng.choice(list(RuleKind))
+    condition = None
+    if rng.random() < 0.8:
+        condition = OrCondition(
+            tuple(
+                AndTerm(
+                    tuple(
+                        Comparison(
+                            rng.choice(pol.FIELDS), rng.choice(pol.OPS), rng.choice(LITERALS)
+                        )
+                        for _ in range(rng.randrange(1, 4))
+                    )
+                )
+                for _ in range(rng.randrange(1, 4))
+            )
+        )
+    actions = tuple(
+        action
+        for action in (random_action(rng) for _ in range(rng.randrange(0, 3)))
+        if not (kind is RuleKind.PROHIBITION and isinstance(action, PayAction))
+    )
+    return Rule(kind, rng.choice(events), condition, actions)
+
+
+def differential_context(rng):
+    values = {name: rng.choice(CONTEXT_VALUES) for name in pol.FIELDS}
+    values["amount"] = rng.choice([0, 7, 1000, 10**9, True, False])
+    return EvalContext(**values)
+
+
+def test_evaluate_agrees_with_the_reference_evaluator():
+    rng = random.Random(8)
+    seen = set()
+    for _ in range(400):
+        # each program leaves some events without rules
+        events = rng.sample(list(EventKind), rng.randrange(1, len(EventKind)))
+        rules = tuple(differential_rule(rng, events) for _ in range(rng.randrange(0, 6)))
+        checked = compile_policy(pol.render_rules(rules))
+        assert checked.rules == rules
+        for _ in range(12):
+            ctx = differential_context(rng)
+            for event in EventKind:
+                expected = reference_evaluate(checked, event, ctx)
+                assert evaluate(checked, event, ctx) == expected, (rules, event, ctx)
+                seen.add(expected.verdict)
+                seen.update(type(ob) for ob in expected.obligations)
+    # the stream reached both verdicts and every kind of obligation
+    assert seen == {
+        Verdict.PERMIT,
+        Verdict.FORBID,
+        pol.PayObligation,
+        pol.NotifyObligation,
+        ZeroiseObligation,
+        pol.MoveToBestRateObligation,
+    }

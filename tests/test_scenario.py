@@ -126,6 +126,7 @@ class TestParsing:
             (WORLD + "2 RATE central half\n", 8),
             (WORLD + "2 RATE central 0.5\n", 8),
             (WORLD + "0 CONTACT ghost\n", 8),
+            (WORLD + "1 ORDER BUY 5 1 alice\n", 8),
         ],
         ids=[
             "too_few_args",
@@ -144,6 +145,7 @@ class TestParsing:
             "rate_not_a_fraction",
             "rate_decimal_point",
             "contact_unknown_host",
+            "order_side_unknown",
         ],
     )
     def test_bad_line_fails_at_load(self, tmp_path, text, line_no):
@@ -224,6 +226,21 @@ class TestPolicyBuilders:
             build_policy_source("expiry not_a_number", self.law(), 360)
         with pytest.raises(ScenarioError):
             build_policy_source("sales_tax 7/5", self.law(), 360)
+
+    @pytest.mark.parametrize("rate", ["0.2", "1e-1", "-1/5", "1/0", "fifth"])
+    def test_sales_tax_rate_is_a_scenario_fraction(self, tmp_path, rate):
+        # the rate reads like [law], [supply] and RATE fractions: num/den or an integer
+        with pytest.raises(ScenarioError):
+            build_policy_source(f"sales_tax {rate}", self.law(), 360)
+        path = tmp_path / "bad.scn"
+        path.write_text(WORLD.replace("sales_tax 1/5", f"sales_tax {rate}"), encoding="utf-8")
+        assert run_cli(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_sales_tax_rate_compiles_as_written(self):
+        source = build_policy_source("sales_tax 1/5", self.law(), 360)
+        assert 'DO PAY 1/5 TO "tax_authority";' in source
+        assert "PAY 1/1 TO" in build_policy_source("sales_tax 1", self.law(), 360)
 
 
 class TestShippedScenarios:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from progmoney import sim as sim_mod
 from progmoney.cli import LEDGER_FILE, OBSERVATIONS_FILE, run_cli
 from progmoney.registry import parse_ledger_line
 from progmoney.report import render_report, report_for
@@ -268,6 +269,90 @@ class TestUpkeep:
         sim.run_until(0)
         unit = next(iter(sim.units.values()))
         assert unit.expiry == 5
+
+
+def three_hosts(policy: str = "") -> Simulation:
+    """central keeps 2 units, alice holds 3 and bob 2, all minted at tick 0."""
+    sim = Simulation(seed=1, scenario_name="test")
+    sim.add_host("central", Role.CENTRAL_BANK, "HOME")
+    sim.add_host("alice", Role.CONSUMER, "HOME")
+    sim.add_host("bob", Role.VENDOR, "HOME")
+    sim.add_policy("p", policy)
+    for value in (70, 80):
+        sim.schedule_script(0, ("MINT", "central", str(value), "p"))
+    for holder, values in (("alice", (100, 200, 300)), ("bob", (40, 50))):
+        for value in values:
+            sim.schedule_script(0, ("ISSUE", "central", holder, str(value), "p"))
+    return sim
+
+
+def units_held(sim: Simulation) -> dict[str, set[str]]:
+    return {h: set(sim.registry.holdings(h)) for h in ("central", "alice", "bob")}
+
+
+class TestAttestationPerHost:
+    def test_one_attestation_per_host_and_tick(self, monkeypatch):
+        made, checked = [], []
+
+        def counting_attest(directory, authority, host, location, at):
+            made.append((host, at))
+            return attest(directory, authority, host, location, at)
+
+        def counting_verify(directory, attestation):
+            checked.append((attestation.host, attestation.at))
+            return verify(directory, attestation)
+
+        attest, verify = sim_mod.attest_location, sim_mod.verify_attestation
+        monkeypatch.setattr(sim_mod, "attest_location", counting_attest)
+        monkeypatch.setattr(sim_mod, "verify_attestation", counting_verify)
+        upkept = []
+        upkeep_unit = Simulation._upkeep_unit
+        monkeypatch.setattr(
+            Simulation,
+            "_upkeep_unit",
+            lambda self, host, unit: upkept.append(host.id) or upkeep_unit(self, host, unit),
+        )
+        sim = three_hosts()
+        sim.run_until(4)
+        assert {h: len(ids) for h, ids in units_held(sim).items()} == {
+            "central": 2, "alice": 3, "bob": 2
+        }
+        every_host_tick = [(h, t) for t in range(5) for h in ("alice", "bob", "central")]
+        assert made == every_host_tick
+        assert checked == every_host_tick
+        # every unit still goes through upkeep on every tick
+        assert len(upkept) == 7 * 5
+
+    def test_invalid_attestation_reaches_every_unit(self, monkeypatch):
+        monkeypatch.setattr(sim_mod, "verify_attestation", lambda directory, attestation: False)
+        sim = three_hosts('OBLIGATION ON TICK IF now > 1 DO ZEROISE;')
+        sim.schedule_script(1, ("MOVE_HOST", "alice", "ABROAD"))
+        sim.run_until(3)
+        invalid = [line for line in sim.observations if "|attest_invalid|" in line]
+        expected = [
+            f"{t}|{h}|attest_invalid|unit={uid}"
+            for t in range(4)
+            for h in ("alice", "bob", "central")
+            for uid in sim.registry.holdings(h)
+        ]
+        assert invalid == expected
+        assert not any("|zeroise|" in line for line in sim.observations)
+        assert sim.registry.live_supply == 70 + 80 + 100 + 200 + 300 + 40 + 50
+
+    def test_move_abroad_zeroises_every_unit_of_the_host(self):
+        sim = three_hosts('OBLIGATION ON TICK IF location != "HOME" DO ZEROISE;')
+        sim.run_until(2)
+        before = units_held(sim)
+        sim.schedule_script(3, ("MOVE_HOST", "alice", "ABROAD"))
+        sim.run_until(4)
+        zeroises = [line for line in sim.observations if "|zeroise|" in line]
+        assert sorted(line.split("|")[3].split()[0] for line in zeroises) == sorted(
+            f"unit={uid}" for uid in before["alice"]
+        )
+        assert all(line.startswith("3|alice|") for line in zeroises)
+        assert all("reason=jurisdiction" in line for line in zeroises)
+        after = units_held(sim)
+        assert after == {"central": before["central"], "alice": set(), "bob": before["bob"]}
 
 
 class TestBuy:
