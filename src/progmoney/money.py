@@ -16,12 +16,16 @@ the parent's, and a merge gets one node over both.  Nodes are shared by
 every descendant and never copied, so lineage grows with the ledger, not
 with the number of splits and merges behind a unit.  `verify_integrity`
 checks each node once per `KeyDirectory` and remembers the result on the
-node; the policy text check is remembered on each `PolicyProgram`.  Edited
-stamps, nodes and policies are new objects, so they are checked afresh.
+node; the policy text check is remembered on each `PolicyProgram`; and a
+unit remembers what its last sound check read, so an unchanged unit's next
+check costs no MAC.  Edited stamps, nodes and policies are new objects, and
+an edited unit field no longer matches the unit's memo, so each is checked
+afresh.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional
@@ -153,6 +157,10 @@ class MoneyUnit:
     expiry: Optional[int] = None
     home: Optional[str] = None
     last_contact: int = 0
+    # what the last sound `verify_integrity` read (see `_reading`); it holds
+    # the directory by weak reference, which a deep copy shares, as keyed
+    # hashers cannot be copied
+    _sound: Optional[tuple] = field(default=None, init=False, repr=False)
 
     @property
     def provenance(self) -> tuple[TransferStamp, ...]:
@@ -458,10 +466,15 @@ def verify_integrity(
 
     Work is done once per object: the policy text's hash and render are
     remembered on its `PolicyProgram`, and a lineage node that checks out
-    records `directory` in `verified_by`, so a unit whose lineage is already
-    verified costs one birth-signature check.  The birth signature, owner
-    and value are read from the unit on every call.
+    records `directory` in `verified_by`.  A sound check also leaves on the
+    unit the directory and everything else it read (`_reading`); while each
+    of those is still the very same object, the next call returns
+    `INTEGRITY_OK` with no MAC.  Any edit to a field, a re-signature, a new
+    lineage head or policy, another directory or registry key replaces an
+    object, so the whole check runs again.
     """
+    if _unchanged(unit, directory, registry_key):
+        return INTEGRITY_OK
     problems: list[str] = []
     program = unit.policy.program
     if program.text_hash != unit.policy_hash:
@@ -481,7 +494,47 @@ def verify_integrity(
         problems.extend(_verify_lineage(head, directory, registry_key))
     if problems:
         return IntegrityResult(False, tuple(problems))
+    unit._sound = _reading(unit, directory, registry_key)
     return INTEGRITY_OK
+
+
+def _reading(unit: MoneyUnit, directory: KeyDirectory, registry_key: str) -> tuple:
+    """Every object `verify_integrity` reads; the directory by weak reference."""
+    return (
+        weakref.ref(directory),
+        registry_key,
+        unit.policy.program,
+        unit.policy_hash,
+        unit.state,
+        unit.mint_sig,
+        unit.lineage,
+        unit.id,
+        unit.value,
+        unit.currency,
+        unit.owner,
+    )
+
+
+def _unchanged(unit: MoneyUnit, directory: KeyDirectory, registry_key: str) -> bool:
+    """Whether `unit` still holds, by identity, what its last sound check read."""
+    if unit._sound is None:
+        return False
+    ref, key, program, policy_hash, state, mint_sig, head, uid, value, currency, owner = (
+        unit._sound
+    )
+    return (
+        ref() is directory
+        and key is registry_key
+        and program is unit.policy.program
+        and policy_hash is unit.policy_hash
+        and state is unit.state
+        and mint_sig is unit.mint_sig
+        and head is unit.lineage
+        and uid is unit.id
+        and value is unit.value
+        and currency is unit.currency
+        and owner is unit.owner
+    )
 
 
 def _trusted(node: LineageNode, directory: KeyDirectory, registry_key: str) -> bool:

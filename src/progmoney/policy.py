@@ -649,6 +649,11 @@ class Decision:
         return self.verdict is Verdict.PERMIT
 
 
+# the two decisions that carry no obligations, shared by every evaluation
+PERMITTED = Decision(Verdict.PERMIT)
+FORBIDDEN = Decision(Verdict.FORBID)
+
+
 # A rule's condition compiled to one test of a context
 Matcher = Callable[[EvalContext], bool]
 
@@ -746,9 +751,9 @@ def evaluate(policy: CheckedPolicy, event: EventKind, ctx: EvalContext) -> Decis
     matching = [(i, r) for i, r, matches in policy.program.by_event[event] if matches(ctx)]
     for _, rule in matching:
         if rule.kind is RuleKind.PROHIBITION:
-            return Decision(Verdict.FORBID)
+            return FORBIDDEN
         if any(isinstance(a, ForbidAction) for a in rule.actions):
-            return Decision(Verdict.FORBID)
+            return FORBIDDEN
     obligations: list[Obligation] = []
     for i, rule in matching:
         if rule.kind is not RuleKind.OBLIGATION:
@@ -764,4 +769,4 @@ def evaluate(policy: CheckedPolicy, event: EventKind, ctx: EvalContext) -> Decis
                 obligations.append(ZeroiseObligation(_zeroise_reason(rule, event), i))
             elif isinstance(action, MoveToBestRateAction):
                 obligations.append(MoveToBestRateObligation(i))
-    return Decision(Verdict.PERMIT, tuple(obligations))
+    return Decision(Verdict.PERMIT, tuple(obligations)) if obligations else PERMITTED

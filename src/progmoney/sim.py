@@ -8,9 +8,12 @@ Each tick runs three phases in fixed order:
 
   1. scheduled events, in (tick, seq) order — script actions, message
      deliveries, delegated moves;
-  2. unit upkeep, in (host id, unit id) order — integrity check, location
-     attestation (made and verified once per host), TICK policy evaluation
-     and its obligations;
+  2. unit upkeep, in (host id, unit id) order — integrity check (free for
+     a unit unchanged since its last sound check), location attestation
+     (made and verified once per host), TICK policy evaluation and its
+     obligations; a host that withholds its attestation, or whose
+     attestation fails verification, runs its units' ATTEST_FAIL rules
+     instead of their TICK rules;
   3. period boundary work — bank interest accrual and the supply rule.
 
 Observations are "tick|host|event|details" lines and are the authoritative
@@ -389,19 +392,23 @@ class Simulation:
             return
 
         if host.id in self.withholding or host.role is Role.ADVERSARY:
-            decision = pol.evaluate(
-                unit.policy, pol.EventKind.ATTEST_FAIL, self._eval_ctx(host, unit)
-            )
-            self.obs(host.id, "attest_fail", unit=unit.id)
-            self._execute_obligations(host, unit, decision.obligations)
+            self._attest_failed(host, unit, "attest_fail")
             return
 
         attestation, valid = self._attestation_of(host)
         if not valid:
-            self.obs(host.id, "attest_invalid", unit=unit.id)
+            self._attest_failed(host, unit, "attest_invalid")
             return
         ctx = self._eval_ctx(host, unit, location=attestation.location)
         decision = pol.evaluate(unit.policy, pol.EventKind.TICK, ctx)
+        self._execute_obligations(host, unit, decision.obligations)
+
+    def _attest_failed(self, host: Host, unit: MoneyUnit, event: str) -> None:
+        """Run `unit`'s ATTEST_FAIL rules: its host has no location it can prove."""
+        decision = pol.evaluate(
+            unit.policy, pol.EventKind.ATTEST_FAIL, self._eval_ctx(host, unit)
+        )
+        self.obs(host.id, event, unit=unit.id)
         self._execute_obligations(host, unit, decision.obligations)
 
     def _attestation_of(self, host: Host) -> tuple[Attestation, bool]:

@@ -1,9 +1,15 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from progmoney.crypto import KeyDirectory
 from progmoney.registry import Registry
+
+# property tests draw the same examples on every run and write no example
+# database, so the suite's result depends on the code alone
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

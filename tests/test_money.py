@@ -355,8 +355,19 @@ class TestIntegrity:
         assert any("unexpected key" in p for p in result.problems)
 
 
+def _resign_birth_by_mallory(unit, directory):
+    directory.create("mallory", random.Random(66))
+    unit.mint_sig = directory.sign("mallory", unit.birth_body())
+
+
+def _edit_policy_text(unit, _directory):
+    program = unit.policy.program
+    edited = program.source_canonical.replace("1/5", "1/9")
+    unit.policy = pol.CheckedPolicy(pol.PolicyProgram(program.rules, edited, program.content_hash))
+
+
 class TestVerifyOnce:
-    """A warm verification cache never hides a later edit."""
+    """A warm verification cache, on a node or on the unit, never hides a later edit."""
 
     def test_tamper_after_a_warm_check_detected(self):
         sim = Simulation(seed=3)
@@ -422,6 +433,9 @@ class TestVerifyOnce:
         clone = copy.deepcopy(unit)
         assert clone.lineage is unit.lineage
         assert verify_integrity(clone, directory).ok
+        clone.value = 1_000_000
+        assert "birth signature mismatch" in verify_integrity(clone, directory).problems
+        assert verify_integrity(unit, directory).ok
 
     def test_split_merge_cycles_grow_lineage_linearly(self, world):
         directory, registry, bank = world
@@ -445,7 +459,61 @@ class TestVerifyOnce:
         verify = directory.verify
         directory.verify = lambda *args: checked.append(args[0]) or verify(*args)
         assert verify_integrity(unit, directory).ok
-        assert checked == ["registry"]  # the birth signature only
+        assert checked == []  # nothing changed since the last sound check
+
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (_resign_birth_by_mallory, "birth signature by unexpected key"),
+            (lambda unit, _: setattr(unit, "currency", "GOLD"), "birth signature mismatch"),
+            (
+                lambda unit, _: setattr(unit, "policy_hash", unit.policy_hash ^ 1),
+                "policy text hash mismatch",
+            ),
+            (lambda unit, _: setattr(unit, "id", "u999"), "birth signature mismatch"),
+            (
+                lambda unit, _: setattr(
+                    unit, "lineage", LineageNode(replace(unit.lineage.stamp, at=1))
+                ),
+                "stamp 0 endorsement mismatch",
+            ),
+            (_edit_policy_text, "policy text hash mismatch"),
+        ],
+        ids=["mint_sig", "currency", "policy_hash", "id", "lineage", "policy"],
+    )
+    def test_one_field_edit_after_a_warm_check_detected(self, world, edit, problem):
+        directory, registry, bank = world
+        unit = mint(bank, 100, "SIM", pol.compile_policy(SALES_TAX), registry)
+        assert verify_integrity(unit, directory).ok
+        assert verify_integrity(unit, directory).ok
+        edit(unit, directory)
+        for _ in range(2):
+            result = verify_integrity(unit, directory)
+            assert problem in result.problems
+
+    def test_revived_unit_after_a_warm_check_detected(self, world):
+        directory, registry, bank = world
+        unit = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
+        zeroise(unit, "tamper", registry, at=1)
+        # a spent unit's birth record is no longer checked against its value
+        assert verify_integrity(unit, directory).ok
+        unit.state = UnitState.ACTIVE
+        assert "birth signature mismatch" in verify_integrity(unit, directory).problems
+
+    def test_other_directory_or_registry_key_checked_afresh(self, world):
+        directory, registry, bank = world
+        unit = mint(bank, 100, "SIM", pol.compile_policy(SALES_TAX), registry)
+        assert verify_integrity(unit, directory).ok
+        # the same key ids under other secrets
+        other = KeyDirectory()
+        rng = random.Random(7)
+        for key_id in ("registry", "central", "alice", "bob", "tax_authority"):
+            other.create(key_id, rng)
+        assert "birth signature mismatch" in verify_integrity(unit, other).problems
+        assert "stamp 0 endorsement by unexpected key" in (
+            verify_integrity(unit, directory, registry_key="notary").problems
+        )
+        assert verify_integrity(unit, directory).ok
 
 
 class TestZeroise:

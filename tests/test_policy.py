@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from progmoney import policy as pol
 from progmoney.crypto import h64
@@ -171,6 +173,56 @@ class TestCanonicalize:
             rules = tuple(random_rule(rng) for _ in range(rng.randrange(0, 4)))
             text = pol.render_rules(rules)
             assert parse(text).rules == rules
+
+
+# strategies for every AST the grammar can print: any lowercase field name
+# (checking, not parsing, rejects unknown ones), non-negative integers,
+# strings without a quote or newline, both fraction forms, every action
+_strings = st.text(
+    st.characters(exclude_categories=["Cs"], exclude_characters='"\n'), max_size=12
+)
+_literals = st.one_of(st.integers(0, 10**30), _strings, st.just(pol.NONE))
+_comparisons = st.builds(
+    Comparison,
+    st.one_of(st.sampled_from(pol.FIELDS), st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True)),
+    st.sampled_from(pol.OPS),
+    _literals,
+)
+_conditions = st.builds(
+    OrCondition,
+    st.lists(
+        st.builds(AndTerm, st.lists(_comparisons, min_size=1, max_size=3).map(tuple)),
+        min_size=1,
+        max_size=3,
+    ).map(tuple),
+)
+_fractions = st.one_of(
+    st.builds(FractionLit, st.integers(0, 10**6), st.just(10_000), st.just(True)),
+    st.builds(FractionLit, st.integers(0, 10**6), st.integers(0, 10**6)),
+)
+_actions = st.one_of(
+    st.builds(PayAction, _fractions, _strings),
+    st.just(pol.ForbidAction()),
+    st.just(pol.ZeroiseAction()),
+    st.builds(NotifyAction, _strings),
+    st.just(pol.MoveToBestRateAction()),
+)
+_rules = st.builds(
+    Rule,
+    st.sampled_from(RuleKind),
+    st.sampled_from(EventKind),
+    st.none() | _conditions,
+    st.lists(_actions, max_size=3).map(tuple),
+)
+
+
+@given(st.lists(_rules, max_size=4).map(tuple))
+def test_render_parse_round_trip_property(rules):
+    text = pol.render_rules(rules)
+    program = parse(text)
+    assert program.rules == rules
+    # rendered text is canonical: it parses and canonicalizes to itself
+    assert program.source_canonical == canonicalize(program) == text
 
 
 def random_rule(rng):

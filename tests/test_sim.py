@@ -339,6 +339,22 @@ class TestAttestationPerHost:
         assert not any("|zeroise|" in line for line in sim.observations)
         assert sim.registry.live_supply == 70 + 80 + 100 + 200 + 300 + 40 + 50
 
+    def test_invalid_attestation_runs_attest_fail_rules(self, monkeypatch):
+        monkeypatch.setattr(sim_mod, "verify_attestation", lambda directory, attestation: False)
+        sim = three_hosts("OBLIGATION ON ATTEST_FAIL DO ZEROISE;")
+        sim.run_until(1)
+        upkeep = [
+            line.split("|")
+            for line in sim.observations
+            if "|attest_invalid|" in line or "|zeroise|" in line
+        ]
+        # at tick 0 each unit writes attest_invalid, then its ATTEST_FAIL rule zeroises it
+        assert [event for _, _, event, _ in upkeep] == ["attest_invalid", "zeroise"] * 7
+        for (t1, h1, _, invalid), (t2, h2, _, zeroise) in zip(upkeep[::2], upkeep[1::2]):
+            assert (t1, h1) == (t2, h2) == ("0", h1)
+            assert zeroise.startswith(f"{invalid} reason=attest_fail value=")
+        assert sim.registry.live_supply == 0
+
     def test_move_abroad_zeroises_every_unit_of_the_host(self):
         sim = three_hosts('OBLIGATION ON TICK IF location != "HOME" DO ZEROISE;')
         sim.run_until(2)
