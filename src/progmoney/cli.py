@@ -36,13 +36,21 @@ def _fallback_seed() -> int:
         return 0
 
 
+def _read_text(path: Path) -> str:
+    """`path` decoded as UTF-8; other bytes are a ValueError naming the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: {exc}") from None
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = load_scenario(args.scenario)
     except FileNotFoundError:
         print(f"error: no such scenario: {args.scenario}", file=sys.stderr)
         return 1
-    except ScenarioError as exc:
+    except (ScenarioError, UnicodeDecodeError) as exc:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
         return 1
     seed = args.seed if args.seed is not None else _fallback_seed()
@@ -65,10 +73,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     try:
-        text = Path(args.ledger).read_text(encoding="utf-8")
+        text = _read_text(Path(args.ledger))
     except FileNotFoundError:
         print(f"error: no such ledger: {args.ledger}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(f"audit: {exc}", file=sys.stderr)
+        return 2
     violations = audit_export(text)
     if violations:
         for violation in violations:
@@ -82,13 +93,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     status = 0
     for path in args.policies:
         try:
-            source = Path(path).read_text(encoding="utf-8")
+            program = parse_policy(_read_text(Path(path)))
         except FileNotFoundError:
             print(f"error: no such policy file: {path}", file=sys.stderr)
             return 1
-        try:
-            program = parse_policy(source)
-        except ParseError as exc:
+        except ValueError as exc:
             print(f"{path}: parse error: {exc}", file=sys.stderr)
             status = 1
             continue
@@ -104,20 +113,20 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
+    stored = run_dir / REPORT_FILE
     try:
-        obs_lines = (run_dir / OBSERVATIONS_FILE).read_text(encoding="utf-8").splitlines()
-        ledger_lines = (run_dir / LEDGER_FILE).read_text(encoding="utf-8").splitlines()
+        obs_lines = _read_text(run_dir / OBSERVATIONS_FILE).splitlines()
+        ledger_lines = _read_text(run_dir / LEDGER_FILE).splitlines()
+        rendered = render_report(build_report(obs_lines, ledger_lines))
+        stored_text = _read_text(stored) if stored.exists() else rendered
     except FileNotFoundError as exc:
         print(f"error: missing artifact: {exc.filename}", file=sys.stderr)
         return 1
-    try:
-        rendered = render_report(build_report(obs_lines, ledger_lines))
     except ValueError as exc:
         print(f"report: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(rendered)
-    stored = run_dir / REPORT_FILE
-    if stored.exists() and stored.read_text(encoding="utf-8") != rendered:
+    if stored_text != rendered:
         print("report: recomputed report differs from stored report", file=sys.stderr)
         return 2
     return 0

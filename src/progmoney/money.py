@@ -1,14 +1,16 @@
-"""MoneyUnit lifecycle: mint, split, merge, transfer, integrity, zeroise.
+"""MoneyUnit lifecycle: mint, split, merge, transfer, pay, integrity, zeroise.
 
 Every operation is gated twice: by the unit's own policy and by the central
-registry.  A transfer is atomic — all policy verdicts and obligation
-feasibility are established before the first registry call, so a rejected
-transfer leaves both the unit and the ledger untouched.
+registry.  A transfer or a payment is atomic — all policy verdicts and
+obligation feasibility are established before the first registry call, so a
+rejected one leaves both the unit and the ledger untouched.
 
-Obligations raised by the RECEIVE evaluation (e.g. a sales-tax PAY) execute
-synchronously inside the transfer as split+transfer to the payee.  Those
-inner transfers carry the reserved category "obligation" and do not execute
-obligations of their own, which keeps tax-on-tax recursion impossible.
+Every PAY obligation takes one path, whether it is a tax raised by the
+RECEIVE evaluation inside `transfer` or a levy the simulation runs from a
+TICK or ATTEST_FAIL decision (`pay`): it is checked under the reserved
+category "obligation" for TRANSFER_REQUEST and RECEIVE, then carved off the
+unit and moved to the payee.  A payment executes no obligations of its own,
+which keeps tax-on-tax recursion impossible.
 
 A unit's history is a DAG of immutable `LineageNode`s, one per stamp: mint
 is a root, a transfer appends one node, each split child gets one node over
@@ -348,7 +350,8 @@ def merge(a: MoneyUnit, b: MoneyUnit, registry: Registry, at: int) -> MoneyUnit:
     return merged
 
 
-def _endorse_transfer(unit: MoneyUnit, to: str, registry: Registry, at: int) -> None:
+def _move(unit: MoneyUnit, to: str, registry: Registry, at: int) -> None:
+    """Endorse and record an ownership change, no policy involvement."""
     request = EndorseRequest(
         kind=RecordKind.TRANSFER,
         unit_ids=(unit.id,),
@@ -358,14 +361,40 @@ def _endorse_transfer(unit: MoneyUnit, to: str, registry: Registry, at: int) -> 
         at=at,
     ).signed(registry.directory)
     registry.endorse(request)
-
-
-def _move(unit: MoneyUnit, to: str, registry: Registry, at: int) -> None:
-    """Endorse and record an ownership change, no policy involvement."""
-    _endorse_transfer(unit, to, registry, at)
     stamp = _stamp(registry, unit.owner, unit.owner, to, unit.value, at)
     unit.lineage = LineageNode(stamp, (unit.lineage,))
     unit.owner = to
+
+
+def _check_payment(unit: MoneyUnit, ob: pol.PayObligation, ctx: pol.EvalContext) -> None:
+    """Raise PolicyForbids unless `unit` may pay `ob`, as category "obligation"."""
+    pay_ctx = replace(ctx, amount=ob.amount, category=OBLIGATION_CATEGORY, counterparty=ob.payee)
+    for event in (pol.EventKind.TRANSFER_REQUEST, pol.EventKind.RECEIVE):
+        if not pol.evaluate(unit.policy, event, pay_ctx).permitted:
+            raise PolicyForbids(f"unit {unit.id} obligation payment to {ob.payee} vetoed", event)
+
+
+def _carve(
+    unit: MoneyUnit, ob: pol.PayObligation, registry: Registry, at: int
+) -> tuple[MoneyUnit, Optional[MoneyUnit]]:
+    """Move `ob.amount` of `unit` to the payee: (the paid unit, what is left)."""
+    if ob.amount == unit.value:
+        _move(unit, ob.payee, registry, at)
+        return unit, None
+    paid, rest = split(unit, ob.amount, registry, at)
+    _move(paid, ob.payee, registry, at)
+    return paid, rest
+
+
+def pay(
+    unit: MoneyUnit, ob: pol.PayObligation, ctx: pol.EvalContext, registry: Registry, at: int
+) -> tuple[MoneyUnit, Optional[MoneyUnit]]:
+    """Pay `ob` out of `unit`, running no obligations of its own; returns as `_carve`.
+
+    On any error (a veto, or more than `unit` holds) nothing has changed.
+    """
+    _check_payment(unit, ob, ctx)
+    return _carve(unit, ob, registry, at)
 
 
 def transfer(
@@ -405,17 +434,9 @@ def transfer(
         raise ObligationUnpayable(
             f"obligations exceed transferred value {unit.value}"
         )
-    # pre-flight the inner pay transfers so nothing is endorsed that could
-    # later be vetoed; inner transfers never run obligations of their own
+    # every payment is checked before anything is endorsed
     for ob in pays:
-        pay_ctx = replace(
-            ctx, amount=ob.amount, category=OBLIGATION_CATEGORY, counterparty=ob.payee
-        )
-        for event in (pol.EventKind.TRANSFER_REQUEST, pol.EventKind.RECEIVE):
-            if not pol.evaluate(unit.policy, event, pay_ctx).permitted:
-                raise PolicyForbids(
-                    f"unit {unit.id} obligation payment to {ob.payee} vetoed", event
-                )
+        _check_payment(unit, ob, ctx)
 
     outcome = TransferOutcome(received=None)
     outcome.notifications.extend(
@@ -429,14 +450,8 @@ def transfer(
 
     for ob in pays:
         assert current is not None
-        if ob.amount == current.value:
-            _move(current, ob.payee, registry, tick)
-            outcome.payments.append((ob.payee, current))
-            current = None
-        else:
-            carved, current = split(current, ob.amount, registry, tick)
-            _move(carved, ob.payee, registry, tick)
-            outcome.payments.append((ob.payee, carved))
+        paid, current = _carve(current, ob, registry, tick)
+        outcome.payments.append((ob.payee, paid))
 
     for ob in receive_decision.obligations:
         if isinstance(ob, pol.NotifyObligation):
@@ -579,11 +594,11 @@ def _node_faults(node: LineageNode, directory: KeyDirectory, registry_key: str) 
     return faults
 
 
-def zeroise(unit: MoneyUnit, reason: str, registry: Registry, at: int) -> list[tuple[str, str]]:
-    """Destroy the unit's value; returns NOTIFY messages the policy declares.
+def zeroise(unit: MoneyUnit, reason: str, registry: Registry, at: int) -> None:
+    """Burn the unit's value, recording `reason`.
 
-    The burn is recorded with `reason`; expiry burns leave the unit EXPIRED,
-    every other reason leaves it ZEROISED.
+    Expiry burns leave the unit EXPIRED, every other reason leaves it
+    ZEROISED.
     """
     _require_active(unit)
     request = EndorseRequest(
@@ -596,20 +611,5 @@ def zeroise(unit: MoneyUnit, reason: str, registry: Registry, at: int) -> list[t
         reason=reason,
     ).signed(registry.directory)
     registry.endorse(request)
-    notifications: list[tuple[str, str]] = []
-    event = {
-        "tamper": pol.EventKind.TAMPER,
-        "attest_fail": pol.EventKind.ATTEST_FAIL,
-    }.get(reason)
-    if event is not None:
-        decision = pol.evaluate(
-            unit.policy, event, pol.EvalContext(amount=unit.value, now=at)
-        )
-        notifications = [
-            (ob.target, f"zeroise unit={unit.id} reason={reason} value={unit.value}")
-            for ob in decision.obligations
-            if isinstance(ob, pol.NotifyObligation)
-        ]
     unit.state = UnitState.EXPIRED if reason == "expiry" else UnitState.ZEROISED
     unit.value = 0
-    return notifications

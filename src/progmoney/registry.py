@@ -113,12 +113,6 @@ class EndorseRequest:
         )
 
 
-@dataclass(frozen=True)
-class Endorsement:
-    record: LedgerRecord
-    sig: Signature  # registry key over record.line()
-
-
 @dataclass
 class SupplyStats:
     live_supply: int
@@ -237,14 +231,11 @@ def step(
 
 
 class Registry:
-    def __init__(self, directory: KeyDirectory, key_id: str = "registry", rng=None) -> None:
+    def __init__(self, directory: KeyDirectory, key_id: str = "registry", *, rng) -> None:
         self.directory = directory
         self.key_id = key_id
         if not directory.knows(key_id):
-            if rng is not None:
-                directory.create(key_id, rng)
-            else:
-                directory.register(key_id, b"registry-reference-secret")
+            directory.create(key_id, rng)
         self.records: list[LedgerRecord] = []
         self.record_sigs: list[Signature] = []
         self._state = _State()
@@ -293,7 +284,7 @@ class Registry:
     def sign_bytes(self, msg: bytes) -> Signature:
         return self.directory.sign(self.key_id, msg)
 
-    def endorse(self, request: EndorseRequest) -> Endorsement:
+    def endorse(self, request: EndorseRequest) -> None:
         if request.sig is None or not self.directory.verify(
             request.sender, request.body(), request.sig
         ):
@@ -324,7 +315,6 @@ class Registry:
         self.record_sigs.append(sig)
         self.now = max(self.now, request.at)
         self.last_request = request
-        return Endorsement(record, sig)
 
     # -- statistics ------------------------------------------------------
 

@@ -117,8 +117,8 @@ class Simulation:
         self._event_seq = 0
         self._order_seq = 0
         self._config_observed = False
-        # (host id, location, tick) -> that attestation and its verdict
-        self._attested: dict[tuple[str, str, int], tuple[Attestation, bool]] = {}
+        # host id -> whether its attestation verifies, for this tick's upkeep
+        self._attested: dict[str, bool] = {}
 
     # -- observations ----------------------------------------------------
 
@@ -307,10 +307,9 @@ class Simulation:
         self._place_unit(merged)
         return merged
 
-    def _burn(self, unit: MoneyUnit, reason: str) -> list[tuple[str, str]]:
-        notes = money.zeroise(unit, reason, self.registry, self.now)
+    def _burn(self, unit: MoneyUnit, reason: str) -> None:
+        money.zeroise(unit, reason, self.registry, self.now)
         self._consume_unit(unit)
-        return notes
 
     def _transfer(
         self,
@@ -385,23 +384,19 @@ class Simulation:
     def _upkeep_unit(self, host: Host, unit: MoneyUnit) -> None:
         integrity = money.verify_integrity(unit, self.directory, self.registry.key_id)
         if not integrity:
-            self.obs(
-                host.id, "tamper_detected", unit=unit.id, problems=len(integrity.problems)
-            )
-            self._zeroise(host.id, unit, "tamper")
+            self._tampered(host, unit, len(integrity.problems))
             return
 
         if host.id in self.withholding or host.role is Role.ADVERSARY:
             self._attest_failed(host, unit, "attest_fail")
             return
 
-        attestation, valid = self._attestation_of(host)
-        if not valid:
+        if not self._attests(host):
             self._attest_failed(host, unit, "attest_invalid")
             return
-        ctx = self._eval_ctx(host, unit, location=attestation.location)
+        ctx = self._eval_ctx(host, unit, location=host.location)
         decision = pol.evaluate(unit.policy, pol.EventKind.TICK, ctx)
-        self._execute_obligations(host, unit, decision.obligations)
+        self._execute_obligations(host, unit, decision.obligations, ())
 
     def _attest_failed(self, host: Host, unit: MoneyUnit, event: str) -> None:
         """Run `unit`'s ATTEST_FAIL rules: its host has no location it can prove."""
@@ -409,22 +404,21 @@ class Simulation:
             unit.policy, pol.EventKind.ATTEST_FAIL, self._eval_ctx(host, unit)
         )
         self.obs(host.id, event, unit=unit.id)
-        self._execute_obligations(host, unit, decision.obligations)
+        # a unit zeroised here tells every NOTIFY target of this decision
+        self._execute_obligations(host, unit, decision.obligations, decision.obligations)
 
-    def _attestation_of(self, host: Host) -> tuple[Attestation, bool]:
-        """`host`'s location attestation now, and whether it verifies.
+    def _attests(self, host: Host) -> bool:
+        """Whether `host`'s location attestation verifies now.
 
         Every unit of a host at one tick gets the same "host|location|now"
         statement, so it is made and checked once, at the host's first unit
-        that asks, and kept until the next upkeep phase.
+        that asks.  Upkeep clears the verdicts each tick and moves no host.
         """
-        key = (host.id, host.location, self.now)
-        attested = self._attested.get(key)
-        if attested is None:
-            attestation = self.attest(host.id)
-            attested = (attestation, verify_attestation(self.directory, attestation))
-            self._attested[key] = attested
-        return attested
+        valid = self._attested.get(host.id)
+        if valid is None:
+            valid = verify_attestation(self.directory, self.attest(host.id))
+            self._attested[host.id] = valid
+        return valid
 
     def _eval_ctx(
         self,
@@ -447,13 +441,23 @@ class Simulation:
             home=unit.home,
         )
 
-    def _zeroise(self, host_id: str, unit: MoneyUnit, reason: str) -> None:
+    def _zeroise(self, host_id: str, unit: MoneyUnit, reason: str, notices) -> None:
+        """Burn `unit`, then tell the target of each NOTIFY obligation in `notices`."""
         value = unit.value
-        notes = self._burn(unit, reason)
+        self._burn(unit, reason)
         self.obs(host_id, "zeroise", unit=unit.id, reason=reason, value=value)
+        body = f"zeroise unit={unit.id} reason={reason} value={value}"
+        notes = [(ob.target, body) for ob in notices if isinstance(ob, pol.NotifyObligation)]
         self._dispatch_notifications(host_id, notes)
 
-    def _execute_obligations(self, host: Host, unit: MoneyUnit, obligations) -> None:
+    def _tampered(self, host: Host, unit: MoneyUnit, problems: int | str) -> None:
+        """Zeroise `unit`, which failed its integrity check; notify per its TAMPER rules."""
+        self.obs(host.id, "tamper_detected", unit=unit.id, problems=problems)
+        decision = pol.evaluate(unit.policy, pol.EventKind.TAMPER, self._eval_ctx(host, unit))
+        self._zeroise(host.id, unit, "tamper", decision.obligations)
+
+    def _execute_obligations(self, host: Host, unit: MoneyUnit, obligations, notices) -> None:
+        """Carry out `obligations` until the unit is gone; a ZEROISE sends `notices`."""
         current = unit
         for ob in obligations:
             if current is None or current.state is not UnitState.ACTIVE:
@@ -465,7 +469,7 @@ class Simulation:
                     host.id, [(ob.target, f"tick unit={current.id}")]
                 )
             elif isinstance(ob, pol.ZeroiseObligation):
-                self._zeroise(host.id, current, ob.reason)
+                self._zeroise(host.id, current, ob.reason, notices)
                 current = None
             elif isinstance(ob, pol.MoveToBestRateObligation):
                 self._plan_delegated_move(host, current)
@@ -473,27 +477,24 @@ class Simulation:
     def _pay_obligation(
         self, host: Host, unit: MoneyUnit, ob: pol.PayObligation
     ) -> Optional[MoneyUnit]:
+        """Pay `ob` out of `unit` and return what is left; a refused levy changes nothing."""
         if ob.amount <= 0:
             return unit
         if ob.amount > unit.value:
             self.obs(host.id, "obligation_unpayable", unit=unit.id, amount=ob.amount)
             return unit
-        remainder: Optional[MoneyUnit]
-        if ob.amount == unit.value:
-            pay_unit, remainder = unit, None
-        else:
-            pay_unit, remainder = self._split(unit, ob.amount)
-        outcome = self._transfer(
-            host, pay_unit, ob.payee, money.OBLIGATION_CATEGORY, host.location
-        )
-        if not isinstance(outcome, TransferOutcome):
-            error = type(outcome).__name__
-            self.obs(host.id, "obligation_blocked", unit=pay_unit.id, error=error)
-            return remainder if remainder is not None else pay_unit
-        self.obs(
-            host.id, "pay_obligation", unit=pay_unit.id, to=ob.payee, amount=pay_unit.value
-        )
-        return remainder
+        ctx = self._eval_ctx(host, unit, location=host.location)
+        try:
+            paid, rest = money.pay(unit, ob, ctx, self.registry, self.now)
+        except money.PolicyForbids as refusal:
+            self.obs(host.id, "obligation_blocked", unit=unit.id, error=type(refusal).__name__)
+            return unit
+        self._consume_unit(unit)
+        self._place_unit(paid)
+        if rest is not None:
+            self._place_unit(rest)
+        self.obs(host.id, "pay_obligation", unit=paid.id, to=ob.payee, amount=paid.value)
+        return rest
 
     # -- delegation --------------------------------------------------------
 
@@ -740,8 +741,7 @@ class Simulation:
         for unit in self.active_units_of(buyer.id):
             # a unit failing integrity zeroises the moment it is touched
             if not money.verify_integrity(unit, self.directory, self.registry.key_id):
-                self.obs(buyer.id, "tamper_detected", unit=unit.id, problems="spend")
-                self._zeroise(buyer.id, unit, "tamper")
+                self._tampered(buyer, unit, "spend")
                 continue
             pool.append(unit)
             total += unit.value

@@ -187,3 +187,24 @@ class TestReport:
         assert "tax_collected = 406" in text
         assert "balance.bob = 1630" in text
         assert "live_supply = 2036" in text
+
+
+@pytest.mark.parametrize(
+    "command, name, code",
+    [
+        ("run", "bad.scn", 1),
+        ("check", "bad.pol", 1),
+        ("audit", LEDGER_FILE, 2),
+        ("report", OBSERVATIONS_FILE, 2),
+    ],
+)
+def test_non_utf8_input_is_a_load_error(tmp_path, capsys, command, name, code):
+    # one 0xff byte, which no UTF-8 text holds, at the head of the file read
+    out = tmp_path / "out"
+    assert run(["run", SALES_TAX_SCN, "--seed", 7, "--out", out]) == 0
+    bad = out / name
+    bad.write_bytes(b"\xff" + (bad.read_bytes() if bad.exists() else b""))
+    args = {"run": ["run", bad, "--out", tmp_path / "o"], "report": ["report", out]}
+    capsys.readouterr()
+    assert run(args.get(command, [command, bad])) == code
+    assert str(bad) in capsys.readouterr().err

@@ -539,12 +539,21 @@ class TestZeroise:
         zeroise(unit, "expiry", registry, at=11)
         assert unit.state is UnitState.EXPIRED
 
-    def test_tamper_notify_obligation_emitted(self, world):
-        _, registry, bank = world
-        policy = pol.compile_policy('OBLIGATION ON TAMPER DO NOTIFY "government";')
-        unit = mint(bank, 100, "SIM", policy, registry)
-        notes = zeroise(unit, "tamper", registry, at=1)
-        assert [t for t, _ in notes] == ["government"]
+    def test_tamper_notify_obligation_emitted(self):
+        # zeroise only burns; the simulation, which knows why, sends the notices
+        sim = Simulation(seed=1)
+        sim.add_host("central", Role.CENTRAL_BANK, "HOME")
+        sim.add_host("government", Role.LAW_SERVER, "HOME")
+        sim.add_policy("p", 'OBLIGATION ON TAMPER DO NOTIFY "government";')
+        sim.schedule_script(0, ("MINT", "central", "100", "p"))
+        sim.schedule_script(1, ("TAMPER", "central"))
+        sim.run_until(2)
+        unit_id = sim.registry.records[0].unit_ids[0]
+        assert "1|central|notify|target=government" in sim.observations
+        assert (
+            f"2|government|message|sender=central body=zeroise unit={unit_id} "
+            "reason=tamper value=100"
+        ) in sim.observations
 
     def test_burn_recorded_with_reason(self, world):
         _, registry, bank = world

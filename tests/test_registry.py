@@ -47,6 +47,14 @@ def mint_request(registry, value=1000, at=0):
 
 
 class TestEndorse:
+    def test_registry_key_needs_an_rng(self):
+        # no fixed fallback secret that anyone reading the source could sign with
+        with pytest.raises(TypeError):
+            Registry(KeyDirectory(), "registry")
+        directory = KeyDirectory()
+        Registry(directory, "registry", rng=random.Random(1))
+        assert directory.knows("registry")
+
     def test_mint_and_transfer(self):
         directory, registry = make_registry()
         req = mint_request(registry).signed(directory)

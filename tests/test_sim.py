@@ -7,7 +7,7 @@ import pytest
 
 from progmoney import sim as sim_mod
 from progmoney.cli import LEDGER_FILE, OBSERVATIONS_FILE, run_cli
-from progmoney.registry import parse_ledger_line
+from progmoney.registry import RecordKind, parse_ledger_line
 from progmoney.report import render_report, report_for
 from progmoney.scenario import build_simulation, load_scenario, run_scenario
 from progmoney.sim import Message, SimEvent, Simulation
@@ -244,6 +244,65 @@ class TestUpkeep:
         assert sim.balance_of("tax_authority") == 50
         assert sim.balance_of("alice") == 450
         assert sim.registry.audit() == []
+
+    def test_tick_levy_pays_no_tax_on_itself(self):
+        # a levy is an obligation payment: the RECEIVE tax does not apply to it
+        sim = basic_sim()
+        sim.add_host("x", Role.CONSUMER, "HOME")
+        sim.add_host("y", Role.CONSUMER, "HOME")
+        sim.add_policy(
+            "levied",
+            'OBLIGATION ON TICK IF now == 3 DO PAY 1/10 TO "x";\n'
+            'OBLIGATION ON RECEIVE DO PAY 1/10 TO "y";',
+        )
+        sim.schedule_script(0, ("MINT", "central", "1000", "levied"))
+        sim.run_until(4)
+        assert sim.balance_of("x") == 100
+        assert sim.balance_of("y") == 0
+        assert sim.balance_of("central") == 900
+        assert sim.registry.audit() == []
+
+    def test_refused_tick_levy_changes_nothing(self):
+        sim = basic_sim()
+        sim.add_policy(
+            "levied",
+            'OBLIGATION ON TICK IF now == 3 DO PAY 1/10 TO "tax_authority";\n'
+            'PROHIBITION ON TRANSFER_REQUEST IF category == "obligation";',
+        )
+        sim.schedule_script(0, ("MINT", "central", "1000", "levied"))
+        sim.run_until(4)
+        (unit_id,) = sim.registry.holdings("central")
+        assert sim.units[unit_id].value == 1000
+        assert [r.kind for r in sim.registry.records] == [RecordKind.MINT]
+        assert f"3|central|obligation_blocked|unit={unit_id} error=PolicyForbids" in (
+            sim.observations
+        )
+
+    @pytest.mark.parametrize(
+        "rule, script",
+        [
+            (
+                'OBLIGATION ON ATTEST_FAIL IF home == "HOME" DO ZEROISE, NOTIFY "government";',
+                ("WITHHOLD", "alice", "on"),
+            ),
+            ('OBLIGATION ON TAMPER IF home == "HOME" DO NOTIFY "government";', ("TAMPER", "alice")),
+        ],
+        ids=["attest_fail", "tamper"],
+    )
+    def test_conditioned_zeroise_notice_is_sent(self, rule, script):
+        # the condition reads the unit's home, which the notice is evaluated with
+        sim = basic_sim()
+        sim.add_policy("p", rule)
+        sim.schedule_script(0, ("ISSUE", "central", "alice", "300", "p"))
+        sim.schedule_script(3, script)
+        sim.run_until(4)
+        upkeep = [line for line in sim.observations if line.startswith("3|alice|")]
+        assert [line.split("|")[2] for line in upkeep][-2:] == ["zeroise", "notify"]
+        assert upkeep[-1] == "3|alice|notify|target=government"
+        assert any(
+            line.startswith("4|government|message|sender=alice body=zeroise ")
+            for line in sim.observations
+        )
 
     def test_tampered_unit_zeroises_when_spent(self):
         # tamper and spend inside the same tick, before upkeep runs
