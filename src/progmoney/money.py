@@ -12,17 +12,20 @@ category "obligation" for TRANSFER_REQUEST and RECEIVE, then carved off the
 unit and moved to the payee.  A payment executes no obligations of its own,
 which keeps tax-on-tax recursion impossible.
 
-A unit's history is a DAG of immutable `LineageNode`s, one per stamp: mint
+A unit's history is a DAG of immutable `LineageNode`s.  Each node holds a
+ledger record `Registry.endorse` committed, the registry's signature on its
+line and the requester's on its body, and the unit's position in it: mint
 is a root, a transfer appends one node, each split child gets one node over
-the parent's, and a merge gets one node over both.  Nodes are shared by
-every descendant and never copied, so lineage grows with the ledger, not
-with the number of splits and merges behind a unit.  `verify_integrity`
-checks each node once per `KeyDirectory` and remembers the result on the
-node; the policy text check is remembered on each `PolicyProgram`; and a
-unit remembers what its last sound check read, so an unchanged unit's next
-check costs no MAC.  Edited stamps, nodes and policies are new objects, and
-an edited unit field no longer matches the unit's memo, so each is checked
-afresh.
+the parent's, and a merge gets one node over both.  The record binds seq,
+kind, unit ids, amounts and parties, so a node cannot be moved onto another
+unit's history.  Nodes are shared by every descendant and never copied, so
+lineage grows with the ledger, not with the number of splits and merges
+behind a unit.  `verify_integrity` checks each node once per `KeyDirectory`
+and remembers the result on the node; the policy text check is remembered
+on each `PolicyProgram`; and a unit remembers what its last sound check
+read, so an unchanged unit's next check costs no MAC.  Edited records,
+nodes and policies are new objects, and an edited unit field no longer
+matches the unit's memo, so each is checked afresh.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Callable, Optional
 from . import policy as pol
 from .crypto import KeyDirectory, KeyPair, Signature, digest_hex
 from .crypto import h64  # noqa: F401 -- perfbench/tracing.py wraps money.h64 by name
-from .registry import EndorseRequest, RecordKind, Registry
+from .registry import LAYOUT, EndorseRequest, LedgerRecord, RecordKind, Registry
 
 OBLIGATION_CATEGORY = "obligation"
 
@@ -76,44 +79,48 @@ class ObligationUnpayable(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class TransferStamp:
-    """One provenance step; both signatures cover "from|to|amount|at"."""
-
-    frm: str
-    to: str
-    amount: int
-    at: int
-    endorsement: Signature
-    sender_sig: Signature
-
-    def body(self) -> bytes:
-        return f"{self.frm}|{self.to}|{self.amount}|{self.at}".encode()
-
-
 @dataclass(frozen=True, eq=False, slots=True)
 class LineageNode:
-    """One stamp and the nodes it follows: none for a mint, two for a merge.
+    """A unit's position `slot` in an endorsed record, over the units it consumed.
 
-    Nodes are shared by every unit descending from them and never change,
-    except that `verify_integrity` records in `verified_by` the directory
-    under which the node and all its ancestors checked out.
+    `sig` is the registry's signature on `record.line()`, `sender_sig` the
+    requester's on `record.body()`.  Nodes are shared by every unit
+    descending from them and never change, except that `verify_integrity`
+    records in `verified_by` the directory under which the node and all its
+    ancestors checked out.
     """
 
-    stamp: TransferStamp
+    record: LedgerRecord
+    sig: Signature
+    sender_sig: Signature
+    slot: int
     parents: tuple[LineageNode, ...] = ()
-    # from-party of the first stamp along first parents: the minting issuer
+    # requester of the first record along first parents: the minting issuer
     issuer: str = field(init=False)
     verified_by: Optional[KeyDirectory] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        issuer = self.parents[0].issuer if self.parents else self.stamp.frm
+        issuer = self.parents[0].issuer if self.parents else self.record.parties[0]
         object.__setattr__(self, "issuer", issuer)
+
+    def holding(self) -> Optional[tuple[str, str, int]]:
+        """The unit the record makes at `slot`: (id, owner, amount); None if it makes none."""
+        record, slot = self.record, self.slot
+        if slot not in LAYOUT[record.kind][0] or not _well_formed(record):
+            return None
+        return record.unit_ids[slot], record.parties[-1], record.amounts[slot]
 
     def __deepcopy__(self, memo) -> LineageNode:
         # immutable and shared by design; a copy would also drag along
         # `verified_by`, whose keyed hashers cannot be copied
         return self
+
+
+def _well_formed(record: LedgerRecord) -> bool:
+    """Whether `record` has a party, and an id and an amount at every position of its kind."""
+    made, consumed = LAYOUT[record.kind]
+    width = 1 + max(made + consumed)
+    return bool(record.parties) and len(record.unit_ids) == len(record.amounts) == width
 
 
 def _ancestry(
@@ -140,9 +147,9 @@ def _ancestry(
     return order
 
 
-def _in_tick_order(head: LineageNode) -> list[LineageNode]:
-    # a stable sort keeps parents first among nodes of one tick
-    return sorted(_ancestry(head), key=lambda node: node.stamp.at)
+def _in_seq_order(head: LineageNode) -> list[LineageNode]:
+    # a stable sort keeps the two children of one SPLIT in ancestry order
+    return sorted(_ancestry(head), key=lambda node: node.record.seq)
 
 
 @dataclass(eq=False)  # units are entities: compare by identity, not structure
@@ -165,9 +172,9 @@ class MoneyUnit:
     _sound: Optional[tuple] = field(default=None, init=False, repr=False)
 
     @property
-    def provenance(self) -> tuple[TransferStamp, ...]:
-        """Every stamp of the lineage in tick order, shared ancestors once."""
-        return tuple(node.stamp for node in _in_tick_order(self.lineage))
+    def provenance(self) -> tuple[LedgerRecord, ...]:
+        """The record of every lineage node in seq order, shared ancestors once."""
+        return tuple(node.record for node in _in_seq_order(self.lineage))
 
     def birth_body(self) -> bytes:
         return f"{self.id}|{self.value}|{self.currency}|{digest_hex(self.policy_hash)}".encode()
@@ -199,20 +206,6 @@ class TransferOutcome:
         return units
 
 
-def _stamp(
-    registry: Registry, sender: str, frm: str, to: str, amount: int, at: int
-) -> TransferStamp:
-    body = f"{frm}|{to}|{amount}|{at}".encode()
-    return TransferStamp(
-        frm=frm,
-        to=to,
-        amount=amount,
-        at=at,
-        endorsement=registry.sign_bytes(body),
-        sender_sig=registry.directory.sign(sender, body),
-    )
-
-
 def _require_active(unit: MoneyUnit) -> None:
     if unit.state is not UnitState.ACTIVE:
         raise NotActive(f"unit {unit.id} is {unit.state.value}")
@@ -241,11 +234,11 @@ def mint(
         kind=RecordKind.MINT,
         unit_ids=(unit_id,),
         amounts=(value,),
-        new_owner=bank.key_id,
+        new_owner=None,
         sender=bank.key_id,
         at=at,
     ).signed(registry.directory)
-    registry.endorse(request)
+    record, sig = registry.endorse(request)
     unit = MoneyUnit(
         id=unit_id,
         value=value,
@@ -254,20 +247,13 @@ def mint(
         policy=policy,
         policy_hash=policy.content_hash,
         mint_sig=Signature(bank.key_id, 0),  # placeholder until body exists
-        lineage=LineageNode(
-            _stamp(registry, bank.key_id, bank.key_id, bank.key_id, value, at)
-        ),
+        lineage=LineageNode(record, sig, request.sig, 0),
         expiry=expiry,
         home=home,
         last_contact=at,
     )
     unit.mint_sig = registry.directory.sign(bank.key_id, unit.birth_body())
     return unit
-
-
-def _birth_sig(registry: Registry, unit: MoneyUnit) -> Signature:
-    # derived units (split/merge results) get a registry-signed birth record
-    return registry.sign_bytes(unit.birth_body())
 
 
 def split(unit: MoneyUnit, amount: int, registry: Registry, at: int) -> tuple[MoneyUnit, MoneyUnit]:
@@ -282,33 +268,30 @@ def split(unit: MoneyUnit, amount: int, registry: Registry, at: int) -> tuple[Mo
         kind=RecordKind.SPLIT,
         unit_ids=(unit.id, c1_id, c2_id),
         amounts=(unit.value, amount, unit.value - amount),
-        new_owner=unit.owner,
+        new_owner=None,
         sender=unit.owner,
         at=at,
     ).signed(registry.directory)
-    registry.endorse(request)
+    record, sig = registry.endorse(request)
 
-    def child(child_id: str, child_value: int) -> MoneyUnit:
+    def child(slot: int) -> MoneyUnit:
         c = MoneyUnit(
-            id=child_id,
-            value=child_value,
+            id=record.unit_ids[slot],
+            value=record.amounts[slot],
             currency=unit.currency,
             owner=unit.owner,
             policy=unit.policy,
             policy_hash=unit.policy_hash,
             mint_sig=Signature(registry.key_id, 0),
-            lineage=LineageNode(
-                _stamp(registry, unit.owner, unit.owner, unit.owner, child_value, at),
-                (unit.lineage,),
-            ),
+            lineage=LineageNode(record, sig, request.sig, slot, (unit.lineage,)),
             expiry=unit.expiry,
             home=unit.home,
             last_contact=unit.last_contact,
         )
-        c.mint_sig = _birth_sig(registry, c)
+        c.mint_sig = registry.sign_bytes(c.birth_body())  # the registry signs derived births
         return c
 
-    return child(c1_id, amount), child(c2_id, unit.value - amount)
+    return child(1), child(2)
 
 
 def merge(a: MoneyUnit, b: MoneyUnit, registry: Registry, at: int) -> MoneyUnit:
@@ -323,11 +306,11 @@ def merge(a: MoneyUnit, b: MoneyUnit, registry: Registry, at: int) -> MoneyUnit:
         kind=RecordKind.MERGE,
         unit_ids=(a.id, b.id, merged_id),
         amounts=(a.value, b.value, a.value + b.value),
-        new_owner=a.owner,
+        new_owner=None,
         sender=a.owner,
         at=at,
     ).signed(registry.directory)
-    registry.endorse(request)
+    record, sig = registry.endorse(request)
     expiries = [e for e in (a.expiry, b.expiry) if e is not None]
     merged = MoneyUnit(
         id=merged_id,
@@ -338,15 +321,12 @@ def merge(a: MoneyUnit, b: MoneyUnit, registry: Registry, at: int) -> MoneyUnit:
         policy_hash=a.policy_hash,
         mint_sig=Signature(registry.key_id, 0),
         # one node over both histories; ancestors they share stay shared
-        lineage=LineageNode(
-            _stamp(registry, a.owner, a.owner, a.owner, a.value + b.value, at),
-            (a.lineage, b.lineage),
-        ),
+        lineage=LineageNode(record, sig, request.sig, 2, (a.lineage, b.lineage)),
         expiry=min(expiries) if expiries else None,
         home=a.home,
         last_contact=min(a.last_contact, b.last_contact),
     )
-    merged.mint_sig = _birth_sig(registry, merged)
+    merged.mint_sig = registry.sign_bytes(merged.birth_body())
     return merged
 
 
@@ -360,9 +340,8 @@ def _move(unit: MoneyUnit, to: str, registry: Registry, at: int) -> None:
         sender=unit.owner,
         at=at,
     ).signed(registry.directory)
-    registry.endorse(request)
-    stamp = _stamp(registry, unit.owner, unit.owner, to, unit.value, at)
-    unit.lineage = LineageNode(stamp, (unit.lineage,))
+    record, sig = registry.endorse(request)
+    unit.lineage = LineageNode(record, sig, request.sig, 0, (unit.lineage,))
     unit.owner = to
 
 
@@ -472,12 +451,14 @@ def verify_integrity(
 ) -> IntegrityResult:
     """Check the policy text, the birth signature and the lineage; report all mismatches.
 
-    Signer identities are pinned, not taken at face value: stamp
-    endorsements must come from the registry key, each sender signature
-    from the stamp's own from-party, and the birth signature from the
-    registry or the minting issuer — so an adversary re-signing a unit
-    wholesale with their own key is still a detected tamper.  Each stamp's
-    tick must be no earlier than its parents'.
+    Signer identities are pinned, not taken at face value: a lineage
+    node's record line must be signed by the registry key, its body by the
+    requester (`parties[0]`), and the birth by the registry or the minting
+    issuer — so an adversary re-signing a unit wholesale with their own key
+    is still a detected tamper.  A node's slot must be one its record makes
+    and its parents exactly the units the record consumed or moved (same
+    id, owner and amount, earlier seq); the head must give the unit's id,
+    owner and value.
 
     Work is done once per object: the policy text's hash and render are
     remembered on its `PolicyProgram`, and a lineage node that checks out
@@ -503,7 +484,10 @@ def verify_integrity(
             problems.append("birth signature by unexpected key")
         elif not directory.verify(signer, unit.birth_body(), unit.mint_sig):
             problems.append("birth signature mismatch")
-        if head.stamp.to != unit.owner or head.stamp.amount != unit.value:
+        held = head.holding()
+        if held is None or held[0] != unit.id:
+            problems.append("provenance is another unit's")
+        elif held[1:] != (unit.owner, unit.value):
             problems.append("provenance does not reproduce owner/value")
     if not _trusted(head, directory, registry_key):
         problems.extend(_verify_lineage(head, directory, registry_key))
@@ -555,7 +539,7 @@ def _unchanged(unit: MoneyUnit, directory: KeyDirectory, registry_key: str) -> b
 def _trusted(node: LineageNode, directory: KeyDirectory, registry_key: str) -> bool:
     # a verified node's ancestors share its endorsement signer, so pinning
     # the node's signer pins theirs
-    return node.verified_by is directory and node.stamp.endorsement.signer == registry_key
+    return node.verified_by is directory and node.sig.signer == registry_key
 
 
 def _verify_lineage(head: LineageNode, directory: KeyDirectory, registry_key: str) -> list[str]:
@@ -569,7 +553,7 @@ def _verify_lineage(head: LineageNode, directory: KeyDirectory, registry_key: st
             object.__setattr__(node, "verified_by", directory)
     if not faults:
         return []
-    index = {node: i for i, node in enumerate(_in_tick_order(head))}
+    index = {node: i for i, node in enumerate(_in_seq_order(head))}
     return [
         f"stamp {index[node]} {fault}"
         for node in sorted(faults, key=index.__getitem__)
@@ -578,19 +562,28 @@ def _verify_lineage(head: LineageNode, directory: KeyDirectory, registry_key: st
 
 
 def _node_faults(node: LineageNode, directory: KeyDirectory, registry_key: str) -> list[str]:
-    stamp = node.stamp
-    body = stamp.body()
+    record = node.record
+    if not _well_formed(record):
+        return ["record is malformed"]
+    body = record.body()
+    requester = record.parties[0]
     faults = []
-    if stamp.endorsement.signer != registry_key:
+    if node.sig.signer != registry_key:
         faults.append("endorsement by unexpected key")
-    elif not directory.verify(registry_key, body, stamp.endorsement):
+    elif not directory.verify(registry_key, record.line().encode(), node.sig):
         faults.append("endorsement mismatch")
-    if stamp.sender_sig.signer != stamp.frm:
-        faults.append("sender is not the from-party")
-    elif not directory.verify(stamp.frm, body, stamp.sender_sig):
+    if node.sender_sig.signer != requester:
+        faults.append("sender is not the requester")
+    elif not directory.verify(requester, body.encode(), node.sender_sig):
         faults.append("sender signature mismatch")
-    if any(stamp.at < parent.stamp.at for parent in node.parents):
-        faults.append("out of tick order")
+    made, consumed = LAYOUT[record.kind]
+    if node.slot not in made:
+        faults.append(f"slot {node.slot} is not one a {record.kind.value} makes")
+    ids, amounts = record.unit_ids, record.amounts
+    if [parent.holding() for parent in node.parents] != [
+        (ids[i], requester, amounts[i]) for i in consumed
+    ] or any(parent.record.seq >= record.seq for parent in node.parents):
+        faults.append("parents are not the units the record consumed")
     return faults
 
 

@@ -3,7 +3,10 @@
 Every lifecycle operation on a unit (mint, transfer, split, merge, burn) is
 an endorsement request.  The registry is the single serialization point:
 requests are checked against the live-unit set, committed in arrival
-order, and each committed record is signed by the registry key.  A unit id
+order, and each committed record is signed by the registry key.  The
+requester signs the record's `body()`, its line without the seq, and the
+registry its `line()`; `endorse` returns the record and the registry's
+signature, which the money layer keeps as a unit's lineage node.  A unit id
 is consumed by split/merge/burn; a transfer keeps the id live and moves its
 owner, so a replayed transfer fails the owner check and is rejected as a
 double spend.  A self-transfer (sender == new owner) leaves the owner as it
@@ -22,7 +25,7 @@ ids the new record names; replay has no use for it and does not keep one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
@@ -71,16 +74,21 @@ class LedgerRecord:
     parties: tuple[str, ...]
     reason: Optional[str] = None
 
-    def line(self) -> str:
+    def body(self) -> str:
+        """The record without its seq: what the requester signs."""
         ids = ",".join(self.unit_ids)
         amounts = ",".join(str(a) for a in self.amounts)
         parties = ",".join(self.parties)
-        return f"{self.seq}|{self.at}|{self.kind.value}|{ids}|{amounts}|{parties}|{self.reason or '-'}"
+        return f"{self.at}|{self.kind.value}|{ids}|{amounts}|{parties}|{self.reason or '-'}"
+
+    def line(self) -> str:
+        """The ledger line: what the registry signs and exports."""
+        return f"{self.seq}|{self.body()}"
 
 
 @dataclass(frozen=True)
 class EndorseRequest:
-    """What a sender submits; `sig` covers body() with the sender's key."""
+    """What a sender submits; `sig` is the sender's on the body of the record it asks for."""
 
     kind: RecordKind
     unit_ids: tuple[str, ...]
@@ -91,26 +99,20 @@ class EndorseRequest:
     reason: Optional[str] = None
     sig: Optional[Signature] = None
 
+    def record(self, seq: int) -> LedgerRecord:
+        """The ledger record this request asks for, committed at `seq`."""
+        parties: tuple[str, ...] = (self.sender,)
+        if self.kind is RecordKind.TRANSFER and self.new_owner:
+            parties += (self.new_owner,)
+        return LedgerRecord(
+            seq, self.at, self.kind, self.unit_ids, self.amounts, parties, self.reason
+        )
+
     def body(self) -> bytes:
-        ids = ",".join(self.unit_ids)
-        amounts = ",".join(str(a) for a in self.amounts)
-        return (
-            f"{self.kind.value}|{ids}|{amounts}|{self.new_owner or '-'}|{self.at}"
-            f"|{self.reason or '-'}"
-        ).encode()
+        return self.record(0).body().encode()
 
     def signed(self, directory: KeyDirectory) -> "EndorseRequest":
-        sig = directory.sign(self.sender, self.body())
-        return EndorseRequest(
-            self.kind,
-            self.unit_ids,
-            self.amounts,
-            self.new_owner,
-            self.sender,
-            self.at,
-            self.reason,
-            sig,
-        )
+        return replace(self, sig=directory.sign(self.sender, self.body()))
 
 
 @dataclass
@@ -150,6 +152,17 @@ def _require_fresh(state: _State, unit_id: str) -> None:
 _MINT, _TRANSFER, _SPLIT, _MERGE, _BURN = (
     RecordKind.MINT, RecordKind.TRANSFER, RecordKind.SPLIT, RecordKind.MERGE, RecordKind.BURN
 )
+
+
+# kind -> (positions in `unit_ids`/`amounts` the record makes live, those it
+# consumes or moves); a TRANSFER moves position 0 to `parties[1]`
+LAYOUT: dict[RecordKind, tuple[tuple[int, ...], tuple[int, ...]]] = {
+    RecordKind.MINT: ((0,), ()),
+    RecordKind.TRANSFER: ((0,), (0,)),
+    RecordKind.SPLIT: ((1, 2), (0,)),
+    RecordKind.MERGE: ((2,), (0, 1)),
+    RecordKind.BURN: ((), (0,)),
+}
 
 
 def step(
@@ -284,23 +297,13 @@ class Registry:
     def sign_bytes(self, msg: bytes) -> Signature:
         return self.directory.sign(self.key_id, msg)
 
-    def endorse(self, request: EndorseRequest) -> None:
+    def endorse(self, request: EndorseRequest) -> tuple[LedgerRecord, Signature]:
+        """Commit `request`; return its record and the registry's signature on the line."""
+        record = request.record(len(self.records))
         if request.sig is None or not self.directory.verify(
-            request.sender, request.body(), request.sig
+            request.sender, record.body().encode(), request.sig
         ):
             raise BadSignature(f"endorsement request by {request.sender}")
-        parties: tuple[str, ...] = (request.sender,)
-        if request.kind is RecordKind.TRANSFER and request.new_owner:
-            parties += (request.new_owner,)
-        record = LedgerRecord(
-            seq=len(self.records),
-            at=request.at,
-            kind=request.kind,
-            unit_ids=request.unit_ids,
-            amounts=request.amounts,
-            parties=parties,
-            reason=request.reason,
-        )
         live = self._state.live
         before = [live.get(uid) for uid in record.unit_ids]
         step(self._state, record, self._issuers)
@@ -315,6 +318,7 @@ class Registry:
         self.record_sigs.append(sig)
         self.now = max(self.now, request.at)
         self.last_request = request
+        return record, sig
 
     # -- statistics ------------------------------------------------------
 

@@ -17,7 +17,6 @@ from progmoney.money import (
     NotActive,
     ObligationUnpayable,
     PolicyForbids,
-    TransferStamp,
     UnitState,
     mint,
     merge,
@@ -89,13 +88,16 @@ class TestMint:
         _, registry, bank = world
         unit = mint(bank, 500, "SIM", pol.EMPTY_POLICY, registry, at=3)
         assert len(unit.provenance) == 1
-        stamp = unit.provenance[0]
-        assert (stamp.frm, stamp.to, stamp.amount, stamp.at) == (
-            "central",
-            "central",
-            500,
+        record = unit.provenance[0]
+        assert (record.kind, record.unit_ids, record.amounts, record.parties, record.at) == (
+            RecordKind.MINT,
+            (unit.id,),
+            (500,),
+            ("central",),
             3,
         )
+        assert record == registry.records[-1]
+        assert unit.lineage.holding() == (unit.id, "central", 500)
 
 
 class TestSplit:
@@ -131,8 +133,8 @@ class TestSplit:
         for child in (a, b):
             assert child.provenance[0] == unit.provenance[0]
             assert verify_integrity(child, directory).ok
-            assert child.provenance[-1].to == child.owner
-            assert child.provenance[-1].amount == child.value
+            assert child.provenance[-1].kind is RecordKind.SPLIT
+            assert child.lineage.holding() == (child.id, child.owner, child.value)
 
 
 class TestMerge:
@@ -274,8 +276,8 @@ class TestTransfer:
         outcome = transfer(unit, "bob", ctx_for(unit, category="sale"), registry, at=1)
         for current in outcome.all_units():
             assert verify_integrity(current, directory).ok
-            assert current.provenance[-1].to == current.owner
-            assert current.provenance[-1].amount == current.value
+            assert current.provenance[-1] == current.lineage.record
+            assert current.lineage.holding() == (current.id, current.owner, current.value)
 
 
 class TestIntegrity:
@@ -316,7 +318,7 @@ class TestIntegrity:
         unit = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
         assert verify_integrity(unit, directory).ok
         node = unit.lineage
-        unit.lineage = LineageNode(replace(node.stamp, amount=99), node.parents)
+        unit.lineage = replace(node, record=replace(node.record, amounts=(99,)))
         result = verify_integrity(unit, directory)
         assert not result.ok
         assert any("stamp 0" in p for p in result.problems)
@@ -339,20 +341,41 @@ class TestIntegrity:
         unit.policy_hash = swapped.content_hash
         unit.mint_sig = directory.sign("mallory", unit.birth_body())
         forged = None
-        for stamp in unit.provenance:
-            resigned = TransferStamp(
-                frm="mallory",
-                to=unit.owner,
-                amount=unit.value,
-                at=stamp.at,
-                endorsement=directory.sign("mallory", stamp.body()),
-                sender_sig=directory.sign("mallory", stamp.body()),
+        for record in unit.provenance:
+            resigned = replace(record, parties=("mallory",))
+            forged = LineageNode(
+                resigned,
+                directory.sign("mallory", resigned.line().encode()),
+                directory.sign("mallory", resigned.body().encode()),
+                0,
+                (forged,) if forged else (),
             )
-            forged = LineageNode(resigned, (forged,) if forged else ())
         unit.lineage = forged
         result = verify_integrity(unit, directory)
         assert not result.ok
         assert any("unexpected key" in p for p in result.problems)
+
+    def test_lineage_grafted_from_another_unit_detected(self, world):
+        # bob puts the node of u's transfer to him on top of v, which he never got
+        directory, registry, bank = world
+        u = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
+        v = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
+        transfer(u, "bob", ctx_for(u), registry, at=1)
+        v.lineage = replace(u.lineage, parents=(v.lineage,))
+        v.owner = "bob"
+        result = verify_integrity(v, directory)
+        assert "provenance is another unit's" in result.problems
+        assert "stamp 1 parents are not the units the record consumed" in result.problems
+        assert registry.owner_of(v.id) == "central"
+
+    def test_lineage_reparented_onto_another_unit_detected(self, world):
+        directory, registry, bank = world
+        u = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
+        v = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
+        transfer(v, "alice", ctx_for(v), registry, at=1)
+        v.lineage = replace(v.lineage, parents=(u.lineage,))
+        result = verify_integrity(v, directory)
+        assert result.problems == ("stamp 1 parents are not the units the record consumed",)
 
 
 def _resign_birth_by_mallory(unit, directory):
@@ -364,6 +387,17 @@ def _edit_policy_text(unit, _directory):
     program = unit.policy.program
     edited = program.source_canonical.replace("1/5", "1/9")
     unit.policy = pol.CheckedPolicy(pol.PolicyProgram(program.rules, edited, program.content_hash))
+
+
+def _edit_head_record(**fields):
+    def edit(unit, _directory):
+        unit.lineage = replace(unit.lineage, record=replace(unit.lineage.record, **fields))
+
+    return edit
+
+
+def _set_head_slot(slot):
+    return lambda unit, _: setattr(unit, "lineage", replace(unit.lineage, slot=slot))
 
 
 class TestVerifyOnce:
@@ -420,8 +454,8 @@ class TestVerifyOnce:
         assert verify_integrity(unit, directory).ok
         head = unit.lineage
         [root] = head.parents
-        forged_root = LineageNode(replace(root.stamp, amount=99))
-        unit.lineage = LineageNode(head.stamp, (forged_root,))
+        forged_root = replace(root, record=replace(root.record, amounts=(99,)))
+        unit.lineage = replace(head, parents=(forged_root,))
         for _ in range(2):
             result = verify_integrity(unit, directory)
             assert "stamp 0 endorsement mismatch" in result.problems
@@ -448,7 +482,7 @@ class TestVerifyOnce:
             if node not in seen:
                 seen.add(node)
                 todo.extend(node.parents)
-        # a SPLIT is one record but gives each of its two children a stamp
+        # a SPLIT is one record but gives each of its two children a node
         splits = sum(record.kind is RecordKind.SPLIT for record in registry.records)
         bound = len(registry.records) + splits
         assert len(seen) <= bound
@@ -471,19 +505,28 @@ class TestVerifyOnce:
                 "policy text hash mismatch",
             ),
             (lambda unit, _: setattr(unit, "id", "u999"), "birth signature mismatch"),
-            (
-                lambda unit, _: setattr(
-                    unit, "lineage", LineageNode(replace(unit.lineage.stamp, at=1))
-                ),
-                "stamp 0 endorsement mismatch",
-            ),
+            (_edit_head_record(at=2), "stamp 1 endorsement mismatch"),
             (_edit_policy_text, "policy text hash mismatch"),
+            (_set_head_slot(2), "provenance is another unit's"),  # the other child's
+            (_set_head_slot(0), "stamp 1 slot 0 is not one a SPLIT makes"),
+            (_edit_head_record(amounts=()), "stamp 1 record is malformed"),
         ],
-        ids=["mint_sig", "currency", "policy_hash", "id", "lineage", "policy"],
+        ids=[
+            "mint_sig",
+            "currency",
+            "policy_hash",
+            "id",
+            "lineage",
+            "policy",
+            "sibling_slot",
+            "consumed_slot",
+            "malformed_record",
+        ],
     )
     def test_one_field_edit_after_a_warm_check_detected(self, world, edit, problem):
         directory, registry, bank = world
-        unit = mint(bank, 100, "SIM", pol.compile_policy(SALES_TAX), registry)
+        parent = mint(bank, 100, "SIM", pol.compile_policy(SALES_TAX), registry)
+        unit, _ = split(parent, 40, registry, at=1)
         assert verify_integrity(unit, directory).ok
         assert verify_integrity(unit, directory).ok
         edit(unit, directory)
