@@ -288,7 +288,7 @@ def split(unit: MoneyUnit, amount: int, registry: Registry, at: int) -> tuple[Mo
             home=unit.home,
             last_contact=unit.last_contact,
         )
-        c.mint_sig = registry.sign_bytes(c.birth_body())  # the registry signs derived births
+        c.mint_sig = registry.sign_bytes(c.birth_body())  # derived: registry-signed
         return c
 
     return child(1), child(2)

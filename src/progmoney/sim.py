@@ -396,7 +396,7 @@ class Simulation:
             return
         ctx = self._eval_ctx(host, unit, location=host.location)
         decision = pol.evaluate(unit.policy, pol.EventKind.TICK, ctx)
-        self._execute_obligations(host, unit, decision.obligations, ())
+        self._execute_obligations(host, unit, decision.obligations)
 
     def _attest_failed(self, host: Host, unit: MoneyUnit, event: str) -> None:
         """Run `unit`'s ATTEST_FAIL rules: its host has no location it can prove."""
@@ -404,8 +404,7 @@ class Simulation:
             unit.policy, pol.EventKind.ATTEST_FAIL, self._eval_ctx(host, unit)
         )
         self.obs(host.id, event, unit=unit.id)
-        # a unit zeroised here tells every NOTIFY target of this decision
-        self._execute_obligations(host, unit, decision.obligations, decision.obligations)
+        self._execute_obligations(host, unit, decision.obligations)
 
     def _attests(self, host: Host) -> bool:
         """Whether `host`'s location attestation verifies now.
@@ -441,13 +440,13 @@ class Simulation:
             home=unit.home,
         )
 
-    def _zeroise(self, host_id: str, unit: MoneyUnit, reason: str, notices) -> None:
-        """Burn `unit`, then tell the target of each NOTIFY obligation in `notices`."""
+    def _zeroise(self, host_id: str, unit: MoneyUnit, reason: str, obligations) -> None:
+        """Burn `unit`, then tell the target of each NOTIFY obligation in `obligations`."""
         value = unit.value
         self._burn(unit, reason)
         self.obs(host_id, "zeroise", unit=unit.id, reason=reason, value=value)
         body = f"zeroise unit={unit.id} reason={reason} value={value}"
-        notes = [(ob.target, body) for ob in notices if isinstance(ob, pol.NotifyObligation)]
+        notes = [(ob.target, body) for ob in obligations if isinstance(ob, pol.NotifyObligation)]
         self._dispatch_notifications(host_id, notes)
 
     def _tampered(self, host: Host, unit: MoneyUnit, problems: int | str) -> None:
@@ -456,8 +455,8 @@ class Simulation:
         decision = pol.evaluate(unit.policy, pol.EventKind.TAMPER, self._eval_ctx(host, unit))
         self._zeroise(host.id, unit, "tamper", decision.obligations)
 
-    def _execute_obligations(self, host: Host, unit: MoneyUnit, obligations, notices) -> None:
-        """Carry out `obligations` until the unit is gone; a ZEROISE sends `notices`."""
+    def _execute_obligations(self, host: Host, unit: MoneyUnit, obligations) -> None:
+        """Carry out `obligations` until the unit is gone; a ZEROISE sends their notices."""
         current = unit
         for ob in obligations:
             if current is None or current.state is not UnitState.ACTIVE:
@@ -469,7 +468,7 @@ class Simulation:
                     host.id, [(ob.target, f"tick unit={current.id}")]
                 )
             elif isinstance(ob, pol.ZeroiseObligation):
-                self._zeroise(host.id, current, ob.reason, notices)
+                self._zeroise(host.id, current, ob.reason, obligations)
                 current = None
             elif isinstance(ob, pol.MoveToBestRateObligation):
                 self._plan_delegated_move(host, current)

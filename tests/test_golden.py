@@ -26,9 +26,9 @@ GOLDEN = {
         "94e510e67f9e09a3d4a7ab7331e13b1fbd0450d2957b1a226c5f64324d30dea0",
     ),
     "annual_contact.scn": (
-        "4f6f8214143e2cdc3621758a6afb670001a3c71a759977405e52e229047b08ed",
+        "3837e15812446b094ad66238cf3f9a8c271e7025d690f87d2448711345aa2f60",
         "30761caa5da3ae45ad2f18e92f9875748e2aa9541a4d3609366d07104c2ba3b9",
-        "c32fae01f9fd4a485c03cf7ba3bc01e97fff38af7272c87c1b41026fba009d02",
+        "0b228c10f9c44bef785392471397b87cde7fdce0d6d731454644576f120883c9",
     ),
     "delegation.scn": (
         "25ed47785d8d9147984cf3a5a92862519968273d6a29013be88c8eb21c87a6da",
@@ -41,9 +41,9 @@ GOLDEN = {
         "2dbac77bcb8439ba9f7ceb68820c4e67bebea05a8debc4a135e1362783103ee8",
     ),
     "jurisdiction.scn": (
-        "4292f6732925dd52f099f68addab8f4785bc1bdb42ff7def5339df2b6b34f8fc",
+        "952ac83eb1a4c111d2db7bc0ae7f21137daa7b70d2289db2536f5ac1670f24c4",
         "9d44430bc1fa3d3e20d37a5e9dc740f7e0942e5a17671b32a061b919174ff7e5",
-        "e0744653e4e4a13691c0a8da2ad00eb5a2a4503c0cdb780c40d6ad255d7126fd",
+        "052104d297408972f896bb03455506f84af653c30a9f8a2d5c2ea067c607bc2c",
     ),
     "legality.scn": (
         "cd8e180b0954d202e2816f59e785c9c28386ef0c1aa34384dd0ba07f2ea44cbc",
@@ -56,9 +56,9 @@ GOLDEN = {
         "f6849c99788acc3470812b1244a1f313be501b6bc75b299959744fd998b83268",
     ),
     "mixed.scn": (
-        "04a22f75d2a489f644edbad78d029bb5bdba941f5ec5bb943f41f177db0fa860",
+        "94cd6c8c74aadba6e7571a0cb40678237ae3b0a27a6ebd868143f8bfd164974f",
         "73c5375ce32f1ad27f1115a664cd243731c0004836c068777f6dfe8da36b46aa",
-        "c60bd66838f6bca2f257d2e297db1e968d232b06e221c44f215f283b48c52064",
+        "628a5f421bb4a1db2f3048ca1db80855bc01ea813196ce82c3254fd9e6c51a3f",
     ),
     "sales_tax.scn": (
         "ad7f523801ab231ccccfb025b00c4a7b02ad8dd749807e44b342f0df936eee75",

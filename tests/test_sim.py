@@ -286,8 +286,13 @@ class TestUpkeep:
                 ("WITHHOLD", "alice", "on"),
             ),
             ('OBLIGATION ON TAMPER IF home == "HOME" DO NOTIFY "government";', ("TAMPER", "alice")),
+            (
+                'OBLIGATION ON TICK IF home == "HOME" AND location != "HOME" '
+                'DO ZEROISE, NOTIFY "government";',
+                ("MOVE_HOST", "alice", "ABROAD"),
+            ),
         ],
-        ids=["attest_fail", "tamper"],
+        ids=["attest_fail", "tamper", "tick"],
     )
     def test_conditioned_zeroise_notice_is_sent(self, rule, script):
         # the condition reads the unit's home, which the notice is evaluated with
