@@ -95,32 +95,29 @@ class LineageNode:
     sender_sig: Signature
     slot: int
     parents: tuple[LineageNode, ...] = ()
+    # (id, owner, amount) of the unit the record makes at `slot`; None if it
+    # makes none there, or has no party or no id and amount at each position
+    holding: Optional[tuple[str, str, int]] = field(init=False)
     # requester of the first record along first parents: the minting issuer
     issuer: str = field(init=False)
     verified_by: Optional[KeyDirectory] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        issuer = self.parents[0].issuer if self.parents else self.record.parties[0]
-        object.__setattr__(self, "issuer", issuer)
-
-    def holding(self) -> Optional[tuple[str, str, int]]:
-        """The unit the record makes at `slot`: (id, owner, amount); None if it makes none."""
         record, slot = self.record, self.slot
-        if slot not in LAYOUT[record.kind][0] or not _well_formed(record):
-            return None
-        return record.unit_ids[slot], record.parties[-1], record.amounts[slot]
+        made, consumed = LAYOUT[record.kind]
+        width = 1 + max(made + consumed)
+        ids, amounts = record.unit_ids, record.amounts
+        holding = None
+        if slot in made and record.parties and len(ids) == len(amounts) == width:
+            holding = (ids[slot], record.parties[-1], amounts[slot])
+        object.__setattr__(self, "holding", holding)
+        issuer = self.parents[0].issuer if self.parents else record.parties[0]
+        object.__setattr__(self, "issuer", issuer)
 
     def __deepcopy__(self, memo) -> LineageNode:
         # immutable and shared by design; a copy would also drag along
         # `verified_by`, whose keyed hashers cannot be copied
         return self
-
-
-def _well_formed(record: LedgerRecord) -> bool:
-    """Whether `record` has a party, and an id and an amount at every position of its kind."""
-    made, consumed = LAYOUT[record.kind]
-    width = 1 + max(made + consumed)
-    return bool(record.parties) and len(record.unit_ids) == len(record.amounts) == width
 
 
 def _ancestry(
@@ -234,7 +231,7 @@ def mint(
         kind=RecordKind.MINT,
         unit_ids=(unit_id,),
         amounts=(value,),
-        new_owner=None,
+        new_owner=bank.key_id,
         sender=bank.key_id,
         at=at,
     ).signed(registry.directory)
@@ -268,7 +265,7 @@ def split(unit: MoneyUnit, amount: int, registry: Registry, at: int) -> tuple[Mo
         kind=RecordKind.SPLIT,
         unit_ids=(unit.id, c1_id, c2_id),
         amounts=(unit.value, amount, unit.value - amount),
-        new_owner=None,
+        new_owner=unit.owner,
         sender=unit.owner,
         at=at,
     ).signed(registry.directory)
@@ -306,7 +303,7 @@ def merge(a: MoneyUnit, b: MoneyUnit, registry: Registry, at: int) -> MoneyUnit:
         kind=RecordKind.MERGE,
         unit_ids=(a.id, b.id, merged_id),
         amounts=(a.value, b.value, a.value + b.value),
-        new_owner=None,
+        new_owner=a.owner,
         sender=a.owner,
         at=at,
     ).signed(registry.directory)
@@ -484,7 +481,7 @@ def verify_integrity(
             problems.append("birth signature by unexpected key")
         elif not directory.verify(signer, unit.birth_body(), unit.mint_sig):
             problems.append("birth signature mismatch")
-        held = head.holding()
+        held = head.holding
         if held is None or held[0] != unit.id:
             problems.append("provenance is another unit's")
         elif held[1:] != (unit.owner, unit.value):
@@ -563,8 +560,8 @@ def _verify_lineage(head: LineageNode, directory: KeyDirectory, registry_key: st
 
 def _node_faults(node: LineageNode, directory: KeyDirectory, registry_key: str) -> list[str]:
     record = node.record
-    if not _well_formed(record):
-        return ["record is malformed"]
+    if node.holding is None:
+        return [f"record makes no unit at slot {node.slot}"]
     body = record.body()
     requester = record.parties[0]
     faults = []
@@ -576,12 +573,9 @@ def _node_faults(node: LineageNode, directory: KeyDirectory, registry_key: str) 
         faults.append("sender is not the requester")
     elif not directory.verify(requester, body.encode(), node.sender_sig):
         faults.append("sender signature mismatch")
-    made, consumed = LAYOUT[record.kind]
-    if node.slot not in made:
-        faults.append(f"slot {node.slot} is not one a {record.kind.value} makes")
     ids, amounts = record.unit_ids, record.amounts
-    if [parent.holding() for parent in node.parents] != [
-        (ids[i], requester, amounts[i]) for i in consumed
+    if [parent.holding for parent in node.parents] != [
+        (ids[i], requester, amounts[i]) for i in LAYOUT[record.kind][1]
     ] or any(parent.record.seq >= record.seq for parent in node.parents):
         faults.append("parents are not the units the record consumed")
     return faults

@@ -25,7 +25,7 @@ ids the new record names; replay has no use for it and does not keep one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -73,13 +73,18 @@ class LedgerRecord:
     amounts: tuple[int, ...]
     parties: tuple[str, ...]
     reason: Optional[str] = None
+    # body() once built: both signatures on a record are checked against it
+    _body: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def body(self) -> str:
         """The record without its seq: what the requester signs."""
-        ids = ",".join(self.unit_ids)
-        amounts = ",".join(str(a) for a in self.amounts)
-        parties = ",".join(self.parties)
-        return f"{self.at}|{self.kind.value}|{ids}|{amounts}|{parties}|{self.reason or '-'}"
+        if self._body is None:
+            ids = ",".join(self.unit_ids)
+            amounts = ",".join(str(a) for a in self.amounts)
+            parties = ",".join(self.parties)
+            body = f"{self.at}|{self.kind.value}|{ids}|{amounts}|{parties}|{self.reason or '-'}"
+            object.__setattr__(self, "_body", body)
+        return self._body
 
     def line(self) -> str:
         """The ledger line: what the registry signs and exports."""
@@ -112,7 +117,11 @@ class EndorseRequest:
         return self.record(0).body().encode()
 
     def signed(self, directory: KeyDirectory) -> "EndorseRequest":
-        return replace(self, sig=directory.sign(self.sender, self.body()))
+        sig = directory.sign(self.sender, self.body())
+        return EndorseRequest(
+            self.kind, self.unit_ids, self.amounts, self.new_owner, self.sender, self.at,
+            self.reason, sig,
+        )
 
 
 @dataclass

@@ -97,7 +97,7 @@ class TestMint:
             3,
         )
         assert record == registry.records[-1]
-        assert unit.lineage.holding() == (unit.id, "central", 500)
+        assert unit.lineage.holding == (unit.id, "central", 500)
 
 
 class TestSplit:
@@ -134,7 +134,7 @@ class TestSplit:
             assert child.provenance[0] == unit.provenance[0]
             assert verify_integrity(child, directory).ok
             assert child.provenance[-1].kind is RecordKind.SPLIT
-            assert child.lineage.holding() == (child.id, child.owner, child.value)
+            assert child.lineage.holding == (child.id, child.owner, child.value)
 
 
 class TestMerge:
@@ -277,7 +277,7 @@ class TestTransfer:
         for current in outcome.all_units():
             assert verify_integrity(current, directory).ok
             assert current.provenance[-1] == current.lineage.record
-            assert current.lineage.holding() == (current.id, current.owner, current.value)
+            assert current.lineage.holding == (current.id, current.owner, current.value)
 
 
 class TestIntegrity:
@@ -508,8 +508,8 @@ class TestVerifyOnce:
             (_edit_head_record(at=2), "stamp 1 endorsement mismatch"),
             (_edit_policy_text, "policy text hash mismatch"),
             (_set_head_slot(2), "provenance is another unit's"),  # the other child's
-            (_set_head_slot(0), "stamp 1 slot 0 is not one a SPLIT makes"),
-            (_edit_head_record(amounts=()), "stamp 1 record is malformed"),
+            (_set_head_slot(0), "stamp 1 record makes no unit at slot 0"),
+            (_edit_head_record(amounts=()), "stamp 1 record makes no unit at slot 1"),
         ],
         ids=[
             "mint_sig",
