@@ -21,9 +21,11 @@ kind, unit ids, amounts and parties, so a node cannot be moved onto another
 unit's history.  Nodes are shared by every descendant and never copied, so
 lineage grows with the ledger, not with the number of splits and merges
 behind a unit.  `verify_integrity` checks each node once per `KeyDirectory`
-and remembers the result on the node; the policy text check is remembered
-on each `PolicyProgram`; and a unit remembers what its last sound check
-read, so an unchanged unit's next check costs no MAC.  Edited records,
+and remembers the result on the node; a SPLIT record, whose signatures
+both children's nodes carry, remembers the pair that verified; the policy
+text check is remembered on each `PolicyProgram`; and a unit remembers
+what its last sound check read, so an unchanged unit's next check costs
+no MAC.  Edited records,
 nodes and policies are new objects, and an edited unit field no longer
 matches the unit's memo, so each is checked afresh.
 """
@@ -458,8 +460,9 @@ def verify_integrity(
     owner and value.
 
     Work is done once per object: the policy text's hash and render are
-    remembered on its `PolicyProgram`, and a lineage node that checks out
-    records `directory` in `verified_by`.  A sound check also leaves on the
+    remembered on its `PolicyProgram`, a lineage node that checks out
+    records `directory` in `verified_by`, and a SPLIT record remembers the
+    two signatures that verified on it.  A sound check also leaves on the
     unit the directory and everything else it read (`_reading`); while each
     of those is still the very same object, the next call returns
     `INTEGRITY_OK` with no MAC.  Any edit to a field, a re-signature, a new
@@ -562,17 +565,30 @@ def _node_faults(node: LineageNode, directory: KeyDirectory, registry_key: str) 
     record = node.record
     if node.holding is None:
         return [f"record makes no unit at slot {node.slot}"]
-    body = record.body()
     requester = record.parties[0]
+    # the signers are pinned below on every call, so a record whose very
+    # same two signatures verified under this directory needs no MAC
+    signed = record._signed
+    checked = (
+        signed is not None
+        and signed[0]() is directory
+        and signed[1] is node.sig
+        and signed[2] is node.sender_sig
+    )
     faults = []
     if node.sig.signer != registry_key:
         faults.append("endorsement by unexpected key")
-    elif not directory.verify(registry_key, record.line().encode(), node.sig):
+    elif not checked and not directory.verify(registry_key, record.line().encode(), node.sig):
         faults.append("endorsement mismatch")
     if node.sender_sig.signer != requester:
         faults.append("sender is not the requester")
-    elif not directory.verify(requester, body.encode(), node.sender_sig):
+    elif not checked and not directory.verify(requester, record.body().encode(), node.sender_sig):
         faults.append("sender signature mismatch")
+    if not faults and not checked and record.kind is RecordKind.SPLIT:
+        # only a SPLIT's record is met again, through its other child
+        object.__setattr__(
+            record, "_signed", (weakref.ref(directory), node.sig, node.sender_sig)
+        )
     ids, amounts = record.unit_ids, record.amounts
     if [parent.holding for parent in node.parents] != [
         (ids[i], requester, amounts[i]) for i in LAYOUT[record.kind][1]

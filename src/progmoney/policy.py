@@ -19,6 +19,7 @@ evidence.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -184,6 +185,48 @@ class PolicyProgram:
         for i, rule in enumerate(self.rules):
             index[rule.event].append((i, rule, _compile_condition(rule.condition)))
         return {event: tuple(entries) for event, entries in index.items()}
+
+    @cached_property
+    def tick_flips(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Where a TICK condition's comparison can change truth, in ascending order.
+
+        The first tuple holds ticks (from `now`), the second ages since the
+        last contact (from `last_contact`).  Every other field a TICK
+        context holds stays put while time passes, so between two of these
+        points every TICK matcher keeps its truth value.
+        """
+        flips: dict[str, set[int]] = {"now": set(), "last_contact": set()}
+        for rule in self.rules:
+            if rule.event is not EventKind.TICK or rule.condition is None:
+                continue
+            for term in rule.condition.terms:
+                for factor in term.factors:
+                    if factor.field in flips and isinstance(factor.literal, int):
+                        flips[factor.field].update(_flip_points(factor.op, factor.literal))
+        return tuple(sorted(flips["now"])), tuple(sorted(flips["last_contact"]))
+
+    def next_tick_change(self, now: int, contact_origin: int) -> Optional[int]:
+        """The first tick after `now` at which a TICK matcher can change, or None.
+
+        `contact_origin` is the tick of the unit's last contact, so
+        `last_contact` reads `tick - contact_origin` at any tick.
+        """
+        at_now, at_age = self.tick_flips
+        i = bisect_right(at_now, now)
+        j = bisect_right(at_age, now - contact_origin)
+        ticks = [at_now[i]] if i < len(at_now) else []
+        if j < len(at_age):
+            ticks.append(at_age[j] + contact_origin)
+        return min(ticks) if ticks else None
+
+
+def _flip_points(op: str, c: int) -> tuple[int, ...]:
+    """The values v of an integer field at which `v op c` differs from `v-1 op c`."""
+    if op == ">":
+        return (c + 1,)
+    if op == "<":
+        return (c,)
+    return (c, c + 1)  # == and !=
 
 
 # --- Errors ------------------------------------------------------------

@@ -75,6 +75,10 @@ class LedgerRecord:
     reason: Optional[str] = None
     # body() once built: both signatures on a record are checked against it
     _body: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+    # (directory by weak reference, sig, sender_sig) whose two MACs on this
+    # record `money.verify_integrity` found sound; both children of a SPLIT
+    # carry the same signatures, so the second reuses the check
+    _signed: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def body(self) -> str:
         """The record without its seq: what the requester signs."""

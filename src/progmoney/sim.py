@@ -8,12 +8,19 @@ Each tick runs three phases in fixed order:
 
   1. scheduled events, in (tick, seq) order — script actions, message
      deliveries, delegated moves;
-  2. unit upkeep, in (host id, unit id) order — integrity check (free for
-     a unit unchanged since its last sound check), location attestation
-     (made and verified once per host), TICK policy evaluation and its
-     obligations; a host that withholds its attestation, or whose
-     attestation fails verification, runs its units' ATTEST_FAIL rules
-     instead of their TICK rules;
+  2. unit upkeep of the units due this tick, in (host id, unit id) order —
+     integrity check (free for a unit unchanged since its last sound
+     check), location attestation (made and verified once per host, at
+     its first due unit), TICK policy evaluation and its obligations; a
+     host that withholds its attestation, or whose attestation fails
+     verification, runs its units' ATTEST_FAIL rules instead of their
+     TICK rules.  A unit is due when it is placed (mint, split, merge,
+     transfer, payment, interest), tampered with, or its host moves,
+     contacts its government or starts or stops withholding; it stays due
+     every tick while its upkeep runs ATTEST_FAIL rules or TICK
+     obligations, and otherwise sleeps until the next tick at which one
+     of its TICK comparisons of `now` or `last_contact` can flip.  A unit
+     woken during upkeep or the period boundary is due the next tick;
   3. period boundary work — bank interest accrual and the supply rule.
 
 Observations are "tick|host|event|details" lines and are the authoritative
@@ -119,6 +126,10 @@ class Simulation:
         self._config_observed = False
         # host id -> whether its attestation verifies, for this tick's upkeep
         self._attested: dict[str, bool] = {}
+        # tick -> ids of the units whose upkeep is due then (see `_wake`)
+        self._wakes: dict[int, set[str]] = {}
+        # the first tick whose upkeep has not begun
+        self._next_upkeep = 0
 
     # -- observations ----------------------------------------------------
 
@@ -271,6 +282,7 @@ class Simulation:
 
     def _place_unit(self, unit: MoneyUnit) -> None:
         self.units[unit.id] = unit
+        self._wake(unit.id)
         if unit.owner not in self.hosts:
             self.obs("sim", "orphan_unit", unit=unit.id, owner=unit.owner)
 
@@ -368,35 +380,66 @@ class Simulation:
         return sum(u.value for u in self.active_units_of(host_id))
 
     # -- upkeep -----------------------------------------------------------
+    # A unit's upkeep writes nothing while its integrity memo holds, its host
+    # attests and its TICK decision carries no obligations.  Only a mutation
+    # of the unit or its host, or time reaching a tick at which a TICK
+    # comparison of `now` or `last_contact` flips, can end that, so each
+    # unit is visited only at the ticks `_wakes` names: the flip tick its
+    # last visit found, the next tick if that visit did anything, and the
+    # first upkeep after each mutation that touched it.  A stale or extra
+    # wake-up costs one visit that writes nothing.
+
+    def _wake(self, unit_id: str, at: Optional[int] = None) -> None:
+        """Make `unit_id` due at tick `at`, or at the first upkeep not yet begun."""
+        tick = max(self.now, self._next_upkeep) if at is None else at
+        due = self._wakes.get(tick)
+        if due is None:
+            self._wakes[tick] = {unit_id}
+        else:
+            due.add(unit_id)
+
+    def _wake_units_of(self, host_id: str) -> None:
+        for uid in self.registry.holdings(host_id):
+            self._wake(uid)
 
     def _upkeep(self) -> None:
         self._attested.clear()
-        pairs = [
-            (host_id, uid)
-            for host_id in sorted(self.hosts)
-            for uid in self.registry.holdings(host_id)
-        ]
-        for host_id, uid in pairs:
+        self._next_upkeep = self.now + 1
+        owner_of = self.registry.owner_of
+        # this tick's due units in (host, unit) order; ids consumed or held
+        # by no host since they were woken are dropped
+        due = sorted(
+            (owner, uid)
+            for uid in self._wakes.pop(self.now, ())
+            if (owner := owner_of(uid)) in self.hosts
+        )
+        for host_id, uid in due:
             # an earlier unit's upkeep this tick may have moved or consumed it
-            if self.registry.owner_of(uid) == host_id:
-                self._upkeep_unit(self.hosts[host_id], self.units[uid])
+            if owner_of(uid) == host_id:
+                at = self._upkeep_unit(self.hosts[host_id], self.units[uid])
+                if at is not None:
+                    self._wake(uid, at)
 
-    def _upkeep_unit(self, host: Host, unit: MoneyUnit) -> None:
+    def _upkeep_unit(self, host: Host, unit: MoneyUnit) -> Optional[int]:
+        """Run one unit's upkeep; returns the tick its next one is due, None for never."""
         integrity = money.verify_integrity(unit, self.directory, self.registry.key_id)
         if not integrity:
             self._tampered(host, unit, len(integrity.problems))
-            return
+            return None
 
         if host.id in self.withholding or host.role is Role.ADVERSARY:
             self._attest_failed(host, unit, "attest_fail")
-            return
+            return self.now + 1
 
         if not self._attests(host):
             self._attest_failed(host, unit, "attest_invalid")
-            return
+            return self.now + 1
         ctx = self._eval_ctx(host, unit, location=host.location)
         decision = pol.evaluate(unit.policy, pol.EventKind.TICK, ctx)
-        self._execute_obligations(host, unit, decision.obligations)
+        if decision.obligations:
+            self._execute_obligations(host, unit, decision.obligations)
+            return self.now + 1
+        return unit.policy.program.next_tick_change(self.now, unit.last_contact)
 
     def _attest_failed(self, host: Host, unit: MoneyUnit, event: str) -> None:
         """Run `unit`'s ATTEST_FAIL rules: its host has no location it can prove."""
@@ -771,12 +814,14 @@ class Simulation:
         touched = 0
         for unit in self.active_units_of(host_id):
             unit.last_contact = self.now
+            self._wake(unit.id)
             touched += 1
         self.obs(host_id, "contact", units=touched)
 
     def act_move_host(self, host_id: HostArg, location: str) -> None:
         host = self.host(host_id)
         host.location = location
+        self._wake_units_of(host_id)
         self.obs(host_id, "move_host", location=location)
 
     def act_tamper(self, host_id: HostArg, index: IntArg = "0") -> None:
@@ -800,6 +845,7 @@ class Simulation:
                 unit.policy.rules, mutated, unit.policy.program.content_hash
             )
         )
+        self._wake(unit.id)
         self.obs(host_id, "tamper", unit=unit.id, pos=pos)
 
     def act_replay(self, adversary_id: HostArg, count: IntArg = "1") -> None:
@@ -861,6 +907,7 @@ class Simulation:
             self.withholding.add(host_id)
         else:
             self.withholding.discard(host_id)
+        self._wake_units_of(host_id)
         self.obs(host_id, "withhold", flag=flag)
 
     def act_spoof(self, adversary_id: HostArg, victim_id: HostArg, target_id: HostArg) -> None:

@@ -460,6 +460,35 @@ class TestVerifyOnce:
             result = verify_integrity(unit, directory)
             assert "stamp 0 endorsement mismatch" in result.problems
 
+    def test_split_twin_reuses_its_record_check(self, world, monkeypatch):
+        directory, registry, bank = world
+        carved, rest = split(mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry), 40, registry, at=1)
+        assert verify_integrity(carved, directory).ok
+        checked = []
+        verify = KeyDirectory.verify
+        monkeypatch.setattr(
+            KeyDirectory,
+            "verify",
+            lambda self, key_id, msg, sig: checked.append(key_id) or verify(self, key_id, msg, sig),
+        )
+        assert verify_integrity(rest, directory).ok
+        # the twin's own birth signature only: the SPLIT record's two were checked for carved
+        assert checked == ["registry"]
+
+    @pytest.mark.parametrize("attr", ["sig", "sender_sig"])
+    def test_forged_split_twin_detected_after_a_warm_check(self, world, attr):
+        directory, registry, bank = world
+        carved, rest = split(mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry), 40, registry, at=1)
+        assert verify_integrity(carved, directory).ok
+        node = rest.lineage
+        genuine = getattr(node, attr)
+        rest.lineage = replace(node, **{attr: replace(genuine, mac=genuine.mac ^ 1)})
+        problem = "endorsement mismatch" if attr == "sig" else "sender signature mismatch"
+        assert f"stamp 1 {problem}" in verify_integrity(rest, directory).problems
+        # an equal copy of the genuine signature is checked again, and passes
+        rest.lineage = replace(node, **{attr: replace(genuine)})
+        assert verify_integrity(rest, directory).ok
+
     def test_verified_unit_deep_copies(self, world):
         directory, registry, bank = world
         unit = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from progmoney import policy as pol
@@ -618,3 +618,45 @@ def test_evaluate_agrees_with_the_reference_evaluator():
         ZeroiseObligation,
         pol.MoveToBestRateObligation,
     }
+
+
+# TICK conditions over the two fields that move with time, with every
+# operator and both literal kinds; a string never equals a tick and never orders
+_tick_comparisons = st.builds(
+    Comparison,
+    st.sampled_from(["now", "last_contact"]),
+    st.sampled_from(pol.OPS),
+    st.integers(0, 40) | st.sampled_from(["7", "x"]),
+)
+_tick_conditions = st.lists(
+    st.lists(_tick_comparisons, min_size=1, max_size=3).map(lambda fs: AndTerm(tuple(fs))),
+    min_size=1,
+    max_size=3,
+).map(lambda terms: OrCondition(tuple(terms)))
+_tick_rules = st.builds(
+    Rule,
+    st.just(RuleKind.OBLIGATION),
+    st.just(EventKind.TICK),
+    _tick_conditions,
+    st.just((NotifyAction("government"),)),
+)
+
+
+@settings(max_examples=60)
+@given(
+    rules=st.lists(_tick_rules, min_size=1, max_size=3).map(tuple),
+    now=st.integers(0, 60),
+    contact_origin=st.integers(0, 60),
+)
+def test_no_tick_matcher_changes_before_next_tick_change(rules, now, contact_origin):
+    program = compile_policy(pol.render_rules(rules)).program
+    after = program.next_tick_change(now, contact_origin)
+    assert after is None or after > now
+    end = now + 2_000 if after is None else after
+
+    def truths(tick):
+        ctx = EvalContext(now=tick, last_contact=tick - contact_origin, location="HOME")
+        return [matches(ctx) for _, _, matches in program.by_event[EventKind.TICK]]
+
+    first = truths(now)
+    assert all(truths(tick) == first for tick in range(now + 1, end)), (rules, now, after)

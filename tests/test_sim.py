@@ -381,11 +381,12 @@ class TestAttestationPerHost:
         assert {h: len(ids) for h, ids in units_held(sim).items()} == {
             "central": 2, "alice": 3, "bob": 2
         }
-        every_host_tick = [(h, t) for t in range(5) for h in ("alice", "bob", "central")]
-        assert made == every_host_tick
-        assert checked == every_host_tick
-        # every unit still goes through upkeep on every tick
-        assert len(upkept) == 7 * 5
+        # never more than one attestation per (host, tick)
+        assert len(set(made)) == len(made) and len(set(checked)) == len(checked)
+        # the units are visited when placed at tick 0; with no TICK rule
+        # nothing they hold can change with time, so none is due again
+        assert made == checked == [("alice", 0), ("bob", 0), ("central", 0)]
+        assert sorted(upkept) == ["alice"] * 3 + ["bob"] * 2 + ["central"] * 2
 
     def test_invalid_attestation_reaches_every_unit(self, monkeypatch):
         monkeypatch.setattr(sim_mod, "verify_attestation", lambda directory, attestation: False)
@@ -433,6 +434,93 @@ class TestAttestationPerHost:
         assert all("reason=jurisdiction" in line for line in zeroises)
         after = units_held(sim)
         assert after == {"central": before["central"], "alice": set(), "bob": before["bob"]}
+
+
+def every_tick_upkeep(self: Simulation) -> None:
+    """The upkeep loop without wake-up ticks: every live unit of every host, every tick."""
+    self._attested.clear()
+    pairs = [
+        (host_id, uid) for host_id in sorted(self.hosts) for uid in self.registry.holdings(host_id)
+    ]
+    for host_id, uid in pairs:
+        if self.registry.owner_of(uid) == host_id:
+            self._upkeep_unit(self.hosts[host_id], self.units[uid])
+
+
+@pytest.fixture(params=["wake_up", "every_tick"])
+def upkeep(request, monkeypatch):
+    """Run the test under the wake-up schedule and under the every-tick loop."""
+    if request.param == "every_tick":
+        monkeypatch.setattr(Simulation, "_upkeep", every_tick_upkeep)
+    return request.param
+
+
+class TestWakeUp:
+    """Upkeep visits a unit only when its upkeep can do something."""
+
+    def test_now_equals_rule_notifies_once(self, upkeep):
+        sim = basic_sim()
+        sim.add_policy("p", 'OBLIGATION ON TICK IF now == 3 DO NOTIFY "government";')
+        sim.schedule_script(0, ("ISSUE", "central", "alice", "100", "p"))
+        sim.run_until(8)
+        assert [line for line in sim.observations if "|notify|" in line] == [
+            "3|alice|notify|target=government"
+        ]
+
+    def test_tick_levy_pays_every_tick(self, upkeep):
+        sim = basic_sim()
+        sim.add_policy("levied", 'OBLIGATION ON TICK DO PAY 1/100 TO "tax_authority";')
+        sim.schedule_script(0, ("MINT", "central", "1000", "levied"))
+        sim.run_until(5)
+        paid = [line for line in sim.observations if "|central|pay_obligation|" in line]
+        assert [int(line.split("|")[0]) for line in paid] == list(range(6))
+        assert sim.balance_of("central") == 1000 - 10 - 9 - 9 - 9 - 9 - 9
+
+    def test_withhold_off_runs_tick_rules_that_same_tick(self, upkeep):
+        sim = basic_sim()
+        sim.add_policy("p", "OBLIGATION ON TICK IF now > 2 DO ZEROISE;")
+        sim.schedule_script(0, ("ISSUE", "central", "alice", "100", "p"))
+        sim.schedule_script(2, ("WITHHOLD", "alice", "on"))
+        sim.schedule_script(6, ("WITHHOLD", "alice", "off"))
+        sim.run_until(8)
+        withheld = [line for line in sim.observations if "|alice|attest_fail|" in line]
+        assert [int(line.split("|")[0]) for line in withheld] == [2, 3, 4, 5]
+        zeroises = [line for line in sim.observations if "|zeroise|" in line]
+        assert len(zeroises) == 1 and zeroises[0].startswith("6|alice|")
+
+    def test_idle_units_are_not_visited(self, upkeep, monkeypatch):
+        upkept = []
+        upkeep_unit = Simulation._upkeep_unit
+        monkeypatch.setattr(
+            Simulation,
+            "_upkeep_unit",
+            lambda self, host, unit: upkept.append(self.now) or upkeep_unit(self, host, unit),
+        )
+        sim = three_hosts('OBLIGATION ON TICK IF last_contact > 4 DO NOTIFY "government";')
+        sim.schedule_script(3, ("CONTACT", "bob"))
+        sim.run_until(12)
+        per_tick = {t: upkept.count(t) for t in sorted(set(upkept))}
+        if upkeep == "every_tick":
+            assert per_tick == {t: 7 for t in range(13)}
+        else:
+            # every unit when placed at 0, bob's 2 at their contact, then
+            # each unit every tick once its last_contact exceeds 4 (5 for
+            # the others, 8 for bob's); bob's units also keep the wake-up
+            # their first visit set for 5, stale since the contact
+            assert per_tick == {0: 7, 3: 2, 5: 7, 6: 5, 7: 5, 8: 7, 9: 7, 10: 7, 11: 7, 12: 7}
+
+
+def artifacts_of(sim: Simulation) -> tuple[list[str], str, str]:
+    return sim.observations, sim.registry.export(), render_report(report_for(sim))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7])
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.scn")))
+def test_wake_up_upkeep_matches_every_tick_upkeep(monkeypatch, name, seed):
+    path = str(SCENARIO_DIR / name)
+    woken = artifacts_of(run_scenario(load_scenario(path), seed=seed))
+    monkeypatch.setattr(Simulation, "_upkeep", every_tick_upkeep)
+    assert artifacts_of(run_scenario(load_scenario(path), seed=seed)) == woken
 
 
 class TestBuy:
