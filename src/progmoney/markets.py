@@ -71,43 +71,29 @@ def cda_submit(book: OrderBook, order: Order, at: int = 0) -> tuple[OrderBook, l
     """Match `order` against `book`; returns the new book and the trades."""
     if order.price <= 0 or order.qty <= 0:
         raise InvalidOrder(f"price and qty must be positive: {order}")
+    bid = order.side is Side.BID
+    own, opposite = (book.bids, list(book.asks)) if bid else (book.asks, list(book.bids))
+
+    def crosses(resting: Order) -> bool:
+        return resting.price <= order.price if bid else resting.price >= order.price
+
     trades: list[Trade] = []
     remaining = order.qty
-    if order.side is Side.BID:
-        asks = list(book.asks)
-        while remaining > 0 and asks and asks[0].price <= order.price:
-            best = asks[0]
-            qty = min(remaining, best.qty)
-            trades.append(Trade(best.price, qty, order.owner, best.owner, at))
-            remaining -= qty
-            if qty == best.qty:
-                asks.pop(0)
-            else:
-                asks[0] = replace(best, qty=best.qty - qty)
-        new_book = OrderBook(bids=book.bids, asks=tuple(asks))
-        if remaining > 0:
-            new_book = OrderBook(
-                bids=_insert(new_book.bids, replace(order, qty=remaining), descending=True),
-                asks=new_book.asks,
-            )
-        return new_book, trades
-    bids = list(book.bids)
-    while remaining > 0 and bids and bids[0].price >= order.price:
-        best = bids[0]
+    while remaining > 0 and opposite and crosses(opposite[0]):
+        best = opposite[0]
         qty = min(remaining, best.qty)
-        trades.append(Trade(best.price, qty, best.owner, order.owner, at))
+        buyer, seller = (order.owner, best.owner) if bid else (best.owner, order.owner)
+        trades.append(Trade(best.price, qty, buyer, seller, at))
         remaining -= qty
         if qty == best.qty:
-            bids.pop(0)
+            opposite.pop(0)
         else:
-            bids[0] = replace(best, qty=best.qty - qty)
-    new_book = OrderBook(bids=tuple(bids), asks=book.asks)
+            opposite[0] = replace(best, qty=best.qty - qty)
     if remaining > 0:
-        new_book = OrderBook(
-            bids=new_book.bids,
-            asks=_insert(new_book.asks, replace(order, qty=remaining), descending=False),
-        )
-    return new_book, trades
+        own = _insert(own, replace(order, qty=remaining), descending=bid)
+    if bid:
+        return OrderBook(bids=own, asks=tuple(opposite)), trades
+    return OrderBook(bids=tuple(opposite), asks=own), trades
 
 
 RateBoard = dict[str, Fraction]

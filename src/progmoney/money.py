@@ -20,14 +20,18 @@ the parent's, and a merge gets one node over both.  The record binds seq,
 kind, unit ids, amounts and parties, so a node cannot be moved onto another
 unit's history.  Nodes are shared by every descendant and never copied, so
 lineage grows with the ledger, not with the number of splits and merges
-behind a unit.  `verify_integrity` checks each node once per `KeyDirectory`
-and remembers the result on the node; a SPLIT record, whose signatures
-both children's nodes carry, remembers the pair that verified; the policy
-text check is remembered on each `PolicyProgram`; and a unit remembers
-what its last sound check read, so an unchanged unit's next check costs
-no MAC.  Edited records,
-nodes and policies are new objects, and an edited unit field no longer
-matches the unit's memo, so each is checked afresh.
+behind a unit.
+
+A unit's currency and policy hash are signed once, by the minting issuer,
+as the `Origin` on its MINT node; every other node carries its first
+parent's origin, a merge's parents must have the same one, and a split
+keeps it, so split and merge sign nothing but the ledger record.
+`verify_integrity` checks each node once per `KeyDirectory` and remembers
+the result on the node; a SPLIT record, whose signatures both children's
+nodes carry, remembers the pair that verified; and the policy text check
+is remembered on each `PolicyProgram`, so an unchanged unit's next check
+costs no MAC.  Edited records, nodes and policies are new objects, and so
+are checked afresh.
 """
 
 from __future__ import annotations
@@ -81,12 +85,32 @@ class ObligationUnpayable(ValueError):
     pass
 
 
+def origin_body(unit_id: str, value: int, currency: str, policy_hash: int) -> bytes:
+    """What the minting issuer signs in an `Origin`."""
+    return f"{unit_id}|{value}|{currency}|{digest_hex(policy_hash)}".encode()
+
+
+@dataclass(frozen=True, slots=True)
+class Origin:
+    """The currency and policy a mint gives a unit and all its descendants.
+
+    `sig` is the issuer's signature on `origin_body` of the minted unit.
+    Two origins are equal when their currency and policy are: units that
+    may merge.
+    """
+
+    currency: str
+    policy_hash: int
+    sig: Signature = field(compare=False)
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class LineageNode:
     """A unit's position `slot` in an endorsed record, over the units it consumed.
 
     `sig` is the registry's signature on `record.line()`, `sender_sig` the
-    requester's on `record.body()`.  Nodes are shared by every unit
+    requester's on `record.body()`.  `origin` is given to a MINT node; every
+    other node takes its first parent's.  Nodes are shared by every unit
     descending from them and never change, except that `verify_integrity`
     records in `verified_by` the directory under which the node and all its
     ancestors checked out.
@@ -97,11 +121,10 @@ class LineageNode:
     sender_sig: Signature
     slot: int
     parents: tuple[LineageNode, ...] = ()
+    origin: Optional[Origin] = None
     # (id, owner, amount) of the unit the record makes at `slot`; None if it
     # makes none there, or has no party or no id and amount at each position
     holding: Optional[tuple[str, str, int]] = field(init=False)
-    # requester of the first record along first parents: the minting issuer
-    issuer: str = field(init=False)
     verified_by: Optional[KeyDirectory] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -113,8 +136,8 @@ class LineageNode:
         if slot in made and record.parties and len(ids) == len(amounts) == width:
             holding = (ids[slot], record.parties[-1], amounts[slot])
         object.__setattr__(self, "holding", holding)
-        issuer = self.parents[0].issuer if self.parents else record.parties[0]
-        object.__setattr__(self, "issuer", issuer)
+        if self.parents:
+            object.__setattr__(self, "origin", self.parents[0].origin)
 
     def __deepcopy__(self, memo) -> LineageNode:
         # immutable and shared by design; a copy would also drag along
@@ -159,24 +182,16 @@ class MoneyUnit:
     owner: str
     policy: pol.CheckedPolicy
     policy_hash: int
-    mint_sig: Signature
     lineage: LineageNode
     state: UnitState = UnitState.ACTIVE
     expiry: Optional[int] = None
     home: Optional[str] = None
     last_contact: int = 0
-    # what the last sound `verify_integrity` read (see `_reading`); it holds
-    # the directory by weak reference, which a deep copy shares, as keyed
-    # hashers cannot be copied
-    _sound: Optional[tuple] = field(default=None, init=False, repr=False)
 
     @property
     def provenance(self) -> tuple[LedgerRecord, ...]:
         """The record of every lineage node in seq order, shared ancestors once."""
         return tuple(node.record for node in _in_seq_order(self.lineage))
-
-    def birth_body(self) -> bytes:
-        return f"{self.id}|{self.value}|{self.currency}|{digest_hex(self.policy_hash)}".encode()
 
 
 @dataclass(frozen=True)
@@ -238,21 +253,24 @@ def mint(
         at=at,
     ).signed(registry.directory)
     record, sig = registry.endorse(request)
-    unit = MoneyUnit(
+    policy_hash = policy.content_hash
+    origin = Origin(
+        currency,
+        policy_hash,
+        registry.directory.sign(bank.key_id, origin_body(unit_id, value, currency, policy_hash)),
+    )
+    return MoneyUnit(
         id=unit_id,
         value=value,
         currency=currency,
         owner=bank.key_id,
         policy=policy,
-        policy_hash=policy.content_hash,
-        mint_sig=Signature(bank.key_id, 0),  # placeholder until body exists
-        lineage=LineageNode(record, sig, request.sig, 0),
+        policy_hash=policy_hash,
+        lineage=LineageNode(record, sig, request.sig, 0, origin=origin),
         expiry=expiry,
         home=home,
         last_contact=at,
     )
-    unit.mint_sig = registry.directory.sign(bank.key_id, unit.birth_body())
-    return unit
 
 
 def split(unit: MoneyUnit, amount: int, registry: Registry, at: int) -> tuple[MoneyUnit, MoneyUnit]:
@@ -274,21 +292,18 @@ def split(unit: MoneyUnit, amount: int, registry: Registry, at: int) -> tuple[Mo
     record, sig = registry.endorse(request)
 
     def child(slot: int) -> MoneyUnit:
-        c = MoneyUnit(
+        return MoneyUnit(
             id=record.unit_ids[slot],
             value=record.amounts[slot],
             currency=unit.currency,
             owner=unit.owner,
             policy=unit.policy,
             policy_hash=unit.policy_hash,
-            mint_sig=Signature(registry.key_id, 0),
             lineage=LineageNode(record, sig, request.sig, slot, (unit.lineage,)),
             expiry=unit.expiry,
             home=unit.home,
             last_contact=unit.last_contact,
         )
-        c.mint_sig = registry.sign_bytes(c.birth_body())  # derived: registry-signed
-        return c
 
     return child(1), child(2)
 
@@ -311,22 +326,19 @@ def merge(a: MoneyUnit, b: MoneyUnit, registry: Registry, at: int) -> MoneyUnit:
     ).signed(registry.directory)
     record, sig = registry.endorse(request)
     expiries = [e for e in (a.expiry, b.expiry) if e is not None]
-    merged = MoneyUnit(
+    return MoneyUnit(
         id=merged_id,
         value=a.value + b.value,
         currency=a.currency,
         owner=a.owner,
         policy=a.policy,
         policy_hash=a.policy_hash,
-        mint_sig=Signature(registry.key_id, 0),
         # one node over both histories; ancestors they share stay shared
         lineage=LineageNode(record, sig, request.sig, 2, (a.lineage, b.lineage)),
         expiry=min(expiries) if expiries else None,
         home=a.home,
         last_contact=min(a.last_contact, b.last_contact),
     )
-    merged.mint_sig = registry.sign_bytes(merged.birth_body())
-    return merged
 
 
 def _move(unit: MoneyUnit, to: str, registry: Registry, at: int) -> None:
@@ -448,29 +460,25 @@ def transfer(
 def verify_integrity(
     unit: MoneyUnit, directory: KeyDirectory, registry_key: str = "registry"
 ) -> IntegrityResult:
-    """Check the policy text, the birth signature and the lineage; report all mismatches.
+    """Check the policy text, the origin and the lineage; report all mismatches.
 
     Signer identities are pinned, not taken at face value: a lineage
-    node's record line must be signed by the registry key, its body by the
-    requester (`parties[0]`), and the birth by the registry or the minting
-    issuer — so an adversary re-signing a unit wholesale with their own key
-    is still a detected tamper.  A node's slot must be one its record makes
-    and its parents exactly the units the record consumed or moved (same
-    id, owner and amount, earlier seq); the head must give the unit's id,
-    owner and value.
+    node's record line must be signed by the registry key, its body and,
+    on a MINT node, its origin by the requester (`parties[0]`) — so an
+    adversary re-signing a unit wholesale with their own key is still a
+    detected tamper.  A node's slot must be one its record makes and its
+    parents exactly the units the record consumed or moved (same id, owner
+    and amount, earlier seq), with one origin; the head must give the
+    unit's id, owner and value, and its origin the unit's currency and
+    policy hash.
 
     Work is done once per object: the policy text's hash and render are
     remembered on its `PolicyProgram`, a lineage node that checks out
     records `directory` in `verified_by`, and a SPLIT record remembers the
-    two signatures that verified on it.  A sound check also leaves on the
-    unit the directory and everything else it read (`_reading`); while each
-    of those is still the very same object, the next call returns
-    `INTEGRITY_OK` with no MAC.  Any edit to a field, a re-signature, a new
-    lineage head or policy, another directory or registry key replaces an
-    object, so the whole check runs again.
+    two signatures that verified on it.  So a unit whose head is trusted
+    is checked with no MAC, and a new lineage head or policy, another
+    directory or registry key is checked afresh.
     """
-    if _unchanged(unit, directory, registry_key):
-        return INTEGRITY_OK
     problems: list[str] = []
     program = unit.policy.program
     if program.text_hash != unit.policy_hash:
@@ -479,11 +487,9 @@ def verify_integrity(
         problems.append("policy rules do not match canonical text")
     head = unit.lineage
     if unit.state is UnitState.ACTIVE:
-        signer = unit.mint_sig.signer
-        if signer != registry_key and signer != head.issuer:
-            problems.append("birth signature by unexpected key")
-        elif not directory.verify(signer, unit.birth_body(), unit.mint_sig):
-            problems.append("birth signature mismatch")
+        origin, claimed = head.origin, (unit.currency, unit.policy_hash)
+        if origin is None or (origin.currency, origin.policy_hash) != claimed:
+            problems.append("currency or policy hash is not the origin's")
         held = head.holding
         if held is None or held[0] != unit.id:
             problems.append("provenance is another unit's")
@@ -491,49 +497,7 @@ def verify_integrity(
             problems.append("provenance does not reproduce owner/value")
     if not _trusted(head, directory, registry_key):
         problems.extend(_verify_lineage(head, directory, registry_key))
-    if problems:
-        return IntegrityResult(False, tuple(problems))
-    unit._sound = _reading(unit, directory, registry_key)
-    return INTEGRITY_OK
-
-
-def _reading(unit: MoneyUnit, directory: KeyDirectory, registry_key: str) -> tuple:
-    """Every object `verify_integrity` reads; the directory by weak reference."""
-    return (
-        weakref.ref(directory),
-        registry_key,
-        unit.policy.program,
-        unit.policy_hash,
-        unit.state,
-        unit.mint_sig,
-        unit.lineage,
-        unit.id,
-        unit.value,
-        unit.currency,
-        unit.owner,
-    )
-
-
-def _unchanged(unit: MoneyUnit, directory: KeyDirectory, registry_key: str) -> bool:
-    """Whether `unit` still holds, by identity, what its last sound check read."""
-    if unit._sound is None:
-        return False
-    ref, key, program, policy_hash, state, mint_sig, head, uid, value, currency, owner = (
-        unit._sound
-    )
-    return (
-        ref() is directory
-        and key is registry_key
-        and program is unit.policy.program
-        and policy_hash is unit.policy_hash
-        and state is unit.state
-        and mint_sig is unit.mint_sig
-        and head is unit.lineage
-        and uid is unit.id
-        and value is unit.value
-        and currency is unit.currency
-        and owner is unit.owner
-    )
+    return IntegrityResult(False, tuple(problems)) if problems else INTEGRITY_OK
 
 
 def _trusted(node: LineageNode, directory: KeyDirectory, registry_key: str) -> bool:
@@ -594,6 +558,20 @@ def _node_faults(node: LineageNode, directory: KeyDirectory, registry_key: str) 
         (ids[i], requester, amounts[i]) for i in LAYOUT[record.kind][1]
     ] or any(parent.record.seq >= record.seq for parent in node.parents):
         faults.append("parents are not the units the record consumed")
+    if record.kind is RecordKind.MINT:
+        origin = node.origin
+        if origin is None:
+            faults.append("no birth signature")
+        elif origin.sig.signer != requester:
+            faults.append("birth signature by unexpected key")
+        elif not directory.verify(
+            requester,
+            origin_body(ids[0], amounts[0], origin.currency, origin.policy_hash),
+            origin.sig,
+        ):
+            faults.append("birth signature mismatch")
+    elif record.kind is RecordKind.MERGE and len({parent.origin for parent in node.parents}) > 1:
+        faults.append("parents differ in currency or policy")
     return faults
 
 

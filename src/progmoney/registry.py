@@ -307,9 +307,6 @@ class Registry:
 
     # -- endorsement -----------------------------------------------------
 
-    def sign_bytes(self, msg: bytes) -> Signature:
-        return self.directory.sign(self.key_id, msg)
-
     def endorse(self, request: EndorseRequest) -> tuple[LedgerRecord, Signature]:
         """Commit `request`; return its record and the registry's signature on the line."""
         record = request.record(len(self.records))
@@ -326,7 +323,7 @@ class Registry:
             new = live.get(uid)
             if new is not None:
                 self._held.setdefault(new[0], set()).add(uid)
-        sig = self.sign_bytes(record.line().encode())
+        sig = self.directory.sign(self.key_id, record.line().encode())
         self.records.append(record)
         self.record_sigs.append(sig)
         self.now = max(self.now, request.at)

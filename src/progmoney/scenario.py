@@ -283,10 +283,11 @@ def _check_script_args(cfg: ScenarioConfig, line_nos: list[int]) -> None:
     fits = {
         ArgKind.HOST: hosts.__contains__,
         ArgKind.POLICY: policies.__contains__,
-        ArgKind.INT: _is_int,
+        ArgKind.INT: _is_non_negative_int,
         ArgKind.POSITIVE_INT: _is_positive_int,
         ArgKind.FRACTION: _is_fraction,
         ArgKind.SIDE: _SIDES.__contains__,
+        ArgKind.FLAG: _FLAGS.__contains__,
     }
     rows = defaultdict(list)
     for _, args in cfg.script:
@@ -313,14 +314,14 @@ def _check_script_args(cfg: ScenarioConfig, line_nos: list[int]) -> None:
 
 
 _SIDES = frozenset(side.value for side in Side)
+_FLAGS = frozenset(("on", "off"))
 
 
-def _is_int(text: str) -> bool:
+def _is_non_negative_int(text: str) -> bool:
     try:
-        int(text)
+        return int(text) >= 0
     except ValueError:
         return False
-    return True
 
 
 def _is_positive_int(text: str) -> bool:

@@ -46,6 +46,7 @@ from .markets import Order, OrderBook, RateBoard, Side, cda_submit, select_best_
 from .money import MoneyUnit, TransferOutcome, UnitState
 from .registry import DoubleSpend, Registry, RegistryError
 from .sim_types import (
+    FlagArg,
     FractionArg,
     Host,
     HostArg,
@@ -901,7 +902,7 @@ class Simulation:
             return
         self.obs(trade.buyer, "settled", to=trade.seller, amount=cost)
 
-    def act_withhold(self, host_id: HostArg, flag: str = "on") -> None:
+    def act_withhold(self, host_id: HostArg, flag: FlagArg = "on") -> None:
         self.host(host_id)
         if flag == "on":
             self.withholding.add(host_id)

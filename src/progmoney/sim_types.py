@@ -40,10 +40,11 @@ class ArgKind(Enum):
 
     HOST = "a declared host"
     POLICY = "a declared policy"
-    INT = "an integer"
+    INT = "a non-negative integer"
     POSITIVE_INT = "a positive integer"
     FRACTION = "a fraction"
     SIDE = "BID or ASK"
+    FLAG = "on or off"
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -64,6 +65,7 @@ IntArg = Annotated[str, ArgKind.INT]
 PositiveIntArg = Annotated[str, ArgKind.POSITIVE_INT]
 FractionArg = Annotated[str, ArgKind.FRACTION]
 SideArg = Annotated[str, ArgKind.SIDE]
+FlagArg = Annotated[str, ArgKind.FLAG]
 
 
 class UnknownCategory(KeyError):

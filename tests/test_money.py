@@ -16,16 +16,24 @@ from progmoney.money import (
     MixedPolicy,
     NotActive,
     ObligationUnpayable,
+    Origin,
     PolicyForbids,
     UnitState,
     mint,
     merge,
+    origin_body,
     split,
     transfer,
     verify_integrity,
     zeroise,
 )
-from progmoney.registry import DoubleSpend, RecordKind, Registry, UnauthorizedIssuer
+from progmoney.registry import (
+    DoubleSpend,
+    EndorseRequest,
+    RecordKind,
+    Registry,
+    UnauthorizedIssuer,
+)
 from progmoney.sim import Simulation
 from progmoney.sim_types import Role
 
@@ -137,6 +145,23 @@ class TestSplit:
             assert child.lineage.holding == (child.id, child.owner, child.value)
 
 
+def test_split_and_merge_sign_only_the_request_and_the_ledger_line(world, monkeypatch):
+    _, registry, bank = world
+    unit = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
+    signers = []
+    sign = KeyDirectory.sign
+    monkeypatch.setattr(
+        KeyDirectory,
+        "sign",
+        lambda self, key_id, msg: signers.append(key_id) or sign(self, key_id, msg),
+    )
+    carved, rest = split(unit, 40, registry, at=1)
+    assert signers == ["central", "registry"]
+    signers.clear()
+    merge(carved, rest, registry, at=2)
+    assert signers == ["central", "registry"]
+
+
 class TestMerge:
     def test_merge_adds(self, world):
         directory, registry, bank = world
@@ -175,6 +200,35 @@ class TestMerge:
         b = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry, expiry=30)
         merged = merge(a, b, registry, at=1)
         assert merged.expiry == 30
+
+    @pytest.mark.parametrize(
+        "currency, policy",
+        [("GOLD", pol.EMPTY_POLICY), ("SIM", pol.compile_policy(SALES_TAX))],
+        ids=["currency", "policy"],
+    )
+    def test_merge_of_other_origins_detected(self, world, currency, policy):
+        # the registry knows no currency or policy, so it endorses a MERGE
+        # that `merge` itself would refuse as MixedPolicy
+        directory, registry, bank = world
+        a = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
+        b = mint(bank, 100, currency, policy, registry)
+        request = EndorseRequest(
+            kind=RecordKind.MERGE,
+            unit_ids=(a.id, b.id, registry.new_unit_id()),
+            amounts=(100, 100, 200),
+            new_owner="central",
+            sender="central",
+            at=1,
+        ).signed(directory)
+        record, sig = registry.endorse(request)
+        merged = replace(
+            a,
+            id=record.unit_ids[2],
+            value=200,
+            lineage=LineageNode(record, sig, request.sig, 2, (a.lineage, b.lineage)),
+        )
+        result = verify_integrity(merged, directory)
+        assert result.problems == ("stamp 2 parents differ in currency or policy",)
 
 
 class TestTransfer:
@@ -339,7 +393,13 @@ class TestIntegrity:
         swapped = pol.compile_policy("")  # drop the tax rule entirely
         unit.policy = swapped
         unit.policy_hash = swapped.content_hash
-        unit.mint_sig = directory.sign("mallory", unit.birth_body())
+        origin = Origin(
+            unit.currency,
+            unit.policy_hash,
+            directory.sign(
+                "mallory", origin_body(unit.id, unit.value, unit.currency, unit.policy_hash)
+            ),
+        )
         forged = None
         for record in unit.provenance:
             resigned = replace(record, parties=("mallory",))
@@ -349,6 +409,7 @@ class TestIntegrity:
                 directory.sign("mallory", resigned.body().encode()),
                 0,
                 (forged,) if forged else (),
+                origin=origin,
             )
         unit.lineage = forged
         result = verify_integrity(unit, directory)
@@ -378,9 +439,25 @@ class TestIntegrity:
         assert result.problems == ("stamp 1 parents are not the units the record consumed",)
 
 
-def _resign_birth_by_mallory(unit, directory):
+def _edit_root_origin(edit):
+    """Give a split child's root the origin `edit(origin, directory)` returns."""
+
+    def apply(unit, directory):
+        head = unit.lineage
+        [root] = head.parents
+        forged = replace(root, origin=edit(root.origin, directory))
+        unit.lineage = replace(head, parents=(forged,))
+
+    return apply
+
+
+def _flip_origin_sig(origin, _directory):
+    return replace(origin, sig=replace(origin.sig, mac=origin.sig.mac ^ 1))
+
+
+def _resign_origin_by_mallory(origin, directory):
     directory.create("mallory", random.Random(66))
-    unit.mint_sig = directory.sign("mallory", unit.birth_body())
+    return replace(origin, sig=directory.sign("mallory", b"whatever mallory likes"))
 
 
 def _edit_policy_text(unit, _directory):
@@ -401,7 +478,7 @@ def _set_head_slot(slot):
 
 
 class TestVerifyOnce:
-    """A warm verification cache, on a node or on the unit, never hides a later edit."""
+    """A warm verification cache, on a node or on a record, never hides a later edit."""
 
     def test_tamper_after_a_warm_check_detected(self):
         sim = Simulation(seed=3)
@@ -421,7 +498,7 @@ class TestVerifyOnce:
     @pytest.mark.parametrize(
         "attr, forged, problem",
         [
-            ("value", 1_000_000, "birth signature mismatch"),
+            ("value", 1_000_000, "provenance does not reproduce owner/value"),
             ("owner", "alice", "provenance does not reproduce owner/value"),
         ],
     )
@@ -472,8 +549,8 @@ class TestVerifyOnce:
             lambda self, key_id, msg, sig: checked.append(key_id) or verify(self, key_id, msg, sig),
         )
         assert verify_integrity(rest, directory).ok
-        # the twin's own birth signature only: the SPLIT record's two were checked for carved
-        assert checked == ["registry"]
+        # the SPLIT record's two signatures were checked for carved, the root with it
+        assert checked == []
 
     @pytest.mark.parametrize("attr", ["sig", "sender_sig"])
     def test_forged_split_twin_detected_after_a_warm_check(self, world, attr):
@@ -497,7 +574,8 @@ class TestVerifyOnce:
         assert clone.lineage is unit.lineage
         assert verify_integrity(clone, directory).ok
         clone.value = 1_000_000
-        assert "birth signature mismatch" in verify_integrity(clone, directory).problems
+        problem = "provenance does not reproduce owner/value"
+        assert problem in verify_integrity(clone, directory).problems
         assert verify_integrity(unit, directory).ok
 
     def test_split_merge_cycles_grow_lineage_linearly(self, world):
@@ -527,13 +605,21 @@ class TestVerifyOnce:
     @pytest.mark.parametrize(
         "edit, problem",
         [
-            (_resign_birth_by_mallory, "birth signature by unexpected key"),
-            (lambda unit, _: setattr(unit, "currency", "GOLD"), "birth signature mismatch"),
+            (_edit_root_origin(_flip_origin_sig), "stamp 0 birth signature mismatch"),
+            (
+                _edit_root_origin(_resign_origin_by_mallory),
+                "stamp 0 birth signature by unexpected key",
+            ),
+            (_edit_root_origin(lambda origin, _: None), "stamp 0 no birth signature"),
+            (
+                lambda unit, _: setattr(unit, "currency", "GOLD"),
+                "currency or policy hash is not the origin's",
+            ),
             (
                 lambda unit, _: setattr(unit, "policy_hash", unit.policy_hash ^ 1),
                 "policy text hash mismatch",
             ),
-            (lambda unit, _: setattr(unit, "id", "u999"), "birth signature mismatch"),
+            (lambda unit, _: setattr(unit, "id", "u999"), "provenance is another unit's"),
             (_edit_head_record(at=2), "stamp 1 endorsement mismatch"),
             (_edit_policy_text, "policy text hash mismatch"),
             (_set_head_slot(2), "provenance is another unit's"),  # the other child's
@@ -542,6 +628,8 @@ class TestVerifyOnce:
         ],
         ids=[
             "mint_sig",
+            "origin_signer",
+            "origin_dropped",
             "currency",
             "policy_hash",
             "id",
@@ -567,10 +655,11 @@ class TestVerifyOnce:
         directory, registry, bank = world
         unit = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
         zeroise(unit, "tamper", registry, at=1)
-        # a spent unit's birth record is no longer checked against its value
+        # a spent unit's lineage head is no longer checked against its value
         assert verify_integrity(unit, directory).ok
         unit.state = UnitState.ACTIVE
-        assert "birth signature mismatch" in verify_integrity(unit, directory).problems
+        problem = "provenance does not reproduce owner/value"
+        assert problem in verify_integrity(unit, directory).problems
 
     def test_other_directory_or_registry_key_checked_afresh(self, world):
         directory, registry, bank = world
@@ -581,7 +670,7 @@ class TestVerifyOnce:
         rng = random.Random(7)
         for key_id in ("registry", "central", "alice", "bob", "tax_authority"):
             other.create(key_id, rng)
-        assert "birth signature mismatch" in verify_integrity(unit, other).problems
+        assert "stamp 0 birth signature mismatch" in verify_integrity(unit, other).problems
         assert "stamp 0 endorsement by unexpected key" in (
             verify_integrity(unit, directory, registry_key="notary").problems
         )

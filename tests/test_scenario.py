@@ -127,6 +127,9 @@ class TestParsing:
             (WORLD + "2 RATE central 0.5\n", 8),
             (WORLD + "0 CONTACT ghost\n", 8),
             (WORLD + "1 ORDER BUY 5 1 alice\n", 8),
+            (WORLD + "2 WITHHOLD alice yes\n", 8),
+            (WORLD + "1 TAMPER alice -100\n", 8),
+            (WORLD + "1 REPLAY alice -1\n", 8),
         ],
         ids=[
             "too_few_args",
@@ -146,6 +149,9 @@ class TestParsing:
             "rate_decimal_point",
             "contact_unknown_host",
             "order_side_unknown",
+            "withhold_flag_unknown",
+            "tamper_index_negative",
+            "replay_count_negative",
         ],
     )
     def test_bad_line_fails_at_load(self, tmp_path, text, line_no):
