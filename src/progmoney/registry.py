@@ -14,7 +14,7 @@ was, so its replay is endorsed again.
 
 `step` is the ledger's one transition.  `Registry.endorse` runs it on the
 live state; `replay_records` folds it over records from seq 0, and so do
-`Registry.audit`, `audit_export` and the report rebuild, through it.  A
+`Registry.audit`, `audit_export` and both reports, live and rebuilt, through it.  A
 replay therefore makes every check an endorsement makes except the issuer
 allowance, which the ledger export does not carry.
 
@@ -396,19 +396,27 @@ def replay_records(records: list[LedgerRecord]) -> tuple[Optional[_State], list[
     return state, []
 
 
+# kind text -> kind: a dict lookup, where `RecordKind(text)` runs Enum's __call__
+_KIND_OF = {kind.value: kind for kind in RecordKind}
+
+
 def parse_ledger_line(line: str) -> LedgerRecord:
+    """The record an exported line names; a ValueError if the line is not one."""
     parts = line.rstrip("\n").split("|")
     if len(parts) != 7:
         raise ValueError(f"malformed ledger line: {line!r}")
     seq, at, kind, ids, amounts, parties, reason = parts
+    record_kind = _KIND_OF.get(kind)
+    if record_kind is None:
+        raise ValueError(f"{kind!r} is not a valid RecordKind")
     return LedgerRecord(
-        seq=int(seq),
-        at=int(at),
-        kind=RecordKind(kind),
-        unit_ids=tuple(ids.split(",")) if ids else (),
-        amounts=tuple(int(a) for a in amounts.split(",")) if amounts else (),
-        parties=tuple(parties.split(",")) if parties else (),
-        reason=None if reason == "-" else reason,
+        int(seq),
+        int(at),
+        record_kind,
+        tuple(ids.split(",")) if ids else (),
+        tuple(map(int, amounts.split(","))) if amounts else (),
+        tuple(parties.split(",")) if parties else (),
+        None if reason == "-" else reason,
     )
 
 
@@ -423,7 +431,7 @@ def audit_export(text: str) -> list[str]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     try:
         records = [parse_ledger_line(ln) for ln in lines]
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         return [f"unparseable ledger: {exc}"]
     _, errors = replay_records(records)
     return errors

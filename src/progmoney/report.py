@@ -1,8 +1,13 @@
-"""Scenario reports, rebuilt from the observation log and ledger export.
+"""Scenario reports, built from the observation log and the ledger's records.
 
-A report is always computed from artifacts — the same two text files the
-CLI writes — so recomputing one from disk reproduces the live run's report
-byte for byte, and every number can be cross-checked against the ledger.
+A report folds two inputs: the observation lines, for the scenario, seed,
+event counts, host roles and trajectory, and the ledger's records, replayed
+for supply, balances, tax and burns.  `build_report` parses the two text
+files the CLI writes and folds them; `report_for` folds a live run's
+observations and `registry.records` directly — the same records `export()`
+writes, which a test pins equal to the parsed export — so recomputing a
+report from disk reproduces the live run's report byte for byte, and every
+number can be cross-checked against the ledger.
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ def _parse_details(details: str) -> dict[str, str]:
     return out
 
 
-def build_report(obs_lines: list[str], ledger_lines: list[str]) -> Report:
+def _observed(obs_lines: list[str]) -> tuple[Report, dict[str, str]]:
+    """The report's observation fold, and each declared host's role."""
     report = Report()
     roles: dict[str, str] = {}
     for line in obs_lines:
@@ -66,10 +72,12 @@ def build_report(obs_lines: list[str], ledger_lines: list[str]) -> Report:
                 )
         except KeyError as exc:
             raise ValueError(f"observation {line!r} lacks {exc}") from None
+    report.event_counts = dict(sorted(report.event_counts.items()))
+    return report, roles
 
-    records: list[LedgerRecord] = [
-        parse_ledger_line(line) for line in ledger_lines if line.strip()
-    ]
+
+def _settled(report: Report, roles: dict[str, str], records: list[LedgerRecord]) -> Report:
+    """`report` completed by the ledger fold: replay, balances, tax and burns."""
     replayed, errors = replay_records(records)
     if errors:
         raise ValueError("cannot report on a corrupt ledger: " + "; ".join(errors))
@@ -93,13 +101,21 @@ def build_report(obs_lines: list[str], ledger_lines: list[str]) -> Report:
                 report.burns_by_reason.get(reason, 0) + rec.amounts[0]
             )
     report.burns_by_reason = dict(sorted(report.burns_by_reason.items()))
-    report.event_counts = dict(sorted(report.event_counts.items()))
     report.utility_total = log_utility(report.balances.values())
     return report
 
 
+def build_report(obs_lines: list[str], ledger_lines: list[str]) -> Report:
+    """The report of a run's written observation log and ledger export."""
+    report, roles = _observed(obs_lines)
+    records = [parse_ledger_line(line) for line in ledger_lines if line.strip()]
+    return _settled(report, roles, records)
+
+
 def report_for(sim: Simulation) -> Report:
-    return build_report(sim.observations, sim.registry.export().splitlines())
+    """The report of a live run, folded from its own records: no export, no parse."""
+    report, roles = _observed(sim.observations)
+    return _settled(report, roles, sim.registry.records)
 
 
 def render_report(report: Report) -> str:

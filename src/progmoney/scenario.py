@@ -176,6 +176,9 @@ def _parse_host_entry(cfg: ScenarioConfig, key: str, value: str, line_no: int) -
         role = Role(parts[0])
     except ValueError:
         raise ScenarioError(f"unknown role {parts[0]!r}", line_no) from None
+    if "|" in key or "," in key:
+        # a ledger line separates its fields with "|" and a field's items with ","
+        raise ScenarioError(f"host id {key!r} contains '|' or ','", line_no)
     if any(existing.id == key for existing in cfg.hosts):
         raise ScenarioError(f"duplicate host {key!r}", line_no)
     spec = HostSpec(id=key, role=role, location=parts[1])

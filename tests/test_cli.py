@@ -46,6 +46,15 @@ class TestRun:
         bad.write_text("[hosts]\nx = WIZARD HOME\n", encoding="utf-8")
         assert run(["run", bad, "--out", tmp_path / "o"]) == 1
 
+    @pytest.mark.parametrize("host_id", ["ali,ce", "ali|ce"])
+    def test_host_id_with_a_ledger_separator_exits_1(self, tmp_path, host_id):
+        # refused at load: ledger lines separate fields with "|" and items with ","
+        renamed = tmp_path / "renamed.scn"
+        text = Path(SALES_TAX_SCN).read_text(encoding="utf-8").replace("alice", host_id)
+        renamed.write_text(text, encoding="utf-8")
+        assert run(["run", renamed, "--out", tmp_path / "o"]) == 1
+        assert not (tmp_path / "o").exists()
+
     def test_runtime_error_exits_3(self, tmp_path):
         # parses fine, but the second mint exceeds what is left of the allowance
         broken = tmp_path / "broken.scn"

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from progmoney import report
+from progmoney.registry import Registry
 from progmoney.report import render_report, report_for
 from progmoney.scenario import load_scenario, run_scenario
 
@@ -136,3 +138,15 @@ def test_report_is_golden():
     assert "tax_collected = 406" in report
     assert "utility_total = 13.4058" in report
     assert sha(report) == GOLDEN["sales_tax.scn"][2]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_live_report_reads_no_export(name, monkeypatch):
+    sim = run_scenario(load_scenario(str(SCENARIO_DIR / name)), seed=SEED)
+
+    def refuse(*_args):
+        raise AssertionError("the live report must fold the registry's records")
+
+    monkeypatch.setattr(Registry, "export", refuse)
+    monkeypatch.setattr(report, "parse_ledger_line", refuse)
+    assert sha(render_report(report_for(sim))) == GOLDEN[name][2]

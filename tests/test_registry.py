@@ -383,6 +383,27 @@ def test_refused_ledger_is_a_violation_not_a_crash(name, tmp_path):
     assert run_cli(["report", str(tmp_path)]) == 2
 
 
+# Ledgers that are not ledger lines at all; audit and report refuse them as such
+UNPARSEABLE_LEDGERS = {
+    "unknown_kind": MINT_U1 + "\n1|1|MELT|u1|100|central|-",
+    "amount_not_an_integer": MINT_U1 + "\n1|1|BURN|u1|ten|central|-",
+    "seq_not_an_integer": "zero|0|MINT|u1|100|central|-",
+    "six_fields": "0|0|MINT|u1|100|central",
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNPARSEABLE_LEDGERS))
+def test_unparseable_ledger_is_a_violation_not_a_crash(name, tmp_path):
+    text = UNPARSEABLE_LEDGERS[name]
+    violations = audit_export(text)
+    assert len(violations) == 1
+    assert violations[0].startswith("unparseable ledger: ")
+    (tmp_path / "ledger.txt").write_text(text + "\n", encoding="utf-8")
+    (tmp_path / "observations.log").write_text("", encoding="utf-8")
+    assert run_cli(["audit", str(tmp_path / "ledger.txt")]) == 2
+    assert run_cli(["report", str(tmp_path)]) == 2
+
+
 def test_replayed_self_transfer_still_passes():
     # sender == new owner leaves the owner as it was; replay endorses it again
     assert audit_export(MINT_U1 + "\n1|1|TRANSFER|u1|100|central,central|-") == []

@@ -130,6 +130,8 @@ class TestParsing:
             (WORLD + "2 WITHHOLD alice yes\n", 8),
             (WORLD + "1 TAMPER alice -100\n", 8),
             (WORLD + "1 REPLAY alice -1\n", 8),
+            ("[hosts]\nali,ce = CONSUMER HOME\n", 2),
+            ("[hosts]\ncentral = CENTRAL_BANK HOME\nali|ce = CONSUMER HOME\n", 3),
         ],
         ids=[
             "too_few_args",
@@ -152,6 +154,8 @@ class TestParsing:
             "withhold_flag_unknown",
             "tamper_index_negative",
             "replay_count_negative",
+            "host_id_comma",
+            "host_id_pipe",
         ],
     )
     def test_bad_line_fails_at_load(self, tmp_path, text, line_no):
