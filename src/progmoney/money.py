@@ -44,7 +44,7 @@ from typing import Callable, Optional
 from . import policy as pol
 from .crypto import KeyDirectory, KeyPair, Signature, digest_hex
 from .crypto import h64  # noqa: F401 -- perfbench/tracing.py wraps money.h64 by name
-from .registry import LAYOUT, EndorseRequest, LedgerRecord, RecordKind, Registry
+from .registry import LAYOUT, LedgerRecord, RecordKind, Registry
 
 OBLIGATION_CATEGORY = "obligation"
 
@@ -225,6 +225,27 @@ def _require_active(unit: MoneyUnit) -> None:
         raise NotActive(f"unit {unit.id} is {unit.state.value}")
 
 
+def _endorse(
+    registry: Registry,
+    kind: RecordKind,
+    unit_ids: tuple[str, ...],
+    amounts: tuple[int, ...],
+    parties: tuple[str, ...],
+    at: int,
+    reason: Optional[str] = None,
+) -> tuple[LedgerRecord, Signature, Signature]:
+    """Have `parties[0]` sign the record asked for, and `registry` commit it.
+
+    Returns what a `LineageNode` holds: the committed record, the registry's
+    signature on its line and the requester's on its body.
+    """
+    # asked at the next seq, the record is committed as it is, not copied
+    asked = LedgerRecord(len(registry.records), at, kind, unit_ids, amounts, parties, reason)
+    sender_sig = registry.directory.sign(parties[0], asked.body().encode())
+    record, sig = registry.endorse(asked, sender_sig)
+    return record, sig, sender_sig
+
+
 def mint(
     bank: KeyPair,
     value: int,
@@ -244,15 +265,7 @@ def mint(
             raise InvalidPolicy("; ".join(str(e) for e in errors))
         policy = pol.CheckedPolicy(policy)
     unit_id = registry.new_unit_id()
-    request = EndorseRequest(
-        kind=RecordKind.MINT,
-        unit_ids=(unit_id,),
-        amounts=(value,),
-        new_owner=bank.key_id,
-        sender=bank.key_id,
-        at=at,
-    ).signed(registry.directory)
-    record, sig = registry.endorse(request)
+    endorsed = _endorse(registry, RecordKind.MINT, (unit_id,), (value,), (bank.key_id,), at)
     policy_hash = policy.content_hash
     origin = Origin(
         currency,
@@ -266,7 +279,7 @@ def mint(
         owner=bank.key_id,
         policy=policy,
         policy_hash=policy_hash,
-        lineage=LineageNode(record, sig, request.sig, 0, origin=origin),
+        lineage=LineageNode(*endorsed, 0, origin=origin),
         expiry=expiry,
         home=home,
         last_contact=at,
@@ -280,26 +293,19 @@ def split(unit: MoneyUnit, amount: int, registry: Registry, at: int) -> tuple[Mo
         raise InvalidAmount(
             f"split amount must be in (0, {unit.value}), got {amount}"
         )
-    c1_id, c2_id = registry.new_unit_id(), registry.new_unit_id()
-    request = EndorseRequest(
-        kind=RecordKind.SPLIT,
-        unit_ids=(unit.id, c1_id, c2_id),
-        amounts=(unit.value, amount, unit.value - amount),
-        new_owner=unit.owner,
-        sender=unit.owner,
-        at=at,
-    ).signed(registry.directory)
-    record, sig = registry.endorse(request)
+    ids = (unit.id, registry.new_unit_id(), registry.new_unit_id())
+    amounts = (unit.value, amount, unit.value - amount)
+    endorsed = _endorse(registry, RecordKind.SPLIT, ids, amounts, (unit.owner,), at)
 
     def child(slot: int) -> MoneyUnit:
         return MoneyUnit(
-            id=record.unit_ids[slot],
-            value=record.amounts[slot],
+            id=ids[slot],
+            value=amounts[slot],
             currency=unit.currency,
             owner=unit.owner,
             policy=unit.policy,
             policy_hash=unit.policy_hash,
-            lineage=LineageNode(record, sig, request.sig, slot, (unit.lineage,)),
+            lineage=LineageNode(*endorsed, slot, (unit.lineage,)),
             expiry=unit.expiry,
             home=unit.home,
             last_contact=unit.last_contact,
@@ -315,26 +321,19 @@ def merge(a: MoneyUnit, b: MoneyUnit, registry: Registry, at: int) -> MoneyUnit:
         raise MixedOwner(f"{a.owner} != {b.owner}")
     if a.policy_hash != b.policy_hash or a.currency != b.currency or a.home != b.home:
         raise MixedPolicy(f"units {a.id} and {b.id} are not fungible")
-    merged_id = registry.new_unit_id()
-    request = EndorseRequest(
-        kind=RecordKind.MERGE,
-        unit_ids=(a.id, b.id, merged_id),
-        amounts=(a.value, b.value, a.value + b.value),
-        new_owner=a.owner,
-        sender=a.owner,
-        at=at,
-    ).signed(registry.directory)
-    record, sig = registry.endorse(request)
+    ids = (a.id, b.id, registry.new_unit_id())
+    amounts = (a.value, b.value, a.value + b.value)
+    endorsed = _endorse(registry, RecordKind.MERGE, ids, amounts, (a.owner,), at)
     expiries = [e for e in (a.expiry, b.expiry) if e is not None]
     return MoneyUnit(
-        id=merged_id,
-        value=a.value + b.value,
+        id=ids[2],
+        value=amounts[2],
         currency=a.currency,
         owner=a.owner,
         policy=a.policy,
         policy_hash=a.policy_hash,
         # one node over both histories; ancestors they share stay shared
-        lineage=LineageNode(record, sig, request.sig, 2, (a.lineage, b.lineage)),
+        lineage=LineageNode(*endorsed, 2, (a.lineage, b.lineage)),
         expiry=min(expiries) if expiries else None,
         home=a.home,
         last_contact=min(a.last_contact, b.last_contact),
@@ -343,16 +342,10 @@ def merge(a: MoneyUnit, b: MoneyUnit, registry: Registry, at: int) -> MoneyUnit:
 
 def _move(unit: MoneyUnit, to: str, registry: Registry, at: int) -> None:
     """Endorse and record an ownership change, no policy involvement."""
-    request = EndorseRequest(
-        kind=RecordKind.TRANSFER,
-        unit_ids=(unit.id,),
-        amounts=(unit.value,),
-        new_owner=to,
-        sender=unit.owner,
-        at=at,
-    ).signed(registry.directory)
-    record, sig = registry.endorse(request)
-    unit.lineage = LineageNode(record, sig, request.sig, 0, (unit.lineage,))
+    endorsed = _endorse(
+        registry, RecordKind.TRANSFER, (unit.id,), (unit.value,), (unit.owner, to), at
+    )
+    unit.lineage = LineageNode(*endorsed, 0, (unit.lineage,))
     unit.owner = to
 
 
@@ -582,15 +575,6 @@ def zeroise(unit: MoneyUnit, reason: str, registry: Registry, at: int) -> None:
     ZEROISED.
     """
     _require_active(unit)
-    request = EndorseRequest(
-        kind=RecordKind.BURN,
-        unit_ids=(unit.id,),
-        amounts=(unit.value,),
-        new_owner=None,
-        sender=unit.owner,
-        at=at,
-        reason=reason,
-    ).signed(registry.directory)
-    registry.endorse(request)
+    _endorse(registry, RecordKind.BURN, (unit.id,), (unit.value,), (unit.owner,), at, reason)
     unit.state = UnitState.EXPIRED if reason == "expiry" else UnitState.ZEROISED
     unit.value = 0

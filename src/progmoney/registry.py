@@ -1,16 +1,16 @@
 """Online central authority: append-only ledger, double-spend rejection.
 
 Every lifecycle operation on a unit (mint, transfer, split, merge, burn) is
-an endorsement request.  The registry is the single serialization point:
-requests are checked against the live-unit set, committed in arrival
-order, and each committed record is signed by the registry key.  The
-requester signs the record's `body()`, its line without the seq, and the
-registry its `line()`; `endorse` returns the record and the registry's
-signature, which the money layer keeps as a unit's lineage node.  A unit id
-is consumed by split/merge/burn; a transfer keeps the id live and moves its
-owner, so a replayed transfer fails the owner check and is rejected as a
-double spend.  A self-transfer (sender == new owner) leaves the owner as it
-was, so its replay is endorsed again.
+one `LedgerRecord`.  The requester, `parties[0]`, asks for the record as
+the ledger will write it and signs its `body()`, the line without the seq.
+The registry is the single serialization point: `endorse` checks that
+signature and the record against the live-unit set, commits it at the next
+seq and signs its `line()`; the money layer keeps both signatures with the
+record as a unit's lineage node.  A unit id is consumed by
+split/merge/burn; a transfer keeps the id live and moves its owner, so a
+replayed transfer fails the owner check and is rejected as a double spend.
+A self-transfer (sender == new owner) leaves the owner as it was, so its
+replay is endorsed again.
 
 `step` is the ledger's one transition.  `Registry.endorse` runs it on the
 live state; `replay_records` folds it over records from seq 0, and so do
@@ -25,7 +25,7 @@ ids the new record names; replay has no use for it and does not keep one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
@@ -93,39 +93,6 @@ class LedgerRecord:
     def line(self) -> str:
         """The ledger line: what the registry signs and exports."""
         return f"{self.seq}|{self.body()}"
-
-
-@dataclass(frozen=True)
-class EndorseRequest:
-    """What a sender submits; `sig` is the sender's on the body of the record it asks for."""
-
-    kind: RecordKind
-    unit_ids: tuple[str, ...]
-    amounts: tuple[int, ...]
-    new_owner: Optional[str]
-    sender: str
-    at: int
-    reason: Optional[str] = None
-    sig: Optional[Signature] = None
-
-    def record(self, seq: int) -> LedgerRecord:
-        """The ledger record this request asks for, committed at `seq`."""
-        parties: tuple[str, ...] = (self.sender,)
-        if self.kind is RecordKind.TRANSFER and self.new_owner:
-            parties += (self.new_owner,)
-        return LedgerRecord(
-            seq, self.at, self.kind, self.unit_ids, self.amounts, parties, self.reason
-        )
-
-    def body(self) -> bytes:
-        return self.record(0).body().encode()
-
-    def signed(self, directory: KeyDirectory) -> "EndorseRequest":
-        sig = directory.sign(self.sender, self.body())
-        return EndorseRequest(
-            self.kind, self.unit_ids, self.amounts, self.new_owner, self.sender, self.at,
-            self.reason, sig,
-        )
 
 
 @dataclass
@@ -269,7 +236,8 @@ class Registry:
         self._issuers: dict[str, int] = {}  # key_id -> remaining allowance
         self._id_counter = 0
         self.now = 0
-        self.last_request: Optional[EndorseRequest] = None
+        # the last (asked record, sender's signature) endorsed, as a replay resends it
+        self.last_request: Optional[tuple[LedgerRecord, Signature]] = None
 
     # -- setup ---------------------------------------------------------
 
@@ -307,13 +275,19 @@ class Registry:
 
     # -- endorsement -----------------------------------------------------
 
-    def endorse(self, request: EndorseRequest) -> tuple[LedgerRecord, Signature]:
-        """Commit `request`; return its record and the registry's signature on the line."""
-        record = request.record(len(self.records))
-        if request.sig is None or not self.directory.verify(
-            request.sender, record.body().encode(), request.sig
-        ):
-            raise BadSignature(f"endorsement request by {request.sender}")
+    def endorse(self, asked: LedgerRecord, sender_sig: Signature) -> tuple[LedgerRecord, Signature]:
+        """Commit `asked` at the next seq: the record and the registry's signature on its line.
+
+        `sender_sig` is the requester's (`parties[0]`) on `asked.body()`.
+        `asked.seq` is not signed, and a record asked at another seq is
+        committed as a copy at the next one.
+        """
+        body = asked.body()
+        requester = asked.parties[0] if asked.parties else None
+        if requester is None or not self.directory.verify(requester, body.encode(), sender_sig):
+            raise BadSignature(f"request not signed by its requester: {body}")
+        seq = len(self.records)
+        record = asked if asked.seq == seq else replace(asked, seq=seq)
         live = self._state.live
         before = [live.get(uid) for uid in record.unit_ids]
         step(self._state, record, self._issuers)
@@ -326,8 +300,8 @@ class Registry:
         sig = self.directory.sign(self.key_id, record.line().encode())
         self.records.append(record)
         self.record_sigs.append(sig)
-        self.now = max(self.now, request.at)
-        self.last_request = request
+        self.now = max(self.now, record.at)
+        self.last_request = (asked, sender_sig)
         return record, sig
 
     # -- statistics ------------------------------------------------------

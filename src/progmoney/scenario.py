@@ -110,6 +110,7 @@ def _parse_fraction(text: str, line_no: int) -> Fraction:
 def parse_scenario(text: str) -> ScenarioConfig:
     cfg = ScenarioConfig()
     script_line_nos: list[int] = []  # the file line of each cfg.script entry
+    supply_lines: dict[str, int] = {}  # [supply] key -> the file line that last set it
     section = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -137,9 +138,18 @@ def parse_scenario(text: str) -> ScenarioConfig:
             _parse_law_entry(cfg, key, value, line_no)
         elif section == "supply":
             _parse_supply_entry(cfg, key, value, line_no)
+            supply_lines[key] = line_no
         elif section == "policies":
             cfg.policies.append((key, value))
-    _check_script_args(cfg, script_line_nos)
+    # hosts and policies may be declared after the lines that name them
+    hosts = {spec.id for spec in cfg.hosts}
+    # "empty" is the policy every Simulation starts with
+    policies = {"empty"} | {name for name, _ in cfg.policies}
+    if cfg.supply_issuer is not None and cfg.supply_issuer not in hosts:
+        raise ScenarioError(f"undeclared issuer {cfg.supply_issuer!r}", supply_lines["issuer"])
+    if cfg.supply_policy not in policies:
+        raise ScenarioError(f"undeclared policy {cfg.supply_policy!r}", supply_lines["policy"])
+    _check_script_args(cfg, script_line_nos, hosts, policies)
     return cfg
 
 
@@ -273,16 +283,15 @@ def _parse_script_line(cfg: ScenarioConfig, line: str, line_no: int) -> None:
     cfg.script.append((tick, tuple(parts[1:])))
 
 
-def _check_script_args(cfg: ScenarioConfig, line_nos: list[int]) -> None:
-    """Check the kind of every script argument, once every host and policy is known.
+def _check_script_args(
+    cfg: ScenarioConfig, line_nos: list[int], hosts: set[str], policies: set[str]
+) -> None:
+    """Check the kind of every script argument against the declared hosts and policies.
 
     A script repeats its hosts, policies and amounts, so the kind test runs
     once per distinct value of an argument position; the lines are read
     again only to report the first one holding a value that failed it.
     """
-    hosts = {spec.id for spec in cfg.hosts}
-    # "empty" is the policy every Simulation starts with
-    policies = {"empty"} | {name for name, _ in cfg.policies}
     fits = {
         ArgKind.HOST: hosts.__contains__,
         ArgKind.POLICY: policies.__contains__,

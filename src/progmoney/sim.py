@@ -381,14 +381,14 @@ class Simulation:
         return sum(u.value for u in self.active_units_of(host_id))
 
     # -- upkeep -----------------------------------------------------------
-    # A unit's upkeep writes nothing while its integrity memo holds, its host
-    # attests and its TICK decision carries no obligations.  Only a mutation
-    # of the unit or its host, or time reaching a tick at which a TICK
-    # comparison of `now` or `last_contact` flips, can end that, so each
-    # unit is visited only at the ticks `_wakes` names: the flip tick its
-    # last visit found, the next tick if that visit did anything, and the
-    # first upkeep after each mutation that touched it.  A stale or extra
-    # wake-up costs one visit that writes nothing.
+    # A unit's upkeep writes nothing while the head of its lineage is already
+    # verified, its host attests and its TICK decision carries no
+    # obligations.  Only a mutation of the unit or its host, or time
+    # reaching a tick at which a TICK comparison of `now` or `last_contact`
+    # flips, can end that, so each unit is visited only at the ticks `_wakes`
+    # names: the flip tick its last visit found, the next tick if that visit
+    # did anything, and the first upkeep after each mutation that touched
+    # it.  A stale or extra wake-up costs one visit that writes nothing.
 
     def _wake(self, unit_id: str, at: Optional[int] = None) -> None:
         """Make `unit_id` due at tick `at`, or at the first upkeep not yet begun."""
@@ -855,12 +855,13 @@ class Simulation:
         if request is None:
             self.obs(adversary_id, "replay_noop", reason="nothing_captured")
             return
+        asked, sender_sig = request
         for _ in range(int(count)):
             try:
-                self.registry.endorse(request)
-                self.obs(adversary_id, "replay_accepted", kind=request.kind.value)
+                self.registry.endorse(asked, sender_sig)
+                self.obs(adversary_id, "replay_accepted", kind=asked.kind.value)
             except DoubleSpend:
-                self.obs(adversary_id, "double_spend", kind=request.kind.value)
+                self.obs(adversary_id, "double_spend", kind=asked.kind.value)
             except RegistryError as exc:
                 self.obs(adversary_id, "replay_rejected", error=type(exc).__name__)
 

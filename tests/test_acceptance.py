@@ -16,7 +16,7 @@ from progmoney import money, policy as pol
 from progmoney.cli import LEDGER_FILE, OBSERVATIONS_FILE, REPORT_FILE, run_cli
 from progmoney.crypto import KeyDirectory
 from progmoney.fiscal import expiry_policy, sales_tax_policy
-from progmoney.metrics import equal_split, log_utility
+from progmoney.metrics import log_utility
 from progmoney.money import PolicyForbids, UnitState, mint, transfer, verify_integrity, zeroise
 from progmoney.registry import RecordKind, Registry
 from progmoney.sim import Simulation
@@ -24,6 +24,7 @@ from progmoney.sim_types import LawStatus, Role
 from progmoney.supply import ConstantGrowth, FixedCapGeometric, issuance
 
 from test_markets import brute_force_submit, random_book_and_order
+from test_metrics import equal_split
 from test_policy import CORPUS
 from test_supply import supply_sim
 

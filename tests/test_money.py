@@ -29,7 +29,7 @@ from progmoney.money import (
 )
 from progmoney.registry import (
     DoubleSpend,
-    EndorseRequest,
+    LedgerRecord,
     RecordKind,
     Registry,
     UnauthorizedIssuer,
@@ -212,20 +212,15 @@ class TestMerge:
         directory, registry, bank = world
         a = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
         b = mint(bank, 100, currency, policy, registry)
-        request = EndorseRequest(
-            kind=RecordKind.MERGE,
-            unit_ids=(a.id, b.id, registry.new_unit_id()),
-            amounts=(100, 100, 200),
-            new_owner="central",
-            sender="central",
-            at=1,
-        ).signed(directory)
-        record, sig = registry.endorse(request)
+        ids = (a.id, b.id, registry.new_unit_id())
+        asked = LedgerRecord(0, 1, RecordKind.MERGE, ids, (100, 100, 200), ("central",))
+        sender_sig = directory.sign("central", asked.body().encode())
+        record, sig = registry.endorse(asked, sender_sig)
         merged = replace(
             a,
             id=record.unit_ids[2],
             value=200,
-            lineage=LineageNode(record, sig, request.sig, 2, (a.lineage, b.lineage)),
+            lineage=LineageNode(record, sig, sender_sig, 2, (a.lineage, b.lineage)),
         )
         result = verify_integrity(merged, directory)
         assert result.problems == ("stamp 2 parents differ in currency or policy",)

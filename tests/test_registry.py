@@ -11,7 +11,6 @@ from progmoney.registry import (
     BadSignature,
     BadWindow,
     DoubleSpend,
-    EndorseRequest,
     InvalidRequest,
     LedgerRecord,
     RecordKind,
@@ -35,15 +34,31 @@ def make_registry():
     return directory, registry
 
 
-def mint_request(registry, value=1000, at=0):
-    return EndorseRequest(
-        kind=RecordKind.MINT,
-        unit_ids=(registry.new_unit_id(),),
-        amounts=(value,),
-        new_owner="central",
-        sender="central",
-        at=at,
-    )
+def ask(directory, kind, unit_ids, amounts, parties, at, reason=None):
+    """The record `parties[0]` asks for, and their signature on its body."""
+    asked = LedgerRecord(0, at, kind, unit_ids, amounts, parties, reason)
+    return asked, directory.sign(parties[0], asked.body().encode())
+
+
+def mint_request(directory, registry, value=1000, at=0):
+    return ask(directory, RecordKind.MINT, (registry.new_unit_id(),), (value,), ("central",), at)
+
+
+def minted(directory, registry):
+    """Endorse a 1000 mint by central; the new unit's id."""
+    record, _ = registry.endorse(*mint_request(directory, registry))
+    return record.unit_ids[0]
+
+
+# a signed BURN of central's 1000-unit u1 at tick 1, reason "tamper": each field edited
+BURN_EDITS = {
+    "at": 2,
+    "kind": RecordKind.TRANSFER,
+    "unit_ids": ("u9",),
+    "amounts": (999,),
+    "parties": ("central", "alice"),
+    "reason": "expiry",
+}
 
 
 class TestEndorse:
@@ -57,147 +72,126 @@ class TestEndorse:
 
     def test_mint_and_transfer(self):
         directory, registry = make_registry()
-        req = mint_request(registry).signed(directory)
-        registry.endorse(req)
-        uid = req.unit_ids[0]
+        uid = minted(directory, registry)
         assert registry.owner_of(uid) == "central"
-        transfer = EndorseRequest(
-            RecordKind.TRANSFER, (uid,), (1000,), "alice", "central", 1
-        ).signed(directory)
-        registry.endorse(transfer)
+        registry.endorse(
+            *ask(directory, RecordKind.TRANSFER, (uid,), (1000,), ("central", "alice"), 1)
+        )
         assert registry.owner_of(uid) == "alice"
 
     def test_replayed_transfer_is_double_spend(self):
         directory, registry = make_registry()
-        req = mint_request(registry).signed(directory)
-        registry.endorse(req)
-        uid = req.unit_ids[0]
-        transfer = EndorseRequest(
-            RecordKind.TRANSFER, (uid,), (1000,), "alice", "central", 1
-        ).signed(directory)
-        registry.endorse(transfer)
+        uid = minted(directory, registry)
+        transfer = ask(directory, RecordKind.TRANSFER, (uid,), (1000,), ("central", "alice"), 1)
+        registry.endorse(*transfer)
         with pytest.raises(DoubleSpend):
-            registry.endorse(transfer)
+            registry.endorse(*transfer)
 
     def test_bad_signature_rejected(self):
         directory, registry = make_registry()
-        req = mint_request(registry)
-        forged = EndorseRequest(
-            req.kind,
-            req.unit_ids,
-            req.amounts,
-            req.new_owner,
-            req.sender,
-            req.at,
-            sig=directory.sign("mallory", req.body()),
-        )
+        asked, _ = mint_request(directory, registry)
+        forged = directory.sign("mallory", asked.body().encode())
         with pytest.raises(BadSignature):
-            registry.endorse(forged)
+            registry.endorse(asked, forged)
         assert registry.records == []
 
-    def test_edited_burn_reason_rejected(self):
-        # the reason a unit was burned is part of what its sender signed
+    @pytest.mark.parametrize("field", list(BURN_EDITS))
+    def test_edited_signed_field_rejected(self, field):
+        # every field of the body, the reason a unit was burned too, is part
+        # of what its sender signed
         directory, registry = make_registry()
-        req = mint_request(registry).signed(directory)
-        registry.endorse(req)
-        burn = EndorseRequest(
-            RecordKind.BURN, req.unit_ids, (1000,), None, "central", 1, reason="tamper"
-        ).signed(directory)
-        edited = dataclasses.replace(burn, reason="expiry")
+        uid = minted(directory, registry)
+        burn, sig = ask(directory, RecordKind.BURN, (uid,), (1000,), ("central",), 1, "tamper")
         with pytest.raises(BadSignature):
-            registry.endorse(edited)
-        assert registry.owner_of(req.unit_ids[0]) == "central"
+            registry.endorse(dataclasses.replace(burn, **{field: BURN_EDITS[field]}), sig)
+        assert len(registry.records) == 1
+        assert registry.owner_of(uid) == "central"
+
+    @pytest.mark.parametrize("seq", [0, 1, 7, -3])
+    def test_seq_is_not_signed(self, seq):
+        # the sender cannot know its record's seq: whatever the asked record
+        # carries, it is committed at the registry's next seq
+        directory, registry = make_registry()
+        uid = minted(directory, registry)
+        burn, sig = ask(directory, RecordKind.BURN, (uid,), (1000,), ("central",), 1, "tamper")
+        record, record_sig = registry.endorse(dataclasses.replace(burn, seq=seq), sig)
+        assert record.seq == 1
+        assert record.body() == burn.body()
+        assert registry.records[1] is record
+        assert directory.verify("registry", record.line().encode(), record_sig)
+        assert registry.audit() == []
 
     def test_mint_beyond_allowance(self):
         directory, registry = make_registry()
-        req = mint_request(registry, value=2_000_000).signed(directory)
         with pytest.raises(UnauthorizedIssuer):
-            registry.endorse(req)
+            registry.endorse(*mint_request(directory, registry, value=2_000_000))
 
     def test_non_issuer_cannot_mint(self):
         directory, registry = make_registry()
-        req = EndorseRequest(
-            RecordKind.MINT, (registry.new_unit_id(),), (10,), "alice", "alice", 0
-        ).signed(directory)
+        req = ask(directory, RecordKind.MINT, (registry.new_unit_id(),), (10,), ("alice",), 0)
         with pytest.raises(UnauthorizedIssuer):
-            registry.endorse(req)
+            registry.endorse(*req)
 
     def test_split_conserves_or_rejected(self):
         directory, registry = make_registry()
-        req = mint_request(registry).signed(directory)
-        registry.endorse(req)
-        parent = req.unit_ids[0]
-        bad = EndorseRequest(
+        parent = minted(directory, registry)
+        bad = ask(
+            directory,
             RecordKind.SPLIT,
             (parent, registry.new_unit_id(), registry.new_unit_id()),
             (1000, 300, 600),
-            "central",
-            "central",
+            ("central",),
             1,
-        ).signed(directory)
+        )
         with pytest.raises(InvalidRequest):
-            registry.endorse(bad)
+            registry.endorse(*bad)
 
     def test_split_children_share_id(self):
         directory, registry = make_registry()
-        req = mint_request(registry).signed(directory)
-        registry.endorse(req)
+        parent = minted(directory, registry)
         child = registry.new_unit_id()
-        split = EndorseRequest(
-            RecordKind.SPLIT,
-            (req.unit_ids[0], child, child),
-            (1000, 400, 600),
-            "central",
-            "central",
-            1,
-        ).signed(directory)
+        split = ask(
+            directory, RecordKind.SPLIT, (parent, child, child), (1000, 400, 600), ("central",), 1
+        )
         with pytest.raises(InvalidRequest):
-            registry.endorse(split)
-        assert registry.live_units() == {req.unit_ids[0]: ("central", 1000)}
+            registry.endorse(*split)
+        assert registry.live_units() == {parent: ("central", 1000)}
 
     def test_merge_same_id_twice(self):
         directory, registry = make_registry()
-        req = mint_request(registry).signed(directory)
-        registry.endorse(req)
-        uid = req.unit_ids[0]
-        merge = EndorseRequest(
+        uid = minted(directory, registry)
+        merge = ask(
+            directory,
             RecordKind.MERGE,
             (uid, uid, registry.new_unit_id()),
             (1000, 1000, 2000),
-            "central",
-            "central",
+            ("central",),
             1,
-        ).signed(directory)
+        )
         with pytest.raises(DoubleSpend):
-            registry.endorse(merge)
+            registry.endorse(*merge)
 
     def test_spend_of_unknown_id(self):
         directory, registry = make_registry()
-        ghost = EndorseRequest(
-            RecordKind.TRANSFER, ("u999",), (1,), "alice", "central", 0
-        ).signed(directory)
+        ghost = ask(directory, RecordKind.TRANSFER, ("u999",), (1,), ("central", "alice"), 0)
         with pytest.raises(DoubleSpend):
-            registry.endorse(ghost)
+            registry.endorse(*ghost)
 
     def test_exactly_one_of_concurrent_intents_wins(self):
         # N submissions touching the same id, in many interleavings:
         # exactly one endorsement each time
         for shuffle_seed in range(10):
             directory, registry = make_registry()
-            req = mint_request(registry).signed(directory)
-            registry.endorse(req)
-            uid = req.unit_ids[0]
+            uid = minted(directory, registry)
             intents = [
-                EndorseRequest(
-                    RecordKind.TRANSFER, (uid,), (1000,), owner, "central", 1
-                ).signed(directory)
+                ask(directory, RecordKind.TRANSFER, (uid,), (1000,), ("central", owner), 1)
                 for owner in ("alice", "bob", "mallory")
             ] * 4
             random.Random(shuffle_seed).shuffle(intents)
             accepted = 0
             for intent in intents:
                 try:
-                    registry.endorse(intent)
+                    registry.endorse(*intent)
                     accepted += 1
                 except DoubleSpend:
                     pass
@@ -208,28 +202,24 @@ class TestEndorse:
 class TestReplayHarness:
     def test_thousand_shuffled_replays_zero_acceptances(self):
         directory, registry = make_registry()
-        req = mint_request(registry).signed(directory)
-        registry.endorse(req)
-        uid = req.unit_ids[0]
-        transfer = EndorseRequest(
-            RecordKind.TRANSFER, (uid,), (1000,), "alice", "central", 1
-        ).signed(directory)
-        registry.endorse(transfer)
-        split = EndorseRequest(
+        uid = minted(directory, registry)
+        transfer = ask(directory, RecordKind.TRANSFER, (uid,), (1000,), ("central", "alice"), 1)
+        registry.endorse(*transfer)
+        split = ask(
+            directory,
             RecordKind.SPLIT,
             (uid, registry.new_unit_id(), registry.new_unit_id()),
             (1000, 400, 600),
-            "alice",
-            "alice",
+            ("alice",),
             2,
-        ).signed(directory)
-        registry.endorse(split)
+        )
+        registry.endorse(*split)
         replays = [transfer, split] * 500
         random.Random(11).shuffle(replays)
         outcomes = []
         for replay in replays:
             try:
-                registry.endorse(replay)
+                registry.endorse(*replay)
                 outcomes.append("accepted")
             except DoubleSpend:
                 outcomes.append("double_spend")
@@ -247,12 +237,10 @@ class TestSupplyStats:
 
     def test_mint_and_transfer_counted(self):
         directory, registry = make_registry()
-        req = mint_request(registry).signed(directory)
-        registry.endorse(req)
-        transfer = EndorseRequest(
-            RecordKind.TRANSFER, (req.unit_ids[0],), (1000,), "alice", "central", 1
-        ).signed(directory)
-        registry.endorse(transfer)
+        uid = minted(directory, registry)
+        registry.endorse(
+            *ask(directory, RecordKind.TRANSFER, (uid,), (1000,), ("central", "alice"), 1)
+        )
         stats = registry.supply_stats((0, 1))
         assert stats.live_supply == 1000
         assert stats.minted == 1000
@@ -261,12 +249,10 @@ class TestSupplyStats:
 
     def test_window_excluding_transfer(self):
         directory, registry = make_registry()
-        req = mint_request(registry).signed(directory)
-        registry.endorse(req)
-        transfer = EndorseRequest(
-            RecordKind.TRANSFER, (req.unit_ids[0],), (1000,), "alice", "central", 5
-        ).signed(directory)
-        registry.endorse(transfer)
+        uid = minted(directory, registry)
+        registry.endorse(
+            *ask(directory, RecordKind.TRANSFER, (uid,), (1000,), ("central", "alice"), 5)
+        )
         stats = registry.supply_stats((0, 4))
         assert stats.tx_count == 0
 
@@ -283,25 +269,15 @@ class TestSupplyStats:
 class TestAudit:
     def build_history(self):
         directory, registry = make_registry()
-        req = mint_request(registry).signed(directory)
-        registry.endorse(req)
-        uid = req.unit_ids[0]
+        uid = minted(directory, registry)
         registry.endorse(
-            EndorseRequest(
-                RecordKind.TRANSFER, (uid,), (1000,), "alice", "central", 1
-            ).signed(directory)
+            *ask(directory, RecordKind.TRANSFER, (uid,), (1000,), ("central", "alice"), 1)
         )
         c1, c2 = registry.new_unit_id(), registry.new_unit_id()
         registry.endorse(
-            EndorseRequest(
-                RecordKind.SPLIT, (uid, c1, c2), (1000, 400, 600), "alice", "alice", 2
-            ).signed(directory)
+            *ask(directory, RecordKind.SPLIT, (uid, c1, c2), (1000, 400, 600), ("alice",), 2)
         )
-        registry.endorse(
-            EndorseRequest(
-                RecordKind.BURN, (c1,), (400,), None, "alice", 3, reason="tamper"
-            ).signed(directory)
-        )
+        registry.endorse(*ask(directory, RecordKind.BURN, (c1,), (400,), ("alice",), 3, "tamper"))
         return directory, registry
 
     def test_clean_history_audits_ok(self):
@@ -419,7 +395,7 @@ def held_by_live_set(registry):
 
 
 def random_request(rng, registry, at, self_transfer):
-    """One endorse request, often one the registry must refuse."""
+    """One asked record, often one the registry must refuse."""
     live = registry.live_units()
     ids = sorted(live)
     kind = rng.choice(("mint", "mint", "transfer", "split", "merge", "burn", "replay"))
@@ -427,8 +403,8 @@ def random_request(rng, registry, at, self_transfer):
         return self_transfer
     if kind == "mint" or not ids:
         issuer = rng.choice(("central", "central", "central", "mallory"))
-        return EndorseRequest(
-            RecordKind.MINT, (registry.new_unit_id(),), (rng.randint(1, 50),), issuer, issuer, at
+        return LedgerRecord(
+            0, at, RecordKind.MINT, (registry.new_unit_id(),), (rng.randint(1, 50),), (issuer,)
         )
     uid = rng.choice(ids)
     owner, value = live[uid]
@@ -440,19 +416,19 @@ def random_request(rng, registry, at, self_transfer):
         uid = rng.choice(("u1", "u3", "nope"))
     if kind == "transfer":
         to = rng.choice(OWNERS)
-        return EndorseRequest(RecordKind.TRANSFER, (uid,), (value,), to, sender, at)
+        return LedgerRecord(0, at, RecordKind.TRANSFER, (uid,), (value,), (sender, to))
     if kind == "split":
         a = rng.randint(0, value)
         children = (registry.new_unit_id(), registry.new_unit_id())
-        return EndorseRequest(
-            RecordKind.SPLIT, (uid, *children), (value, a, value - a), None, sender, at
+        return LedgerRecord(
+            0, at, RecordKind.SPLIT, (uid, *children), (value, a, value - a), (sender,)
         )
     if kind == "merge":
         amounts = (value, live[other][1], value + live[other][1])
-        return EndorseRequest(
-            RecordKind.MERGE, (uid, other, registry.new_unit_id()), amounts, None, sender, at
+        return LedgerRecord(
+            0, at, RecordKind.MERGE, (uid, other, registry.new_unit_id()), amounts, (sender,)
         )
-    return EndorseRequest(RecordKind.BURN, (uid,), (value,), None, sender, at, reason="test")
+    return LedgerRecord(0, at, RecordKind.BURN, (uid,), (value,), (sender,), "test")
 
 
 def test_holdings_follow_the_live_set():
@@ -465,12 +441,12 @@ def test_holdings_follow_the_live_set():
         replays += request is self_transfer
         before = {o: registry.holdings(o) for o in OWNERS}
         try:
-            registry.endorse(request.signed(directory))
+            registry.endorse(request, directory.sign(request.parties[0], request.body().encode()))
             accepted += 1
         except (DoubleSpend, InvalidRequest, UnauthorizedIssuer):
             refused += 1
             assert {o: registry.holdings(o) for o in OWNERS} == before
-        if request.kind is RecordKind.TRANSFER and request.new_owner == request.sender:
+        if request.kind is RecordKind.TRANSFER and request.parties[1] == request.parties[0]:
             self_transfer = request
         assert {o: registry.holdings(o) for o in OWNERS} == held_by_live_set(registry)
     assert accepted > 500 and refused > 200 and replays > 20

@@ -99,12 +99,15 @@ class TestParsing:
 
     def test_supply_rules(self):
         cfg = parse_scenario(
+            "[hosts]\ncentral = CENTRAL_BANK HOME\n"
             "[supply]\nissuer = central\nallowance = 500\nrule = FIXED_CAP 50 10\n"
         )
         assert cfg.supply_issuer == "central"
         assert cfg.supply_allowance == 500
         assert cfg.supply_rule == FixedCapGeometric(50, 10)
-        growth = parse_scenario("[supply]\nissuer = c\nrule = CONSTANT_GROWTH 2/100\n")
+        growth = parse_scenario(
+            "[hosts]\nc = CENTRAL_BANK HOME\n[supply]\nissuer = c\nrule = CONSTANT_GROWTH 2/100\n"
+        )
         assert growth.supply_rule == ConstantGrowth(Fraction(2, 100))
 
     @pytest.mark.parametrize(
@@ -132,6 +135,9 @@ class TestParsing:
             (WORLD + "1 REPLAY alice -1\n", 8),
             ("[hosts]\nali,ce = CONSUMER HOME\n", 2),
             ("[hosts]\ncentral = CENTRAL_BANK HOME\nali|ce = CONSUMER HOME\n", 3),
+            # [supply] names checked once every host and policy is declared
+            ("[supply]\nissuer = nobody\n[hosts]\ncentral = CENTRAL_BANK HOME\n", 2),
+            (WORLD.replace("[script]\n", "[supply]\npolicy = nosuch\n"), 8),
         ],
         ids=[
             "too_few_args",
@@ -156,6 +162,8 @@ class TestParsing:
             "replay_count_negative",
             "host_id_comma",
             "host_id_pipe",
+            "supply_issuer_undeclared",
+            "supply_policy_undeclared",
         ],
     )
     def test_bad_line_fails_at_load(self, tmp_path, text, line_no):
