@@ -10,13 +10,11 @@ registry that makes double spending impossible.
 from .crypto import KeyDirectory, KeyPair, Signature, digest_hex, h64
 from .money import MoneyUnit, TransferOutcome, mint, merge, split, transfer, zeroise
 from .policy import (
-    CheckedPolicy,
     Decision,
     EvalContext,
     EventKind,
     PolicyProgram,
     Verdict,
-    canonicalize,
     check,
     compile_policy,
     evaluate,
@@ -29,7 +27,6 @@ from .scenario import load_scenario, parse_scenario, run_scenario
 __version__ = "0.1.0"
 
 __all__ = [
-    "CheckedPolicy",
     "Decision",
     "EvalContext",
     "EventKind",
@@ -42,7 +39,6 @@ __all__ = [
     "Simulation",
     "TransferOutcome",
     "Verdict",
-    "canonicalize",
     "check",
     "compile_policy",
     "digest_hex",

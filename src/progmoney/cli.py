@@ -18,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from .policy import CheckFailure, ParseError, collect_check_errors, parse as parse_policy
+from .policy import CheckFailure, ParseError, parse as parse_policy
 from .registry import audit_export
 from .report import build_report, render_report, report_for
 from .scenario import ScenarioError, load_scenario, run_scenario
@@ -101,9 +101,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
             print(f"{path}: parse error: {exc}", file=sys.stderr)
             status = 1
             continue
-        errors = collect_check_errors(program)
-        if errors:
-            for error in errors:
+        if program.check_errors:
+            for error in program.check_errors:
                 print(f"{path}: {error}", file=sys.stderr)
             status = 1
         else:

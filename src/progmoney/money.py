@@ -180,7 +180,7 @@ class MoneyUnit:
     value: int
     currency: str
     owner: str
-    policy: pol.CheckedPolicy
+    policy: pol.PolicyProgram
     policy_hash: int
     lineage: LineageNode
     state: UnitState = UnitState.ACTIVE
@@ -250,7 +250,7 @@ def mint(
     bank: KeyPair,
     value: int,
     currency: str,
-    policy: pol.CheckedPolicy | pol.PolicyProgram,
+    policy: pol.PolicyProgram,
     registry: Registry,
     at: int = 0,
     expiry: Optional[int] = None,
@@ -259,11 +259,8 @@ def mint(
     """Issue a fresh ACTIVE unit; the registry gates issuer allowance."""
     if value <= 0:
         raise InvalidAmount(f"mint value must be positive, got {value}")
-    if isinstance(policy, pol.PolicyProgram):
-        errors = pol.collect_check_errors(policy)
-        if errors:
-            raise InvalidPolicy("; ".join(str(e) for e in errors))
-        policy = pol.CheckedPolicy(policy)
+    if policy.check_errors:
+        raise InvalidPolicy("; ".join(str(e) for e in policy.check_errors))
     unit_id = registry.new_unit_id()
     endorsed = _endorse(registry, RecordKind.MINT, (unit_id,), (value,), (bank.key_id,), at)
     policy_hash = policy.content_hash
@@ -314,12 +311,17 @@ def split(unit: MoneyUnit, amount: int, registry: Registry, at: int) -> tuple[Mo
     return child(1), child(2)
 
 
+def fungible(a: MoneyUnit, b: MoneyUnit) -> bool:
+    """Whether `a` and `b` may merge: one policy, one currency, one home."""
+    return a.policy_hash == b.policy_hash and a.currency == b.currency and a.home == b.home
+
+
 def merge(a: MoneyUnit, b: MoneyUnit, registry: Registry, at: int) -> MoneyUnit:
     _require_active(a)
     _require_active(b)
     if a.owner != b.owner:
         raise MixedOwner(f"{a.owner} != {b.owner}")
-    if a.policy_hash != b.policy_hash or a.currency != b.currency or a.home != b.home:
+    if not fungible(a, b):
         raise MixedPolicy(f"units {a.id} and {b.id} are not fungible")
     ids = (a.id, b.id, registry.new_unit_id())
     amounts = (a.value, b.value, a.value + b.value)
@@ -473,10 +475,9 @@ def verify_integrity(
     directory or registry key is checked afresh.
     """
     problems: list[str] = []
-    program = unit.policy.program
-    if program.text_hash != unit.policy_hash:
+    if unit.policy.text_hash != unit.policy_hash:
         problems.append("policy text hash mismatch")
-    if not program.rules_match_text:
+    if not unit.policy.rules_match_text:
         problems.append("policy rules do not match canonical text")
     head = unit.lineage
     if unit.state is UnitState.ACTIVE:

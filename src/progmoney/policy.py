@@ -1,4 +1,4 @@
-"""The money-policy language: lexer, parser, checker, canonicalizer, evaluator.
+"""The money-policy language: lexer, parser, checker, canonical printer, evaluator.
 
 Each money unit carries a small rule program of the form
 
@@ -7,11 +7,15 @@ Each money unit carries a small rule program of the form
 
 Rule kinds are OBLIGATION, PERMISSION, PROHIBITION.  Conditions compare a
 context field against a literal with ==, !=, <, > and combine with OR/AND
-(AND binds tighter).  The default verdict with no matching rule is PERMIT;
-illegality is expressed as explicit PROHIBITION rules.  Fractions are exact
-rationals ("1/5") or basis points ("2000bp"); money arithmetic floors to
-minor units and never touches floating point.
+(AND binds tighter).  NONE parses to None, the value of an absent field.
+The default verdict with no matching rule is PERMIT; illegality is
+expressed as explicit PROHIBITION rules.  Fractions are exact rationals
+("1/5") or basis points ("2000bp"); money arithmetic floors to minor units
+and never touches floating point.
 
+A parsed program is one `PolicyProgram` value.  It works out once, and
+keeps, what follows from its rules: its static check errors, its per-event
+compiled matchers, the ticks where a TICK rule can change and its deadline.
 Parsing, checking and evaluation are pure; the canonical print of a program
 is the byte string whose 64-bit hash travels with the unit for tamper
 evidence.
@@ -62,23 +66,8 @@ class Verdict(Enum):
     FORBID = "FORBID"
 
 
-class _NoneLiteral:
-    """The NONE sentinel literal; compares equal only to absent fields."""
-
-    _instance: Optional["_NoneLiteral"] = None
-
-    def __new__(cls) -> "_NoneLiteral":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NONE"
-
-
-NONE = _NoneLiteral()
-
-Literal = Union[int, str, _NoneLiteral]
+# NONE parses to None, which equals only an absent (None) context field
+Literal = Union[int, str, None]
 
 
 # --- AST ---------------------------------------------------------------
@@ -179,6 +168,26 @@ class PolicyProgram:
         return render_rules(self.rules) == self.source_canonical
 
     @cached_property
+    def check_errors(self) -> tuple[CheckError, ...]:
+        """Every static check violation, in rule order; empty for a sound program."""
+        errors: list[CheckError] = []
+        for i, rule in enumerate(self.rules):
+            if rule.condition is not None:
+                for name in rule.condition.fields():
+                    if name not in FIELDS:
+                        errors.append(CheckError(i, f"unknown field '{name}'"))
+            for action in rule.actions:
+                if isinstance(action, PayAction):
+                    frac = action.fraction
+                    if frac.den == 0:
+                        errors.append(CheckError(i, "zero denominator"))
+                    elif frac.num > frac.den:
+                        errors.append(CheckError(i, "fraction > 1"))
+                    if rule.kind is RuleKind.PROHIBITION:
+                        errors.append(CheckError(i, "PAY inside PROHIBITION"))
+        return tuple(errors)
+
+    @cached_property
     def by_event(self) -> dict[EventKind, tuple[tuple[int, Rule, Matcher], ...]]:
         """Each event's (rule index, rule, compiled condition) entries, in rule order."""
         index: dict[EventKind, list[tuple[int, Rule, Matcher]]] = {e: [] for e in EventKind}
@@ -204,6 +213,24 @@ class PolicyProgram:
                     if factor.field in flips and isinstance(factor.literal, int):
                         flips[factor.field].update(_flip_points(factor.op, factor.literal))
         return tuple(sorted(flips["now"])), tuple(sorted(flips["last_contact"]))
+
+    @cached_property
+    def deadline(self) -> Optional[int]:
+        """The earliest tick a deadline rule names, or None: a unit's implied expiry.
+
+        A deadline is an integer compared against `expiry`, or one that
+        `now` must exceed, in a rule for any event.
+        """
+        ticks = [
+            factor.literal
+            for rule in self.rules
+            if rule.condition is not None
+            for term in rule.condition.terms
+            for factor in term.factors
+            if isinstance(factor.literal, int)
+            and (factor.field == "expiry" or (factor.field == "now" and factor.op == ">"))
+        ]
+        return min(ticks) if ticks else None
 
     def next_tick_change(self, now: int, contact_origin: int) -> Optional[int]:
         """The first tick after `now` at which a TICK matcher can change, or None.
@@ -252,7 +279,7 @@ class CheckError:
 
 
 class CheckFailure(ValueError):
-    def __init__(self, errors: list[CheckError]) -> None:
+    def __init__(self, errors: tuple[CheckError, ...]) -> None:
         super().__init__("; ".join(str(e) for e in errors))
         self.errors = errors
 
@@ -466,7 +493,7 @@ class _Parser:
             return str(tok.value)
         if tok.kind == "WORD" and tok.text == "NONE":
             self.advance()
-            return NONE
+            return None
         raise self.fail(f"expected literal, found {tok.text!r}")
 
     def parse_action(self) -> Action:
@@ -565,11 +592,6 @@ def render_rules(rules: tuple[Rule, ...]) -> str:
     return "\n".join(_render_rule(r) for r in rules)
 
 
-def canonicalize(program: PolicyProgram) -> str:
-    """Canonical text: one rule per line, single-space tokens, trailing ';'."""
-    return render_rules(program.rules)
-
-
 # --- Entry points ------------------------------------------------------
 
 
@@ -580,49 +602,14 @@ def parse(source: str) -> PolicyProgram:
     return PolicyProgram(rules, canonical, h64(canonical.encode()))
 
 
-@dataclass(frozen=True)
-class CheckedPolicy:
-    """A parsed program that passed static checking."""
-
-    program: PolicyProgram
-
-    @property
-    def rules(self) -> tuple[Rule, ...]:
-        return self.program.rules
-
-    @property
-    def content_hash(self) -> int:
-        return self.program.content_hash
-
-
-def collect_check_errors(program: PolicyProgram) -> list[CheckError]:
-    errors: list[CheckError] = []
-    for i, rule in enumerate(program.rules):
-        if rule.condition is not None:
-            for name in rule.condition.fields():
-                if name not in FIELDS:
-                    errors.append(CheckError(i, f"unknown field '{name}'"))
-        for action in rule.actions:
-            if isinstance(action, PayAction):
-                frac = action.fraction
-                if frac.den == 0:
-                    errors.append(CheckError(i, "zero denominator"))
-                elif frac.num > frac.den:
-                    errors.append(CheckError(i, "fraction > 1"))
-                if rule.kind is RuleKind.PROHIBITION:
-                    errors.append(CheckError(i, "PAY inside PROHIBITION"))
-    return errors
-
-
-def check(program: PolicyProgram) -> CheckedPolicy:
+def check(program: PolicyProgram) -> PolicyProgram:
     """Static sanity pass; raises CheckFailure listing every violation."""
-    errors = collect_check_errors(program)
-    if errors:
-        raise CheckFailure(errors)
-    return CheckedPolicy(program)
+    if program.check_errors:
+        raise CheckFailure(program.check_errors)
+    return program
 
 
-def compile_policy(source: str) -> CheckedPolicy:
+def compile_policy(source: str) -> PolicyProgram:
     return check(parse(source))
 
 
@@ -636,10 +623,11 @@ EMPTY_POLICY = compile_policy("")
 class EvalContext:
     """Field values a policy can test.
 
-    All amounts and ticks are integers; absent optional fields are None and
-    compare as the NONE sentinel.  `last_contact` carries the age in ticks
-    since the unit last contacted its government (not an absolute tick), so
-    the annual-contact rule stays expressible as a field/literal comparison.
+    All amounts and ticks are integers; an absent optional field is None,
+    which is what the literal NONE parses to.  `last_contact` carries the
+    age in ticks since the unit last contacted its government (not an
+    absolute tick), so the annual-contact rule stays expressible as a
+    field/literal comparison.
     """
 
     amount: int = 0
@@ -711,7 +699,7 @@ def _never(ctx: EvalContext) -> bool:
 
 def _compile_comparison(factor: Comparison) -> Matcher:
     get = attrgetter(factor.field)
-    rhs = None if isinstance(factor.literal, _NoneLiteral) else factor.literal
+    rhs = factor.literal
     if factor.op == "==":
         return lambda ctx: get(ctx) == rhs
     if factor.op == "!=":
@@ -780,8 +768,8 @@ def pay_amount(amount: int, fraction: FractionLit) -> int:
     return (amount * fraction.num) // fraction.den
 
 
-def evaluate(policy: CheckedPolicy, event: EventKind, ctx: EvalContext) -> Decision:
-    """Decide an event.  Pure and total over checked policies.
+def evaluate(policy: PolicyProgram, event: EventKind, ctx: EvalContext) -> Decision:
+    """Decide an event.  Pure and total over checked programs.
 
     Precedence is PROHIBITION > OBLIGATION > PERMISSION: any matching
     prohibition (or a FORBID action on a matching rule) yields FORBID with no
@@ -791,7 +779,7 @@ def evaluate(policy: CheckedPolicy, event: EventKind, ctx: EvalContext) -> Decis
     its program compiled once (`PolicyProgram.by_event`); rules for other
     events cost nothing.
     """
-    matching = [(i, r) for i, r, matches in policy.program.by_event[event] if matches(ctx)]
+    matching = [(i, r) for i, r, matches in policy.by_event[event] if matches(ctx)]
     for _, rule in matching:
         if rule.kind is RuleKind.PROHIBITION:
             return FORBIDDEN

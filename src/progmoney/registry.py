@@ -98,9 +98,6 @@ class LedgerRecord:
 @dataclass
 class SupplyStats:
     live_supply: int
-    minted: int
-    burned: int
-    tx_count: int
     tx_volume: int
 
 
@@ -284,7 +281,11 @@ class Registry:
         """
         body = asked.body()
         requester = asked.parties[0] if asked.parties else None
-        if requester is None or not self.directory.verify(requester, body.encode(), sender_sig):
+        if (
+            requester is None
+            or not self.directory.knows(requester)
+            or not self.directory.verify(requester, body.encode(), sender_sig)
+        ):
             raise BadSignature(f"request not signed by its requester: {body}")
         seq = len(self.records)
         record = asked if asked.seq == seq else replace(asked, seq=seq)
@@ -310,18 +311,12 @@ class Registry:
         lo, hi = window
         if lo < 0 or hi < lo or hi > self.now:
             raise BadWindow(f"window {window} outside [0, {self.now}]")
-        minted = burned = tx_count = tx_volume = 0
-        for rec in self.records:
-            if not (lo <= rec.at <= hi):
-                continue
-            if rec.kind is RecordKind.MINT:
-                minted += rec.amounts[0]
-            elif rec.kind is RecordKind.BURN:
-                burned += rec.amounts[0]
-            elif rec.kind is RecordKind.TRANSFER:
-                tx_count += 1
-                tx_volume += rec.amounts[0]
-        return SupplyStats(self.live_supply, minted, burned, tx_count, tx_volume)
+        tx_volume = sum(
+            rec.amounts[0]
+            for rec in self.records
+            if rec.kind is RecordKind.TRANSFER and lo <= rec.at <= hi
+        )
+        return SupplyStats(self.live_supply, tx_volume)
 
     # -- audit -----------------------------------------------------------
 

@@ -145,7 +145,11 @@ def parse_scenario(text: str) -> ScenarioConfig:
     hosts = {spec.id for spec in cfg.hosts}
     # "empty" is the policy every Simulation starts with
     policies = {"empty"} | {name for name, _ in cfg.policies}
-    if cfg.supply_issuer is not None and cfg.supply_issuer not in hosts:
+    if cfg.supply_issuer is None:
+        for key, value in (("rule", cfg.supply_rule), ("allowance", cfg.supply_allowance)):
+            if value is not None:
+                raise ScenarioError(f"[supply] {key} without an issuer", supply_lines[key])
+    elif cfg.supply_issuer not in hosts:
         raise ScenarioError(f"undeclared issuer {cfg.supply_issuer!r}", supply_lines["issuer"])
     if cfg.supply_policy not in policies:
         raise ScenarioError(f"undeclared policy {cfg.supply_policy!r}", supply_lines["policy"])
@@ -420,8 +424,6 @@ def build_simulation(cfg: ScenarioConfig, seed: int) -> Simulation:
         source = build_policy_source(builder_spec, sim.law, cfg.year_ticks)
         sim.add_policy(name, source)
     if cfg.supply_rule is not None:
-        if cfg.supply_issuer is None:
-            raise ScenarioError("[supply] rule configured without an issuer")
         sim.supply_rule = cfg.supply_rule
         sim.supply_issuer = cfg.supply_issuer
         sim.supply_policy_name = cfg.supply_policy

@@ -105,7 +105,7 @@ class Simulation:
         self.hosts: dict[str, Host] = {}
         self.units: dict[str, MoneyUnit] = {}
         self.law = LawTable()
-        self.policies: dict[str, pol.CheckedPolicy] = {"empty": pol.EMPTY_POLICY}
+        self.policies: dict[str, pol.PolicyProgram] = {"empty": pol.EMPTY_POLICY}
         self.rate_board: RateBoard = {}
         # (unit id, target) moves refused under the current rate board
         self._refused_moves: set[tuple[str, str]] = set()
@@ -194,10 +194,10 @@ class Simulation:
         except KeyError:
             raise UnknownHost(host_id) from None
 
-    def add_policy(self, name: str, source: str) -> pol.CheckedPolicy:
-        checked = pol.compile_policy(source)
-        self.policies[name] = checked
-        return checked
+    def add_policy(self, name: str, source: str) -> pol.PolicyProgram:
+        program = pol.compile_policy(source)
+        self.policies[name] = program
+        return program
 
     def set_issuer_allowance(self, host_id: str, allowance: int) -> None:
         self.registry.authorize_issuer(host_id, allowance)
@@ -440,7 +440,7 @@ class Simulation:
         if decision.obligations:
             self._execute_obligations(host, unit, decision.obligations)
             return self.now + 1
-        return unit.policy.program.next_tick_change(self.now, unit.last_contact)
+        return unit.policy.next_tick_change(self.now, unit.last_contact)
 
     def _attest_failed(self, host: Host, unit: MoneyUnit, event: str) -> None:
         """Run `unit`'s ATTEST_FAIL rules: its host has no location it can prove."""
@@ -628,12 +628,7 @@ class Simulation:
             if uid in self.deposits:
                 continue
             unit = self.units[uid]
-            if (
-                unit.policy_hash != deposit.policy_hash
-                or unit.currency != deposit.currency
-                or unit.home != deposit.home
-                or unit.value < amount
-            ):
+            if not money.fungible(unit, deposit) or unit.value < amount:
                 continue
             if unit.value == amount:
                 return unit
@@ -711,25 +706,11 @@ class Simulation:
         self, bank_id: HostArg, value: PositiveIntArg, policy_name: PolicyArg = "empty"
     ) -> MoneyUnit:
         bank = self.host(bank_id)
-        unit = self._mint(
-            bank, int(value), policy_name, self._policy_expiry(policy_name), bank.location
-        )
+        # a deadline rule implies the unit's expiry
+        expiry = self.policies[policy_name].deadline
+        unit = self._mint(bank, int(value), policy_name, expiry, bank.location)
         self.obs(bank_id, "mint", unit=unit.id, value=unit.value, policy=policy_name)
         return unit
-
-    def _policy_expiry(self, policy_name: str) -> Optional[int]:
-        # a deadline rule implies unit.expiry; read it off the compiled policy
-        checked = self.policies[policy_name]
-        deadlines = [
-            factor.literal
-            for rule in checked.rules
-            if rule.condition is not None
-            for term in rule.condition.terms
-            for factor in term.factors
-            if factor.field == "expiry" or (factor.field == "now" and factor.op == ">")
-        ]
-        ints = [d for d in deadlines if isinstance(d, int)]
-        return min(ints) if ints else None
 
     def act_issue(
         self,
@@ -792,13 +773,7 @@ class Simulation:
                 break
         if total < amount:
             return None
-        fungible = all(
-            u.policy_hash == pool[0].policy_hash
-            and u.currency == pool[0].currency
-            and u.home == pool[0].home
-            for u in pool
-        )
-        if not fungible:
+        if not all(money.fungible(u, pool[0]) for u in pool):
             self.obs(buyer.id, "mixed_funds", needed=amount)
             return None
         if total > amount:
@@ -833,7 +808,7 @@ class Simulation:
             self.obs(host_id, "tamper_noop", reason="no_units")
             return
         unit = units[min(int(index), len(units) - 1)]
-        source = unit.policy.program.source_canonical
+        source = unit.policy.source_canonical
         if not source:
             self.obs(host_id, "tamper_noop", reason="empty_policy")
             return
@@ -841,11 +816,7 @@ class Simulation:
         old = source[pos]
         new = "X" if old != "X" else "Y"
         mutated = source[:pos] + new + source[pos + 1 :]
-        unit.policy = pol.CheckedPolicy(
-            pol.PolicyProgram(
-                unit.policy.rules, mutated, unit.policy.program.content_hash
-            )
-        )
+        unit.policy = pol.PolicyProgram(unit.policy.rules, mutated, unit.policy.content_hash)
         self._wake(unit.id)
         self.obs(host_id, "tamper", unit=unit.id, pos=pos)
 

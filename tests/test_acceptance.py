@@ -201,13 +201,11 @@ def test_04_tamper_always_zeroises():
         total_value = sum(u.value for u in units)
         detected = zeroised = 0
         for unit in units:
-            text = unit.policy.program.source_canonical
+            text = unit.policy.source_canonical
             pos = rng.randrange(len(text))
             replacement = chr((ord(text[pos]) + 1 - 32) % 95 + 32)  # printable, != original
             mutated = text[:pos] + replacement + text[pos + 1 :]
-            unit.policy = pol.CheckedPolicy(
-                pol.PolicyProgram(unit.policy.rules, mutated, unit.policy.content_hash)
-            )
+            unit.policy = pol.PolicyProgram(unit.policy.rules, mutated, unit.policy.content_hash)
             if not verify_integrity(unit, directory).ok:
                 detected += 1
                 zeroise(unit, "tamper", registry, at=1)
@@ -391,7 +389,7 @@ def test_11_parser_round_trip_and_precedence():
         assert len(CORPUS) >= 30
         for source in CORPUS:
             program = pol.parse(source)
-            reparsed = pol.parse(pol.canonicalize(program))
+            reparsed = pol.parse(program.source_canonical)
             assert reparsed.rules == program.rules
             assert reparsed.source_canonical == program.source_canonical
         # all 8 subsets of {prohibition, obligation, permission} on one event

@@ -338,11 +338,9 @@ class TestIntegrity:
     def test_policy_text_flip_detected(self, world):
         directory, registry, bank = world
         unit = mint(bank, 100, "SIM", pol.compile_policy(SALES_TAX), registry)
-        source = unit.policy.program.source_canonical
+        source = unit.policy.source_canonical
         mutated = source[:5] + ("X" if source[5] != "X" else "Y") + source[6:]
-        unit.policy = pol.CheckedPolicy(
-            pol.PolicyProgram(unit.policy.rules, mutated, unit.policy.content_hash)
-        )
+        unit.policy = pol.PolicyProgram(unit.policy.rules, mutated, unit.policy.content_hash)
         result = verify_integrity(unit, directory)
         assert not result.ok
         assert any("hash" in p for p in result.problems)
@@ -351,12 +349,8 @@ class TestIntegrity:
         directory, registry, bank = world
         unit = mint(bank, 100, "SIM", pol.compile_policy(SALES_TAX), registry)
         sneaky = pol.parse('OBLIGATION ON RECEIVE DO PAY 0/1 TO "nobody";')
-        unit.policy = pol.CheckedPolicy(
-            pol.PolicyProgram(
-                sneaky.rules,
-                unit.policy.program.source_canonical,
-                unit.policy.content_hash,
-            )
+        unit.policy = pol.PolicyProgram(
+            sneaky.rules, unit.policy.source_canonical, unit.policy.content_hash
         )
         result = verify_integrity(unit, directory)
         assert not result.ok
@@ -456,9 +450,9 @@ def _resign_origin_by_mallory(origin, directory):
 
 
 def _edit_policy_text(unit, _directory):
-    program = unit.policy.program
+    program = unit.policy
     edited = program.source_canonical.replace("1/5", "1/9")
-    unit.policy = pol.CheckedPolicy(pol.PolicyProgram(program.rules, edited, program.content_hash))
+    unit.policy = pol.PolicyProgram(program.rules, edited, program.content_hash)
 
 
 def _edit_head_record(**fields):

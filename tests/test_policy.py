@@ -24,9 +24,7 @@ from progmoney.policy import (
     RuleKind,
     Verdict,
     ZeroiseObligation,
-    canonicalize,
     check,
-    collect_check_errors,
     compile_policy,
     evaluate,
     parse,
@@ -80,6 +78,12 @@ class TestParse:
         assert program.rules == ()
         assert program.source_canonical == ""
         assert program.content_hash == h64(b"")
+
+    def test_none_parses_to_python_none(self):
+        # NONE is the value of an absent field, and prints back as NONE
+        program = parse("PROHIBITION ON RECEIVE IF licence == NONE;")
+        assert program.rules[0].condition.terms[0].factors[0] == Comparison("licence", "==", None)
+        assert program.source_canonical == "PROHIBITION ON RECEIVE IF licence == NONE;"
 
     def test_sales_tax_ast(self):
         # hand-derived from the grammar
@@ -161,7 +165,7 @@ class TestCanonicalize:
     @pytest.mark.parametrize("source", CORPUS)
     def test_round_trip_fixpoint(self, source):
         once = parse(source)
-        again = parse(canonicalize(once))
+        again = parse(once.source_canonical)
         assert again.rules == once.rules
         assert again.source_canonical == once.source_canonical
         assert again.content_hash == once.content_hash
@@ -181,7 +185,7 @@ class TestCanonicalize:
 _strings = st.text(
     st.characters(exclude_categories=["Cs"], exclude_characters='"\n'), max_size=12
 )
-_literals = st.one_of(st.integers(0, 10**30), _strings, st.just(pol.NONE))
+_literals = st.one_of(st.integers(0, 10**30), _strings, st.none())
 _comparisons = st.builds(
     Comparison,
     st.one_of(st.sampled_from(pol.FIELDS), st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True)),
@@ -221,8 +225,8 @@ def test_render_parse_round_trip_property(rules):
     text = pol.render_rules(rules)
     program = parse(text)
     assert program.rules == rules
-    # rendered text is canonical: it parses and canonicalizes to itself
-    assert program.source_canonical == canonicalize(program) == text
+    # rendered text is canonical: it parses and prints to itself
+    assert program.source_canonical == text
 
 
 def random_rule(rng):
@@ -244,7 +248,7 @@ def random_rule(rng):
 def random_comparison(rng):
     field = rng.choice(pol.FIELDS)
     op = rng.choice(pol.OPS)
-    literal = rng.choice([rng.randrange(0, 1000), "token_" + str(rng.randrange(9)), pol.NONE])
+    literal = rng.choice([rng.randrange(0, 1000), "token_" + str(rng.randrange(9)), None])
     return Comparison(field, op, literal)
 
 
@@ -267,28 +271,28 @@ def random_action(rng):
 class TestCheck:
     def test_fraction_above_one(self):
         program = parse('OBLIGATION ON RECEIVE DO PAY 15000bp TO "x";')
-        errors = collect_check_errors(program)
+        errors = program.check_errors
         assert len(errors) == 1
         assert "fraction > 1" in errors[0].message
         assert errors[0].rule_index == 0
 
     def test_zero_denominator(self):
         program = parse('OBLIGATION ON RECEIVE DO PAY 1/0 TO "x";')
-        assert any("zero denominator" in e.message for e in collect_check_errors(program))
+        assert any("zero denominator" in e.message for e in program.check_errors)
 
     def test_unknown_field(self):
         program = parse('PROHIBITION ON RECEIVE IF colour == "red";')
-        errors = collect_check_errors(program)
+        errors = program.check_errors
         assert len(errors) == 1
         assert "unknown field 'colour'" in errors[0].message
 
     def test_pay_inside_prohibition(self):
         program = parse('PROHIBITION ON RECEIVE DO PAY 1/5 TO "x";')
-        assert any("PAY inside PROHIBITION" in e.message for e in collect_check_errors(program))
+        assert any("PAY inside PROHIBITION" in e.message for e in program.check_errors)
 
     def test_error_names_rule_index(self):
         program = parse(SALES_TAX + '\nOBLIGATION ON RECEIVE DO PAY 2/1 TO "x";')
-        errors = collect_check_errors(program)
+        errors = program.check_errors
         assert [e.rule_index for e in errors] == [1]
 
     def test_valid_sales_tax_checks_clean(self):
@@ -302,6 +306,56 @@ class TestCheck:
         with pytest.raises(CheckFailure) as exc_info:
             check(program)
         assert len(exc_info.value.errors) == 3  # >1 fraction, PAY-in-PROHIBITION, field
+
+    def test_check_errors_worked_out_once(self):
+        program = parse('OBLIGATION ON RECEIVE DO PAY 9/1 TO "x";')
+        errors = program.check_errors
+        assert errors == (pol.CheckError(0, "fraction > 1"),)
+        assert program.check_errors is errors
+
+    def test_check_returns_the_program_itself(self):
+        program = parse(SALES_TAX)
+        assert program.check_errors == ()
+        assert check(program) is program
+
+
+class TestDeadline:
+    @pytest.mark.parametrize(
+        "source, deadline",
+        [
+            ("", None),
+            (SALES_TAX, None),
+            ("OBLIGATION ON TICK IF now > 100 DO ZEROISE;", 100),
+            # the earliest deadline of any rule, for any event
+            (
+                "PROHIBITION ON TRANSFER_REQUEST IF now > 100;\n"
+                "OBLIGATION ON TICK IF now > 40 DO ZEROISE;",
+                40,
+            ),
+            # only a tick `now` must exceed is a deadline
+            ("PROHIBITION ON TICK IF now < 5;", None),
+            ("PROHIBITION ON RECEIVE IF now == 5;", None),
+            # any integer compared against expiry is one
+            ("PROHIBITION ON RECEIVE IF expiry < 30;", 30),
+            ('OBLIGATION ON RECEIVE IF expiry != NONE AND now > 50 DO NOTIFY "registry";', 50),
+            ('PROHIBITION ON RECEIVE IF expiry == "soon";', None),
+            ("OBLIGATION ON TICK IF last_contact > 360 DO ZEROISE;", None),
+        ],
+        ids=[
+            "empty",
+            "sales_tax",
+            "now_above",
+            "earliest_rule",
+            "now_below",
+            "now_equal",
+            "expiry_below",
+            "expiry_and_now",
+            "expiry_string",
+            "last_contact",
+        ],
+    )
+    def test_deadline(self, source, deadline):
+        assert compile_policy(source).deadline == deadline
 
 
 class TestEvaluate:
@@ -465,7 +519,7 @@ class TestEvaluate:
             'PROHIBITION ON TRANSFER_REQUEST IF category == "x";\n'
             'OBLIGATION ON TICK DO NOTIFY "n";'
         )
-        index = checked.program.by_event
+        index = checked.by_event
         assert set(index) == set(EventKind)
         assert [(i, rule) for i, rule, _ in index[EventKind.TICK]] == [
             (0, checked.rules[0]),
@@ -473,17 +527,14 @@ class TestEvaluate:
         ]
         assert [i for i, _, _ in index[EventKind.TRANSFER_REQUEST]] == [1]
         assert index[EventKind.RECEIVE] == () and index[EventKind.TAMPER] == ()
-        assert checked.program.by_event is index  # compiled once per program
+        assert checked.by_event is index  # compiled once per program
 
     def test_rebuilt_program_gets_its_own_index(self):
         # a program rebuilt around the same text (as a tamper does) is matched
         # by its own rules, not by the index of the program it copies
         checked = compile_policy("PROHIBITION ON RECEIVE;")
         assert not evaluate(checked, EventKind.RECEIVE, EvalContext()).permitted
-        program = checked.program
-        rebuilt = pol.CheckedPolicy(
-            pol.PolicyProgram((), program.source_canonical, program.content_hash)
-        )
+        rebuilt = pol.PolicyProgram((), checked.source_canonical, checked.content_hash)
         assert evaluate(rebuilt, EventKind.RECEIVE, EvalContext()).permitted
 
 
@@ -491,17 +542,16 @@ class TestEvaluate:
 
 
 def reference_compare(value, op, literal):
-    rhs = None if literal is pol.NONE else literal
     if op == "==":
-        return value == rhs
+        return value == literal
     if op == "!=":
-        return value != rhs
+        return value != literal
     # ordering is defined over integers only; anything else never matches
     if isinstance(value, bool) or not isinstance(value, int):
         return False
-    if not isinstance(rhs, int):
+    if not isinstance(literal, int):
         return False
-    return value < rhs if op == "<" else value > rhs
+    return value < literal if op == "<" else value > literal
 
 
 def reference_matches(rule, event, ctx):
@@ -558,7 +608,7 @@ def reference_evaluate(checked, event, ctx):
 
 # literals and context values drawn from one small pool, so that == and the
 # orderings match often; strings, bools and None sit beside the integers
-LITERALS = [0, 1, 5, 12, "HOME", "ABROAD", "sale", "5", pol.NONE]
+LITERALS = [0, 1, 5, 12, "HOME", "ABROAD", "sale", "5", None]
 CONTEXT_VALUES = [None, 0, 1, 5, 12, True, False, "HOME", "ABROAD", "sale", "5"]
 
 
@@ -649,7 +699,7 @@ _tick_rules = st.builds(
     contact_origin=st.integers(0, 60),
 )
 def test_no_tick_matcher_changes_before_next_tick_change(rules, now, contact_origin):
-    program = compile_policy(pol.render_rules(rules)).program
+    program = compile_policy(pol.render_rules(rules))
     after = program.next_tick_change(now, contact_origin)
     assert after is None or after > now
     end = now + 2_000 if after is None else after

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from progmoney.cli import run_cli
-from progmoney.crypto import KeyDirectory
+from progmoney.crypto import KeyDirectory, Signature
 from progmoney.registry import (
     BadSignature,
     BadWindow,
@@ -93,6 +93,15 @@ class TestEndorse:
         forged = directory.sign("mallory", asked.body().encode())
         with pytest.raises(BadSignature):
             registry.endorse(asked, forged)
+        assert registry.records == []
+
+    def test_unknown_requester_is_bad_signature(self):
+        # a requester the key directory never heard of is refused like a
+        # forgery, as a RegistryError, not a KeyError
+        _, registry = make_registry()
+        asked = LedgerRecord(0, 0, RecordKind.MINT, ("u1",), (5,), ("ghost",))
+        with pytest.raises(BadSignature):
+            registry.endorse(asked, Signature("ghost", 0))
         assert registry.records == []
 
     @pytest.mark.parametrize("field", list(BURN_EDITS))
@@ -232,8 +241,7 @@ class TestSupplyStats:
     def test_empty_ledger_all_zero(self):
         _, registry = make_registry()
         stats = registry.supply_stats((0, 0))
-        assert (stats.live_supply, stats.minted, stats.burned) == (0, 0, 0)
-        assert (stats.tx_count, stats.tx_volume) == (0, 0)
+        assert (stats.live_supply, stats.tx_volume) == (0, 0)
 
     def test_mint_and_transfer_counted(self):
         directory, registry = make_registry()
@@ -243,8 +251,6 @@ class TestSupplyStats:
         )
         stats = registry.supply_stats((0, 1))
         assert stats.live_supply == 1000
-        assert stats.minted == 1000
-        assert stats.tx_count == 1
         assert stats.tx_volume == 1000
 
     def test_window_excluding_transfer(self):
@@ -254,7 +260,7 @@ class TestSupplyStats:
             *ask(directory, RecordKind.TRANSFER, (uid,), (1000,), ("central", "alice"), 5)
         )
         stats = registry.supply_stats((0, 4))
-        assert stats.tx_count == 0
+        assert stats.tx_volume == 0
 
     def test_bad_window(self):
         _, registry = make_registry()

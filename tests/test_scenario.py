@@ -138,6 +138,9 @@ class TestParsing:
             # [supply] names checked once every host and policy is declared
             ("[supply]\nissuer = nobody\n[hosts]\ncentral = CENTRAL_BANK HOME\n", 2),
             (WORLD.replace("[script]\n", "[supply]\npolicy = nosuch\n"), 8),
+            # a rule or allowance needs an issuer to run it
+            ("[supply]\nrule = CONSTANT_GROWTH 2/100\n", 2),
+            ("[hosts]\ncentral = CENTRAL_BANK HOME\n[supply]\nallowance = 500\n", 4),
         ],
         ids=[
             "too_few_args",
@@ -164,6 +167,8 @@ class TestParsing:
             "host_id_pipe",
             "supply_issuer_undeclared",
             "supply_policy_undeclared",
+            "supply_rule_without_issuer",
+            "supply_allowance_without_issuer",
         ],
     )
     def test_bad_line_fails_at_load(self, tmp_path, text, line_no):

@@ -18,7 +18,7 @@ from progmoney.supply import (
 
 
 def stats(live=0, volume=0):
-    return SupplyStats(live_supply=live, minted=0, burned=0, tx_count=0, tx_volume=volume)
+    return SupplyStats(live_supply=live, tx_volume=volume)
 
 
 def supply_sim(
