@@ -12,11 +12,16 @@ replayed transfer fails the owner check and is rejected as a double spend.
 A self-transfer (sender == new owner) leaves the owner as it was, so its
 replay is endorsed again.
 
-`step` is the ledger's one transition.  `Registry.endorse` runs it on the
-live state; `replay_records` folds it over records from seq 0, and so do
-`Registry.audit`, `audit_export` and both reports, live and rebuilt, through it.  A
-replay therefore makes every check an endorsement makes except the issuer
-allowance, which the ledger export does not carry.
+`step` is the ledger's one transition, and its state is the one fold every
+reader reads: the live units, the mint and burn totals, TRANSFER amounts by
+new owner, BURN amounts by reason and TRANSFER volume by tick.
+`Registry.endorse` runs `step` on the live state, which `Registry.fold`
+hands out read-only: the live report and the per-period supply statistics
+read it there, and read no record.  `replay_records` folds `step` over
+records from seq 0; `Registry.audit` compares that replay with the live
+fold, and `audit_export` and the rebuilt report replay an export through
+it.  A replay therefore makes every check an endorsement makes except the
+issuer allowance, which the ledger export does not carry.
 
 `Registry.holdings` answers "which live units does this owner hold" from an
 owner -> ids index that `endorse` refreshes, after `step` succeeds, for the
@@ -27,7 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .crypto import KeyDirectory, Signature
 
@@ -103,12 +109,40 @@ class SupplyStats:
 
 @dataclass
 class _State:
-    """What the ledger determines: live units, consumed ids, mint/burn totals."""
+    """What the ledger determines: live units, consumed ids, and the totals readers sum."""
 
     live: dict[str, tuple[str, int]] = field(default_factory=dict)  # id -> (owner, value)
     consumed: set[str] = field(default_factory=set)
     minted: int = 0
     burned: int = 0
+    received: dict[str, int] = field(default_factory=dict)  # new owner -> TRANSFER amounts
+    burns: dict[Optional[str], int] = field(default_factory=dict)  # reason -> BURN amounts
+    volume: dict[int, int] = field(default_factory=dict)  # tick -> TRANSFER amounts
+
+
+class LedgerFold:
+    """A read-only view of a `_State`: what a fold hands its readers.
+
+    `Registry.fold` is the live one and `replay_records` returns a replayed
+    one, so a reader such as the report takes either.
+    """
+
+    __slots__ = ("_state", "live", "received", "burns", "volume")
+
+    def __init__(self, state: _State) -> None:
+        self._state = state
+        self.live: Mapping[str, tuple[str, int]] = MappingProxyType(state.live)
+        self.received: Mapping[str, int] = MappingProxyType(state.received)
+        self.burns: Mapping[Optional[str], int] = MappingProxyType(state.burns)
+        self.volume: Mapping[int, int] = MappingProxyType(state.volume)
+
+    @property
+    def minted(self) -> int:
+        return self._state.minted
+
+    @property
+    def burned(self) -> int:
+        return self._state.burned
 
 
 def _owned_value(state: _State, unit_id: str, owner: str) -> int:
@@ -177,6 +211,9 @@ def step(
         if amounts[0] != value:
             raise InvalidRequest(f"TRANSFER amount {amounts[0]} != unit value {value}")
         live[ids[0]] = (parties[1], value)
+        received, volume = state.received, state.volume
+        received[parties[1]] = received.get(parties[1], 0) + value
+        volume[rec.at] = volume.get(rec.at, 0) + value
     elif kind is _SPLIT:
         if len(ids) != 3 or len(amounts) != 3 or len(parties) != 1:
             raise InvalidRequest("SPLIT wants parent and two children")
@@ -218,6 +255,7 @@ def step(
         del live[ids[0]]
         state.consumed.add(ids[0])
         state.burned += value
+        state.burns[rec.reason] = state.burns.get(rec.reason, 0) + value
 
 
 class Registry:
@@ -229,6 +267,7 @@ class Registry:
         self.records: list[LedgerRecord] = []
         self.record_sigs: list[Signature] = []
         self._state = _State()
+        self.fold = LedgerFold(self._state)  # the live fold, read-only
         self._held: dict[str, set[str]] = {}  # owner -> ids of the live units held
         self._issuers: dict[str, int] = {}  # key_id -> remaining allowance
         self._id_counter = 0
@@ -246,9 +285,6 @@ class Registry:
         return f"u{self._id_counter}"
 
     # -- views -----------------------------------------------------------
-
-    def live_units(self) -> dict[str, tuple[str, int]]:
-        return dict(self._state.live)
 
     def owner_of(self, unit_id: str) -> Optional[str]:
         entry = self._state.live.get(unit_id)
@@ -268,6 +304,7 @@ class Registry:
 
     @property
     def live_supply(self) -> int:
+        """The sum over live units, which does not rest on the mint and burn totals."""
         return sum(v for _, v in self._state.live.values())
 
     # -- endorsement -----------------------------------------------------
@@ -308,15 +345,18 @@ class Registry:
     # -- statistics ------------------------------------------------------
 
     def supply_stats(self, window: tuple[int, int]) -> SupplyStats:
+        """Live supply and the TRANSFER volume of ticks `lo..hi`, read from the fold.
+
+        Live supply is minted - burned, and the volume sums the fold's
+        per-tick totals, so a call costs O(hi - lo) and reads no record.
+        """
         lo, hi = window
         if lo < 0 or hi < lo or hi > self.now:
             raise BadWindow(f"window {window} outside [0, {self.now}]")
-        tx_volume = sum(
-            rec.amounts[0]
-            for rec in self.records
-            if rec.kind is RecordKind.TRANSFER and lo <= rec.at <= hi
-        )
-        return SupplyStats(self.live_supply, tx_volume)
+        state = self._state
+        volume = state.volume.get
+        tx_volume = sum(volume(tick, 0) for tick in range(lo, hi + 1))
+        return SupplyStats(state.minted - state.burned, tx_volume)
 
     # -- audit -----------------------------------------------------------
 
@@ -324,7 +364,7 @@ class Registry:
         return "\n".join(rec.line() for rec in self.records)
 
     def audit(self) -> list[str]:
-        """Verify every record signature and replay the records through `step`."""
+        """Verify every record signature, and replay the records to check the live fold."""
         violations: list[str] = []
         for i, (rec, sig) in enumerate(zip(self.records, self.record_sigs)):
             if rec.seq != i:
@@ -334,12 +374,9 @@ class Registry:
         replayed, errors = replay_records(self.records)
         violations.extend(errors)
         if replayed is not None:
-            if replayed.live != self._state.live:
-                violations.append("live set does not match ledger replay")
-            if replayed.minted != self._state.minted:
-                violations.append("minted total does not match ledger replay")
-            if replayed.burned != self._state.burned:
-                violations.append("burned total does not match ledger replay")
+            for name in ("live", "minted", "burned", "received", "burns", "volume"):
+                if getattr(replayed, name) != getattr(self.fold, name):
+                    violations.append(f"{name} does not match ledger replay")
         live_total = self.live_supply
         if self._state.minted - self._state.burned != live_total:
             violations.append(
@@ -349,7 +386,7 @@ class Registry:
         return violations
 
 
-def replay_records(records: list[LedgerRecord]) -> tuple[Optional[_State], list[str]]:
+def replay_records(records: list[LedgerRecord]) -> tuple[Optional[LedgerFold], list[str]]:
     """Fold `step` over records from seq 0; the first violation ends the fold.
 
     Violations are returned, not raised.  No issuer allowances are checked.
@@ -362,7 +399,7 @@ def replay_records(records: list[LedgerRecord]) -> tuple[Optional[_State], list[
             step(state, rec)
         except RegistryError as exc:
             return None, [f"seq {rec.seq}: {exc}"]
-    return state, []
+    return LedgerFold(state), []
 
 
 # kind text -> kind: a dict lookup, where `RecordKind(text)` runs Enum's __call__

@@ -1,13 +1,14 @@
-"""Scenario reports, built from the observation log and the ledger's records.
+"""Scenario reports, built from the observation log and a fold of the ledger.
 
-A report folds two inputs: the observation lines, for the scenario, seed,
-event counts, host roles and trajectory, and the ledger's records, replayed
+A report reads two inputs: the observation lines, for the scenario, seed,
+event counts, host roles and trajectory, and a `LedgerFold` of the ledger,
 for supply, balances, tax and burns.  `build_report` parses the two text
-files the CLI writes and folds them; `report_for` folds a live run's
-observations and `registry.records` directly — the same records `export()`
-writes, which a test pins equal to the parsed export — so recomputing a
-report from disk reproduces the live run's report byte for byte, and every
-number can be cross-checked against the ledger.
+files the CLI writes and replays the parsed records into a fold;
+`report_for` reads a live run's observations and the registry's own live
+fold, `registry.fold`, and replays nothing.  `Registry.audit` checks that
+live fold against a replay of the registry's records, and a test pins the
+live report equal to the one rebuilt from the export, so recomputing a
+report from disk reproduces the live run's report byte for byte.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .metrics import format_utility, log_utility
-from .registry import LedgerRecord, RecordKind, parse_ledger_line, replay_records
+from .registry import LedgerFold, parse_ledger_line, replay_records
 from .sim import Simulation
 
 
@@ -76,31 +77,25 @@ def _observed(obs_lines: list[str]) -> tuple[Report, dict[str, str]]:
     return report, roles
 
 
-def _settled(report: Report, roles: dict[str, str], records: list[LedgerRecord]) -> Report:
-    """`report` completed by the ledger fold: replay, balances, tax and burns."""
-    replayed, errors = replay_records(records)
-    if errors:
-        raise ValueError("cannot report on a corrupt ledger: " + "; ".join(errors))
-    assert replayed is not None
-    report.minted = replayed.minted
-    report.burned = replayed.burned
-    report.live_supply = sum(v for _, v in replayed.live.values())
+def _settled(report: Report, roles: dict[str, str], fold: LedgerFold) -> Report:
+    """`report` completed from a ledger fold: supply, balances, tax and burns."""
+    report.minted = fold.minted
+    report.burned = fold.burned
+    report.live_supply = sum(v for _, v in fold.live.values())
 
     balances: dict[str, int] = {host: 0 for host in roles}
-    for owner, value in replayed.live.values():
+    for owner, value in fold.live.values():
         balances[owner] = balances.get(owner, 0) + value
     report.balances = dict(sorted(balances.items()))
 
-    tax_hosts = {host for host, role in roles.items() if role == "TAX_AUTHORITY"}
-    for rec in records:
-        if rec.kind is RecordKind.TRANSFER and rec.parties[1] in tax_hosts:
-            report.tax_collected += rec.amounts[0]
-        elif rec.kind is RecordKind.BURN:
-            reason = rec.reason or "unspecified"
-            report.burns_by_reason[reason] = (
-                report.burns_by_reason.get(reason, 0) + rec.amounts[0]
-            )
-    report.burns_by_reason = dict(sorted(report.burns_by_reason.items()))
+    report.tax_collected = sum(
+        amount for owner, amount in fold.received.items() if roles.get(owner) == "TAX_AUTHORITY"
+    )
+    burns: dict[str, int] = {}
+    for reason, amount in fold.burns.items():
+        reason = reason or "unspecified"
+        burns[reason] = burns.get(reason, 0) + amount
+    report.burns_by_reason = dict(sorted(burns.items()))
     report.utility_total = log_utility(report.balances.values())
     return report
 
@@ -109,13 +104,17 @@ def build_report(obs_lines: list[str], ledger_lines: list[str]) -> Report:
     """The report of a run's written observation log and ledger export."""
     report, roles = _observed(obs_lines)
     records = [parse_ledger_line(line) for line in ledger_lines if line.strip()]
-    return _settled(report, roles, records)
+    replayed, errors = replay_records(records)
+    if errors:
+        raise ValueError("cannot report on a corrupt ledger: " + "; ".join(errors))
+    assert replayed is not None
+    return _settled(report, roles, replayed)
 
 
 def report_for(sim: Simulation) -> Report:
-    """The report of a live run, folded from its own records: no export, no parse."""
+    """The report of a live run, read from the registry's live fold: no replay, no parse."""
     report, roles = _observed(sim.observations)
-    return _settled(report, roles, sim.registry.records)
+    return _settled(report, roles, sim.registry.fold)
 
 
 def render_report(report: Report) -> str:

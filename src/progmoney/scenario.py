@@ -33,7 +33,10 @@ Format (UTF-8, "#" comments):
 
 Script action names, argument counts and argument kinds are those of the
 handlers in `sim.ACTIONS`: a host or policy argument must be declared in
-the file, a number must parse.  A script line that does not fit one fails
+the file, a number must parse, and a MINT or ISSUE must name an issuer.
+An issuer is a BANK or CENTRAL_BANK host, or the [supply] issuer when it is
+given an allowance; a [supply] issuer that is neither, or a negative
+allowance, fails at load too.  A script line that does not fit one fails
 at load.
 """
 
@@ -49,7 +52,7 @@ from typing import Optional, get_args
 from . import fiscal
 from .markets import Side
 from .sim import ACTIONS, Simulation
-from .sim_types import ArgKind, LawStatus, LawTable, Role, parse_fraction
+from .sim_types import ISSUER_ROLES, ArgKind, LawStatus, LawTable, Role, parse_fraction
 from .supply import ConstantGrowth, FixedCapGeometric, SupplyRule, VolumeResponsive
 
 
@@ -151,9 +154,18 @@ def parse_scenario(text: str) -> ScenarioConfig:
                 raise ScenarioError(f"[supply] {key} without an issuer", supply_lines[key])
     elif cfg.supply_issuer not in hosts:
         raise ScenarioError(f"undeclared issuer {cfg.supply_issuer!r}", supply_lines["issuer"])
+    issuers = {spec.id for spec in cfg.hosts if spec.role in ISSUER_ROLES}
+    if cfg.supply_allowance is not None:
+        issuers.add(cfg.supply_issuer)
+    if cfg.supply_issuer is not None and cfg.supply_issuer not in issuers:
+        raise ScenarioError(
+            f"[supply] issuer {cfg.supply_issuer!r} is not a BANK or CENTRAL_BANK"
+            " and has no allowance",
+            supply_lines["issuer"],
+        )
     if cfg.supply_policy not in policies:
         raise ScenarioError(f"undeclared policy {cfg.supply_policy!r}", supply_lines["policy"])
-    _check_script_args(cfg, script_line_nos, hosts, policies)
+    _check_script_args(cfg, script_line_nos, hosts, issuers, policies)
     return cfg
 
 
@@ -234,10 +246,9 @@ def _parse_supply_entry(cfg: ScenarioConfig, key: str, value: str, line_no: int)
         cfg.supply_issuer = value
         return
     if key == "allowance":
-        try:
-            cfg.supply_allowance = int(value)
-        except ValueError:
-            raise ScenarioError(f"bad [supply] allowance {value!r}", line_no) from None
+        if not _is_non_negative_int(value):
+            raise ScenarioError(f"bad [supply] allowance {value!r}", line_no)
+        cfg.supply_allowance = int(value)
         return
     if key == "policy":
         cfg.supply_policy = value
@@ -288,9 +299,13 @@ def _parse_script_line(cfg: ScenarioConfig, line: str, line_no: int) -> None:
 
 
 def _check_script_args(
-    cfg: ScenarioConfig, line_nos: list[int], hosts: set[str], policies: set[str]
+    cfg: ScenarioConfig,
+    line_nos: list[int],
+    hosts: set[str],
+    issuers: set[str],
+    policies: set[str],
 ) -> None:
-    """Check the kind of every script argument against the declared hosts and policies.
+    """Check the kind of every script argument against the declared hosts, issuers and policies.
 
     A script repeats its hosts, policies and amounts, so the kind test runs
     once per distinct value of an argument position; the lines are read
@@ -298,6 +313,7 @@ def _check_script_args(
     """
     fits = {
         ArgKind.HOST: hosts.__contains__,
+        ArgKind.ISSUER: issuers.__contains__,
         ArgKind.POLICY: policies.__contains__,
         ArgKind.INT: _is_non_negative_int,
         ArgKind.POSITIVE_INT: _is_positive_int,

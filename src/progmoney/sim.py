@@ -46,11 +46,13 @@ from .markets import Order, OrderBook, RateBoard, Side, cda_submit, select_best_
 from .money import MoneyUnit, TransferOutcome, UnitState
 from .registry import DoubleSpend, Registry, RegistryError
 from .sim_types import (
+    ISSUER_ROLES,
     FlagArg,
     FractionArg,
     Host,
     HostArg,
     IntArg,
+    IssuerArg,
     LawEntry,
     LawTable,
     PolicyArg,
@@ -184,7 +186,7 @@ class Simulation:
             category=category,
         )
         self.hosts[host_id] = host
-        if role in (Role.BANK, Role.CENTRAL_BANK):
+        if role in ISSUER_ROLES:
             self.registry.authorize_issuer(host_id, DEFAULT_ISSUER_ALLOWANCE)
         return host
 
@@ -636,37 +638,45 @@ class Simulation:
         return None
 
     def _apply_supply_rule(self) -> None:
+        """Run this period's supply directive and write its trajectory point.
+
+        The statistics and the trajectory's supply come from the registry's
+        fold, minted - burned and the window's per-tick volume, so a period
+        reads no ledger record.  Only a burning period walks the issuer's
+        wallet: the clamp to its treasury is the treasury's only reader.
+        """
         assert self.supply_rule is not None and self.supply_issuer is not None
         issuer = self.host(self.supply_issuer)
         period = self.now // self.period_ticks - 1
         lo = 0 if period == 0 else self.now - self.period_ticks + 1
         stats = self.registry.supply_stats((lo, self.now))
-        treasury_total = sum(
-            u.value for u in self.active_units_of(issuer.id) if u.id not in self.deposits
-        )
         periods_per_year = max(1, self.year_ticks // self.period_ticks)
         directive = supply_mod.issuance(
             self.supply_rule, period, stats, periods_per_year=periods_per_year
         )
-        burn = min(directive.burn, treasury_total)
-        if directive.burn > treasury_total:
-            self.obs(
-                issuer.id,
-                "supply_clamp",
-                requested=directive.burn,
-                treasury=treasury_total,
-            )
         minted = burned = 0
         if directive.mint > 0:
             unit = self._mint(issuer, directive.mint, self.supply_policy_name)
             minted = directive.mint
             self.obs(issuer.id, "supply_mint", unit=unit.id, amount=minted)
-        elif burn > 0:
-            burned = self._burn_from_treasury(issuer, burn)
-            self.obs(issuer.id, "supply_burn", amount=burned, requested=burn)
+        elif directive.burn > 0:
+            treasury_total = sum(
+                u.value for u in self.active_units_of(issuer.id) if u.id not in self.deposits
+            )
+            burn = min(directive.burn, treasury_total)
+            if directive.burn > treasury_total:
+                self.obs(
+                    issuer.id,
+                    "supply_clamp",
+                    requested=directive.burn,
+                    treasury=treasury_total,
+                )
+            if burn > 0:
+                burned = self._burn_from_treasury(issuer, burn)
+                self.obs(issuer.id, "supply_burn", amount=burned, requested=burn)
         point = supply_mod.TrajectoryPoint(
             period=period,
-            supply=self.registry.live_supply,
+            supply=self.registry.total_minted - self.registry.total_burned,
             mint=minted,
             burn=burned,
             tx_volume=stats.tx_volume,
@@ -703,7 +713,7 @@ class Simulation:
         ACTIONS[parts[0]](self, *parts[1:])
 
     def act_mint(
-        self, bank_id: HostArg, value: PositiveIntArg, policy_name: PolicyArg = "empty"
+        self, bank_id: IssuerArg, value: PositiveIntArg, policy_name: PolicyArg = "empty"
     ) -> MoneyUnit:
         bank = self.host(bank_id)
         # a deadline rule implies the unit's expiry
@@ -714,7 +724,7 @@ class Simulation:
 
     def act_issue(
         self,
-        bank_id: HostArg,
+        bank_id: IssuerArg,
         recipient: HostArg,
         value: PositiveIntArg,
         policy_name: PolicyArg = "empty",

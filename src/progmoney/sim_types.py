@@ -21,6 +21,10 @@ class Role(Enum):
     ADVERSARY = "ADVERSARY"
 
 
+# the roles whose hosts may mint without being given an allowance
+ISSUER_ROLES = frozenset((Role.BANK, Role.CENTRAL_BANK))
+
+
 @dataclass
 class Host:
     id: str
@@ -39,6 +43,7 @@ class ArgKind(Enum):
     """What a script action argument must be; the scenario loader checks it."""
 
     HOST = "a declared host"
+    ISSUER = "a BANK or CENTRAL_BANK host, or the [supply] issuer with an allowance"
     POLICY = "a declared policy"
     INT = "a non-negative integer"
     POSITIVE_INT = "a positive integer"
@@ -60,6 +65,7 @@ def parse_fraction(text: str) -> Fraction:
 
 # script action handlers annotate their text arguments with these kinds
 HostArg = Annotated[str, ArgKind.HOST]
+IssuerArg = Annotated[str, ArgKind.ISSUER]
 PolicyArg = Annotated[str, ArgKind.POLICY]
 IntArg = Annotated[str, ArgKind.INT]
 PositiveIntArg = Annotated[str, ArgKind.POSITIVE_INT]

@@ -71,7 +71,7 @@ class TestMint:
         directory, registry, bank = world
         unit = mint(bank, 10_000, "SIM", pol.EMPTY_POLICY, registry, at=0)
         assert unit.state is UnitState.ACTIVE
-        assert registry.live_units()[unit.id] == ("central", 10_000)
+        assert registry.fold.live[unit.id] == ("central", 10_000)
         assert unit.policy_hash == pol.EMPTY_POLICY.content_hash
         assert verify_integrity(unit, directory).ok
 
@@ -275,7 +275,7 @@ class TestTransfer:
         unit = mint(bank, 100, "SIM", greedy, registry)
         snapshot = (
             len(registry.records),
-            registry.live_units(),
+            dict(registry.fold.live),
             registry.total_minted,
             registry.total_burned,
         )
@@ -283,7 +283,7 @@ class TestTransfer:
             transfer(unit, "bob", ctx_for(unit), registry, at=1)
         assert snapshot == (
             len(registry.records),
-            registry.live_units(),
+            dict(registry.fold.live),
             registry.total_minted,
             registry.total_burned,
         )

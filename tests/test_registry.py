@@ -164,7 +164,7 @@ class TestEndorse:
         )
         with pytest.raises(InvalidRequest):
             registry.endorse(*split)
-        assert registry.live_units() == {parent: ("central", 1000)}
+        assert registry.fold.live == {parent: ("central", 1000)}
 
     def test_merge_same_id_twice(self):
         directory, registry = make_registry()
@@ -306,11 +306,19 @@ class TestAudit:
         violations = registry.audit()
         assert any("seq" in v and "gap" in v for v in violations)
 
+    @pytest.mark.parametrize(
+        "total, key", [("received", "alice"), ("burns", "tamper"), ("volume", 1)]
+    )
+    def test_live_total_off_the_ledger_is_reported(self, total, key):
+        _, registry = self.build_history()
+        getattr(registry._state, total)[key] += 1
+        assert registry.audit() == [f"{total} does not match ledger replay"]
+
     def test_replay_determinism(self):
         _, registry = self.build_history()
         state, errors = replay_records(registry.records)
         assert errors == []
-        assert state.live == registry.live_units()
+        assert state.live == registry.fold.live
         assert state.minted == registry.total_minted
         assert state.burned == registry.total_burned
 
@@ -396,13 +404,13 @@ OWNERS = ("central", "alice", "bob", "mallory")
 
 def held_by_live_set(registry):
     """owner -> sorted ids, computed from the live set itself."""
-    live = registry.live_units()
+    live = registry.fold.live
     return {o: sorted(uid for uid, (owner, _) in live.items() if owner == o) for o in OWNERS}
 
 
 def random_request(rng, registry, at, self_transfer):
     """One asked record, often one the registry must refuse."""
-    live = registry.live_units()
+    live = registry.fold.live
     ids = sorted(live)
     kind = rng.choice(("mint", "mint", "transfer", "split", "merge", "burn", "replay"))
     if kind == "replay" and self_transfer is not None:

@@ -141,6 +141,11 @@ class TestParsing:
             # a rule or allowance needs an issuer to run it
             ("[supply]\nrule = CONSTANT_GROWTH 2/100\n", 2),
             ("[hosts]\ncentral = CENTRAL_BANK HOME\n[supply]\nallowance = 500\n", 4),
+            # only an issuer may mint, and an allowance is never negative
+            (WORLD + "1 MINT alice 100 retail\n", 8),
+            (WORLD + "1 ISSUE bob alice 100 retail\n", 8),
+            (WORLD.replace("[script]\n", "[supply]\nissuer = alice\nrule = FIXED_CAP 5 10\n"), 8),
+            (WORLD.replace("[script]\n", "[supply]\nissuer = central\nallowance = -5\n"), 9),
         ],
         ids=[
             "too_few_args",
@@ -169,6 +174,10 @@ class TestParsing:
             "supply_policy_undeclared",
             "supply_rule_without_issuer",
             "supply_allowance_without_issuer",
+            "mint_by_consumer",
+            "issue_by_vendor",
+            "supply_issuer_not_an_issuer",
+            "supply_allowance_negative",
         ],
     )
     def test_bad_line_fails_at_load(self, tmp_path, text, line_no):
@@ -178,6 +187,15 @@ class TestParsing:
         path = tmp_path / "bad.scn"
         path.write_text(text, encoding="utf-8")
         assert run_cli(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+
+    def test_supply_issuer_with_allowance_may_mint(self, tmp_path):
+        # an allowance makes any declared host an issuer, up to the allowance
+        text = WORLD.replace("[script]\n", "[supply]\nissuer = alice\nallowance = 100\n[script]\n")
+        path = tmp_path / "ok.scn"
+        path.write_text(text + "1 MINT alice 60\n2 ISSUE alice bob 40\n", encoding="utf-8")
+        assert run_cli(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        log = (tmp_path / "out" / "observations.log").read_text(encoding="utf-8")
+        assert "2|alice|issue|unit=u2 to=bob value=40" in log
 
     @pytest.mark.parametrize(
         "text, message",

@@ -710,7 +710,7 @@ def test_unit_store_is_the_live_set(name):
     sim = build_simulation(cfg, seed=7)
     for tick in range(cfg.until + 1):
         sim.run_until(tick)
-        live = sim.registry.live_units()
+        live = sim.registry.fold.live
         assert set(sim.units) == set(live), tick
         for uid, unit in sim.units.items():
             assert (unit.owner, unit.value) == live[uid], (tick, uid)

@@ -158,6 +158,21 @@ class TestRunSupply:
         with pytest.raises(UnauthorizedIssuer):
             supply_sim(ConstantGrowth(Fraction(0)), 1, initial_supply=100, allowance=10)
 
+    @pytest.mark.parametrize("periods", [200, 2000])
+    def test_minting_period_walks_no_wallet(self, monkeypatch, periods):
+        # only a burn reads the treasury, so a period that mints sums no wallet
+        walks = []
+        walk = Simulation.active_units_of
+
+        def counted(sim, host_id):
+            walks.append(host_id)
+            return walk(sim, host_id)
+
+        monkeypatch.setattr(Simulation, "active_units_of", counted)
+        sim = supply_sim(FixedCapGeometric(5, 100_000), periods, initial_supply=1000)
+        assert [p.mint for p in sim.trajectory] == [5] * periods
+        assert walks == []
+
     def test_trajectory_export_format(self):
         sim = supply_sim(FixedCapGeometric(4, 1), 3, initial_supply=0)
         text = "\n".join(report_for(sim).trajectory)
