@@ -7,7 +7,7 @@ a seeded, reproducible discrete-event economy with a central endorsement
 registry that makes double spending impossible.
 """
 
-from .crypto import KeyDirectory, KeyPair, Signature, digest_hex, h64
+from .crypto import KeyDirectory, Signature, digest_hex, h64
 from .money import MoneyUnit, TransferOutcome, mint, merge, split, transfer, zeroise
 from .policy import (
     Decision,
@@ -31,7 +31,6 @@ __all__ = [
     "EvalContext",
     "EventKind",
     "KeyDirectory",
-    "KeyPair",
     "MoneyUnit",
     "PolicyProgram",
     "Registry",

@@ -43,12 +43,6 @@ def digest_hex(value: int) -> str:
     return f"{value & _MASK64:016x}"
 
 
-@dataclass(frozen=True)
-class KeyPair:
-    key_id: str
-    secret: bytes
-
-
 @dataclass(frozen=True, slots=True)
 class Signature:
     signer: str
@@ -83,14 +77,15 @@ class KeyDirectory:
         # one keyed BLAKE2b state per key; sign and verify copy it
         self._macs: dict[str, hashlib.blake2b] = {}
 
-    def register(self, key_id: str, secret: bytes) -> KeyPair:
+    def register(self, key_id: str, secret: bytes) -> str:
+        """Keep `secret` as `key_id`'s signing key; returns `key_id`."""
         if key_id in self._macs:
             raise ValueError(f"key_id already registered: {key_id}")
         self._macs[key_id] = hashlib.blake2b(digest_size=8, key=secret)
-        return KeyPair(key_id, secret)
+        return key_id
 
-    def create(self, key_id: str, rng) -> KeyPair:
-        """Register a fresh keypair with a 16-byte secret drawn from `rng`."""
+    def create(self, key_id: str, rng) -> str:
+        """Register `key_id` with a fresh 16-byte secret drawn from `rng`; returns `key_id`."""
         return self.register(key_id, rng.randbytes(16))
 
     def knows(self, key_id: str) -> bool:

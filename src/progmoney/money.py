@@ -12,13 +12,14 @@ category "obligation" for TRANSFER_REQUEST and RECEIVE, then carved off the
 unit and moved to the payee.  A payment executes no obligations of its own,
 which keeps tax-on-tax recursion impossible.
 
-A unit's history is a DAG of immutable `LineageNode`s.  Each node holds a
-ledger record `Registry.endorse` committed, the registry's signature on its
-line and the requester's on its body, and the unit's position in it: mint
-is a root, a transfer appends one node, each split child gets one node over
-the parent's, and a merge gets one node over both.  The record binds seq,
-kind, unit ids, amounts and parties, so a node cannot be moved onto another
-unit's history.  Nodes are shared by every descendant and never copied, so
+A unit's history is a DAG of immutable `LineageNode`s, one per ledger
+record `Registry.endorse` committed.  Each node holds the record, the
+registry's signature on its line and the requester's on its body, and the
+nodes of the units the record consumed: mint is a root, a transfer appends
+one node, a split makes one node that both its children point at, and a
+merge makes one node over both parents.  The record binds seq, kind, unit
+ids, amounts and parties, so a node cannot be moved onto another unit's
+history.  Nodes are shared by every descendant and never copied, so
 lineage grows with the ledger, not with the number of splits and merges
 behind a unit.
 
@@ -27,22 +28,20 @@ as the `Origin` on its MINT node; every other node carries its first
 parent's origin, a merge's parents must have the same one, and a split
 keeps it, so split and merge sign nothing but the ledger record.
 `verify_integrity` checks each node once per `KeyDirectory` and remembers
-the result on the node; a SPLIT record, whose signatures both children's
-nodes carry, remembers the pair that verified; and the policy text check
-is remembered on each `PolicyProgram`, so an unchanged unit's next check
-costs no MAC.  Edited records, nodes and policies are new objects, and so
-are checked afresh.
+the result on the node, so a split's second child costs no MAC; and the
+policy text check is remembered on each `PolicyProgram`, so an unchanged
+unit's next check costs no MAC.  Edited records, nodes and policies are new
+objects, and so are checked afresh.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional
 
 from . import policy as pol
-from .crypto import KeyDirectory, KeyPair, Signature, digest_hex
+from .crypto import KeyDirectory, Signature, digest_hex
 from .crypto import h64  # noqa: F401 -- perfbench/tracing.py wraps money.h64 by name
 from .registry import LAYOUT, LedgerRecord, RecordKind, Registry
 
@@ -106,38 +105,44 @@ class Origin:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class LineageNode:
-    """A unit's position `slot` in an endorsed record, over the units it consumed.
+    """An endorsed record, over the nodes of the units it consumed.
 
     `sig` is the registry's signature on `record.line()`, `sender_sig` the
     requester's on `record.body()`.  `origin` is given to a MINT node; every
-    other node takes its first parent's.  Nodes are shared by every unit
-    descending from them and never change, except that `verify_integrity`
-    records in `verified_by` the directory under which the node and all its
-    ancestors checked out.
+    other node takes its first parent's.  Every unit the record makes, both
+    children of a SPLIT among them, points at the one node.  Nodes are
+    shared by every unit descending from them and never change, except that
+    `verify_integrity` records in `verified_by` the directory under which
+    the node and all its ancestors checked out.
     """
 
     record: LedgerRecord
     sig: Signature
     sender_sig: Signature
-    slot: int
     parents: tuple[LineageNode, ...] = ()
     origin: Optional[Origin] = None
-    # (id, owner, amount) of the unit the record makes at `slot`; None if it
-    # makes none there, or has no party or no id and amount at each position
-    holding: Optional[tuple[str, str, int]] = field(init=False)
+    # (id, owner, amount) of each unit the record makes; empty if it makes
+    # none, or has no party or no id and amount at each position
+    made: tuple[tuple[str, str, int], ...] = field(init=False)
     verified_by: Optional[KeyDirectory] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        record, slot = self.record, self.slot
+        record = self.record
         made, consumed = LAYOUT[record.kind]
-        width = 1 + max(made + consumed)
-        ids, amounts = record.unit_ids, record.amounts
-        holding = None
-        if slot in made and record.parties and len(ids) == len(amounts) == width:
-            holding = (ids[slot], record.parties[-1], amounts[slot])
-        object.__setattr__(self, "holding", holding)
+        ids, amounts, parties = record.unit_ids, record.amounts, record.parties
+        held: tuple[tuple[str, str, int], ...] = ()
+        if parties and len(ids) == len(amounts) == 1 + max(made + consumed):
+            held = tuple((ids[i], parties[-1], amounts[i]) for i in made)
+        object.__setattr__(self, "made", held)
         if self.parents:
             object.__setattr__(self, "origin", self.parents[0].origin)
+
+    def holding(self, unit_id: str) -> Optional[tuple[str, str, int]]:
+        """The (id, owner, amount) of unit `unit_id` if the record makes it, else None."""
+        for held in self.made:
+            if held[0] == unit_id:
+                return held
+        return None
 
     def __deepcopy__(self, memo) -> LineageNode:
         # immutable and shared by design; a copy would also drag along
@@ -170,7 +175,6 @@ def _ancestry(
 
 
 def _in_seq_order(head: LineageNode) -> list[LineageNode]:
-    # a stable sort keeps the two children of one SPLIT in ancestry order
     return sorted(_ancestry(head), key=lambda node: node.record.seq)
 
 
@@ -247,7 +251,7 @@ def _endorse(
 
 
 def mint(
-    bank: KeyPair,
+    bank: str,
     value: int,
     currency: str,
     policy: pol.PolicyProgram,
@@ -262,21 +266,21 @@ def mint(
     if policy.check_errors:
         raise InvalidPolicy("; ".join(str(e) for e in policy.check_errors))
     unit_id = registry.new_unit_id()
-    endorsed = _endorse(registry, RecordKind.MINT, (unit_id,), (value,), (bank.key_id,), at)
-    policy_hash = policy.content_hash
+    endorsed = _endorse(registry, RecordKind.MINT, (unit_id,), (value,), (bank,), at)
+    policy_hash = policy.text_hash
     origin = Origin(
         currency,
         policy_hash,
-        registry.directory.sign(bank.key_id, origin_body(unit_id, value, currency, policy_hash)),
+        registry.directory.sign(bank, origin_body(unit_id, value, currency, policy_hash)),
     )
     return MoneyUnit(
         id=unit_id,
         value=value,
         currency=currency,
-        owner=bank.key_id,
+        owner=bank,
         policy=policy,
         policy_hash=policy_hash,
-        lineage=LineageNode(*endorsed, 0, origin=origin),
+        lineage=LineageNode(*endorsed, origin=origin),
         expiry=expiry,
         home=home,
         last_contact=at,
@@ -293,16 +297,17 @@ def split(unit: MoneyUnit, amount: int, registry: Registry, at: int) -> tuple[Mo
     ids = (unit.id, registry.new_unit_id(), registry.new_unit_id())
     amounts = (unit.value, amount, unit.value - amount)
     endorsed = _endorse(registry, RecordKind.SPLIT, ids, amounts, (unit.owner,), at)
+    node = LineageNode(*endorsed, (unit.lineage,))
 
-    def child(slot: int) -> MoneyUnit:
+    def child(i: int) -> MoneyUnit:
         return MoneyUnit(
-            id=ids[slot],
-            value=amounts[slot],
+            id=ids[i],
+            value=amounts[i],
             currency=unit.currency,
             owner=unit.owner,
             policy=unit.policy,
             policy_hash=unit.policy_hash,
-            lineage=LineageNode(*endorsed, slot, (unit.lineage,)),
+            lineage=node,
             expiry=unit.expiry,
             home=unit.home,
             last_contact=unit.last_contact,
@@ -335,7 +340,7 @@ def merge(a: MoneyUnit, b: MoneyUnit, registry: Registry, at: int) -> MoneyUnit:
         policy=a.policy,
         policy_hash=a.policy_hash,
         # one node over both histories; ancestors they share stay shared
-        lineage=LineageNode(*endorsed, 2, (a.lineage, b.lineage)),
+        lineage=LineageNode(*endorsed, (a.lineage, b.lineage)),
         expiry=min(expiries) if expiries else None,
         home=a.home,
         last_contact=min(a.last_contact, b.last_contact),
@@ -347,7 +352,7 @@ def _move(unit: MoneyUnit, to: str, registry: Registry, at: int) -> None:
     endorsed = _endorse(
         registry, RecordKind.TRANSFER, (unit.id,), (unit.value,), (unit.owner, to), at
     )
-    unit.lineage = LineageNode(*endorsed, 0, (unit.lineage,))
+    unit.lineage = LineageNode(*endorsed, (unit.lineage,))
     unit.owner = to
 
 
@@ -461,18 +466,18 @@ def verify_integrity(
     node's record line must be signed by the registry key, its body and,
     on a MINT node, its origin by the requester (`parties[0]`) — so an
     adversary re-signing a unit wholesale with their own key is still a
-    detected tamper.  A node's slot must be one its record makes and its
-    parents exactly the units the record consumed or moved (same id, owner
-    and amount, earlier seq), with one origin; the head must give the
-    unit's id, owner and value, and its origin the unit's currency and
-    policy hash.
+    detected tamper.  A node's record must make a unit and its parents be
+    exactly the units the record consumed or moved (same id, owner and
+    amount, earlier seq), with one origin; the head must make a unit of the
+    unit's own id, owner and value, and its origin give the unit's currency
+    and policy hash.
 
     Work is done once per object: the policy text's hash and render are
-    remembered on its `PolicyProgram`, a lineage node that checks out
-    records `directory` in `verified_by`, and a SPLIT record remembers the
-    two signatures that verified on it.  So a unit whose head is trusted
-    is checked with no MAC, and a new lineage head or policy, another
-    directory or registry key is checked afresh.
+    remembered on its `PolicyProgram`, and a lineage node that checks out
+    records `directory` in `verified_by`.  So a unit whose head is trusted,
+    a split's second child among them, is checked with no MAC, and a new
+    lineage head or policy, another directory or registry key is checked
+    afresh.
     """
     problems: list[str] = []
     if unit.policy.text_hash != unit.policy_hash:
@@ -484,8 +489,8 @@ def verify_integrity(
         origin, claimed = head.origin, (unit.currency, unit.policy_hash)
         if origin is None or (origin.currency, origin.policy_hash) != claimed:
             problems.append("currency or policy hash is not the origin's")
-        held = head.holding
-        if held is None or held[0] != unit.id:
+        held = head.holding(unit.id)
+        if held is None:
             problems.append("provenance is another unit's")
         elif held[1:] != (unit.owner, unit.value):
             problems.append("provenance does not reproduce owner/value")
@@ -521,36 +526,28 @@ def _verify_lineage(head: LineageNode, directory: KeyDirectory, registry_key: st
 
 def _node_faults(node: LineageNode, directory: KeyDirectory, registry_key: str) -> list[str]:
     record = node.record
-    if node.holding is None:
-        return [f"record makes no unit at slot {node.slot}"]
+    if not node.made:
+        return ["record makes no unit"]
     requester = record.parties[0]
-    # the signers are pinned below on every call, so a record whose very
-    # same two signatures verified under this directory needs no MAC
-    signed = record._signed
-    checked = (
-        signed is not None
-        and signed[0]() is directory
-        and signed[1] is node.sig
-        and signed[2] is node.sender_sig
-    )
     faults = []
     if node.sig.signer != registry_key:
         faults.append("endorsement by unexpected key")
-    elif not checked and not directory.verify(registry_key, record.line().encode(), node.sig):
+    elif not directory.verify(registry_key, record.line().encode(), node.sig):
         faults.append("endorsement mismatch")
     if node.sender_sig.signer != requester:
         faults.append("sender is not the requester")
-    elif not checked and not directory.verify(requester, record.body().encode(), node.sender_sig):
+    elif not directory.verify(requester, record.body().encode(), node.sender_sig):
         faults.append("sender signature mismatch")
-    if not faults and not checked and record.kind is RecordKind.SPLIT:
-        # only a SPLIT's record is met again, through its other child
-        object.__setattr__(
-            record, "_signed", (weakref.ref(directory), node.sig, node.sender_sig)
-        )
     ids, amounts = record.unit_ids, record.amounts
-    if [parent.holding for parent in node.parents] != [
-        (ids[i], requester, amounts[i]) for i in LAYOUT[record.kind][1]
-    ] or any(parent.record.seq >= record.seq for parent in node.parents):
+    consumed = LAYOUT[record.kind][1]
+    if (
+        len(node.parents) != len(consumed)
+        or any(
+            parent.holding(ids[i]) != (ids[i], requester, amounts[i])
+            for parent, i in zip(node.parents, consumed)
+        )
+        or any(parent.record.seq >= record.seq for parent in node.parents)
+    ):
         faults.append("parents are not the units the record consumed")
     if record.kind is RecordKind.MINT:
         origin = node.origin

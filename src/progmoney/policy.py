@@ -153,13 +153,12 @@ class Rule:
 class PolicyProgram:
     rules: tuple[Rule, ...]
     source_canonical: str
-    content_hash: int
 
     # the fields never change, so each program hashes and renders its text
     # once; an edited program is a new object and is checked afresh
     @cached_property
     def text_hash(self) -> int:
-        """h64 of `source_canonical` as it is now, whatever `content_hash` claims."""
+        """h64 of `source_canonical` as it is now."""
         return h64(self.source_canonical.encode())
 
     @cached_property
@@ -599,7 +598,7 @@ def parse(source: str) -> PolicyProgram:
     """Parse `source` into a program whose canonical print re-parses identically."""
     rules = _Parser(_lex(source)).parse_program()
     canonical = render_rules(rules)
-    return PolicyProgram(rules, canonical, h64(canonical.encode()))
+    return PolicyProgram(rules, canonical)
 
 
 def check(program: PolicyProgram) -> PolicyProgram:

@@ -81,10 +81,6 @@ class LedgerRecord:
     reason: Optional[str] = None
     # body() once built: both signatures on a record are checked against it
     _body: Optional[str] = field(default=None, init=False, repr=False, compare=False)
-    # (directory by weak reference, sig, sender_sig) whose two MACs on this
-    # record `money.verify_integrity` found sound; both children of a SPLIT
-    # carry the same signatures, so the second reuses the check
-    _signed: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def body(self) -> str:
         """The record without its seq: what the requester signs."""
@@ -293,14 +289,6 @@ class Registry:
     def holdings(self, owner: str) -> list[str]:
         """The sorted ids of the live units `owner` holds."""
         return sorted(self._held.get(owner, ()))
-
-    @property
-    def total_minted(self) -> int:
-        return self._state.minted
-
-    @property
-    def total_burned(self) -> int:
-        return self._state.burned
 
     @property
     def live_supply(self) -> int:

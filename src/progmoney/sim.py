@@ -119,9 +119,6 @@ class Simulation:
         self.withholding: set[str] = set()
         self.now = 0
         self.observations: list[str] = []
-        self.trajectory: list[supply_mod.TrajectoryPoint] = []
-        self.forbidden_count = 0
-        self.scheduled_count = 0
         self.executed_count = 0
         self._queue: list[SimEvent] = []
         self._event_seq = 0
@@ -176,11 +173,10 @@ class Simulation:
         licence: Optional[str] = None,
         category: str = "deposit",
     ) -> Host:
-        keys = self.directory.create(host_id, self.rng)
+        self.directory.create(host_id, self.rng)
         host = Host(
             id=host_id,
             location=location,
-            keys=keys,
             role=role,
             licence=licence,
             category=category,
@@ -221,7 +217,6 @@ class Simulation:
         if event.at < self.now:
             raise SchedulePast(f"cannot schedule at {event.at}, now is {self.now}")
         heapq.heappush(self._queue, event)
-        self.scheduled_count += 1
 
     def _schedule(self, at: int, kind: str, target: str, args: tuple = ()) -> None:
         self._event_seq += 1
@@ -303,7 +298,7 @@ class Simulation:
     ) -> MoneyUnit:
         policy = self.policies[policy_name]
         unit = money.mint(
-            issuer.keys, value, self.currency, policy, self.registry, self.now, expiry, home
+            issuer.id, value, self.currency, policy, self.registry, self.now, expiry, home
         )
         self._place_unit(unit)
         return unit
@@ -362,7 +357,6 @@ class Simulation:
         self, host_id: str, unit: MoneyUnit, category: str, refusal: ValueError, **details
     ) -> None:
         # a refusal other than the policy's own veto names its error
-        self.forbidden_count += 1
         if not isinstance(refusal, money.PolicyForbids):
             details["error"] = type(refusal).__name__
         self.obs(host_id, "forbidden", unit=unit.id, category=category, **details)
@@ -554,19 +548,18 @@ class Simulation:
         target = select_best_rate(self.rate_board, self._current_bank_of(host, unit.id))
         if target is None or target == host.id or (unit.id, target) in self._refused_moves:
             return
-        self._schedule(self.now + 1, "move", host.id, (unit.id, target))
+        self._schedule(self.now + 1, "move", host.id, (unit.id,))
         self.obs(host.id, "move_planned", unit=unit.id, target=target)
 
-    def _execute_delegated_move(self, unit_id: str, target: str) -> None:
+    def _execute_delegated_move(self, unit_id: str) -> None:
         owner = self.registry.owner_of(unit_id)
         if owner not in self.hosts:
             return  # moved to a non-host, or consumed, since the move was planned
         holder, unit = self.hosts[owner], self.units[unit_id]
         # re-check under the board as it stands now (it may have moved on)
-        best = select_best_rate(self.rate_board, self._current_bank_of(holder, unit_id))
-        if best is None:
+        target = select_best_rate(self.rate_board, self._current_bank_of(holder, unit_id))
+        if target is None:
             return
-        target = best
         target_host = self.hosts.get(target)
         if target_host is None:
             return
@@ -638,7 +631,7 @@ class Simulation:
         return None
 
     def _apply_supply_rule(self) -> None:
-        """Run this period's supply directive and write its trajectory point.
+        """Run this period's supply directive and observe its trajectory row.
 
         The statistics and the trajectory's supply come from the registry's
         fold, minted - burned and the window's per-tick volume, so a period
@@ -674,22 +667,15 @@ class Simulation:
             if burn > 0:
                 burned = self._burn_from_treasury(issuer, burn)
                 self.obs(issuer.id, "supply_burn", amount=burned, requested=burn)
-        point = supply_mod.TrajectoryPoint(
-            period=period,
-            supply=self.registry.total_minted - self.registry.total_burned,
-            mint=minted,
-            burn=burned,
-            tx_volume=stats.tx_volume,
-        )
-        self.trajectory.append(point)
+        fold = self.registry.fold
         self.obs(
             "sim",
             "trajectory",
-            period=point.period,
-            supply=point.supply,
-            mint=point.mint,
-            burn=point.burn,
-            volume=point.tx_volume,
+            period=period,
+            supply=fold.minted - fold.burned,
+            mint=minted,
+            burn=burned,
+            volume=stats.tx_volume,
         )
 
     def _burn_from_treasury(self, issuer: Host, amount: int) -> int:
@@ -826,7 +812,7 @@ class Simulation:
         old = source[pos]
         new = "X" if old != "X" else "Y"
         mutated = source[:pos] + new + source[pos + 1 :]
-        unit.policy = pol.PolicyProgram(unit.policy.rules, mutated, unit.policy.content_hash)
+        unit.policy = pol.PolicyProgram(unit.policy.rules, mutated)
         self._wake(unit.id)
         self.obs(host_id, "tamper", unit=unit.id, pos=pos)
 

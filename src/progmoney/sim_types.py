@@ -7,8 +7,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Annotated, Optional
 
-from .crypto import KeyPair
-
 
 class Role(Enum):
     CONSUMER = "CONSUMER"
@@ -29,7 +27,6 @@ ISSUER_ROLES = frozenset((Role.BANK, Role.CENTRAL_BANK))
 class Host:
     id: str
     location: str
-    keys: KeyPair
     role: Role
     licence: Optional[str] = None
     category: str = "deposit"  # what a transfer to this host counts as

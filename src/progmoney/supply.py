@@ -91,12 +91,3 @@ def issuance(
     deviation = Fraction(stats.tx_volume - rule.target_volume, rule.target_volume)
     effective = rule.base_rate + rule.sensitivity * deviation
     return _growth_directive(stats.live_supply, effective, periods_per_year)
-
-
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    period: int
-    supply: int
-    mint: int
-    burn: int
-    tx_volume: int

@@ -30,6 +30,5 @@ def registry(directory, rng):
 
 @pytest.fixture
 def bank(directory, registry, rng):
-    keys = directory.create("central", rng)
     registry.authorize_issuer("central", 10**12)
-    return keys
+    return directory.create("central", rng)

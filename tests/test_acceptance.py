@@ -26,7 +26,7 @@ from progmoney.supply import ConstantGrowth, FixedCapGeometric, issuance
 from test_markets import brute_force_submit, random_book_and_order
 from test_metrics import equal_split
 from test_policy import CORPUS
-from test_supply import supply_sim
+from test_supply import supply_sim, trajectory
 
 SCENARIO_DIR = (
     Path(__file__).resolve().parents[1] / "src" / "progmoney" / "data" / "scenarios"
@@ -131,7 +131,7 @@ def test_01_conservation_mixed_scenario(tmp_path):
                 zeroise(unit, reason, registry, at=tick)
                 retire(unit)
         live = registry.live_supply
-        assert registry.total_minted - registry.total_burned == live
+        assert registry.fold.minted - registry.fold.burned == live
         assert registry.audit() == []
         # the CLI structural audit agrees
         ledger_path = tmp_path / "ledger.txt"
@@ -205,7 +205,7 @@ def test_04_tamper_always_zeroises():
             pos = rng.randrange(len(text))
             replacement = chr((ord(text[pos]) + 1 - 32) % 95 + 32)  # printable, != original
             mutated = text[:pos] + replacement + text[pos + 1 :]
-            unit.policy = pol.PolicyProgram(unit.policy.rules, mutated, unit.policy.content_hash)
+            unit.policy = pol.PolicyProgram(unit.policy.rules, mutated)
             if not verify_integrity(unit, directory).ok:
                 detected += 1
                 zeroise(unit, "tamper", registry, at=1)
@@ -213,8 +213,8 @@ def test_04_tamper_always_zeroises():
                     zeroised += 1
         assert detected == 100
         assert zeroised == 100
-        assert registry.total_burned == total_value
-        assert registry.total_minted - registry.total_burned == registry.live_supply
+        assert registry.fold.burned == total_value
+        assert registry.fold.minted - registry.fold.burned == registry.live_supply
         assert registry.audit() == []
 
 
@@ -256,7 +256,7 @@ def test_05_jurisdiction_and_annual_contact():
         }
         assert burns["jurisdiction"] <= 11  # moved at 10, zeroised within 1 tick
         assert burns["contact"] == 31  # not contacted for YEAR_TICKS+1
-        assert sim.registry.total_burned == 1100
+        assert sim.registry.fold.burned == 1100
         assert sim.registry.audit() == []
 
 
@@ -265,7 +265,7 @@ def test_06_supply_rules():
         # constant growth: 2%/yr over 10 years within 10 minor units of S0*1.02^10
         sim = supply_sim(ConstantGrowth(Fraction(2, 100)), 10, initial_supply=1_000_000)
         exact = Fraction(1_000_000) * Fraction(51, 50) ** 10
-        assert abs(exact - sim.trajectory[-1].supply) <= 10
+        assert abs(exact - trajectory(sim)[-1].supply) <= 10
         # fixed cap: brute-force summation oracle over 200 periods
         oracle_total = sum(50 // (2 ** (t // 10)) for t in range(200))
         rule = FixedCapGeometric(50, 10)

@@ -221,5 +221,5 @@ class TestScenarioOutcome:
         burns = [rec.reason for rec in sim.registry.records if rec.kind is RecordKind.BURN]
         assert burns == ["tamper"]
         assert report.live_supply == sum(report.balances.values()) == sim.registry.live_supply
-        assert sum(report.burns_by_reason.values()) == sim.registry.total_burned
+        assert sum(report.burns_by_reason.values()) == sim.registry.fold.burned
         assert sim.registry.audit() == []

@@ -72,7 +72,7 @@ class TestMint:
         unit = mint(bank, 10_000, "SIM", pol.EMPTY_POLICY, registry, at=0)
         assert unit.state is UnitState.ACTIVE
         assert registry.fold.live[unit.id] == ("central", 10_000)
-        assert unit.policy_hash == pol.EMPTY_POLICY.content_hash
+        assert unit.policy_hash == pol.EMPTY_POLICY.text_hash
         assert verify_integrity(unit, directory).ok
 
     def test_mint_zero_rejected(self, world):
@@ -105,7 +105,7 @@ class TestMint:
             3,
         )
         assert record == registry.records[-1]
-        assert unit.lineage.holding == (unit.id, "central", 500)
+        assert unit.lineage.made == ((unit.id, "central", 500),)
 
 
 class TestSplit:
@@ -142,7 +142,7 @@ class TestSplit:
             assert child.provenance[0] == unit.provenance[0]
             assert verify_integrity(child, directory).ok
             assert child.provenance[-1].kind is RecordKind.SPLIT
-            assert child.lineage.holding == (child.id, child.owner, child.value)
+            assert child.lineage.holding(child.id) == (child.id, child.owner, child.value)
 
 
 def test_split_and_merge_sign_only_the_request_and_the_ledger_line(world, monkeypatch):
@@ -220,7 +220,7 @@ class TestMerge:
             a,
             id=record.unit_ids[2],
             value=200,
-            lineage=LineageNode(record, sig, sender_sig, 2, (a.lineage, b.lineage)),
+            lineage=LineageNode(record, sig, sender_sig, (a.lineage, b.lineage)),
         )
         result = verify_integrity(merged, directory)
         assert result.problems == ("stamp 2 parents differ in currency or policy",)
@@ -238,7 +238,7 @@ class TestTransfer:
         assert outcome.payments[0][0] == "tax_authority"
         assert outcome.payments[0][1].value == 200
         assert registry.owner_of(outcome.payments[0][1].id) == "tax_authority"
-        assert registry.total_minted - registry.total_burned == registry.live_supply
+        assert registry.fold.minted - registry.fold.burned == registry.live_supply
 
     def test_prohibition_veto_leaves_no_trace(self, world):
         _, registry, bank = world
@@ -276,16 +276,16 @@ class TestTransfer:
         snapshot = (
             len(registry.records),
             dict(registry.fold.live),
-            registry.total_minted,
-            registry.total_burned,
+            registry.fold.minted,
+            registry.fold.burned,
         )
         with pytest.raises(ObligationUnpayable):
             transfer(unit, "bob", ctx_for(unit), registry, at=1)
         assert snapshot == (
             len(registry.records),
             dict(registry.fold.live),
-            registry.total_minted,
-            registry.total_burned,
+            registry.fold.minted,
+            registry.fold.burned,
         )
 
     def test_pay_consuming_everything(self, world):
@@ -326,7 +326,7 @@ class TestTransfer:
         for current in outcome.all_units():
             assert verify_integrity(current, directory).ok
             assert current.provenance[-1] == current.lineage.record
-            assert current.lineage.holding == (current.id, current.owner, current.value)
+            assert current.lineage.holding(current.id) == (current.id, current.owner, current.value)
 
 
 class TestIntegrity:
@@ -340,7 +340,7 @@ class TestIntegrity:
         unit = mint(bank, 100, "SIM", pol.compile_policy(SALES_TAX), registry)
         source = unit.policy.source_canonical
         mutated = source[:5] + ("X" if source[5] != "X" else "Y") + source[6:]
-        unit.policy = pol.PolicyProgram(unit.policy.rules, mutated, unit.policy.content_hash)
+        unit.policy = pol.PolicyProgram(unit.policy.rules, mutated)
         result = verify_integrity(unit, directory)
         assert not result.ok
         assert any("hash" in p for p in result.problems)
@@ -349,9 +349,7 @@ class TestIntegrity:
         directory, registry, bank = world
         unit = mint(bank, 100, "SIM", pol.compile_policy(SALES_TAX), registry)
         sneaky = pol.parse('OBLIGATION ON RECEIVE DO PAY 0/1 TO "nobody";')
-        unit.policy = pol.PolicyProgram(
-            sneaky.rules, unit.policy.source_canonical, unit.policy.content_hash
-        )
+        unit.policy = pol.PolicyProgram(sneaky.rules, unit.policy.source_canonical)
         result = verify_integrity(unit, directory)
         assert not result.ok
         assert any("canonical" in p for p in result.problems)
@@ -381,7 +379,7 @@ class TestIntegrity:
         unit = mint(bank, 100, "SIM", pol.compile_policy(SALES_TAX), registry)
         swapped = pol.compile_policy("")  # drop the tax rule entirely
         unit.policy = swapped
-        unit.policy_hash = swapped.content_hash
+        unit.policy_hash = swapped.text_hash
         origin = Origin(
             unit.currency,
             unit.policy_hash,
@@ -396,7 +394,6 @@ class TestIntegrity:
                 resigned,
                 directory.sign("mallory", resigned.line().encode()),
                 directory.sign("mallory", resigned.body().encode()),
-                0,
                 (forged,) if forged else (),
                 origin=origin,
             )
@@ -452,7 +449,7 @@ def _resign_origin_by_mallory(origin, directory):
 def _edit_policy_text(unit, _directory):
     program = unit.policy
     edited = program.source_canonical.replace("1/5", "1/9")
-    unit.policy = pol.PolicyProgram(program.rules, edited, program.content_hash)
+    unit.policy = pol.PolicyProgram(program.rules, edited)
 
 
 def _edit_head_record(**fields):
@@ -462,12 +459,14 @@ def _edit_head_record(**fields):
     return edit
 
 
-def _set_head_slot(slot):
-    return lambda unit, _: setattr(unit, "lineage", replace(unit.lineage, slot=slot))
+def _take_twin_id(unit, _directory):
+    """Give a split child the id of the other child of its SPLIT."""
+    [twin] = [made for made in unit.lineage.made if made[0] != unit.id]
+    unit.id = twin[0]
 
 
 class TestVerifyOnce:
-    """A warm verification cache, on a node or on a record, never hides a later edit."""
+    """A warm verification cache on a lineage node never hides a later edit."""
 
     def test_tamper_after_a_warm_check_detected(self):
         sim = Simulation(seed=3)
@@ -538,7 +537,8 @@ class TestVerifyOnce:
             lambda self, key_id, msg, sig: checked.append(key_id) or verify(self, key_id, msg, sig),
         )
         assert verify_integrity(rest, directory).ok
-        # the SPLIT record's two signatures were checked for carved, the root with it
+        # the twins share the SPLIT's node, trusted since carved's check
+        assert rest.lineage is carved.lineage
         assert checked == []
 
     @pytest.mark.parametrize("attr", ["sig", "sender_sig"])
@@ -578,11 +578,9 @@ class TestVerifyOnce:
             if node not in seen:
                 seen.add(node)
                 todo.extend(node.parents)
-        # a SPLIT is one record but gives each of its two children a node
-        splits = sum(record.kind is RecordKind.SPLIT for record in registry.records)
-        bound = len(registry.records) + splits
-        assert len(seen) <= bound
-        assert len(unit.provenance) <= bound
+        # one node per record: a SPLIT's two children share theirs
+        assert len(seen) <= len(registry.records)
+        assert len(unit.provenance) <= len(registry.records)
         assert verify_integrity(unit, directory).ok
 
         checked = []
@@ -590,6 +588,15 @@ class TestVerifyOnce:
         directory.verify = lambda *args: checked.append(args[0]) or verify(*args)
         assert verify_integrity(unit, directory).ok
         assert checked == []  # nothing changed since the last sound check
+
+    def test_merged_split_twins_count_their_split_once(self, world):
+        directory, registry, bank = world
+        carved, rest = split(mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry), 40, registry, at=1)
+        assert carved.lineage is rest.lineage
+        merged = merge(carved, rest, registry, at=2)
+        # MINT, SPLIT and MERGE, each once
+        assert len(merged.provenance) == len(registry.records) == 3
+        assert verify_integrity(merged, directory).ok
 
     @pytest.mark.parametrize(
         "edit, problem",
@@ -611,9 +618,8 @@ class TestVerifyOnce:
             (lambda unit, _: setattr(unit, "id", "u999"), "provenance is another unit's"),
             (_edit_head_record(at=2), "stamp 1 endorsement mismatch"),
             (_edit_policy_text, "policy text hash mismatch"),
-            (_set_head_slot(2), "provenance is another unit's"),  # the other child's
-            (_set_head_slot(0), "stamp 1 record makes no unit at slot 0"),
-            (_edit_head_record(amounts=()), "stamp 1 record makes no unit at slot 1"),
+            (_take_twin_id, "provenance does not reproduce owner/value"),
+            (_edit_head_record(amounts=()), "stamp 1 record makes no unit"),
         ],
         ids=[
             "mint_sig",
@@ -624,8 +630,7 @@ class TestVerifyOnce:
             "id",
             "lineage",
             "policy",
-            "sibling_slot",
-            "consumed_slot",
+            "twin_id",
             "malformed_record",
         ],
     )
@@ -673,8 +678,8 @@ class TestZeroise:
         zeroise(unit, "tamper", registry, at=1)
         assert unit.state is UnitState.ZEROISED
         assert unit.value == 0
-        assert registry.total_burned == 100
-        assert registry.total_minted - registry.total_burned == registry.live_supply
+        assert registry.fold.burned == 100
+        assert registry.fold.minted - registry.fold.burned == registry.live_supply
 
     def test_zeroise_twice_rejected(self, world):
         _, registry, bank = world

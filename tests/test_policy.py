@@ -77,7 +77,7 @@ class TestParse:
         program = parse("")
         assert program.rules == ()
         assert program.source_canonical == ""
-        assert program.content_hash == h64(b"")
+        assert program.text_hash == h64(b"")
 
     def test_none_parses_to_python_none(self):
         # NONE is the value of an absent field, and prints back as NONE
@@ -100,7 +100,7 @@ class TestParse:
                 ),
             ),
         )
-        assert program.content_hash == h64(program.source_canonical.encode())
+        assert program.text_hash == h64(program.source_canonical.encode())
 
     def test_unknown_rule_kind_position(self):
         with pytest.raises(ParseError) as exc_info:
@@ -156,11 +156,11 @@ class TestCanonicalize:
     def test_token_identical_policies_hash_equal(self):
         spaced = 'OBLIGATION ON RECEIVE IF amount > 10 DO PAY 1 / 5 TO "x";'
         tight = 'OBLIGATION ON RECEIVE IF amount>10 DO PAY 1/5 TO "x";'
-        assert parse(spaced).content_hash == parse(tight).content_hash
+        assert parse(spaced).text_hash == parse(tight).text_hash
 
     def test_comments_stripped(self):
         commented = "# leading comment\n" + SALES_TAX + " # trailing"
-        assert parse(commented).content_hash == parse(SALES_TAX).content_hash
+        assert parse(commented).text_hash == parse(SALES_TAX).text_hash
 
     @pytest.mark.parametrize("source", CORPUS)
     def test_round_trip_fixpoint(self, source):
@@ -168,7 +168,7 @@ class TestCanonicalize:
         again = parse(once.source_canonical)
         assert again.rules == once.rules
         assert again.source_canonical == once.source_canonical
-        assert again.content_hash == once.content_hash
+        assert again.text_hash == once.text_hash
 
     def test_round_trip_on_random_programs(self):
         # render randomly built ASTs and re-parse them
@@ -297,7 +297,7 @@ class TestCheck:
 
     def test_valid_sales_tax_checks_clean(self):
         checked = check(parse(SALES_TAX))
-        assert checked.content_hash == parse(SALES_TAX).content_hash
+        assert checked.text_hash == parse(SALES_TAX).text_hash
 
     def test_check_raises_with_all_errors(self):
         program = parse(
@@ -534,7 +534,7 @@ class TestEvaluate:
         # by its own rules, not by the index of the program it copies
         checked = compile_policy("PROHIBITION ON RECEIVE;")
         assert not evaluate(checked, EventKind.RECEIVE, EvalContext()).permitted
-        rebuilt = pol.PolicyProgram((), checked.source_canonical, checked.content_hash)
+        rebuilt = pol.PolicyProgram((), checked.source_canonical)
         assert evaluate(rebuilt, EventKind.RECEIVE, EvalContext()).permitted
 
 

@@ -319,8 +319,8 @@ class TestAudit:
         state, errors = replay_records(registry.records)
         assert errors == []
         assert state.live == registry.fold.live
-        assert state.minted == registry.total_minted
-        assert state.burned == registry.total_burned
+        assert state.minted == registry.fold.minted
+        assert state.burned == registry.fold.burned
 
     def test_conservation_after_every_append(self):
         _, registry = self.build_history()

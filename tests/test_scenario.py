@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from progmoney.cli import run_cli
+from progmoney.report import report_for
 from progmoney.scenario import (
     ScenarioError,
     build_policy_source,
@@ -291,7 +292,7 @@ class TestShippedScenarios:
         sim = run_scenario(cfg, seed=7)
         assert sim.registry.audit() == []
         registry = sim.registry
-        assert registry.total_minted - registry.total_burned == registry.live_supply
+        assert registry.fold.minted - registry.fold.burned == registry.live_supply
 
     def test_sales_tax_outcome(self):
         sim = run_scenario(load_scenario(str(SCENARIO_DIR / "sales_tax.scn")), seed=7)
@@ -302,7 +303,7 @@ class TestShippedScenarios:
 
     def test_legality_outcome(self):
         sim = run_scenario(load_scenario(str(SCENARIO_DIR / "legality.scn")), seed=7)
-        assert sim.forbidden_count == 2  # stolen goods + unlicensed weapons
+        assert report_for(sim).forbidden_count == 2  # stolen goods + unlicensed weapons
         # carol's licensed weapons purchase and alice's cake both complete
         assert sim.balance_of("bob") == 200
         assert sim.balance_of("fence") == 0
@@ -311,7 +312,7 @@ class TestShippedScenarios:
         sim = run_scenario(load_scenario(str(SCENARIO_DIR / "jurisdiction.scn")), seed=7)
         burns = [rec for rec in sim.registry.records if rec.kind.value == "BURN"]
         assert {rec.reason for rec in burns} == {"jurisdiction", "attest_fail"}
-        assert sim.registry.total_burned == 1000
+        assert sim.registry.fold.burned == 1000
 
     def test_annual_contact_outcome(self):
         sim = run_scenario(load_scenario(str(SCENARIO_DIR / "annual_contact.scn")), seed=7)
@@ -324,7 +325,7 @@ class TestShippedScenarios:
         sim = run_scenario(load_scenario(str(SCENARIO_DIR / "expiry.scn")), seed=7)
         # henry spent at the inclusive deadline; iris was vetoed after it;
         # all stimulus value ends burned (the policy travels to the vendor)
-        assert sim.forbidden_count == 1
+        assert report_for(sim).forbidden_count == 1
         transfers = [rec for rec in sim.registry.records if rec.kind.value == "TRANSFER"]
         assert all(rec.at <= 15 for rec in transfers if rec.parties[1] == "bob")
         burn_total = sum(
@@ -340,8 +341,8 @@ class TestShippedScenarios:
 
     def test_supply_cap_outcome(self):
         sim = run_scenario(load_scenario(str(SCENARIO_DIR / "supply_cap.scn")), seed=7)
-        assert sim.registry.total_minted == 970
-        assert sim.registry.total_minted <= 1000
+        assert sim.registry.fold.minted == 970
+        assert sim.registry.fold.minted <= 1000
 
     def test_delegation_outcome(self):
         sim = run_scenario(load_scenario(str(SCENARIO_DIR / "delegation.scn")), seed=7)

@@ -19,6 +19,20 @@ SCENARIO_DIR = (
 )
 
 
+@pytest.fixture
+def scheduled(monkeypatch):
+    """Every event `Simulation.schedule` queues, in order."""
+    events = []
+    schedule = Simulation.schedule
+
+    def counted(sim, event):
+        schedule(sim, event)
+        events.append(event)
+
+    monkeypatch.setattr(Simulation, "schedule", counted)
+    return events
+
+
 def basic_sim(seed=1, **kwargs):
     sim = Simulation(seed=seed, scenario_name="test", **kwargs)
     sim.add_host("central", Role.CENTRAL_BANK, "HOME")
@@ -82,14 +96,14 @@ class TestClock:
         ticks = [int(line.split("|", 1)[0]) for line in sim.observations]
         assert ticks == sorted(ticks)
 
-    def test_no_event_loss(self):
+    def test_no_event_loss(self, scheduled):
         sim = basic_sim()
         sim.schedule_script(0, ("ISSUE", "central", "alice", "500", "empty"))
         sim.schedule_script(2, ("BUY", "alice", "bob", "500", "sale"))
         sim.schedule_script(20, ("CONTACT", "alice"))  # beyond the horizon
         sim.run_until(10)
         pending = len(sim._queue)
-        assert sim.scheduled_count == sim.executed_count + pending
+        assert len(scheduled) == sim.executed_count + pending
         assert pending == 1
 
 
@@ -130,7 +144,7 @@ class TestMessaging:
         with pytest.raises(UnknownHost):
             sim.send("alice", "nobody", "hi")
 
-    def test_zero_latency_messages_are_not_lost(self):
+    def test_zero_latency_messages_are_not_lost(self, scheduled):
         # a zero-latency notify emitted during upkeep lands next drain
         sim = basic_sim(latency=(0, 0))
         sim.add_policy(
@@ -139,7 +153,7 @@ class TestMessaging:
         sim.schedule_script(0, ("ISSUE", "central", "alice", "100", "chatty"))
         sim.run_until(4)
         assert any("|message|" in line for line in sim.observations)
-        assert sim.scheduled_count == sim.executed_count + len(sim._queue)
+        assert len(scheduled) == sim.executed_count + len(sim._queue)
 
 
 class TestLawAndAttestation:
@@ -180,7 +194,7 @@ class TestUpkeep:
         zeroises = [line for line in sim.observations if "|zeroise|" in line]
         assert len(zeroises) == 1 and zeroises[0].startswith("3|")
         assert "reason=tamper" in zeroises[0]
-        assert sim.registry.total_burned == 400
+        assert sim.registry.fold.burned == 400
         assert sim.registry.audit() == []
 
     def test_jurisdiction_zeroise_within_one_tick(self):
@@ -230,7 +244,7 @@ class TestUpkeep:
         zeroises = [line for line in sim.observations if "|zeroise|" in line]
         assert zeroises and "reason=expiry" in zeroises[0]
         assert zeroises[0].startswith("6|")
-        assert sim.forbidden_count == 1
+        assert report_for(sim).forbidden_count == 1
 
     def test_tick_pay_obligation_executes(self):
         # a demurrage-style levy: 10% to the tax authority at tick 3
@@ -321,7 +335,7 @@ class TestUpkeep:
         zeroises = [line for line in sim.observations if "|zeroise|" in line]
         assert len(zeroises) == 1 and "reason=tamper" in zeroises[0]
         assert sim.balance_of("bob") == 0
-        assert sim.registry.total_burned == 300
+        assert sim.registry.fold.burned == 300
 
     def test_unit_expiry_read_from_policy(self):
         sim = basic_sim()
@@ -660,7 +674,7 @@ class TestSupplyInSim:
         sim.schedule_script(0, ("MINT", "central", "1000000", "empty"))
         sim.run_until(100)
         assert sim.registry.live_supply == 1_218_991
-        assert len(sim.trajectory) == 10
+        assert len(report_for(sim).trajectory) == 10
         assert sim.registry.audit() == []
 
     def test_deflation_clamp_logged_when_treasury_short(self):
@@ -686,7 +700,9 @@ class TestSupplyInSim:
         sim.schedule_script(0, ("MINT", "central", "1000", "empty"))
         sim.run_until(12)
         rows = [line for line in sim.observations if "|trajectory|" in line]
-        assert len(rows) == len(sim.trajectory) == 3
+        assert [row.split("|", 1)[0] for row in rows] == ["4", "8", "12"]
+        # each row's supply is the fold's minted - burned after its directive
+        assert report_for(sim).trajectory[-1].split("|")[1] == str(sim.registry.live_supply)
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.scn")))
@@ -702,6 +718,20 @@ def test_balances_match_the_report(name):
     assert set(reported) >= set(sim.hosts)
     for host_id in sim.hosts:
         assert sim.balance_of(host_id) == reported[host_id], host_id
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.scn")))
+def test_one_lineage_node_per_committed_record(name):
+    sim = run_scenario(load_scenario(str(SCENARIO_DIR / name)), seed=7)
+    nodes, todo = set(), [unit.lineage for unit in sim.units.values()]
+    while todo:
+        node = todo.pop()
+        if node not in nodes:
+            nodes.add(node)
+            todo.extend(node.parents)
+    records = [node.record for node in nodes]
+    assert len({id(record) for record in records}) == len(nodes)
+    assert all(sim.registry.records[record.seq] is record for record in records)
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.scn")))

@@ -1,6 +1,7 @@
 """Supply controllers: fixed cap, constant growth, volume response."""
 
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -21,13 +22,26 @@ def stats(live=0, volume=0):
     return SupplyStats(live_supply=live, tx_volume=volume)
 
 
+class Point(NamedTuple):
+    period: int
+    supply: int
+    mint: int
+    burn: int
+    volume: int
+
+
+def trajectory(sim):
+    """The run's trajectory, one point per period, as its report reads it."""
+    return [Point(*map(int, row.split("|"))) for row in report_for(sim).trajectory]
+
+
 def supply_sim(
     rule, periods, initial_supply=0, periods_per_year=1, period_ticks=1, allowance=None
 ):
     """A central bank alone under `rule`, run for `periods` supply periods.
 
     The initial supply is minted into the bank's treasury at tick 0, and
-    `sim.trajectory` holds one point per period.
+    `trajectory(sim)` gives one point per period.
     """
     sim = Simulation(
         seed=8,
@@ -98,7 +112,7 @@ class TestIssuance:
         sim.schedule_script(0, ("MINT", "central", "200"))
         sim.schedule_script(0, ("ISSUE", "central", "alice", "999800"))
         sim.run_until(1)
-        point = sim.trajectory[0]
+        point = trajectory(sim)[0]
         assert point.burn == 200
         assert point.mint == 0
 
@@ -118,41 +132,41 @@ class TestIssuance:
 class TestRunSupply:
     def test_zero_rate_flat(self):
         sim = supply_sim(ConstantGrowth(Fraction(0)), 5, initial_supply=1_000)
-        assert [p.supply for p in sim.trajectory] == [1_000] * 5
+        assert [p.supply for p in trajectory(sim)] == [1_000] * 5
         assert sim.registry.audit() == []
 
     def test_two_percent_ten_years_close_to_compound(self):
         # closed form computed exactly with Fraction arithmetic
         sim = supply_sim(ConstantGrowth(Fraction(2, 100)), 10, initial_supply=1_000_000)
         exact = Fraction(1_000_000) * Fraction(51, 50) ** 10
-        drift = exact - sim.trajectory[-1].supply
+        drift = exact - trajectory(sim)[-1].supply
         assert 0 <= drift <= 10  # cumulative flooring, one unit per period max
-        assert sim.trajectory[-1].supply == 1_218_991
+        assert trajectory(sim)[-1].supply == 1_218_991
 
     def test_growth_within_t_units_every_period(self):
         sim = supply_sim(ConstantGrowth(Fraction(2, 100)), 10, initial_supply=1_000_000)
-        for t, point in enumerate(sim.trajectory, start=1):
+        for t, point in enumerate(trajectory(sim), start=1):
             exact = Fraction(1_000_000) * Fraction(51, 50) ** t
             assert 0 <= exact - point.supply <= t
 
     def test_deflation_halves_supply(self):
         sim = supply_sim(ConstantGrowth(Fraction(-1, 2)), 3, initial_supply=100)
-        assert [p.supply for p in sim.trajectory] == [50, 25, 12]
-        assert [p.burn for p in sim.trajectory] == [50, 25, 13]
-        assert sim.registry.total_burned == 88
+        assert [p.supply for p in trajectory(sim)] == [50, 25, 12]
+        assert [p.burn for p in trajectory(sim)] == [50, 25, 13]
+        assert sim.registry.fold.burned == 88
         assert sim.registry.audit() == []
 
     def test_full_deflation_burns_everything_then_stops(self):
         sim = supply_sim(ConstantGrowth(Fraction(-1)), 3, initial_supply=100)
-        assert [p.supply for p in sim.trajectory] == [0, 0, 0]
-        assert sim.registry.total_burned == 100
+        assert [p.supply for p in trajectory(sim)] == [0, 0, 0]
+        assert sim.registry.fold.burned == 100
         assert sim.registry.live_supply == 0
         assert sim.registry.audit() == []
 
     def test_directives_appear_in_ledger_one_to_one(self):
         sim = supply_sim(FixedCapGeometric(50, 2), 6, initial_supply=0)
         mints = [r for r in sim.registry.records if r.kind.value == "MINT"]
-        assert [r.amounts[0] for r in mints] == [p.mint for p in sim.trajectory if p.mint]
+        assert [r.amounts[0] for r in mints] == [p.mint for p in trajectory(sim) if p.mint]
 
     def test_allowance_exceeded(self):
         with pytest.raises(UnauthorizedIssuer):
@@ -170,7 +184,7 @@ class TestRunSupply:
 
         monkeypatch.setattr(Simulation, "active_units_of", counted)
         sim = supply_sim(FixedCapGeometric(5, 100_000), periods, initial_supply=1000)
-        assert [p.mint for p in sim.trajectory] == [5] * periods
+        assert [p.mint for p in trajectory(sim)] == [5] * periods
         assert walks == []
 
     def test_trajectory_export_format(self):
