@@ -124,10 +124,9 @@ def delegated_move(
     target_bank: str,
     ctx: pol.EvalContext,
     registry: Registry,
-    at: int,
 ) -> TransferOutcome:
     """Deposit `unit` at `target_bank` through the normal transfer path."""
-    return transfer(unit, target_bank, ctx, registry, at=at)
+    return transfer(unit, target_bank, ctx, registry)
 
 
 def interest_payment(value: int, rate: Fraction, periods_per_year: int) -> int:

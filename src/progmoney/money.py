@@ -43,7 +43,7 @@ from typing import Callable, Optional
 from . import policy as pol
 from .crypto import KeyDirectory, Signature, digest_hex
 from .crypto import h64  # noqa: F401 -- perfbench/tracing.py wraps money.h64 by name
-from .registry import LAYOUT, LedgerRecord, RecordKind, Registry
+from .registry import LAYOUT, REGISTRY_KEY, LedgerRecord, RecordKind, Registry
 
 OBLIGATION_CATEGORY = "obligation"
 
@@ -392,9 +392,8 @@ def transfer(
     to: str,
     ctx: pol.EvalContext,
     registry: Registry,
-    at: Optional[int] = None,
 ) -> TransferOutcome:
-    """Move a whole unit to `to`, then run the receiving side's obligations.
+    """Move a whole unit to `to` at tick `ctx.now`, then run the receiving side's obligations.
 
     The unit's policy must PERMIT both the TRANSFER_REQUEST and the RECEIVE
     event; PAY obligations from the RECEIVE decision carve value out of the
@@ -403,7 +402,7 @@ def transfer(
     _require_active(unit)
     if ctx.amount != unit.value:
         raise InvalidAmount(f"ctx.amount {ctx.amount} != unit value {unit.value}")
-    tick = at if at is not None else ctx.now
+    tick = ctx.now
 
     request_decision = pol.evaluate(unit.policy, pol.EventKind.TRANSFER_REQUEST, ctx)
     if not request_decision.permitted:
@@ -457,13 +456,11 @@ def transfer(
     return outcome
 
 
-def verify_integrity(
-    unit: MoneyUnit, directory: KeyDirectory, registry_key: str = "registry"
-) -> IntegrityResult:
+def verify_integrity(unit: MoneyUnit, directory: KeyDirectory) -> IntegrityResult:
     """Check the policy text, the origin and the lineage; report all mismatches.
 
     Signer identities are pinned, not taken at face value: a lineage
-    node's record line must be signed by the registry key, its body and,
+    node's record line must be signed by `REGISTRY_KEY`, its body and,
     on a MINT node, its origin by the requester (`parties[0]`) — so an
     adversary re-signing a unit wholesale with their own key is still a
     detected tamper.  A node's record must make a unit and its parents be
@@ -476,8 +473,7 @@ def verify_integrity(
     remembered on its `PolicyProgram`, and a lineage node that checks out
     records `directory` in `verified_by`.  So a unit whose head is trusted,
     a split's second child among them, is checked with no MAC, and a new
-    lineage head or policy, another directory or registry key is checked
-    afresh.
+    lineage head or policy, or another directory, is checked afresh.
     """
     problems: list[str] = []
     if unit.policy.text_hash != unit.policy_hash:
@@ -494,25 +490,25 @@ def verify_integrity(
             problems.append("provenance is another unit's")
         elif held[1:] != (unit.owner, unit.value):
             problems.append("provenance does not reproduce owner/value")
-    if not _trusted(head, directory, registry_key):
-        problems.extend(_verify_lineage(head, directory, registry_key))
+    if not _trusted(head, directory):
+        problems.extend(_verify_lineage(head, directory))
     return IntegrityResult(False, tuple(problems)) if problems else INTEGRITY_OK
 
 
-def _trusted(node: LineageNode, directory: KeyDirectory, registry_key: str) -> bool:
+def _trusted(node: LineageNode, directory: KeyDirectory) -> bool:
     # a verified node's ancestors share its endorsement signer, so pinning
     # the node's signer pins theirs
-    return node.verified_by is directory and node.sig.signer == registry_key
+    return node.verified_by is directory and node.sig.signer == REGISTRY_KEY
 
 
-def _verify_lineage(head: LineageNode, directory: KeyDirectory, registry_key: str) -> list[str]:
+def _verify_lineage(head: LineageNode, directory: KeyDirectory) -> list[str]:
     """Check every node not yet trusted, parents first; mark the sound ones."""
     faults: dict[LineageNode, list[str]] = {}
-    for node in _ancestry(head, skip=lambda n: _trusted(n, directory, registry_key)):
-        found = _node_faults(node, directory, registry_key)
+    for node in _ancestry(head, skip=lambda n: _trusted(n, directory)):
+        found = _node_faults(node, directory)
         if found:
             faults[node] = found
-        elif all(_trusted(parent, directory, registry_key) for parent in node.parents):
+        elif all(_trusted(parent, directory) for parent in node.parents):
             object.__setattr__(node, "verified_by", directory)
     if not faults:
         return []
@@ -524,15 +520,15 @@ def _verify_lineage(head: LineageNode, directory: KeyDirectory, registry_key: st
     ]
 
 
-def _node_faults(node: LineageNode, directory: KeyDirectory, registry_key: str) -> list[str]:
+def _node_faults(node: LineageNode, directory: KeyDirectory) -> list[str]:
     record = node.record
     if not node.made:
         return ["record makes no unit"]
     requester = record.parties[0]
     faults = []
-    if node.sig.signer != registry_key:
+    if node.sig.signer != REGISTRY_KEY:
         faults.append("endorsement by unexpected key")
-    elif not directory.verify(registry_key, record.line().encode(), node.sig):
+    elif not directory.verify(REGISTRY_KEY, record.line().encode(), node.sig):
         faults.append("endorsement mismatch")
     if node.sender_sig.signer != requester:
         faults.append("sender is not the requester")

@@ -13,6 +13,11 @@ expressed as explicit PROHIBITION rules.  Fractions are exact rationals
 ("1/5") or basis points ("2000bp"); money arithmetic floors to minor units
 and never touches floating point.
 
+The token grammar is one regular expression, `_TOKEN`.  Identifiers and
+numbers are ASCII.  Outside a string literal or a comment, a character that
+is neither whitespace nor part of a token is a ParseError at its line and
+column.
+
 A parsed program is one `PolicyProgram` value.  It works out once, and
 keeps, what follows from its rules: its static check errors, its per-event
 compiled matchers, the ticks where a TICK rule can change and its deadline.
@@ -23,12 +28,13 @@ evidence.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Optional, Union
+from typing import Callable, Mapping, NamedTuple, Optional, TypeVar, Union
 
 from .crypto import h64
 
@@ -139,6 +145,13 @@ class MoveToBestRateAction:
 
 
 Action = Union[PayAction, ForbidAction, ZeroiseAction, NotifyAction, MoveToBestRateAction]
+
+# the actions written as one bare word, by that word
+_WORD_ACTIONS: dict[str, Action] = {
+    "FORBID": ForbidAction(),
+    "ZEROISE": ZeroiseAction(),
+    "MOVE_TO_BEST_RATE": MoveToBestRateAction(),
+}
 
 
 @dataclass(frozen=True)
@@ -286,118 +299,69 @@ class CheckFailure(ValueError):
 # --- Lexer -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # WORD, INT, BP, STRING, OP, PUNCT, EOF
     text: str
-    value: object
     line: int
     col: int
 
 
+# every token kind is one named alternative, tried in this order; what
+# matches none of them is an unexpected character
+_TOKEN = re.compile(
+    r"""
+      (?P<NEWLINE>\n)
+    | (?P<SKIP>[^\S\n]+|\#[^\n]*)
+    | (?P<BP>[0-9]+bp(?![A-Za-z0-9_]))
+    | (?P<BAD_SUFFIX>[0-9]+(?=[A-Za-z_]))
+    | (?P<INT>[0-9]+)
+    | (?P<WORD>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<STRING>"[^"\n]*")
+    | (?P<UNTERMINATED>")
+    | (?P<OP>==|!=|<|>)
+    | (?P<PUNCT>[;,/])
+    """,
+    re.VERBOSE,
+)
+
+
 def _lex(source: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-
-    def err(msg: str) -> ParseError:
-        return ParseError(msg, line, col)
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            digits = source[i:j]
-            # an immediately attached "bp" makes a basis-point fraction
-            after_bp = source[j + 2 : j + 3]
-            if source[j : j + 2] == "bp" and not (after_bp.isalnum() or after_bp == "_"):
-                tokens.append(_Token("BP", digits + "bp", int(digits), line, start_col))
-                j += 2
-            elif j < n and (source[j].isalpha() or source[j] == "_"):
-                raise err(f"bad integer suffix after '{digits}'")
-            else:
-                tokens.append(_Token("INT", digits, int(digits), line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            tokens.append(_Token("WORD", word, word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and source[j] not in ('"', "\n"):
-                j += 1
-            if j >= n or source[j] != '"':
-                raise err("unterminated string")
-            text = source[i : j + 1]
-            tokens.append(_Token("STRING", text, source[i + 1 : j], line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        two = source[i : i + 2]
-        if two in ("==", "!="):
-            tokens.append(_Token("OP", two, two, line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in "<>":
-            tokens.append(_Token("OP", ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch in ";,/":
-            tokens.append(_Token("PUNCT", ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise err(f"unexpected character {ch!r}")
-    tokens.append(_Token("EOF", "", None, line, col))
+    line, line_start, pos = 1, 0, 0
+    while pos < len(source):
+        col = pos - line_start + 1
+        match = _TOKEN.match(source, pos)
+        if match is None:
+            raise ParseError(f"unexpected character {source[pos]!r}", line, col)
+        kind, text, pos = match.lastgroup, match.group(), match.end()
+        if kind == "NEWLINE":
+            line, line_start = line + 1, pos
+        elif kind == "BAD_SUFFIX":
+            raise ParseError(f"bad integer suffix after '{text}'", line, col)
+        elif kind == "UNTERMINATED":
+            raise ParseError("unterminated string", line, col)
+        elif kind != "SKIP":
+            tokens.append(_Token(kind, text, line, col))  # type: ignore[arg-type]
+    tokens.append(_Token("EOF", "", line, pos - line_start + 1))
     return tokens
 
 
 # --- Parser ------------------------------------------------------------
 
-_KIND_WORDS = {k.value for k in RuleKind}
-_EVENT_WORDS = {e.value for e in EventKind}
-_KEYWORDS = _KIND_WORDS | _EVENT_WORDS | {
-    "ON",
-    "IF",
-    "DO",
-    "OR",
-    "AND",
-    "TO",
-    "PAY",
-    "FORBID",
-    "ZEROISE",
-    "NOTIFY",
-    "MOVE_TO_BEST_RATE",
-    "NONE",
-}
+# every reserved word; a field name is none of them
+_KEYWORDS = {*RuleKind.__members__, *EventKind.__members__, *_WORD_ACTIONS}
+_KEYWORDS |= {"ON", "IF", "DO", "OR", "AND", "TO", "PAY", "NOTIFY", "NONE"}
+
+_T = TypeVar("_T")
 
 
 class _Parser:
+    """Recursive descent over the tokens.
+
+    A keyword or punctuation token is matched by its text alone: no token
+    of another kind can have that text.
+    """
+
     def __init__(self, tokens: list[_Token]) -> None:
         self.tokens = tokens
         self.pos = 0
@@ -406,23 +370,52 @@ class _Parser:
     def cur(self) -> _Token:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.cur
-        self.pos += 1
-        return tok
-
     def fail(self, msg: str) -> ParseError:
         return ParseError(msg, self.cur.line, self.cur.col)
 
-    def expect_word(self, word: str) -> None:
-        if self.cur.kind != "WORD" or self.cur.text != word:
-            raise self.fail(f"expected '{word}', found {self.cur.text!r}")
-        self.advance()
+    def accept(self, text: str) -> bool:
+        """Step over the current token if its text is `text`."""
+        if self.cur.text != text:
+            return False
+        self.pos += 1
+        return True
 
-    def expect_punct(self, punct: str) -> None:
-        if self.cur.kind != "PUNCT" or self.cur.text != punct:
-            raise self.fail(f"expected '{punct}', found {self.cur.text!r}")
-        self.advance()
+    def expect(self, text: str) -> None:
+        if not self.accept(text):
+            raise self.fail(f"expected '{text}', found {self.cur.text!r}")
+
+    def take(self, kind: str, what: str) -> _Token:
+        """Step over the current token, which must be of `kind`."""
+        tok = self.cur
+        if tok.kind != kind:
+            raise self.fail(f"expected {what}, found {tok.text!r}")
+        self.pos += 1
+        return tok
+
+    def integer(self, kind: str, what: str) -> int:
+        """The value of the current INT or BP token, stepping over it."""
+        tok = self.take(kind, what)
+        digits = tok.text.removesuffix("bp")
+        try:
+            return int(digits)
+        except ValueError:  # more digits than int() converts
+            reason = f"integer too long ({len(digits)} digits)"
+            raise ParseError(reason, tok.line, tok.col) from None
+
+    def one_of(self, table: Mapping[str, _T], what: str) -> _T:
+        """The entry of `table` the current word names, stepping over it."""
+        text = self.cur.text
+        if text not in table:
+            raise self.fail(f"unknown {what} {text!r}")
+        self.pos += 1
+        return table[text]
+
+    def many(self, item: Callable[[], _T], sep: str) -> tuple[_T, ...]:
+        """One or more `item`s separated by `sep`."""
+        items = [item()]
+        while self.accept(sep):
+            items.append(item())
+        return tuple(items)
 
     def parse_program(self) -> tuple[Rule, ...]:
         rules = []
@@ -431,115 +424,55 @@ class _Parser:
         return tuple(rules)
 
     def parse_rule(self) -> Rule:
-        tok = self.cur
-        if tok.kind != "WORD" or tok.text not in _KIND_WORDS:
-            raise self.fail(f"unknown rule kind {tok.text!r}")
-        kind = RuleKind(self.advance().text)
-        self.expect_word("ON")
-        ev = self.cur
-        if ev.kind != "WORD" or ev.text not in _EVENT_WORDS:
-            raise self.fail(f"unknown event {ev.text!r}")
-        event = EventKind(self.advance().text)
-        condition = None
-        if self.cur.kind == "WORD" and self.cur.text == "IF":
-            self.advance()
-            condition = self.parse_condition()
-        actions: tuple[Action, ...] = ()
-        if self.cur.kind == "WORD" and self.cur.text == "DO":
-            self.advance()
-            acts = [self.parse_action()]
-            while self.cur.kind == "PUNCT" and self.cur.text == ",":
-                self.advance()
-                acts.append(self.parse_action())
-            actions = tuple(acts)
-        self.expect_punct(";")
+        kind = self.one_of(RuleKind.__members__, "rule kind")
+        self.expect("ON")
+        event = self.one_of(EventKind.__members__, "event")
+        condition = self.parse_condition() if self.accept("IF") else None
+        actions = self.many(self.parse_action, ",") if self.accept("DO") else ()
+        self.expect(";")
         return Rule(kind, event, condition, actions)
 
     def parse_condition(self) -> OrCondition:
-        terms = [self.parse_term()]
-        while self.cur.kind == "WORD" and self.cur.text == "OR":
-            self.advance()
-            terms.append(self.parse_term())
-        return OrCondition(tuple(terms))
+        return OrCondition(self.many(self.parse_term, "OR"))
 
     def parse_term(self) -> AndTerm:
-        factors = [self.parse_factor()]
-        while self.cur.kind == "WORD" and self.cur.text == "AND":
-            self.advance()
-            factors.append(self.parse_factor())
-        return AndTerm(tuple(factors))
+        return AndTerm(self.many(self.parse_factor, "AND"))
 
     def parse_factor(self) -> Comparison:
-        tok = self.cur
-        # any lowercase identifier is accepted here; check() validates the
-        # name so that "unknown field" is a check error, not a parse error
-        if tok.kind != "WORD" or tok.text in _KEYWORDS or not tok.text[0].islower():
-            raise self.fail(f"expected field name, found {tok.text!r}")
-        fname = self.advance().text
-        op_tok = self.cur
-        if op_tok.kind != "OP":
-            raise self.fail(f"expected comparison operator, found {op_tok.text!r}")
-        op = self.advance().text
-        return Comparison(fname, op, self.parse_literal())
+        # any lowercase identifier that is no keyword is accepted here (only
+        # a WORD starts with a lowercase letter); check() validates the name
+        # so that "unknown field" is a check error, not a parse error
+        name = self.cur.text
+        if name in _KEYWORDS or not name[:1].islower():
+            raise self.fail(f"expected field name, found {name!r}")
+        self.pos += 1
+        op = self.take("OP", "comparison operator").text
+        return Comparison(name, op, self.parse_literal())
 
     def parse_literal(self) -> Literal:
-        tok = self.cur
-        if tok.kind == "INT":
-            self.advance()
-            return int(tok.value)  # type: ignore[arg-type]
-        if tok.kind == "STRING":
-            self.advance()
-            return str(tok.value)
-        if tok.kind == "WORD" and tok.text == "NONE":
-            self.advance()
+        if self.accept("NONE"):
             return None
-        raise self.fail(f"expected literal, found {tok.text!r}")
+        if self.cur.kind == "INT":
+            return self.integer("INT", "literal")
+        return self.take("STRING", "literal").text[1:-1]
 
     def parse_action(self) -> Action:
-        tok = self.cur
-        if tok.kind != "WORD":
-            raise self.fail(f"expected action, found {tok.text!r}")
-        if tok.text == "PAY":
-            self.advance()
-            frac = self.parse_fraction()
-            self.expect_word("TO")
-            payee = self.cur
-            if payee.kind != "STRING":
-                raise self.fail(f"expected quoted payee, found {payee.text!r}")
-            self.advance()
-            return PayAction(frac, str(payee.value))
-        if tok.text == "FORBID":
-            self.advance()
-            return ForbidAction()
-        if tok.text == "ZEROISE":
-            self.advance()
-            return ZeroiseAction()
-        if tok.text == "NOTIFY":
-            self.advance()
-            target = self.cur
-            if target.kind != "STRING":
-                raise self.fail(f"expected quoted target, found {target.text!r}")
-            self.advance()
-            return NotifyAction(str(target.value))
-        if tok.text == "MOVE_TO_BEST_RATE":
-            self.advance()
-            return MoveToBestRateAction()
-        raise self.fail(f"unknown action {tok.text!r}")
+        if self.accept("PAY"):
+            fraction = self.parse_fraction()
+            self.expect("TO")
+            return PayAction(fraction, self.take("STRING", "quoted payee").text[1:-1])
+        if self.accept("NOTIFY"):
+            return NotifyAction(self.take("STRING", "quoted target").text[1:-1])
+        if self.cur.kind != "WORD":
+            raise self.fail(f"expected action, found {self.cur.text!r}")
+        return self.one_of(_WORD_ACTIONS, "action")
 
     def parse_fraction(self) -> FractionLit:
-        tok = self.cur
-        if tok.kind == "BP":
-            self.advance()
-            return FractionLit(int(tok.value), 10_000, basis_points=True)  # type: ignore[arg-type]
-        if tok.kind == "INT":
-            num = int(self.advance().value)  # type: ignore[arg-type]
-            self.expect_punct("/")
-            den_tok = self.cur
-            if den_tok.kind != "INT":
-                raise self.fail(f"expected denominator, found {den_tok.text!r}")
-            self.advance()
-            return FractionLit(num, int(den_tok.value))  # type: ignore[arg-type]
-        raise self.fail(f"expected fraction, found {tok.text!r}")
+        if self.cur.kind == "BP":
+            return FractionLit(self.integer("BP", "fraction"), 10_000, basis_points=True)
+        num = self.integer("INT", "fraction")
+        self.expect("/")
+        return FractionLit(num, self.integer("INT", "denominator"))
 
 
 # --- Canonical printing ------------------------------------------------
@@ -555,16 +488,15 @@ def _render_literal(lit: Literal) -> str:
     return "NONE"
 
 
+_ACTION_WORDS = {action: word for word, action in _WORD_ACTIONS.items()}
+
+
 def _render_action(action: Action) -> str:
     if isinstance(action, PayAction):
         return f'PAY {action.fraction.render()} TO "{action.payee}"'
-    if isinstance(action, ForbidAction):
-        return "FORBID"
-    if isinstance(action, ZeroiseAction):
-        return "ZEROISE"
     if isinstance(action, NotifyAction):
         return f'NOTIFY "{action.target}"'
-    return "MOVE_TO_BEST_RATE"
+    return _ACTION_WORDS[action]
 
 
 def _render_rule(rule: Rule) -> str:

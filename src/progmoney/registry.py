@@ -254,12 +254,15 @@ def step(
         state.burns[rec.reason] = state.burns.get(rec.reason, 0) + value
 
 
+# the key every registry signs ledger lines with, and integrity checks pin
+REGISTRY_KEY = "registry"
+
+
 class Registry:
-    def __init__(self, directory: KeyDirectory, key_id: str = "registry", *, rng) -> None:
+    def __init__(self, directory: KeyDirectory, *, rng) -> None:
         self.directory = directory
-        self.key_id = key_id
-        if not directory.knows(key_id):
-            directory.create(key_id, rng)
+        if not directory.knows(REGISTRY_KEY):
+            directory.create(REGISTRY_KEY, rng)
         self.records: list[LedgerRecord] = []
         self.record_sigs: list[Signature] = []
         self._state = _State()
@@ -323,7 +326,7 @@ class Registry:
             new = live.get(uid)
             if new is not None:
                 self._held.setdefault(new[0], set()).add(uid)
-        sig = self.directory.sign(self.key_id, record.line().encode())
+        sig = self.directory.sign(REGISTRY_KEY, record.line().encode())
         self.records.append(record)
         self.record_sigs.append(sig)
         self.now = max(self.now, record.at)
@@ -357,7 +360,7 @@ class Registry:
         for i, (rec, sig) in enumerate(zip(self.records, self.record_sigs)):
             if rec.seq != i:
                 violations.append(f"seq gap at {i} (found {rec.seq})")
-            if not self.directory.verify(self.key_id, rec.line().encode(), sig):
+            if not self.directory.verify(REGISTRY_KEY, rec.line().encode(), sig):
                 violations.append(f"bad registry signature on seq {rec.seq}")
         replayed, errors = replay_records(self.records)
         violations.extend(errors)

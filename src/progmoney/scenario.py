@@ -52,7 +52,7 @@ from typing import Optional, get_args
 from . import fiscal
 from .markets import Side
 from .sim import ACTIONS, Simulation
-from .sim_types import ISSUER_ROLES, ArgKind, LawStatus, LawTable, Role, parse_fraction
+from .sim_types import ISSUER_ROLES, ArgKind, Host, LawStatus, LawTable, Role, parse_fraction
 from .supply import ConstantGrowth, FixedCapGeometric, SupplyRule, VolumeResponsive
 
 
@@ -77,15 +77,6 @@ class ScenarioError(ValueError):
 
 
 @dataclass
-class HostSpec:
-    id: str
-    role: Role
-    location: str
-    licence: Optional[str] = None
-    category: str = "deposit"
-
-
-@dataclass
 class ScenarioConfig:
     name: str = "scenario"
     until: int = 10
@@ -93,7 +84,7 @@ class ScenarioConfig:
     period_ticks: Optional[int] = None
     latency: tuple[int, int] = (1, 1)
     currency: str = "SIM"
-    hosts: list[HostSpec] = field(default_factory=list)
+    hosts: list[Host] = field(default_factory=list)
     law: list[tuple[str, LawStatus, Fraction]] = field(default_factory=list)
     supply_issuer: Optional[str] = None
     supply_allowance: Optional[int] = None
@@ -207,7 +198,7 @@ def _parse_host_entry(cfg: ScenarioConfig, key: str, value: str, line_no: int) -
         raise ScenarioError(f"host id {key!r} contains '|' or ','", line_no)
     if any(existing.id == key for existing in cfg.hosts):
         raise ScenarioError(f"duplicate host {key!r}", line_no)
-    spec = HostSpec(id=key, role=role, location=parts[1])
+    spec = Host(id=key, location=parts[1], role=role)
     for extra in parts[2:]:
         if "=" not in extra:
             raise ScenarioError(f"bad host attribute {extra!r}", line_no)
@@ -426,6 +417,7 @@ def build_simulation(cfg: ScenarioConfig, seed: int) -> Simulation:
         latency=cfg.latency,
         currency=cfg.currency,
     )
+    # add_host makes the run's own Host, so a run never edits the config's
     for spec in cfg.hosts:
         sim.add_host(
             spec.id,

@@ -102,7 +102,7 @@ class Simulation:
         self.latency = latency
         self.currency = currency
         self.directory = KeyDirectory()
-        self.registry = Registry(self.directory, "registry", rng=self.rng)
+        self.registry = Registry(self.directory, rng=self.rng)
         self.directory.create(LOCATION_AUTHORITY_KEY, self.rng)
         self.hosts: dict[str, Host] = {}
         self.units: dict[str, MoneyUnit] = {}
@@ -338,7 +338,7 @@ class Simulation:
         """
         ctx = self._eval_ctx(licensee, unit, location, category, to)
         try:
-            outcome = money.transfer(unit, to, ctx, self.registry, at=self.now)
+            outcome = money.transfer(unit, to, ctx, self.registry)
         except (money.PolicyForbids, money.ObligationUnpayable, RegistryError) as refusal:
             return refusal
         # the unit left its holder (and its bank, if a deposit); what it
@@ -372,9 +372,6 @@ class Simulation:
     def active_units_of(self, host_id: str) -> list[MoneyUnit]:
         self.host(host_id)
         return [self.units[uid] for uid in self.registry.holdings(host_id)]
-
-    def balance_of(self, host_id: str) -> int:
-        return sum(u.value for u in self.active_units_of(host_id))
 
     # -- upkeep -----------------------------------------------------------
     # A unit's upkeep writes nothing while the head of its lineage is already
@@ -419,7 +416,7 @@ class Simulation:
 
     def _upkeep_unit(self, host: Host, unit: MoneyUnit) -> Optional[int]:
         """Run one unit's upkeep; returns the tick its next one is due, None for never."""
-        integrity = money.verify_integrity(unit, self.directory, self.registry.key_id)
+        integrity = money.verify_integrity(unit, self.directory)
         if not integrity:
             self._tampered(host, unit, len(integrity.problems))
             return None
@@ -760,7 +757,7 @@ class Simulation:
         total = 0
         for unit in self.active_units_of(buyer.id):
             # a unit failing integrity zeroises the moment it is touched
-            if not money.verify_integrity(unit, self.directory, self.registry.key_id):
+            if not money.verify_integrity(unit, self.directory):
                 self._tampered(buyer, unit, "spend")
                 continue
             pool.append(unit)

@@ -24,7 +24,7 @@ def directory(rng):
 
 @pytest.fixture
 def registry(directory, rng):
-    reg = Registry(directory, "registry", rng=rng)
+    reg = Registry(directory, rng=rng)
     return reg
 
 

@@ -47,7 +47,7 @@ WEAPONS_BAN = (
 def world():
     rng = random.Random(42)
     directory = KeyDirectory()
-    registry = Registry(directory, "registry", rng=rng)
+    registry = Registry(directory, rng=rng)
     bank = directory.create("central", rng)
     for host in ("alice", "bob", "tax_authority"):
         directory.create(host, rng)
@@ -184,7 +184,7 @@ class TestMerge:
         directory, registry, bank = world
         a = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
         b = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
-        transfer(b, "alice", ctx_for(b), registry, at=1)
+        transfer(b, "alice", ctx_for(b, now=1), registry)
         with pytest.raises(MixedOwner):
             merge(a, b, registry, at=2)
 
@@ -231,7 +231,7 @@ class TestTransfer:
         # a 1000 purchase at rate 1/5: vendor nets 800, tax authority 200
         directory, registry, bank = world
         unit = mint(bank, 1000, "SIM", pol.compile_policy(SALES_TAX), registry)
-        outcome = transfer(unit, "bob", ctx_for(unit, category="sale"), registry, at=1)
+        outcome = transfer(unit, "bob", ctx_for(unit, category="sale", now=1), registry)
         assert outcome.received is not None
         assert outcome.received.value == 800
         assert outcome.received.owner == "bob"
@@ -245,7 +245,7 @@ class TestTransfer:
         unit = mint(bank, 500, "SIM", pol.compile_policy(WEAPONS_BAN), registry)
         records_before = len(registry.records)
         with pytest.raises(PolicyForbids):
-            transfer(unit, "bob", ctx_for(unit, category="weapons"), registry, at=1)
+            transfer(unit, "bob", ctx_for(unit, category="weapons", now=1), registry)
         assert len(registry.records) == records_before
         assert registry.owner_of(unit.id) == "central"
 
@@ -253,17 +253,17 @@ class TestTransfer:
         _, registry, bank = world
         unit = mint(bank, 500, "SIM", pol.EMPTY_POLICY, registry)
         with pytest.raises(InvalidAmount):
-            transfer(unit, "bob", pol.EvalContext(amount=400), registry, at=1)
+            transfer(unit, "bob", pol.EvalContext(amount=400, now=1), registry)
 
     def test_stale_unit_double_spend(self, world):
         _, registry, bank = world
         unit = mint(bank, 500, "SIM", pol.EMPTY_POLICY, registry)
         stale = copy.deepcopy(unit)
-        transfer(unit, "alice", ctx_for(unit), registry, at=1)
+        transfer(unit, "alice", ctx_for(unit, now=1), registry)
         transferred = copy.deepcopy(unit)
         transferred.owner = "central"  # pretend the first transfer never happened
         with pytest.raises(DoubleSpend):
-            transfer(transferred, "bob", ctx_for(stale), registry, at=2)
+            transfer(transferred, "bob", ctx_for(stale, now=2), registry)
 
     def test_obligation_unpayable_atomic(self, world):
         _, registry, bank = world
@@ -280,7 +280,7 @@ class TestTransfer:
             registry.fold.burned,
         )
         with pytest.raises(ObligationUnpayable):
-            transfer(unit, "bob", ctx_for(unit), registry, at=1)
+            transfer(unit, "bob", ctx_for(unit, now=1), registry)
         assert snapshot == (
             len(registry.records),
             dict(registry.fold.live),
@@ -294,7 +294,7 @@ class TestTransfer:
             'OBLIGATION ON RECEIVE IF category == "sale" DO PAY 1/1 TO "tax_authority";'
         )
         unit = mint(bank, 100, "SIM", all_tax, registry)
-        outcome = transfer(unit, "bob", ctx_for(unit, category="sale"), registry, at=1)
+        outcome = transfer(unit, "bob", ctx_for(unit, category="sale", now=1), registry)
         assert outcome.received is None
         assert outcome.payments[0][1].value == 100
 
@@ -302,7 +302,7 @@ class TestTransfer:
         # the tax payment itself is a transfer but must not trigger the tax rule
         _, registry, bank = world
         unit = mint(bank, 1000, "SIM", pol.compile_policy(SALES_TAX), registry)
-        outcome = transfer(unit, "bob", ctx_for(unit, category="sale"), registry, at=1)
+        outcome = transfer(unit, "bob", ctx_for(unit, category="sale", now=1), registry)
         tax_unit = outcome.payments[0][1]
         assert tax_unit.value == 200
         # exactly one payment, no tax-on-tax chain
@@ -315,14 +315,14 @@ class TestTransfer:
             'OBLIGATION ON RECEIVE DO NOTIFY "auditor";'
         )
         unit = mint(bank, 10, "SIM", noisy, registry)
-        outcome = transfer(unit, "alice", ctx_for(unit), registry, at=1)
+        outcome = transfer(unit, "alice", ctx_for(unit, now=1), registry)
         targets = [t for t, _ in outcome.notifications]
         assert targets == ["watcher", "auditor"]
 
     def test_full_provenance_replay(self, world):
         directory, registry, bank = world
         unit = mint(bank, 1000, "SIM", pol.compile_policy(SALES_TAX), registry)
-        outcome = transfer(unit, "bob", ctx_for(unit, category="sale"), registry, at=1)
+        outcome = transfer(unit, "bob", ctx_for(unit, category="sale", now=1), registry)
         for current in outcome.all_units():
             assert verify_integrity(current, directory).ok
             assert current.provenance[-1] == current.lineage.record
@@ -407,7 +407,7 @@ class TestIntegrity:
         directory, registry, bank = world
         u = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
         v = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
-        transfer(u, "bob", ctx_for(u), registry, at=1)
+        transfer(u, "bob", ctx_for(u, now=1), registry)
         v.lineage = replace(u.lineage, parents=(v.lineage,))
         v.owner = "bob"
         result = verify_integrity(v, directory)
@@ -419,7 +419,7 @@ class TestIntegrity:
         directory, registry, bank = world
         u = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
         v = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
-        transfer(v, "alice", ctx_for(v), registry, at=1)
+        transfer(v, "alice", ctx_for(v, now=1), registry)
         v.lineage = replace(v.lineage, parents=(u.lineage,))
         result = verify_integrity(v, directory)
         assert result.problems == ("stamp 1 parents are not the units the record consumed",)
@@ -476,9 +476,9 @@ class TestVerifyOnce:
         sim.schedule_script(0, ("ISSUE", "central", "alice", "100", "taxed"))
         sim.run_until(1)
         [unit] = sim.active_units_of("alice")
-        assert verify_integrity(unit, sim.directory, sim.registry.key_id).ok
+        assert verify_integrity(unit, sim.directory).ok
         sim.act_tamper("alice")
-        result = verify_integrity(unit, sim.directory, sim.registry.key_id)
+        result = verify_integrity(unit, sim.directory)
         assert "policy text hash mismatch" in result.problems
         sim.run_until(2)
         assert unit.state is UnitState.ZEROISED
@@ -501,7 +501,7 @@ class TestVerifyOnce:
     def test_lineage_verified_under_one_directory_not_trusted_by_another(self, world):
         directory, registry, bank = world
         unit = mint(bank, 1000, "SIM", pol.compile_policy(SALES_TAX), registry)
-        received = transfer(unit, "bob", ctx_for(unit, category="sale"), registry, at=1).received
+        received = transfer(unit, "bob", ctx_for(unit, category="sale", now=1), registry).received
         assert verify_integrity(received, directory).ok
         # the same key ids under other secrets
         other = KeyDirectory()
@@ -515,7 +515,7 @@ class TestVerifyOnce:
     def test_tampered_ancestor_detected_on_every_check(self, world):
         directory, registry, bank = world
         unit = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
-        transfer(unit, "alice", ctx_for(unit), registry, at=1)
+        transfer(unit, "alice", ctx_for(unit, now=1), registry)
         assert verify_integrity(unit, directory).ok
         head = unit.lineage
         [root] = head.parents
@@ -665,10 +665,12 @@ class TestVerifyOnce:
         for key_id in ("registry", "central", "alice", "bob", "tax_authority"):
             other.create(key_id, rng)
         assert "stamp 0 birth signature mismatch" in verify_integrity(unit, other).problems
-        assert "stamp 0 endorsement by unexpected key" in (
-            verify_integrity(unit, directory, registry_key="notary").problems
-        )
         assert verify_integrity(unit, directory).ok
+        # a trusted node whose endorsement signer is no longer REGISTRY_KEY
+        # is not trusted any more
+        head = unit.lineage
+        object.__setattr__(head, "sig", replace(head.sig, signer="notary"))
+        assert "stamp 0 endorsement by unexpected key" in verify_integrity(unit, directory).problems
 
 
 class TestZeroise:

@@ -102,36 +102,79 @@ class TestParse:
         )
         assert program.text_hash == h64(program.source_canonical.encode())
 
-    def test_unknown_rule_kind_position(self):
+    # every lexer and parser error: the source, then where and why it fails
+    @pytest.mark.parametrize(
+        "source, line, col, reason",
+        [
+            ("OBLIGATION ON TICK DO @;", 1, 23, "unexpected character '@'"),
+            # a non-ASCII digit is no digit of the language
+            ("OBLIGATION ON TICK IF now > ² DO ZEROISE;", 1, 29, "unexpected character '²'"),
+            ('OBLIGATION ON RECEIVE IF category == "sale DO ZEROISE;', 1, 38, "unterminated string"),
+            ("OBLIGATION ON TICK IF now > 10x DO ZEROISE;", 1, 29, "bad integer suffix after '10'"),
+            # longer than int() converts from text by default
+            (
+                "PROHIBITION ON TICK IF now > " + "9" * 5000 + ";",
+                1,
+                30,
+                "integer too long (5000 digits)",
+            ),
+            ('OBLIGATION ON RECEIVE DO PAY 2000bpx TO "t";', 1, 30, "bad integer suffix after '2000'"),
+            ("DUTY ON RECEIVE;", 1, 1, "unknown rule kind 'DUTY'"),
+            ("OBLIGATION IN RECEIVE;", 1, 12, "expected 'ON', found 'IN'"),
+            ("OBLIGATION ON SUNRISE;", 1, 15, "unknown event 'SUNRISE'"),
+            ("OBLIGATION ON TICK IF NOW > 1;", 1, 23, "expected field name, found 'NOW'"),
+            ("OBLIGATION ON TICK IF now 1;", 1, 27, "expected comparison operator, found '1'"),
+            ("OBLIGATION ON TICK IF now > ON;", 1, 29, "expected literal, found 'ON'"),
+            ("OBLIGATION ON TICK DO ;", 1, 23, "expected action, found ';'"),
+            ("OBLIGATION ON TICK DO SPEND;", 1, 23, "unknown action 'SPEND'"),
+            ("OBLIGATION ON RECEIVE DO PAY 1/5 TO tax;", 1, 37, "expected quoted payee, found 'tax'"),
+            (
+                "OBLIGATION ON TICK DO NOTIFY government;",
+                1,
+                30,
+                "expected quoted target, found 'government'",
+            ),
+            ('OBLIGATION ON RECEIVE DO PAY half TO "t";', 1, 30, "expected fraction, found 'half'"),
+            ('OBLIGATION ON RECEIVE DO PAY 1/ TO "t";', 1, 33, "expected denominator, found 'TO'"),
+            ("OBLIGATION ON TICK DO ZEROISE", 1, 30, "expected ';', found ''"),
+            # the end of input is where the trailing comment ends
+            ("OBLIGATION#c", 1, 13, "expected 'ON', found ''"),
+        ],
+        ids=[
+            "unexpected_character",
+            "non_ascii_digit",
+            "unterminated_string",
+            "bad_integer_suffix",
+            "integer_too_long",
+            "bad_basis_point_suffix",
+            "unknown_rule_kind",
+            "expected_on",
+            "unknown_event",
+            "expected_field_name",
+            "expected_operator",
+            "expected_literal",
+            "expected_action",
+            "unknown_action",
+            "expected_payee",
+            "expected_target",
+            "expected_fraction",
+            "expected_denominator",
+            "missing_semicolon",
+            "trailing_comment",
+        ],
+    )
+    def test_parse_error(self, source, line, col, reason):
         with pytest.raises(ParseError) as exc_info:
-            parse("DUTY ON RECEIVE;")
-        assert exc_info.value.line == 1
-        assert exc_info.value.col == 1
-
-    def test_unknown_event_is_parse_error(self):
-        with pytest.raises(ParseError) as exc_info:
-            parse("OBLIGATION ON SUNRISE;")
-        assert "unknown event" in exc_info.value.reason
+            parse(source)
+        error = exc_info.value
+        assert (error.line, error.col, error.reason) == (line, col, reason)
+        assert str(error) == f"line {line}, col {col}: {reason}"
 
     def test_error_position_on_later_line(self):
         source = SALES_TAX + "\nOBLIGATION ON RECEIVE DO SPEND;"
         with pytest.raises(ParseError) as exc_info:
             parse(source)
-        assert exc_info.value.line == 2
-
-    def test_missing_semicolon(self):
-        with pytest.raises(ParseError):
-            parse("OBLIGATION ON TICK DO ZEROISE")
-
-    def test_unterminated_string(self):
-        with pytest.raises(ParseError):
-            parse('OBLIGATION ON RECEIVE IF category == "sale DO ZEROISE;')
-
-    def test_bad_integer_suffix(self):
-        with pytest.raises(ParseError):
-            parse("OBLIGATION ON TICK IF now > 10x DO ZEROISE;")
-        with pytest.raises(ParseError):
-            parse('OBLIGATION ON RECEIVE DO PAY 2000bpx TO "t";')
+        assert (exc_info.value.line, exc_info.value.col) == (2, 26)
 
     def test_unknown_field_is_not_a_parse_error(self):
         # fields are validated by check(), not the parser
@@ -227,6 +270,31 @@ def test_render_parse_round_trip_property(rules):
     assert program.rules == rules
     # rendered text is canonical: it parses and prints to itself
     assert program.source_canonical == text
+
+
+# every keyword, some field names, every operator and punctuation mark,
+# well- and ill-formed numbers and strings, a comment, whitespace, and
+# non-ASCII letters, digits and space
+_SOUP = sorted(
+    pol._KEYWORDS
+    | {"now", "category", "colour", "==", "!=", "<", ">", ";", ",", "/"}
+    | {"10", "2000bp", "12x", "5bpx", '"sale"', '"x', "#c", " ", "\t", "\n"}
+    | {"é", "²", "٣", "½", "\u00a0"}
+)
+
+
+@settings(max_examples=150)
+@given(st.lists(st.sampled_from(_SOUP), max_size=30).map("".join))
+def test_parse_fails_only_with_a_positioned_parse_error(source):
+    # any text either parses to a program whose canonical print re-parses
+    # to the same rules, or fails with a ParseError that says where
+    try:
+        program = parse(source)
+    except ParseError as error:
+        assert type(error) is ParseError
+        assert error.line >= 1 and error.col >= 1
+    else:
+        assert parse(program.source_canonical).rules == program.rules
 
 
 def random_rule(rng):

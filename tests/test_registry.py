@@ -12,6 +12,7 @@ from progmoney.registry import (
     BadWindow,
     DoubleSpend,
     InvalidRequest,
+    REGISTRY_KEY,
     LedgerRecord,
     RecordKind,
     Registry,
@@ -25,7 +26,7 @@ from progmoney.registry import (
 def make_registry():
     rng = random.Random(17)
     directory = KeyDirectory()
-    registry = Registry(directory, "registry", rng=rng)
+    registry = Registry(directory, rng=rng)
     directory.create("central", rng)
     directory.create("alice", rng)
     directory.create("bob", rng)
@@ -65,10 +66,10 @@ class TestEndorse:
     def test_registry_key_needs_an_rng(self):
         # no fixed fallback secret that anyone reading the source could sign with
         with pytest.raises(TypeError):
-            Registry(KeyDirectory(), "registry")
+            Registry(KeyDirectory())
         directory = KeyDirectory()
-        Registry(directory, "registry", rng=random.Random(1))
-        assert directory.knows("registry")
+        Registry(directory, rng=random.Random(1))
+        assert directory.knows(REGISTRY_KEY)
 
     def test_mint_and_transfer(self):
         directory, registry = make_registry()
@@ -127,7 +128,7 @@ class TestEndorse:
         assert record.seq == 1
         assert record.body() == burn.body()
         assert registry.records[1] is record
-        assert directory.verify("registry", record.line().encode(), record_sig)
+        assert directory.verify(REGISTRY_KEY, record.line().encode(), record_sig)
         assert registry.audit() == []
 
     def test_mint_beyond_allowance(self):

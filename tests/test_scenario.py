@@ -10,11 +10,12 @@ from progmoney.report import report_for
 from progmoney.scenario import (
     ScenarioError,
     build_policy_source,
+    build_simulation,
     load_scenario,
     parse_scenario,
     run_scenario,
 )
-from progmoney.sim_types import LawStatus, LawTable
+from progmoney.sim_types import Host, LawStatus, LawTable, Role
 from progmoney.supply import ConstantGrowth, FixedCapGeometric
 
 SCENARIO_DIR = (
@@ -95,8 +96,15 @@ class TestParsing:
             "[hosts]\ncarol = CONSUMER HOME licence=arms_permit\n"
             "shark = BANK HOME category=arms_lender\n"
         )
+        assert cfg.hosts == [
+            Host("carol", "HOME", Role.CONSUMER, licence="arms_permit"),
+            Host("shark", "HOME", Role.BANK, category="arms_lender"),
+        ]
+        # a run holds hosts of its own: editing one leaves the config as it was
+        sim = build_simulation(cfg, seed=1)
+        assert list(sim.hosts.values()) == cfg.hosts
+        sim.hosts["carol"].licence = None
         assert cfg.hosts[0].licence == "arms_permit"
-        assert cfg.hosts[1].category == "arms_lender"
 
     def test_supply_rules(self):
         cfg = parse_scenario(
@@ -297,16 +305,18 @@ class TestShippedScenarios:
     def test_sales_tax_outcome(self):
         sim = run_scenario(load_scenario(str(SCENARIO_DIR / "sales_tax.scn")), seed=7)
         # prices 1000, 999, 37 at rate 1/5
-        assert sim.balance_of("tax_authority") == 200 + 199 + 7
-        assert sim.balance_of("bob") == 800 + 800 + 30
-        assert sim.balance_of("alice") == 0
+        balances = report_for(sim).balances
+        assert balances["tax_authority"] == 200 + 199 + 7
+        assert balances["bob"] == 800 + 800 + 30
+        assert balances["alice"] == 0
 
     def test_legality_outcome(self):
         sim = run_scenario(load_scenario(str(SCENARIO_DIR / "legality.scn")), seed=7)
         assert report_for(sim).forbidden_count == 2  # stolen goods + unlicensed weapons
         # carol's licensed weapons purchase and alice's cake both complete
-        assert sim.balance_of("bob") == 200
-        assert sim.balance_of("fence") == 0
+        balances = report_for(sim).balances
+        assert balances["bob"] == 200
+        assert balances["fence"] == 0
 
     def test_jurisdiction_outcome(self):
         sim = run_scenario(load_scenario(str(SCENARIO_DIR / "jurisdiction.scn")), seed=7)
@@ -316,8 +326,9 @@ class TestShippedScenarios:
 
     def test_annual_contact_outcome(self):
         sim = run_scenario(load_scenario(str(SCENARIO_DIR / "annual_contact.scn")), seed=7)
-        assert sim.balance_of("frank") == 0  # never contacted, zeroised at 361
-        assert sim.balance_of("grace") == 600  # contacted at 300
+        balances = report_for(sim).balances
+        assert balances["frank"] == 0  # never contacted, zeroised at 361
+        assert balances["grace"] == 600  # contacted at 300
         burns = [rec for rec in sim.registry.records if rec.kind.value == "BURN"]
         assert [rec.at for rec in burns] == [361]
 
@@ -354,9 +365,10 @@ class TestShippedScenarios:
     def test_vat_chain_outcome(self):
         sim = run_scenario(load_scenario(str(SCENARIO_DIR / "vat_chain.scn")), seed=7)
         # stage 1: 10000 sale pays 1000; stage 2: 5000 sale pays 500
-        assert sim.balance_of("tax_authority") == 1000 + 500
-        assert sim.balance_of("maker") == 4500
-        assert sim.balance_of("retailer") == 9000 - 5000
+        balances = report_for(sim).balances
+        assert balances["tax_authority"] == 1000 + 500
+        assert balances["maker"] == 4500
+        assert balances["retailer"] == 9000 - 5000
         assert sim.registry.audit() == []
 
     def test_adversary_outcome(self):

@@ -229,7 +229,7 @@ class TestUpkeep:
         assert len(zeroises) == 1
         assert zeroises[0].startswith("11|alice|")
         assert "reason=contact" in zeroises[0]
-        assert sim.balance_of("bob") == 100
+        assert report_for(sim).balances["bob"] == 100
 
     def test_expiry_forbids_then_burns(self):
         sim = basic_sim()
@@ -255,8 +255,9 @@ class TestUpkeep:
         )
         sim.schedule_script(0, ("ISSUE", "central", "alice", "500", "levied"))
         sim.run_until(4)
-        assert sim.balance_of("tax_authority") == 50
-        assert sim.balance_of("alice") == 450
+        balances = report_for(sim).balances
+        assert balances["tax_authority"] == 50
+        assert balances["alice"] == 450
         assert sim.registry.audit() == []
 
     def test_tick_levy_pays_no_tax_on_itself(self):
@@ -271,9 +272,10 @@ class TestUpkeep:
         )
         sim.schedule_script(0, ("MINT", "central", "1000", "levied"))
         sim.run_until(4)
-        assert sim.balance_of("x") == 100
-        assert sim.balance_of("y") == 0
-        assert sim.balance_of("central") == 900
+        balances = report_for(sim).balances
+        assert balances["x"] == 100
+        assert balances["y"] == 0
+        assert balances["central"] == 900
         assert sim.registry.audit() == []
 
     def test_refused_tick_levy_changes_nothing(self):
@@ -334,7 +336,7 @@ class TestUpkeep:
         assert any("|insufficient_funds|" in line for line in sim.observations)
         zeroises = [line for line in sim.observations if "|zeroise|" in line]
         assert len(zeroises) == 1 and "reason=tamper" in zeroises[0]
-        assert sim.balance_of("bob") == 0
+        assert report_for(sim).balances["bob"] == 0
         assert sim.registry.fold.burned == 300
 
     def test_unit_expiry_read_from_policy(self):
@@ -488,7 +490,7 @@ class TestWakeUp:
         sim.run_until(5)
         paid = [line for line in sim.observations if "|central|pay_obligation|" in line]
         assert [int(line.split("|")[0]) for line in paid] == list(range(6))
-        assert sim.balance_of("central") == 1000 - 10 - 9 - 9 - 9 - 9 - 9
+        assert report_for(sim).balances["central"] == 1000 - 10 - 9 - 9 - 9 - 9 - 9
 
     def test_withhold_off_runs_tick_rules_that_same_tick(self, upkeep):
         sim = basic_sim()
@@ -545,9 +547,10 @@ class TestBuy:
         sim.schedule_script(0, ("ISSUE", "central", "alice", "300", "taxed"))
         sim.schedule_script(2, ("BUY", "alice", "bob", "450", "sale"))
         sim.run_until(3)
-        assert sim.balance_of("alice") == 150
-        assert sim.balance_of("bob") == 360  # 450 - floor(450/5)
-        assert sim.balance_of("tax_authority") == 90
+        balances = report_for(sim).balances
+        assert balances["alice"] == 150
+        assert balances["bob"] == 360  # 450 - floor(450/5)
+        assert balances["tax_authority"] == 90
         assert sim.registry.audit() == []
 
     def test_insufficient_funds(self):
@@ -556,7 +559,7 @@ class TestBuy:
         sim.schedule_script(1, ("BUY", "alice", "bob", "500", "sale"))
         sim.run_until(2)
         assert any("|insufficient_funds|" in line for line in sim.observations)
-        assert sim.balance_of("alice") == 100
+        assert report_for(sim).balances["alice"] == 100
 
     def test_unknown_category_is_config_error(self):
         sim = basic_sim()
@@ -632,7 +635,7 @@ class TestDelegation:
         assert any("|move_forbidden|" in line for line in sim.observations)
         moved = [line for line in sim.observations if "|delegated_move|" in line]
         assert moved == []  # the best rate is prohibited, so no move at all
-        assert sim.balance_of("judy") == 1000
+        assert report_for(sim).balances["judy"] == 1000
 
     def test_interest_accrues_via_merge(self):
         sim = self.delegation_sim()
@@ -707,8 +710,8 @@ class TestSupplyInSim:
 
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.scn")))
 def test_balances_match_the_report(name):
-    # the simulation reads holdings from the live registry; the report
-    # rebuilds them by replaying the exported ledger
+    # the simulation's units held by each host, as the registry's holdings
+    # index names them, against the balances the report reads from the fold
     sim = run_scenario(load_scenario(str(SCENARIO_DIR / name)), seed=7)
     lines = render_report(report_for(sim)).splitlines()
     reported = {
@@ -717,7 +720,7 @@ def test_balances_match_the_report(name):
     }
     assert set(reported) >= set(sim.hosts)
     for host_id in sim.hosts:
-        assert sim.balance_of(host_id) == reported[host_id], host_id
+        assert sum(u.value for u in sim.active_units_of(host_id)) == reported[host_id], host_id
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.scn")))
