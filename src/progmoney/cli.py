@@ -7,14 +7,12 @@
     progmoney report <run dir>                        # recompute from artifacts
 
 Exit codes: 0 ok, 1 scenario/policy parse error, 2 audit or reconciliation
-violation, 3 runtime error.  PROGMONEY_SEED is the fallback seed when
---seed is not given.
+violation, 3 runtime error.  The seed is 0 when --seed is not given.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -26,14 +24,6 @@ from .scenario import ScenarioError, load_scenario, run_scenario
 OBSERVATIONS_FILE = "observations.log"
 LEDGER_FILE = "ledger.txt"
 REPORT_FILE = "report.txt"
-
-
-def _fallback_seed() -> int:
-    raw = os.environ.get("PROGMONEY_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        return 0
 
 
 def _read_text(path: Path) -> str:
@@ -53,8 +43,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (ScenarioError, UnicodeDecodeError) as exc:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
         return 1
-    seed = args.seed if args.seed is not None else _fallback_seed()
-    sim = run_scenario(cfg, seed)
+    sim = run_scenario(cfg, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     obs_text = "\n".join(sim.observations) + "\n"
@@ -137,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = sub.add_parser("run", help="run a scenario file")
     run_parser.add_argument("scenario")
-    run_parser.add_argument("--seed", type=int, default=None)
+    run_parser.add_argument("--seed", type=int, default=0)
     run_parser.add_argument("--out", default="out")
     run_parser.set_defaults(func=_cmd_run)
 

@@ -10,7 +10,9 @@ RECEIVE evaluation inside `transfer` or a levy the simulation runs from a
 TICK or ATTEST_FAIL decision (`pay`): it is checked under the reserved
 category "obligation" for TRANSFER_REQUEST and RECEIVE, then carved off the
 unit and moved to the payee.  A payment executes no obligations of its own,
-which keeps tax-on-tax recursion impossible.
+which keeps tax-on-tax recursion impossible.  A transfer pays its RECEIVE
+taxes, as its atomicity needs, and leaves the RECEIVE decision's other
+obligations to the recipient, which carries them out as it does a TICK's.
 
 A unit's history is a DAG of immutable `LineageNode`s, one per ledger
 record `Registry.endorse` committed.  Each node holds the record, the
@@ -214,8 +216,8 @@ INTEGRITY_OK = IntegrityResult(True)
 class TransferOutcome:
     received: Optional[MoneyUnit]  # what the recipient ends up holding
     payments: list[tuple[str, MoneyUnit]] = field(default_factory=list)
-    notifications: list[tuple[str, str]] = field(default_factory=list)
-    zeroised: list[tuple[MoneyUnit, str]] = field(default_factory=list)
+    notifications: list[tuple[str, str]] = field(default_factory=list)  # TRANSFER_REQUEST's
+    owed: tuple[pol.Obligation, ...] = ()  # RECEIVE's other than PAY, in rule order
 
     def all_units(self) -> list[MoneyUnit]:
         units = [unit for _, unit in self.payments]
@@ -393,11 +395,12 @@ def transfer(
     ctx: pol.EvalContext,
     registry: Registry,
 ) -> TransferOutcome:
-    """Move a whole unit to `to` at tick `ctx.now`, then run the receiving side's obligations.
+    """Move a whole unit to `to` at tick `ctx.now`, then pay the receiving side's taxes.
 
     The unit's policy must PERMIT both the TRANSFER_REQUEST and the RECEIVE
     event; PAY obligations from the RECEIVE decision carve value out of the
-    received unit immediately.  On any error nothing has changed.
+    received unit immediately; its other obligations are returned in `owed`
+    for the recipient to carry out.  On any error nothing has changed.
     """
     _require_active(unit)
     if ctx.amount != unit.value:
@@ -414,11 +417,8 @@ def transfer(
     if not receive_decision.permitted:
         raise PolicyForbids(f"unit {unit.id} refuses receipt", pol.EventKind.RECEIVE)
 
-    pays = [
-        ob
-        for ob in receive_decision.obligations
-        if isinstance(ob, pol.PayObligation) and ob.amount > 0
-    ]
+    obligations = receive_decision.obligations
+    pays = [ob for ob in obligations if isinstance(ob, pol.PayObligation) and ob.amount > 0]
     if sum(ob.amount for ob in pays) > unit.value:
         raise ObligationUnpayable(
             f"obligations exceed transferred value {unit.value}"
@@ -427,7 +427,8 @@ def transfer(
     for ob in pays:
         _check_payment(unit, ob, ctx)
 
-    outcome = TransferOutcome(received=None)
+    owed = tuple(ob for ob in obligations if not isinstance(ob, pol.PayObligation))
+    outcome = TransferOutcome(received=None, owed=owed)
     outcome.notifications.extend(
         (ob.target, f"transfer unit={unit.id} amount={unit.value}")
         for ob in request_decision.obligations
@@ -441,17 +442,6 @@ def transfer(
         assert current is not None
         paid, current = _carve(current, ob, registry, tick)
         outcome.payments.append((ob.payee, paid))
-
-    for ob in receive_decision.obligations:
-        if isinstance(ob, pol.NotifyObligation):
-            outcome.notifications.append(
-                (ob.target, f"receive unit={unit.id} amount={ctx.amount}")
-            )
-        elif isinstance(ob, pol.ZeroiseObligation) and current is not None:
-            zeroise(current, ob.reason, registry, tick)
-            outcome.zeroised.append((current, ob.reason))
-            current = None
-
     outcome.received = current
     return outcome
 

@@ -32,12 +32,14 @@ Format (UTF-8, "#" comments):
     1 BUY alice bob 1000 cake
 
 Script action names, argument counts and argument kinds are those of the
-handlers in `sim.ACTIONS`: a host or policy argument must be declared in
-the file, a number must parse, and a MINT or ISSUE must name an issuer.
+handlers in `sim.ACTIONS`: a script tick must not be negative, a host,
+policy or BUY category argument must be declared in the file, a number
+must parse, and a MINT or ISSUE must name an issuer.
 An issuer is a BANK or CENTRAL_BANK host, or the [supply] issuer when it is
 given an allowance; a [supply] issuer that is neither, or a negative
 allowance, fails at load too.  A script line that does not fit one fails
-at load.
+at load, and so does a '"' in what policy builders quote: a host id, a
+[law] category or a [policies] value.
 """
 
 from __future__ import annotations
@@ -134,6 +136,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
             _parse_supply_entry(cfg, key, value, line_no)
             supply_lines[key] = line_no
         elif section == "policies":
+            if '"' in value:
+                raise ScenarioError(f"[policies] value {value!r} holds a '\"'", line_no)
             cfg.policies.append((key, value))
     # hosts and policies may be declared after the lines that name them
     hosts = {spec.id for spec in cfg.hosts}
@@ -193,9 +197,10 @@ def _parse_host_entry(cfg: ScenarioConfig, key: str, value: str, line_no: int) -
         role = Role(parts[0])
     except ValueError:
         raise ScenarioError(f"unknown role {parts[0]!r}", line_no) from None
-    if "|" in key or "," in key:
-        # a ledger line separates its fields with "|" and a field's items with ","
-        raise ScenarioError(f"host id {key!r} contains '|' or ','", line_no)
+    if key.split() != [key] or any(ch in key for ch in '|,"'):
+        # a ledger line splits on "|" and ",", a report line on whitespace,
+        # and policy text quotes a host id between '"'
+        raise ScenarioError(f"host id {key!r} must be one word without '|', ',' or '\"'", line_no)
     if any(existing.id == key for existing in cfg.hosts):
         raise ScenarioError(f"duplicate host {key!r}", line_no)
     spec = Host(id=key, location=parts[1], role=role)
@@ -220,6 +225,8 @@ def _parse_law_entry(cfg: ScenarioConfig, key: str, value: str, line_no: int) ->
         status = LawStatus(parts[0])
     except ValueError:
         raise ScenarioError(f"unknown law status {parts[0]!r}", line_no) from None
+    if '"' in key:
+        raise ScenarioError(f"[law] category {key!r} holds a '\"'", line_no)
     cfg.law.append((key, status, _parse_fraction(parts[1], line_no)))
 
 
@@ -274,10 +281,9 @@ def _parse_supply_entry(cfg: ScenarioConfig, key: str, value: str, line_no: int)
 
 def _parse_script_line(cfg: ScenarioConfig, line: str, line_no: int) -> None:
     parts = line.split()
-    try:
-        tick = int(parts[0])
-    except ValueError:
-        raise ScenarioError(f"script line must start with a tick: {parts[0]!r}", line_no) from None
+    if not _is_non_negative_int(parts[0]):
+        raise ScenarioError(f"script line must start with a tick >= 0: {parts[0]!r}", line_no)
+    tick = int(parts[0])
     if len(parts) < 2 or parts[1] not in _PARAMS:
         raise ScenarioError(f"unknown script action {parts[1] if len(parts) > 1 else ''!r}", line_no)
     required, params = _PARAMS[parts[1]]
@@ -296,7 +302,7 @@ def _check_script_args(
     issuers: set[str],
     policies: set[str],
 ) -> None:
-    """Check the kind of every script argument against the declared hosts, issuers and policies.
+    """Check the kind of every script argument against the declared names.
 
     A script repeats its hosts, policies and amounts, so the kind test runs
     once per distinct value of an argument position; the lines are read
@@ -306,6 +312,7 @@ def _check_script_args(
         ArgKind.HOST: hosts.__contains__,
         ArgKind.ISSUER: issuers.__contains__,
         ArgKind.POLICY: policies.__contains__,
+        ArgKind.CATEGORY: {category for category, _, _ in cfg.law}.__contains__,
         ArgKind.INT: _is_non_negative_int,
         ArgKind.POSITIVE_INT: _is_positive_int,
         ArgKind.FRACTION: _is_fraction,

@@ -47,6 +47,7 @@ from .money import MoneyUnit, TransferOutcome, UnitState
 from .registry import DoubleSpend, Registry, RegistryError
 from .sim_types import (
     ISSUER_ROLES,
+    CategoryArg,
     FlagArg,
     FractionArg,
     Host,
@@ -333,8 +334,8 @@ class Simulation:
 
         Returns the outcome, or the refusal (the policy forbids, the taxes
         exceed the unit's value, or the registry refuses), in which case
-        nothing has changed.  On success the recipient `to` is the host
-        named in each tax payment, zeroise and notification line.
+        nothing has changed.  On success `to` is the host named in each
+        payment and notice line, and carries out what RECEIVE leaves owed.
         """
         ctx = self._eval_ctx(licensee, unit, location, category, to)
         try:
@@ -348,9 +349,10 @@ class Simulation:
             self._place_unit(placed)
         for payee, paid in outcome.payments:
             self.obs(to, "pay_obligation", unit=paid.id, to=payee, amount=paid.value)
-        for zeroised, reason in outcome.zeroised:
-            self.obs(to, "zeroise", unit=zeroised.id, reason=reason, value=0)
         self._dispatch_notifications(to, outcome.notifications)
+        if outcome.owed:
+            host = self.hosts[to]
+            self._execute_obligations(host, outcome.received, outcome.owed, pol.EventKind.RECEIVE)
         return outcome
 
     def _forbidden(
@@ -431,7 +433,7 @@ class Simulation:
         ctx = self._eval_ctx(host, unit, location=host.location)
         decision = pol.evaluate(unit.policy, pol.EventKind.TICK, ctx)
         if decision.obligations:
-            self._execute_obligations(host, unit, decision.obligations)
+            self._execute_obligations(host, unit, decision.obligations, pol.EventKind.TICK)
             return self.now + 1
         return unit.policy.next_tick_change(self.now, unit.last_contact)
 
@@ -441,7 +443,7 @@ class Simulation:
             unit.policy, pol.EventKind.ATTEST_FAIL, self._eval_ctx(host, unit)
         )
         self.obs(host.id, event, unit=unit.id)
-        self._execute_obligations(host, unit, decision.obligations)
+        self._execute_obligations(host, unit, decision.obligations, pol.EventKind.ATTEST_FAIL)
 
     def _attests(self, host: Host) -> bool:
         """Whether `host`'s location attestation verifies now.
@@ -492,8 +494,14 @@ class Simulation:
         decision = pol.evaluate(unit.policy, pol.EventKind.TAMPER, self._eval_ctx(host, unit))
         self._zeroise(host.id, unit, "tamper", decision.obligations)
 
-    def _execute_obligations(self, host: Host, unit: MoneyUnit, obligations) -> None:
-        """Carry out `obligations` until the unit is gone; a ZEROISE sends their notices."""
+    def _execute_obligations(
+        self, host: Host, unit: Optional[MoneyUnit], obligations, event: pol.EventKind
+    ) -> None:
+        """Carry out `unit`'s obligations from an `event` decision until it is gone.
+
+        The one place a RECEIVE, TICK or ATTEST_FAIL NOTIFY, ZEROISE or MOVE_TO_BEST_RATE
+        runs.  A notice names `event`; a ZEROISE sends every target the zeroise notice.
+        """
         current = unit
         for ob in obligations:
             if current is None or current.state is not UnitState.ACTIVE:
@@ -501,9 +509,8 @@ class Simulation:
             if isinstance(ob, pol.PayObligation):
                 current = self._pay_obligation(host, current, ob)
             elif isinstance(ob, pol.NotifyObligation):
-                self._dispatch_notifications(
-                    host.id, [(ob.target, f"tick unit={current.id}")]
-                )
+                body = f"{event.value.lower()} unit={current.id}"
+                self._dispatch_notifications(host.id, [(ob.target, body)])
             elif isinstance(ob, pol.ZeroiseObligation):
                 self._zeroise(host.id, current, ob.reason, obligations)
                 current = None
@@ -568,7 +575,8 @@ class Simulation:
             else:
                 self.obs(holder.id, "move_failed", unit=unit_id, error=type(outcome).__name__)
             return
-        if outcome.received is not None:
+        # a RECEIVE obligation may have zeroised what the bank received
+        if outcome.received is not None and outcome.received.state is UnitState.ACTIVE:
             self.deposits.add(outcome.received.id)
         self.obs(
             holder.id,
@@ -725,7 +733,7 @@ class Simulation:
         return outcome.received
 
     def act_buy(
-        self, buyer_id: HostArg, vendor_id: HostArg, price: PositiveIntArg, category: str
+        self, buyer_id: HostArg, vendor_id: HostArg, price: PositiveIntArg, category: CategoryArg
     ) -> None:
         buyer, vendor = self.host(buyer_id), self.host(vendor_id)
         amount = int(price)

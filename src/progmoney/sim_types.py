@@ -42,6 +42,7 @@ class ArgKind(Enum):
     HOST = "a declared host"
     ISSUER = "a BANK or CENTRAL_BANK host, or the [supply] issuer with an allowance"
     POLICY = "a declared policy"
+    CATEGORY = "a [law] category"
     INT = "a non-negative integer"
     POSITIVE_INT = "a positive integer"
     FRACTION = "a fraction"
@@ -64,6 +65,7 @@ def parse_fraction(text: str) -> Fraction:
 HostArg = Annotated[str, ArgKind.HOST]
 IssuerArg = Annotated[str, ArgKind.ISSUER]
 PolicyArg = Annotated[str, ArgKind.POLICY]
+CategoryArg = Annotated[str, ArgKind.CATEGORY]
 IntArg = Annotated[str, ArgKind.INT]
 PositiveIntArg = Annotated[str, ArgKind.POSITIVE_INT]
 FractionArg = Annotated[str, ArgKind.FRACTION]

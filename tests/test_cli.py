@@ -67,13 +67,14 @@ class TestRun:
         )
         assert run(["run", broken, "--out", tmp_path / "o"]) == 3
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
+    def test_seed_defaults_to_zero(self, tmp_path, monkeypatch):
+        # --seed is the one way to set the seed; the environment plays no part
         first, second = tmp_path / "a", tmp_path / "b"
         monkeypatch.setenv("PROGMONEY_SEED", "7")
         assert run(["run", SALES_TAX_SCN, "--out", first]) == 0
-        monkeypatch.delenv("PROGMONEY_SEED")
-        assert run(["run", SALES_TAX_SCN, "--seed", 7, "--out", second]) == 0
-        assert (first / REPORT_FILE).read_bytes() == (second / REPORT_FILE).read_bytes()
+        assert run(["run", SALES_TAX_SCN, "--seed", 0, "--out", second]) == 0
+        for artifact in (OBSERVATIONS_FILE, REPORT_FILE):
+            assert (first / artifact).read_bytes() == (second / artifact).read_bytes()
 
     def test_byte_identical_across_hash_seeds(self, tmp_path):
         # separate interpreter processes with different string-hash seeds

@@ -309,15 +309,23 @@ class TestTransfer:
         assert len(outcome.payments) == 1
 
     def test_notify_obligations_collected(self, world):
+        # the sender's notice is sent with the transfer; the recipient's is owed
         _, registry, bank = world
         noisy = pol.compile_policy(
             'OBLIGATION ON TRANSFER_REQUEST DO NOTIFY "watcher";\n'
-            'OBLIGATION ON RECEIVE DO NOTIFY "auditor";'
+            'OBLIGATION ON RECEIVE DO NOTIFY "auditor", ZEROISE;\n'
+            'OBLIGATION ON RECEIVE DO PAY 1/10 TO "tax";'
         )
         unit = mint(bank, 10, "SIM", noisy, registry)
         outcome = transfer(unit, "alice", ctx_for(unit, now=1), registry)
-        targets = [t for t, _ in outcome.notifications]
-        assert targets == ["watcher", "auditor"]
+        assert outcome.notifications == [("watcher", "transfer unit=u1 amount=10")]
+        assert outcome.owed == (
+            pol.NotifyObligation("auditor", 1),
+            pol.ZeroiseObligation("policy", 1),
+        )
+        # the transfer zeroised nothing: what alice holds is active
+        assert outcome.received.state is UnitState.ACTIVE
+        assert outcome.received.value == 9
 
     def test_full_provenance_replay(self, world):
         directory, registry, bank = world

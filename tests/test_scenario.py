@@ -155,6 +155,14 @@ class TestParsing:
             (WORLD + "1 ISSUE bob alice 100 retail\n", 8),
             (WORLD.replace("[script]\n", "[supply]\nissuer = alice\nrule = FIXED_CAP 5 10\n"), 8),
             (WORLD.replace("[script]\n", "[supply]\nissuer = central\nallowance = -5\n"), 9),
+            # a tick before the start, or a category the law does not know
+            (WORLD + "-1 ISSUE central alice 5\n", 8),
+            (WORLD + "1 BUY alice bob 5 nosuchcat\n", 8),
+            # policy text quotes host ids, categories and builder arguments
+            ('[hosts]\nta"x = TAX_AUTHORITY HOME\n', 2),
+            ("[hosts]\ncentral = CENTRAL_BANK HOME\nal ice = CONSUMER HOME\n", 3),
+            ('[law]\nca"ke = illegal 0/1\n[policies]\nlawful = legality\n', 2),
+            (WORLD.replace("sales_tax 1/5", 'sales_tax 1/5 sale ta"x'), 6),
         ],
         ids=[
             "too_few_args",
@@ -187,6 +195,12 @@ class TestParsing:
             "issue_by_vendor",
             "supply_issuer_not_an_issuer",
             "supply_allowance_negative",
+            "script_tick_negative",
+            "buy_category_undeclared",
+            "host_id_quote",
+            "host_id_whitespace",
+            "law_category_quote",
+            "policy_builder_argument_quote",
         ],
     )
     def test_bad_line_fails_at_load(self, tmp_path, text, line_no):
@@ -216,11 +230,12 @@ class TestParsing:
                 " got 0 arguments",
             ),
             (
-                # hosts declared after the script; "retail" fits as a
-                # category but not as a host
+                # hosts and the law declared after the script; "retail"
+                # fits as a category but not as a host
                 "[script]\n0 MINT central 5\n1 BUY alice bob 10 retail\n"
                 "2 MINT central 5 retail\n3 RATE central 1/2\n4 MINT central 5 nopolicy\n"
-                "5 BUY alice retail 10 sale\n6 MINT central 0\n" + WORLD.split("[script]")[0],
+                "5 BUY alice retail 10 sale\n6 MINT central 0\n" + WORLD.split("[script]")[0]
+                + "[law]\nretail = legal 0/1\n",
                 "line 6: MINT policy_name must be a declared policy, got 'nopolicy'",
             ),
         ],

@@ -325,6 +325,16 @@ class TestUpkeep:
             for line in sim.observations
         )
 
+    def test_attest_fail_notice_names_its_event(self):
+        sim = basic_sim()
+        sim.add_policy("p", 'OBLIGATION ON ATTEST_FAIL DO NOTIFY "government";')
+        sim.schedule_script(0, ("ISSUE", "central", "alice", "300", "p"))
+        sim.schedule_script(3, ("WITHHOLD", "alice", "on"))
+        sim.run_until(4)
+        assert "3|alice|notify|target=government" in sim.observations
+        assert "4|government|message|sender=alice body=attest_fail unit=u1" in sim.observations
+        assert report_for(sim).balances["alice"] == 300
+
     def test_tampered_unit_zeroises_when_spent(self):
         # tamper and spend inside the same tick, before upkeep runs
         sim = basic_sim()
@@ -349,6 +359,89 @@ class TestUpkeep:
         sim.run_until(0)
         unit = next(iter(sim.units.values()))
         assert unit.expiry == 5
+
+
+class TestReceiveObligations:
+    """The recipient carries out a RECEIVE decision's obligations as upkeep does a TICK's."""
+
+    def test_zeroise_sends_the_zeroise_notice(self):
+        sim = basic_sim()
+        sim.add_policy("p", 'OBLIGATION ON RECEIVE DO ZEROISE, NOTIFY "government";')
+        sim.schedule_script(0, ("ISSUE", "central", "alice", "100", "p"))
+        sim.run_until(2)
+        assert [line for line in sim.observations if line.startswith("0|alice|")] == [
+            "0|alice|zeroise|unit=u1 reason=policy value=100",
+            "0|alice|notify|target=government",
+        ]
+        assert [line for line in sim.observations if "|government|" in line] == [
+            "1|government|message|sender=alice body=zeroise unit=u1 reason=policy value=100"
+        ]
+        assert sim.registry.fold.burned == 100
+        assert sim.units == {}
+        assert sim.registry.audit() == []
+
+    def test_nothing_runs_after_a_zeroise(self):
+        sim = basic_sim()
+        sim.add_policy(
+            "p",
+            'OBLIGATION ON RECEIVE DO ZEROISE;\nOBLIGATION ON RECEIVE DO NOTIFY "government";',
+        )
+        sim.schedule_script(0, ("ISSUE", "central", "alice", "100", "p"))
+        sim.run_until(2)
+        # the only notice is the zeroise's, sent once
+        assert [line for line in sim.observations if "|government|" in line] == [
+            "1|government|message|sender=alice body=zeroise unit=u1 reason=policy value=100"
+        ]
+
+    def test_taxed_receipt_notifies_on_what_is_left(self):
+        sim = basic_sim()
+        sim.add_policy(
+            "p",
+            'OBLIGATION ON RECEIVE DO NOTIFY "government";\n'
+            'OBLIGATION ON RECEIVE DO PAY 1/5 TO "tax_authority";',
+        )
+        sim.schedule_script(0, ("ISSUE", "central", "alice", "100", "p"))
+        sim.run_until(2)
+        # the payments are written first, then the recipient's notice on the rest
+        assert [line for line in sim.observations if line.startswith("0|alice|")] == [
+            "0|alice|pay_obligation|unit=u2 to=tax_authority amount=20",
+            "0|alice|notify|target=government",
+        ]
+        assert "1|government|message|sender=alice body=receive unit=u3" in sim.observations
+
+    def test_move_to_best_rate_is_planned(self):
+        sim = Simulation(seed=3, scenario_name="delegation")
+        sim.add_host("central", Role.CENTRAL_BANK, "HOME")
+        sim.add_host("judy", Role.CONSUMER, "HOME")
+        sim.add_host("bank_a", Role.BANK, "HOME")
+        sim.add_policy("seeker", "OBLIGATION ON RECEIVE DO MOVE_TO_BEST_RATE;")
+        sim.schedule_script(0, ("RATE", "bank_a", "1/100"))
+        sim.schedule_script(0, ("ISSUE", "central", "judy", "1000", "seeker"))
+        sim.run_until(3)
+        assert "0|judy|move_planned|unit=u1 target=bank_a" in sim.observations
+        assert "1|judy|delegated_move|unit=u1 target=bank_a rate=1/100" in sim.observations
+        # the bank's own receipt plans nothing: the deposit is already at the best rate
+        assert [line for line in sim.observations if "|move_planned|" in line] == [
+            "0|judy|move_planned|unit=u1 target=bank_a"
+        ]
+        assert report_for(sim).balances["bank_a"] == 1000
+        assert sim.deposits == set(sim.registry.holdings("bank_a"))
+
+    def test_deposit_zeroised_on_receipt_is_not_kept(self):
+        sim = Simulation(seed=3, scenario_name="delegation")
+        sim.add_host("central", Role.CENTRAL_BANK, "HOME")
+        sim.add_host("judy", Role.CONSUMER, "HOME")
+        sim.add_host("bank_a", Role.BANK, "HOME")
+        sim.add_policy(
+            "p",
+            "OBLIGATION ON TICK DO MOVE_TO_BEST_RATE;\n"
+            'OBLIGATION ON RECEIVE IF category == "deposit" DO ZEROISE;',
+        )
+        sim.schedule_script(0, ("RATE", "bank_a", "1/100"))
+        sim.schedule_script(0, ("ISSUE", "central", "judy", "1000", "p"))
+        sim.run_until(2)
+        assert "1|bank_a|zeroise|unit=u1 reason=policy value=1000" in sim.observations
+        assert sim.deposits == set()
 
 
 def three_hosts(policy: str = "") -> Simulation:
