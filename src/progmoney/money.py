@@ -25,10 +25,12 @@ history.  Nodes are shared by every descendant and never copied, so
 lineage grows with the ledger, not with the number of splits and merges
 behind a unit.
 
-A unit's currency and policy hash are signed once, by the minting issuer,
-as the `Origin` on its MINT node; every other node carries its first
-parent's origin, a merge's parents must have the same one, and a split
-keeps it, so split and merge sign nothing but the ledger record.
+A unit's currency, home and policy hash are signed once, by the minting
+issuer, as the `Origin` on its MINT node; every other node carries its
+first parent's origin, a merge's parents must have the same one, and a
+split keeps it, so split and merge sign nothing but the ledger record.  A
+unit holds only what changes — value, owner, policy, lineage, state and
+last contact — and reads the rest from its origin and its policy.
 `verify_integrity` checks each node once per `KeyDirectory` and remembers
 the result on the node, so a split's second child costs no MAC; and the
 policy text check is remembered on each `PolicyProgram`, so an unchanged
@@ -86,21 +88,24 @@ class ObligationUnpayable(ValueError):
     pass
 
 
-def origin_body(unit_id: str, value: int, currency: str, policy_hash: int) -> bytes:
-    """What the minting issuer signs in an `Origin`."""
-    return f"{unit_id}|{value}|{currency}|{digest_hex(policy_hash)}".encode()
+def origin_body(
+    unit_id: str, value: int, currency: str, home: Optional[str], policy_hash: int
+) -> bytes:
+    """What the minting issuer signs in an `Origin`; no home is an empty field."""
+    return f"{unit_id}|{value}|{currency}|{home or ''}|{digest_hex(policy_hash)}".encode()
 
 
 @dataclass(frozen=True, slots=True)
 class Origin:
-    """The currency and policy a mint gives a unit and all its descendants.
+    """The currency, home and policy a mint gives a unit and all its descendants.
 
-    `sig` is the issuer's signature on `origin_body` of the minted unit.
-    Two origins are equal when their currency and policy are: units that
-    may merge.
+    `home` is the minting issuer's location.  `sig` is the issuer's
+    signature on `origin_body` of the minted unit.  Two origins are equal
+    when their currency, home and policy are: units that may merge.
     """
 
     currency: str
+    home: Optional[str]
     policy_hash: int
     sig: Signature = field(compare=False)
 
@@ -180,18 +185,16 @@ def _in_seq_order(head: LineageNode) -> list[LineageNode]:
     return sorted(_ancestry(head), key=lambda node: node.record.seq)
 
 
-@dataclass(eq=False)  # units are entities: compare by identity, not structure
+@dataclass(eq=False, slots=True)  # units are entities: compare by identity
 class MoneyUnit:
+    """What changes; currency, home and policy hash are its `Origin`'s, expiry its policy's."""
+
     id: str
     value: int
-    currency: str
     owner: str
     policy: pol.PolicyProgram
-    policy_hash: int
     lineage: LineageNode
     state: UnitState = UnitState.ACTIVE
-    expiry: Optional[int] = None
-    home: Optional[str] = None
     last_contact: int = 0
 
     @property
@@ -259,32 +262,23 @@ def mint(
     policy: pol.PolicyProgram,
     registry: Registry,
     at: int = 0,
-    expiry: Optional[int] = None,
     home: Optional[str] = None,
 ) -> MoneyUnit:
-    """Issue a fresh ACTIVE unit; the registry gates issuer allowance."""
+    """Issue a fresh ACTIVE unit at `home`; the registry gates issuer allowance."""
     if value <= 0:
         raise InvalidAmount(f"mint value must be positive, got {value}")
     if policy.check_errors:
         raise InvalidPolicy("; ".join(str(e) for e in policy.check_errors))
     unit_id = registry.new_unit_id()
     endorsed = _endorse(registry, RecordKind.MINT, (unit_id,), (value,), (bank,), at)
-    policy_hash = policy.text_hash
-    origin = Origin(
-        currency,
-        policy_hash,
-        registry.directory.sign(bank, origin_body(unit_id, value, currency, policy_hash)),
-    )
+    body = origin_body(unit_id, value, currency, home, policy.text_hash)
+    origin = Origin(currency, home, policy.text_hash, registry.directory.sign(bank, body))
     return MoneyUnit(
         id=unit_id,
         value=value,
-        currency=currency,
         owner=bank,
         policy=policy,
-        policy_hash=policy_hash,
         lineage=LineageNode(*endorsed, origin=origin),
-        expiry=expiry,
-        home=home,
         last_contact=at,
     )
 
@@ -305,13 +299,9 @@ def split(unit: MoneyUnit, amount: int, registry: Registry, at: int) -> tuple[Mo
         return MoneyUnit(
             id=ids[i],
             value=amounts[i],
-            currency=unit.currency,
             owner=unit.owner,
             policy=unit.policy,
-            policy_hash=unit.policy_hash,
             lineage=node,
-            expiry=unit.expiry,
-            home=unit.home,
             last_contact=unit.last_contact,
         )
 
@@ -319,8 +309,8 @@ def split(unit: MoneyUnit, amount: int, registry: Registry, at: int) -> tuple[Mo
 
 
 def fungible(a: MoneyUnit, b: MoneyUnit) -> bool:
-    """Whether `a` and `b` may merge: one policy, one currency, one home."""
-    return a.policy_hash == b.policy_hash and a.currency == b.currency and a.home == b.home
+    """Whether `a` and `b` may merge: one origin, so one currency, home and policy."""
+    return a.lineage.origin == b.lineage.origin
 
 
 def merge(a: MoneyUnit, b: MoneyUnit, registry: Registry, at: int) -> MoneyUnit:
@@ -333,18 +323,13 @@ def merge(a: MoneyUnit, b: MoneyUnit, registry: Registry, at: int) -> MoneyUnit:
     ids = (a.id, b.id, registry.new_unit_id())
     amounts = (a.value, b.value, a.value + b.value)
     endorsed = _endorse(registry, RecordKind.MERGE, ids, amounts, (a.owner,), at)
-    expiries = [e for e in (a.expiry, b.expiry) if e is not None]
     return MoneyUnit(
         id=ids[2],
         value=amounts[2],
-        currency=a.currency,
         owner=a.owner,
         policy=a.policy,
-        policy_hash=a.policy_hash,
         # one node over both histories; ancestors they share stay shared
         lineage=LineageNode(*endorsed, (a.lineage, b.lineage)),
-        expiry=min(expiries) if expiries else None,
-        home=a.home,
         last_contact=min(a.last_contact, b.last_contact),
     )
 
@@ -447,7 +432,7 @@ def transfer(
 
 
 def verify_integrity(unit: MoneyUnit, directory: KeyDirectory) -> IntegrityResult:
-    """Check the policy text, the origin and the lineage; report all mismatches.
+    """Check the policy text and the lineage; report all mismatches.
 
     Signer identities are pinned, not taken at face value: a lineage
     node's record line must be signed by `REGISTRY_KEY`, its body and,
@@ -456,8 +441,8 @@ def verify_integrity(unit: MoneyUnit, directory: KeyDirectory) -> IntegrityResul
     detected tamper.  A node's record must make a unit and its parents be
     exactly the units the record consumed or moved (same id, owner and
     amount, earlier seq), with one origin; the head must make a unit of the
-    unit's own id, owner and value, and its origin give the unit's currency
-    and policy hash.
+    unit's own id, owner and value, and the policy text must hash to the
+    head origin's policy hash, a head with no origin counting as a mismatch.
 
     Work is done once per object: the policy text's hash and render are
     remembered on its `PolicyProgram`, and a lineage node that checks out
@@ -466,15 +451,12 @@ def verify_integrity(unit: MoneyUnit, directory: KeyDirectory) -> IntegrityResul
     lineage head or policy, or another directory, is checked afresh.
     """
     problems: list[str] = []
-    if unit.policy.text_hash != unit.policy_hash:
+    head = unit.lineage
+    if head.origin is None or unit.policy.text_hash != head.origin.policy_hash:
         problems.append("policy text hash mismatch")
     if not unit.policy.rules_match_text:
         problems.append("policy rules do not match canonical text")
-    head = unit.lineage
     if unit.state is UnitState.ACTIVE:
-        origin, claimed = head.origin, (unit.currency, unit.policy_hash)
-        if origin is None or (origin.currency, origin.policy_hash) != claimed:
-            problems.append("currency or policy hash is not the origin's")
         held = head.holding(unit.id)
         if held is None:
             problems.append("provenance is another unit's")
@@ -543,7 +525,7 @@ def _node_faults(node: LineageNode, directory: KeyDirectory) -> list[str]:
             faults.append("birth signature by unexpected key")
         elif not directory.verify(
             requester,
-            origin_body(ids[0], amounts[0], origin.currency, origin.policy_hash),
+            origin_body(ids[0], amounts[0], origin.currency, origin.home, origin.policy_hash),
             origin.sig,
         ):
             faults.append("birth signature mismatch")

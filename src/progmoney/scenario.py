@@ -170,6 +170,10 @@ _SIM_INT_LEAST = {"until": 0, "year_ticks": 1, "period_ticks": 1}
 
 def _parse_sim_entry(cfg: ScenarioConfig, key: str, value: str, line_no: int) -> None:
     if key in ("name", "currency"):
+        # a report line splits on whitespace, an observation line and the
+        # origin body a mint signs on "|"
+        if value.split() != [value] or "|" in value:
+            raise ScenarioError(f"[sim] {key} {value!r} must be one word without '|'", line_no)
         setattr(cfg, key, value)
         return
     if key != "latency" and key not in _SIM_INT_LEAST:
@@ -203,6 +207,8 @@ def _parse_host_entry(cfg: ScenarioConfig, key: str, value: str, line_no: int) -
         raise ScenarioError(f"host id {key!r} must be one word without '|', ',' or '\"'", line_no)
     if any(existing.id == key for existing in cfg.hosts):
         raise ScenarioError(f"duplicate host {key!r}", line_no)
+    if "|" in parts[1]:  # an issuer's location is a field of the origin it signs
+        raise ScenarioError(f"host location {parts[1]!r} holds a '|'", line_no)
     spec = Host(id=key, location=parts[1], role=role)
     for extra in parts[2:]:
         if "=" not in extra:
@@ -318,6 +324,7 @@ def _check_script_args(
         ArgKind.FRACTION: _is_fraction,
         ArgKind.SIDE: _SIDES.__contains__,
         ArgKind.FLAG: _FLAGS.__contains__,
+        ArgKind.LOCATION: lambda text: "|" not in text,
     }
     rows = defaultdict(list)
     for _, args in cfg.script:

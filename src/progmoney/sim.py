@@ -56,6 +56,7 @@ from .sim_types import (
     IssuerArg,
     LawEntry,
     LawTable,
+    LocationArg,
     PolicyArg,
     PositiveIntArg,
     Role,
@@ -289,17 +290,11 @@ class Simulation:
         del self.units[unit.id]
         self.deposits.discard(unit.id)
 
-    def _mint(
-        self,
-        issuer: Host,
-        value: int,
-        policy_name: str,
-        expiry: Optional[int] = None,
-        home: Optional[str] = None,
-    ) -> MoneyUnit:
+    def _mint(self, issuer: Host, value: int, policy_name: str) -> MoneyUnit:
+        """The one mint path: a unit of `issuer`'s, at home where `issuer` is now."""
         policy = self.policies[policy_name]
         unit = money.mint(
-            issuer.id, value, self.currency, policy, self.registry, self.now, expiry, home
+            issuer.id, value, self.currency, policy, self.registry, self.now, issuer.location
         )
         self._place_unit(unit)
         return unit
@@ -467,16 +462,17 @@ class Simulation:
         counterparty: Optional[str] = None,
     ) -> pol.EvalContext:
         """The context `unit` is evaluated in under `host`'s licence."""
+        origin = unit.lineage.origin  # None on a forged MINT, which upkeep zeroises
         return pol.EvalContext(
             amount=unit.value,
             category=category,
             counterparty=counterparty,
             location=location,
             now=self.now,
-            expiry=unit.expiry,
+            expiry=unit.policy.deadline,
             last_contact=self.now - unit.last_contact,
             licence=host.licence,
-            home=unit.home,
+            home=None if origin is None else origin.home,
         )
 
     def _zeroise(self, host_id: str, unit: MoneyUnit, reason: str, obligations) -> None:
@@ -706,10 +702,7 @@ class Simulation:
     def act_mint(
         self, bank_id: IssuerArg, value: PositiveIntArg, policy_name: PolicyArg = "empty"
     ) -> MoneyUnit:
-        bank = self.host(bank_id)
-        # a deadline rule implies the unit's expiry
-        expiry = self.policies[policy_name].deadline
-        unit = self._mint(bank, int(value), policy_name, expiry, bank.location)
+        unit = self._mint(self.host(bank_id), int(value), policy_name)
         self.obs(bank_id, "mint", unit=unit.id, value=unit.value, policy=policy_name)
         return unit
 
@@ -729,8 +722,10 @@ class Simulation:
         if not isinstance(outcome, TransferOutcome):
             self._forbidden(bank_id, unit, "issuance", outcome)
             return None
-        self.obs(bank_id, "issue", unit=unit.id, to=recipient, value=unit.value)
-        return outcome.received
+        # the value issued: a RECEIVE obligation may have zeroised the unit since
+        self.obs(bank_id, "issue", unit=unit.id, to=recipient, value=int(value))
+        received = outcome.received
+        return received if received is not None and received.state is UnitState.ACTIVE else None
 
     def act_buy(
         self, buyer_id: HostArg, vendor_id: HostArg, price: PositiveIntArg, category: CategoryArg
@@ -795,7 +790,7 @@ class Simulation:
             touched += 1
         self.obs(host_id, "contact", units=touched)
 
-    def act_move_host(self, host_id: HostArg, location: str) -> None:
+    def act_move_host(self, host_id: HostArg, location: LocationArg) -> None:
         host = self.host(host_id)
         host.location = location
         self._wake_units_of(host_id)

@@ -48,6 +48,7 @@ class ArgKind(Enum):
     FRACTION = "a fraction"
     SIDE = "BID or ASK"
     FLAG = "on or off"
+    LOCATION = "a location without '|'"
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -71,6 +72,7 @@ PositiveIntArg = Annotated[str, ArgKind.POSITIVE_INT]
 FractionArg = Annotated[str, ArgKind.FRACTION]
 SideArg = Annotated[str, ArgKind.SIDE]
 FlagArg = Annotated[str, ArgKind.FLAG]
+LocationArg = Annotated[str, ArgKind.LOCATION]
 
 
 class UnknownCategory(KeyError):

@@ -11,6 +11,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
+from typing import Optional
 
 from progmoney import money, policy as pol
 from progmoney.cli import LEDGER_FILE, OBSERVATIONS_FILE, REPORT_FILE, run_cli
@@ -68,9 +69,13 @@ def test_01_conservation_mixed_scenario(tmp_path):
         taxed = pol.compile_policy(sales_tax_policy(Fraction(1, 5)))
         plain = pol.EMPTY_POLICY
         active: dict[str, money.MoneyUnit] = {}
+        # the model's own expiry per unit id: pieces keep their unit's, and
+        # a merge the earlier of its parents'; the policies set no deadline
+        expiry_of: dict[str, Optional[int]] = {}
 
-        def adopt(unit):
+        def adopt(unit, expiry):
             active[unit.id] = unit
+            expiry_of[unit.id] = expiry
 
         def retire(unit):
             active.pop(unit.id, None)
@@ -83,15 +88,12 @@ def test_01_conservation_mixed_scenario(tmp_path):
             if roll < 0.12 or len(ids) < 4:
                 policy = taxed if rng.random() < 0.3 else plain
                 expiry = tick + rng.randrange(5, 60) if rng.random() < 0.3 else None
-                adopt(
-                    mint(
-                        bank, rng.randrange(10, 20_000), "SIM", policy, registry,
-                        at=tick, expiry=expiry,
-                    )
-                )
+                unit = mint(bank, rng.randrange(10, 20_000), "SIM", policy, registry, at=tick)
+                adopt(unit, expiry)
             elif roll < 0.55:
                 unit = active[rng.choice(ids)]
-                if unit.expiry is not None and tick > unit.expiry:
+                expiry = expiry_of[unit.id]
+                if expiry is not None and tick > expiry:
                     zeroise(unit, "expiry", registry, at=tick)
                     retire(unit)
                     continue
@@ -99,25 +101,25 @@ def test_01_conservation_mixed_scenario(tmp_path):
                     amount=unit.value,
                     category="sale" if rng.random() < 0.5 else None,
                     now=tick,
-                    expiry=unit.expiry,
+                    expiry=expiry,
                 )
                 outcome = transfer(unit, rng.choice(owners), ctx, registry)
                 retire(unit)
                 for piece in outcome.all_units():
-                    adopt(piece)
+                    adopt(piece, expiry)
             elif roll < 0.74:
                 unit = active[rng.choice(ids)]
                 if unit.value < 2:
                     continue
                 a, b = money.split(unit, rng.randrange(1, unit.value), registry, at=tick)
                 retire(unit)
-                adopt(a)
-                adopt(b)
+                adopt(a, expiry_of[unit.id])
+                adopt(b, expiry_of[unit.id])
             elif roll < 0.92:
                 groups: dict[tuple, list] = {}
                 for uid in ids:
                     unit = active[uid]
-                    groups.setdefault((unit.owner, unit.policy_hash, unit.home), []).append(unit)
+                    groups.setdefault((unit.owner, unit.lineage.origin), []).append(unit)
                 mergeable = [g for g in groups.values() if len(g) >= 2]
                 if not mergeable:
                     continue
@@ -125,7 +127,8 @@ def test_01_conservation_mixed_scenario(tmp_path):
                 merged = money.merge(a, b, registry, at=tick)
                 retire(a)
                 retire(b)
-                adopt(merged)
+                expiries = [e for e in (expiry_of[a.id], expiry_of[b.id]) if e is not None]
+                adopt(merged, min(expiries, default=None))
             else:
                 unit = active[rng.choice(ids)]
                 reason = rng.choice(["tamper", "jurisdiction", "expiry"])
@@ -291,10 +294,8 @@ def test_07_expiry_soundness():
         for i in range(150):
             deadline = rng.randrange(20, 120)
             policy = pol.compile_policy(expiry_policy(deadline))
-            unit = mint(
-                bank, rng.randrange(10, 5_000), "SIM", policy, registry,
-                at=0, expiry=deadline,
-            )
+            unit = mint(bank, rng.randrange(10, 5_000), "SIM", policy, registry, at=0)
+            assert unit.policy.deadline == deadline
             expiry_of[unit.id] = deadline
             units.append(unit)
         expired_value = 0
@@ -303,7 +304,7 @@ def test_07_expiry_soundness():
             for unit in units:
                 if unit.state is not UnitState.ACTIVE:
                     continue
-                ctx = pol.EvalContext(amount=unit.value, now=tick, expiry=unit.expiry)
+                ctx = pol.EvalContext(amount=unit.value, now=tick, expiry=expiry_of[unit.id])
                 # let the unit's own TICK rule decide whether it is dead
                 decision = pol.evaluate(unit.policy, pol.EventKind.TICK, ctx)
                 dead = [

@@ -60,9 +60,9 @@ def ctx_for(unit, category=None, now=0, licence=None):
         amount=unit.value,
         category=category,
         now=now,
-        expiry=unit.expiry,
+        expiry=unit.policy.deadline,
         licence=licence,
-        home=unit.home,
+        home=unit.lineage.origin.home,
     )
 
 
@@ -72,8 +72,17 @@ class TestMint:
         unit = mint(bank, 10_000, "SIM", pol.EMPTY_POLICY, registry, at=0)
         assert unit.state is UnitState.ACTIVE
         assert registry.fold.live[unit.id] == ("central", 10_000)
-        assert unit.policy_hash == pol.EMPTY_POLICY.text_hash
+        origin = unit.lineage.origin
+        assert (origin.currency, origin.home, origin.policy_hash) == (
+            "SIM",
+            None,
+            pol.EMPTY_POLICY.text_hash,
+        )
         assert verify_integrity(unit, directory).ok
+        # a unit keeps no unsigned copy of its origin or its policy's deadline
+        for name in ("currency", "home", "policy_hash", "expiry"):
+            with pytest.raises(AttributeError):
+                setattr(unit, name, None)
 
     def test_mint_zero_rejected(self, world):
         _, registry, bank = world
@@ -116,7 +125,7 @@ class TestSplit:
         assert (a.value, b.value) == (40, 60)
         assert a.value + b.value == 100
         assert a.owner == b.owner == "central"
-        assert a.policy_hash == b.policy_hash == unit.policy_hash
+        assert a.lineage.origin is b.lineage.origin is unit.lineage.origin
         assert registry.owner_of(unit.id) is None
 
     def test_split_whole_value_rejected(self, world):
@@ -193,13 +202,6 @@ class TestMerge:
         a = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
         with pytest.raises(DoubleSpend):
             merge(a, a, registry, at=1)
-
-    def test_merge_takes_earlier_expiry(self, world):
-        _, registry, bank = world
-        a = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry, expiry=50)
-        b = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry, expiry=30)
-        merged = merge(a, b, registry, at=1)
-        assert merged.expiry == 30
 
     @pytest.mark.parametrize(
         "currency, policy",
@@ -387,14 +389,8 @@ class TestIntegrity:
         unit = mint(bank, 100, "SIM", pol.compile_policy(SALES_TAX), registry)
         swapped = pol.compile_policy("")  # drop the tax rule entirely
         unit.policy = swapped
-        unit.policy_hash = swapped.text_hash
-        origin = Origin(
-            unit.currency,
-            unit.policy_hash,
-            directory.sign(
-                "mallory", origin_body(unit.id, unit.value, unit.currency, unit.policy_hash)
-            ),
-        )
+        body = origin_body(unit.id, unit.value, "SIM", None, swapped.text_hash)
+        origin = Origin("SIM", None, swapped.text_hash, directory.sign("mallory", body))
         forged = None
         for record in unit.provenance:
             resigned = replace(record, parties=("mallory",))
@@ -616,11 +612,17 @@ class TestVerifyOnce:
             ),
             (_edit_root_origin(lambda origin, _: None), "stamp 0 no birth signature"),
             (
-                lambda unit, _: setattr(unit, "currency", "GOLD"),
-                "currency or policy hash is not the origin's",
+                _edit_root_origin(lambda origin, _: replace(origin, currency="GOLD")),
+                "stamp 0 birth signature mismatch",
             ),
             (
-                lambda unit, _: setattr(unit, "policy_hash", unit.policy_hash ^ 1),
+                _edit_root_origin(lambda origin, _: replace(origin, home="ELSEWHERE")),
+                "stamp 0 birth signature mismatch",
+            ),
+            (
+                _edit_root_origin(
+                    lambda origin, _: replace(origin, policy_hash=origin.policy_hash ^ 1)
+                ),
                 "policy text hash mismatch",
             ),
             (lambda unit, _: setattr(unit, "id", "u999"), "provenance is another unit's"),
@@ -634,6 +636,7 @@ class TestVerifyOnce:
             "origin_signer",
             "origin_dropped",
             "currency",
+            "home",
             "policy_hash",
             "id",
             "lineage",
@@ -700,7 +703,7 @@ class TestZeroise:
 
     def test_expiry_reason_sets_expired_state(self, world):
         _, registry, bank = world
-        unit = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry, expiry=10)
+        unit = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
         zeroise(unit, "expiry", registry, at=11)
         assert unit.state is UnitState.EXPIRED
 

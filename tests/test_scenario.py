@@ -163,6 +163,13 @@ class TestParsing:
             ("[hosts]\ncentral = CENTRAL_BANK HOME\nal ice = CONSUMER HOME\n", 3),
             ('[law]\nca"ke = illegal 0/1\n[policies]\nlawful = legality\n', 2),
             (WORLD.replace("sales_tax 1/5", 'sales_tax 1/5 sale ta"x'), 6),
+            # a report line splits on whitespace, and the origin body a mint
+            # signs on "|": its currency and home are the issuer's
+            ("[sim]\nname = my scen\n", 2),
+            ("[sim]\nname = x\ncurrency = S|M\n", 3),
+            ("[sim]\ncurrency = S M\n", 2),
+            ("[hosts]\ncentral = CENTRAL_BANK HO|ME\n", 2),
+            (WORLD + "1 MOVE_HOST central HO|ME\n", 8),
         ],
         ids=[
             "too_few_args",
@@ -201,6 +208,11 @@ class TestParsing:
             "host_id_whitespace",
             "law_category_quote",
             "policy_builder_argument_quote",
+            "sim_name_whitespace",
+            "sim_currency_pipe",
+            "sim_currency_whitespace",
+            "host_location_pipe",
+            "move_host_location_pipe",
         ],
     )
     def test_bad_line_fails_at_load(self, tmp_path, text, line_no):

@@ -1,5 +1,6 @@
 """The discrete-event environment: clock, messaging, upkeep, delegation."""
 
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -358,11 +359,37 @@ class TestUpkeep:
         sim.schedule_script(0, ("MINT", "central", "100", "stimulus"))
         sim.run_until(0)
         unit = next(iter(sim.units.values()))
-        assert unit.expiry == 5
+        assert unit.policy.deadline == 5
+        assert sim._eval_ctx(sim.hosts["central"], unit).expiry == 5
+
+    def test_unit_without_a_birth_origin_is_zeroised_as_tamper(self):
+        sim = basic_sim()
+        sim.add_policy("p", 'OBLIGATION ON TAMPER IF home == NONE DO NOTIFY "government";')
+        sim.schedule_script(0, ("MINT", "central", "100", "p"))
+        sim.run_until(0)
+        unit = next(iter(sim.units.values()))
+        unit.lineage = replace(unit.lineage, origin=None)  # a forged MINT
+        # moving the holder wakes its units for the next upkeep
+        sim.schedule_script(1, ("MOVE_HOST", "central", "HOME"))
+        sim.run_until(2)
+        assert "1|central|tamper_detected|unit=u1 problems=2" in sim.observations
+        assert "1|central|zeroise|unit=u1 reason=tamper value=100" in sim.observations
+        # with no origin there is no home to evaluate the TAMPER rule against
+        assert "1|central|notify|target=government" in sim.observations
+        assert sim.units == {}
 
 
 class TestReceiveObligations:
     """The recipient carries out a RECEIVE decision's obligations as upkeep does a TICK's."""
+
+    def test_issue_reports_the_value_issued(self):
+        sim = basic_sim()
+        sim.add_policy("p", 'OBLIGATION ON RECEIVE DO ZEROISE, NOTIFY "government";')
+        # the recipient holds nothing of a unit its RECEIVE rule zeroised
+        assert sim.act_issue("central", "alice", "100", "p") is None
+        assert sim.observations[-1] == "0|central|issue|unit=u1 to=alice value=100"
+        kept = sim.act_issue("central", "alice", "50")
+        assert kept is not None and kept.owner == "alice" and kept.value == 50
 
     def test_zeroise_sends_the_zeroise_notice(self):
         sim = basic_sim()
@@ -762,6 +789,42 @@ class TestDelegation:
 
 
 class TestSupplyInSim:
+    def test_supply_mints_fund_the_issuer_bank_s_interest(self):
+        # a bank that issues the supply pays interest out of what it minted:
+        # supply mints and script mints take one path, so they are fungible
+        sim = Simulation(seed=3, scenario_name="supply_bank", year_ticks=20, period_ticks=10)
+        sim.add_host("central", Role.CENTRAL_BANK, "HOME")
+        sim.add_host("judy", Role.CONSUMER, "HOME")
+        sim.add_host("bank", Role.BANK, "HOME")
+        sim.add_policy("seeker", "OBLIGATION ON TICK DO MOVE_TO_BEST_RATE;")
+        sim.set_issuer_allowance("bank", 10**9)
+        sim.supply_rule = ConstantGrowth(Fraction(2, 100))
+        sim.supply_issuer = "bank"
+        sim.supply_policy_name = "seeker"
+        sim.schedule_script(0, ("ISSUE", "central", "judy", "10000", "seeker"))
+        sim.schedule_script(2, ("RATE", "bank", "2/100"))
+        sim.run_until(20)
+        # at tick 10 interest comes before the period's supply mint
+        assert any(line.startswith("10|bank|interest_unfunded|") for line in sim.observations)
+        assert any(line.startswith("20|bank|interest|") for line in sim.observations)
+        assert not any(line.startswith("20|bank|interest_unfunded|") for line in sim.observations)
+        assert sim.registry.audit() == []
+
+    def test_supply_mint_is_evaluated_with_its_policy_deadline(self):
+        sim = Simulation(seed=2, scenario_name="supply", year_ticks=10, period_ticks=10)
+        sim.add_host("central", Role.CENTRAL_BANK, "HOME")
+        sim.add_host("government", Role.LAW_SERVER, "HOME")
+        sim.add_policy("dated", 'OBLIGATION ON TICK IF expiry == 50 DO NOTIFY "government";')
+        sim.supply_rule = ConstantGrowth(Fraction(2, 100))
+        sim.supply_issuer = "central"
+        sim.supply_policy_name = "dated"
+        sim.schedule_script(0, ("MINT", "central", "1000000", "empty"))
+        sim.run_until(11)
+        [minted] = [line for line in sim.observations if "|supply_mint|" in line]
+        assert minted.startswith("10|central|supply_mint|unit=u2 ")
+        # the unit's first upkeep is the next tick's
+        assert "11|central|notify|target=government" in sim.observations
+        assert sim._eval_ctx(sim.hosts["central"], sim.units["u2"]).expiry == 50
     def test_growth_rule_mints_each_period(self):
         sim = Simulation(seed=2, scenario_name="supply", year_ticks=10, period_ticks=10)
         sim.add_host("central", Role.CENTRAL_BANK, "HOME")
