@@ -31,11 +31,14 @@ first parent's origin, a merge's parents must have the same one, and a
 split keeps it, so split and merge sign nothing but the ledger record.  A
 unit holds only what changes — value, owner, policy, lineage, state and
 last contact — and reads the rest from its origin and its policy.
-`verify_integrity` checks each node once per `KeyDirectory` and remembers
-the result on the node, so a split's second child costs no MAC; and the
-policy text check is remembered on each `PolicyProgram`, so an unchanged
-unit's next check costs no MAC.  Edited records, nodes and policies are new
-objects, and so are checked afresh.
+A node made from what the registry just endorsed is born trusted under the
+registry's `KeyDirectory` (see `_node`), so a committed record costs three
+MACs: the requester's signature, the registry's check of it and the
+registry's own (a mint also signs its origin).  Any other node is checked once per `KeyDirectory` by
+`verify_integrity`, which remembers the result on it; and the policy text
+check is remembered on each `PolicyProgram`, so an unchanged unit's next
+check costs no MAC.  Edited records, nodes and policies are new objects,
+and so are checked afresh.
 """
 
 from __future__ import annotations
@@ -119,8 +122,9 @@ class LineageNode:
     other node takes its first parent's.  Every unit the record makes, both
     children of a SPLIT among them, points at the one node.  Nodes are
     shared by every unit descending from them and never change, except that
-    `verify_integrity` records in `verified_by` the directory under which
-    the node and all its ancestors checked out.
+    `verified_by` records the directory under which the node and all its
+    ancestors checked out: set at birth by `_node`, or by `verify_integrity`.
+    A node built or `replace`d anywhere else starts untrusted.
     """
 
     record: LedgerRecord
@@ -255,6 +259,29 @@ def _endorse(
     return record, sig, sender_sig
 
 
+def _node(
+    registry: Registry,
+    endorsed: tuple[LedgerRecord, Signature, Signature],
+    parents: tuple[LineageNode, ...] = (),
+    origin: Optional[Origin] = None,
+) -> LineageNode:
+    """The lineage node of what `_endorse` just returned, trusted at birth when it can be.
+
+    `Registry.endorse` has just verified the requester's signature on the
+    record's body and made its own on the line, and a MINT's `origin` was
+    just signed by its requester, all under `registry.directory`, which
+    never re-registers a key.  Recomputing those MACs there can only
+    succeed, so the node is trusted under that directory when its parents
+    already are and its shape holds; otherwise the first check of a unit it
+    heads checks it in full.
+    """
+    node = LineageNode(*endorsed, parents, origin)
+    directory = registry.directory
+    if all(_trusted(parent, directory) for parent in parents) and not _shape_faults(node):
+        object.__setattr__(node, "verified_by", directory)
+    return node
+
+
 def mint(
     bank: str,
     value: int,
@@ -278,7 +305,7 @@ def mint(
         value=value,
         owner=bank,
         policy=policy,
-        lineage=LineageNode(*endorsed, origin=origin),
+        lineage=_node(registry, endorsed, origin=origin),
         last_contact=at,
     )
 
@@ -293,7 +320,7 @@ def split(unit: MoneyUnit, amount: int, registry: Registry, at: int) -> tuple[Mo
     ids = (unit.id, registry.new_unit_id(), registry.new_unit_id())
     amounts = (unit.value, amount, unit.value - amount)
     endorsed = _endorse(registry, RecordKind.SPLIT, ids, amounts, (unit.owner,), at)
-    node = LineageNode(*endorsed, (unit.lineage,))
+    node = _node(registry, endorsed, (unit.lineage,))
 
     def child(i: int) -> MoneyUnit:
         return MoneyUnit(
@@ -329,7 +356,7 @@ def merge(a: MoneyUnit, b: MoneyUnit, registry: Registry, at: int) -> MoneyUnit:
         owner=a.owner,
         policy=a.policy,
         # one node over both histories; ancestors they share stay shared
-        lineage=LineageNode(*endorsed, (a.lineage, b.lineage)),
+        lineage=_node(registry, endorsed, (a.lineage, b.lineage)),
         last_contact=min(a.last_contact, b.last_contact),
     )
 
@@ -339,7 +366,7 @@ def _move(unit: MoneyUnit, to: str, registry: Registry, at: int) -> None:
     endorsed = _endorse(
         registry, RecordKind.TRANSFER, (unit.id,), (unit.value,), (unit.owner, to), at
     )
-    unit.lineage = LineageNode(*endorsed, (unit.lineage,))
+    unit.lineage = _node(registry, endorsed, (unit.lineage,))
     unit.owner = to
 
 
@@ -446,9 +473,11 @@ def verify_integrity(unit: MoneyUnit, directory: KeyDirectory) -> IntegrityResul
 
     Work is done once per object: the policy text's hash and render are
     remembered on its `PolicyProgram`, and a lineage node that checks out
-    records `directory` in `verified_by`.  So a unit whose head is trusted,
-    a split's second child among them, is checked with no MAC, and a new
-    lineage head or policy, or another directory, is checked afresh.
+    records `directory` in `verified_by`, as one born from the registry's
+    endorsement already has.  So a unit whose head is trusted is checked
+    with no MAC, and a forged or edited node, or another directory, is
+    checked afresh: the shape of each node (`_shape_faults`), then its MACs
+    (`_mac_faults`).  A signer that `directory` does not know is a fault.
     """
     problems: list[str] = []
     head = unit.lineage
@@ -468,7 +497,8 @@ def verify_integrity(unit: MoneyUnit, directory: KeyDirectory) -> IntegrityResul
 
 
 def _trusted(node: LineageNode, directory: KeyDirectory) -> bool:
-    # a verified node's ancestors share its endorsement signer, so pinning
+    # trusted at birth or by a full check, a node's ancestors are trusted
+    # under the same directory and share its endorsement signer, so pinning
     # the node's signer pins theirs
     return node.verified_by is directory and node.sig.signer == REGISTRY_KEY
 
@@ -477,7 +507,9 @@ def _verify_lineage(head: LineageNode, directory: KeyDirectory) -> list[str]:
     """Check every node not yet trusted, parents first; mark the sound ones."""
     faults: dict[LineageNode, list[str]] = {}
     for node in _ancestry(head, skip=lambda n: _trusted(n, directory)):
-        found = _node_faults(node, directory)
+        found = _shape_faults(node)
+        if node.made:  # a record that makes no unit reports only that
+            found += _mac_faults(node, directory)
         if found:
             faults[node] = found
         elif all(_trusted(parent, directory) for parent in node.parents):
@@ -492,7 +524,8 @@ def _verify_lineage(head: LineageNode, directory: KeyDirectory) -> list[str]:
     ]
 
 
-def _node_faults(node: LineageNode, directory: KeyDirectory) -> list[str]:
+def _shape_faults(node: LineageNode) -> list[str]:
+    """What is wrong with `node` short of its MACs: signer pins, parents and origin."""
     record = node.record
     if not node.made:
         return ["record makes no unit"]
@@ -500,12 +533,8 @@ def _node_faults(node: LineageNode, directory: KeyDirectory) -> list[str]:
     faults = []
     if node.sig.signer != REGISTRY_KEY:
         faults.append("endorsement by unexpected key")
-    elif not directory.verify(REGISTRY_KEY, record.line().encode(), node.sig):
-        faults.append("endorsement mismatch")
     if node.sender_sig.signer != requester:
         faults.append("sender is not the requester")
-    elif not directory.verify(requester, record.body().encode(), node.sender_sig):
-        faults.append("sender signature mismatch")
     ids, amounts = record.unit_ids, record.amounts
     consumed = LAYOUT[record.kind][1]
     if (
@@ -523,14 +552,37 @@ def _node_faults(node: LineageNode, directory: KeyDirectory) -> list[str]:
             faults.append("no birth signature")
         elif origin.sig.signer != requester:
             faults.append("birth signature by unexpected key")
-        elif not directory.verify(
-            requester,
-            origin_body(ids[0], amounts[0], origin.currency, origin.home, origin.policy_hash),
-            origin.sig,
-        ):
-            faults.append("birth signature mismatch")
     elif record.kind is RecordKind.MERGE and len({parent.origin for parent in node.parents}) > 1:
         faults.append("parents differ in currency or policy")
+    return faults
+
+
+def _mac_faults(node: LineageNode, directory: KeyDirectory) -> list[str]:
+    """Recompute each signature of a unit-making `node` whose signer pin holds.
+
+    A pinned signer that `directory` does not know is a fault of the node,
+    not an error: a forged lineage may name any key.
+    """
+    record = node.record
+    requester = record.parties[0]
+    signed = [
+        ("endorsement", REGISTRY_KEY, record.line().encode(), node.sig),
+        ("sender signature", requester, record.body().encode(), node.sender_sig),
+    ]
+    origin = node.origin
+    if record.kind is RecordKind.MINT and origin is not None:
+        body = origin_body(
+            record.unit_ids[0], record.amounts[0], origin.currency, origin.home, origin.policy_hash
+        )
+        signed.append(("birth signature", requester, body, origin.sig))
+    faults = []
+    for what, key_id, msg, sig in signed:
+        if sig.signer != key_id:
+            continue  # the shape half reports it
+        if not directory.knows(key_id):
+            faults.append(f"{what} key {key_id!r} unknown")
+        elif not directory.verify(key_id, msg, sig):
+            faults.append(f"{what} mismatch")
     return faults
 
 

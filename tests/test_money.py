@@ -3,11 +3,13 @@
 import copy
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from progmoney import money
 from progmoney import policy as pol
-from progmoney.crypto import KeyDirectory
+from progmoney.crypto import KeyDirectory, Signature
 from progmoney.money import (
     InvalidAmount,
     InvalidPolicy,
@@ -34,10 +36,12 @@ from progmoney.registry import (
     Registry,
     UnauthorizedIssuer,
 )
+from progmoney.scenario import load_scenario, run_scenario
 from progmoney.sim import Simulation
 from progmoney.sim_types import Role
 
 SALES_TAX = 'OBLIGATION ON RECEIVE IF category == "sale" DO PAY 1/5 TO "tax_authority";'
+SCENARIO_DIR = Path(money.__file__).parent / "data" / "scenarios"
 WEAPONS_BAN = (
     'PROHIBITION ON TRANSFER_REQUEST IF category == "weapons" AND licence == NONE;'
 )
@@ -541,7 +545,7 @@ class TestVerifyOnce:
             lambda self, key_id, msg, sig: checked.append(key_id) or verify(self, key_id, msg, sig),
         )
         assert verify_integrity(rest, directory).ok
-        # the twins share the SPLIT's node, trusted since carved's check
+        # the twins share the SPLIT's node, trusted since its birth
         assert rest.lineage is carved.lineage
         assert checked == []
 
@@ -682,6 +686,121 @@ class TestVerifyOnce:
         head = unit.lineage
         object.__setattr__(head, "sig", replace(head.sig, signer="notary"))
         assert "stamp 0 endorsement by unexpected key" in verify_integrity(unit, directory).problems
+
+
+@pytest.fixture
+def macs(monkeypatch):
+    """Every `KeyDirectory.sign` and `verify` call, as ("sign" or "verify", key id)."""
+    calls = []
+    sign, verify = KeyDirectory.sign, KeyDirectory.verify
+
+    def counted_sign(self, key_id, msg):
+        calls.append(("sign", key_id))
+        return sign(self, key_id, msg)
+
+    def counted_verify(self, key_id, msg, sig):
+        calls.append(("verify", key_id))
+        return verify(self, key_id, msg, sig)
+
+    monkeypatch.setattr(KeyDirectory, "sign", counted_sign)
+    monkeypatch.setattr(KeyDirectory, "verify", counted_verify)
+    return calls
+
+
+class TestBornTrusted:
+    """A node made from the registry's own endorsement needs no MAC to check."""
+
+    ENDORSED = [("sign", "central"), ("verify", "central"), ("sign", "registry")]
+
+    def test_mint_costs_its_endorsement_and_origin_and_checks_free(self, world, macs):
+        directory, registry, bank = world
+        unit = mint(bank, 100, "SIM", pol.compile_policy(SALES_TAX), registry)
+        assert macs == self.ENDORSED + [("sign", "central")]
+        macs.clear()
+        assert verify_integrity(unit, directory).ok
+        assert macs == []
+
+    @pytest.mark.parametrize("operation", ["split", "merge", "transfer"])
+    def test_operation_costs_its_endorsement_and_checks_free(self, world, macs, operation):
+        directory, registry, bank = world
+        carved, rest = split(mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry), 40, registry, at=1)
+        macs.clear()
+        made = {
+            "split": lambda: split(carved, 10, registry, at=2),
+            "merge": lambda: (merge(carved, rest, registry, at=2),),
+            "transfer": lambda: (transfer(carved, "bob", ctx_for(carved, now=2), registry).received,),
+        }[operation]()
+        assert macs == self.ENDORSED
+        macs.clear()
+        for unit in made:
+            assert verify_integrity(unit, directory).ok
+        assert macs == []
+
+    def test_grafted_lineage_is_not_trusted_at_birth(self, world):
+        directory, registry, bank = world
+        a = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
+        b = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
+        a.lineage = b.lineage
+        carved, _ = split(a, 40, registry, at=1)
+        result = verify_integrity(carved, directory)
+        assert "stamp 1 parents are not the units the record consumed" in result.problems
+
+    def test_forged_parent_is_not_trusted_at_birth(self, world):
+        directory, registry, bank = world
+        unit = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
+        node = unit.lineage
+        unit.lineage = replace(node, sig=replace(node.sig, mac=node.sig.mac ^ 1))
+        carved, _ = split(unit, 40, registry, at=1)
+        assert "stamp 0 endorsement mismatch" in verify_integrity(carved, directory).problems
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.scn")))
+def test_shipped_scenario_computes_no_lineage_mac(monkeypatch, name):
+    checked = []
+    mac_faults = money._mac_faults
+    monkeypatch.setattr(
+        money, "_mac_faults", lambda node, directory: checked.append(node) or mac_faults(node, directory)
+    )
+    sim = run_scenario(load_scenario(str(SCENARIO_DIR / name)), seed=7)
+    assert sim.registry.records
+    assert checked == []
+
+
+class TestUnknownKey:
+    """A lineage naming a key the directory does not know is a tamper, not a crash."""
+
+    def test_unknown_requester(self, world):
+        directory, registry, bank = world
+        unit = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
+        node = unit.lineage
+        unit.lineage = replace(
+            node,
+            record=replace(node.record, parties=("nobody",)),
+            sender_sig=Signature("nobody", 1),
+        )
+        result = verify_integrity(unit, directory)
+        assert "stamp 0 sender signature key 'nobody' unknown" in result.problems
+
+    def test_unknown_origin_signer(self, world):
+        directory, registry, bank = world
+        unit = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
+        node = unit.lineage
+        unit.lineage = replace(
+            node,
+            record=replace(node.record, parties=("nobody",)),
+            sender_sig=Signature("nobody", 1),
+            origin=replace(node.origin, sig=Signature("nobody", 2)),
+        )
+        result = verify_integrity(unit, directory)
+        assert "stamp 0 birth signature key 'nobody' unknown" in result.problems
+
+    def test_directory_without_the_registry_key(self, world):
+        _, registry, bank = world
+        unit = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
+        other = KeyDirectory()
+        other.create("central", random.Random(7))
+        result = verify_integrity(unit, other)
+        assert "stamp 0 endorsement key 'registry' unknown" in result.problems
 
 
 class TestZeroise:
