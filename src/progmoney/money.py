@@ -34,11 +34,11 @@ last contact — and reads the rest from its origin and its policy.
 A node made from what the registry just endorsed is born trusted under the
 registry's `KeyDirectory` (see `_node`), so a committed record costs three
 MACs: the requester's signature, the registry's check of it and the
-registry's own (a mint also signs its origin).  Any other node is checked once per `KeyDirectory` by
-`verify_integrity`, which remembers the result on it; and the policy text
-check is remembered on each `PolicyProgram`, so an unchanged unit's next
-check costs no MAC.  Edited records, nodes and policies are new objects,
-and so are checked afresh.
+registry's own (a mint also signs its origin), and checking a unit it
+heads costs no MAC.  Any other node — built or edited elsewhere, or
+checked under another `KeyDirectory` — is checked in full by
+`verify_integrity` each time; the policy text check is remembered on each
+`PolicyProgram`, and an edited policy is a new object, checked afresh.
 """
 
 from __future__ import annotations
@@ -123,8 +123,8 @@ class LineageNode:
     children of a SPLIT among them, points at the one node.  Nodes are
     shared by every unit descending from them and never change, except that
     `verified_by` records the directory under which the node and all its
-    ancestors checked out: set at birth by `_node`, or by `verify_integrity`.
-    A node built or `replace`d anywhere else starts untrusted.
+    ancestors are trusted, set only at birth by `_node`.  A node built or
+    `replace`d anywhere else stays untrusted.
     """
 
     record: LedgerRecord
@@ -471,12 +471,12 @@ def verify_integrity(unit: MoneyUnit, directory: KeyDirectory) -> IntegrityResul
     unit's own id, owner and value, and the policy text must hash to the
     head origin's policy hash, a head with no origin counting as a mismatch.
 
-    Work is done once per object: the policy text's hash and render are
-    remembered on its `PolicyProgram`, and a lineage node that checks out
-    records `directory` in `verified_by`, as one born from the registry's
-    endorsement already has.  So a unit whose head is trusted is checked
-    with no MAC, and a forged or edited node, or another directory, is
-    checked afresh: the shape of each node (`_shape_faults`), then its MACs
+    The policy text's hash and render are remembered on its
+    `PolicyProgram`.  A lineage node born from the registry's endorsement
+    is trusted under that registry's `directory` (see `_node`), so a unit
+    whose head is trusted is checked with no MAC.  Every untrusted node of
+    the lineage — forged, edited, or any node under another directory —
+    is checked on every call: its shape (`_shape_faults`), then its MACs
     (`_mac_faults`).  A signer that `directory` does not know is a fault.
     """
     problems: list[str] = []
@@ -497,14 +497,14 @@ def verify_integrity(unit: MoneyUnit, directory: KeyDirectory) -> IntegrityResul
 
 
 def _trusted(node: LineageNode, directory: KeyDirectory) -> bool:
-    # trusted at birth or by a full check, a node's ancestors are trusted
-    # under the same directory and share its endorsement signer, so pinning
-    # the node's signer pins theirs
+    # trusted at birth only when its parents are, a node's ancestors are
+    # trusted under the same directory and share its endorsement signer, so
+    # pinning the node's signer pins theirs
     return node.verified_by is directory and node.sig.signer == REGISTRY_KEY
 
 
 def _verify_lineage(head: LineageNode, directory: KeyDirectory) -> list[str]:
-    """Check every node not yet trusted, parents first; mark the sound ones."""
+    """Check every node not trusted under `directory`, parents first."""
     faults: dict[LineageNode, list[str]] = {}
     for node in _ancestry(head, skip=lambda n: _trusted(n, directory)):
         found = _shape_faults(node)
@@ -512,8 +512,6 @@ def _verify_lineage(head: LineageNode, directory: KeyDirectory) -> list[str]:
             found += _mac_faults(node, directory)
         if found:
             faults[node] = found
-        elif all(_trusted(parent, directory) for parent in node.parents):
-            object.__setattr__(node, "verified_by", directory)
     if not faults:
         return []
     index = {node: i for i, node in enumerate(_in_seq_order(head))}
