@@ -6,8 +6,9 @@
     progmoney check <policy.pol> [...]                # parse + check
     progmoney report <run dir>                        # recompute from artifacts
 
-Exit codes: 0 ok, 1 scenario/policy parse error, 2 audit or reconciliation
-violation, 3 runtime error.  The seed is 0 when --seed is not given.
+Exit codes: 0 ok, 1 scenario/policy parse error or an input path that is
+missing or of the wrong kind, 2 audit or reconciliation violation, 3 runtime
+error.  The seed is 0 when --seed is not given.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ OBSERVATIONS_FILE = "observations.log"
 LEDGER_FILE = "ledger.txt"
 REPORT_FILE = "report.txt"
 
+# a file named where a directory is wanted, or the other way round
+_WRONG_KIND = (IsADirectoryError, NotADirectoryError)
+
 
 def _read_text(path: Path) -> str:
     """`path` decoded as UTF-8; other bytes are a ValueError naming the file."""
@@ -39,6 +43,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cfg = load_scenario(args.scenario)
     except FileNotFoundError:
         print(f"error: no such scenario: {args.scenario}", file=sys.stderr)
+        return 1
+    except _WRONG_KIND:
+        print(f"error: not a scenario file: {args.scenario}", file=sys.stderr)
         return 1
     except (ScenarioError, UnicodeDecodeError) as exc:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
@@ -66,6 +73,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     except FileNotFoundError:
         print(f"error: no such ledger: {args.ledger}", file=sys.stderr)
         return 1
+    except _WRONG_KIND:
+        print(f"error: not a ledger file: {args.ledger}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"audit: {exc}", file=sys.stderr)
         return 2
@@ -85,6 +95,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
             program = parse_policy(_read_text(Path(path)))
         except FileNotFoundError:
             print(f"error: no such policy file: {path}", file=sys.stderr)
+            return 1
+        except _WRONG_KIND:
+            print(f"error: not a policy file: {path}", file=sys.stderr)
             return 1
         except ValueError as exc:
             print(f"{path}: parse error: {exc}", file=sys.stderr)
@@ -109,6 +122,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
         stored_text = _read_text(stored) if stored.exists() else rendered
     except FileNotFoundError as exc:
         print(f"error: missing artifact: {exc.filename}", file=sys.stderr)
+        return 1
+    except NotADirectoryError:
+        print(f"error: not a run directory: {args.run_dir}", file=sys.stderr)
+        return 1
+    except IsADirectoryError as exc:
+        print(f"error: artifact is a directory: {exc.filename}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"report: {exc}", file=sys.stderr)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 FNV_OFFSET_BASIS = 14695981039346656037
 FNV_PRIME = 1099511628211
@@ -43,8 +44,9 @@ def digest_hex(value: int) -> str:
     return f"{value & _MASK64:016x}"
 
 
-@dataclass(frozen=True, slots=True)
-class Signature:
+class Signature(NamedTuple):
+    """A key id and the 64-bit MAC it made; a value, equal and hashed by content."""
+
     signer: str
     mac: int
 

@@ -43,7 +43,7 @@ checked under another `KeyDirectory` — is checked in full by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
@@ -137,16 +137,27 @@ class LineageNode:
     made: tuple[tuple[str, str, int], ...] = field(init=False)
     verified_by: Optional[KeyDirectory] = field(default=None, init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        record = self.record
+    def __init__(
+        self,
+        record: LedgerRecord,
+        sig: Signature,
+        sender_sig: Signature,
+        parents: tuple[LineageNode, ...] = (),
+        origin: Optional[Origin] = None,
+    ) -> None:
+        # written out: the generated one sets each slot through object.__setattr__
         made, consumed = LAYOUT[record.kind]
         ids, amounts, parties = record.unit_ids, record.amounts, record.parties
         held: tuple[tuple[str, str, int], ...] = ()
         if parties and len(ids) == len(amounts) == 1 + max(made + consumed):
             held = tuple((ids[i], parties[-1], amounts[i]) for i in made)
-        object.__setattr__(self, "made", held)
-        if self.parents:
-            object.__setattr__(self, "origin", self.parents[0].origin)
+        _set_record(self, record)
+        _set_sig(self, sig)
+        _set_sender_sig(self, sender_sig)
+        _set_parents(self, parents)
+        _set_origin(self, parents[0].origin if parents else origin)
+        _set_made(self, held)
+        _set_verified_by(self, None)
 
     def holding(self, unit_id: str) -> Optional[tuple[str, str, int]]:
         """The (id, owner, amount) of unit `unit_id` if the record makes it, else None."""
@@ -159,6 +170,13 @@ class LineageNode:
         # immutable and shared by design; a copy would also drag along
         # `verified_by`, whose keyed hashers cannot be copied
         return self
+
+
+# the slots' setters, bound once; only `_node` sets `verified_by` to a directory
+_set_record, _set_sig, _set_sender_sig, _set_parents, _set_origin, _set_made, _set_verified_by = (
+    LineageNode.__dict__[name].__set__
+    for name in ("record", "sig", "sender_sig", "parents", "origin", "made", "verified_by")
+)
 
 
 def _ancestry(
@@ -278,7 +296,7 @@ def _node(
     node = LineageNode(*endorsed, parents, origin)
     directory = registry.directory
     if all(_trusted(parent, directory) for parent in parents) and not _shape_faults(node):
-        object.__setattr__(node, "verified_by", directory)
+        _set_verified_by(node, directory)
     return node
 
 
@@ -372,7 +390,7 @@ def _move(unit: MoneyUnit, to: str, registry: Registry, at: int) -> None:
 
 def _check_payment(unit: MoneyUnit, ob: pol.PayObligation, ctx: pol.EvalContext) -> None:
     """Raise PolicyForbids unless `unit` may pay `ob`, as category "obligation"."""
-    pay_ctx = replace(ctx, amount=ob.amount, category=OBLIGATION_CATEGORY, counterparty=ob.payee)
+    pay_ctx = ctx._replace(amount=ob.amount, category=OBLIGATION_CATEGORY, counterparty=ob.payee)
     for event in (pol.EventKind.TRANSFER_REQUEST, pol.EventKind.RECEIVE):
         if not pol.evaluate(unit.policy, event, pay_ctx).permitted:
             raise PolicyForbids(f"unit {unit.id} obligation payment to {ob.payee} vetoed", event)
@@ -424,7 +442,7 @@ def transfer(
         raise PolicyForbids(
             f"unit {unit.id} refuses transfer", pol.EventKind.TRANSFER_REQUEST
         )
-    receive_ctx = replace(ctx, counterparty=unit.owner)
+    receive_ctx = ctx._replace(counterparty=unit.owner)
     receive_decision = pol.evaluate(unit.policy, pol.EventKind.RECEIVE, receive_ctx)
     if not receive_decision.permitted:
         raise PolicyForbids(f"unit {unit.id} refuses receipt", pol.EventKind.RECEIVE)

@@ -38,17 +38,30 @@ from typing import Callable, Mapping, NamedTuple, Optional, TypeVar, Union
 
 from .crypto import h64
 
-FIELDS = (
-    "amount",
-    "category",
-    "counterparty",
-    "location",
-    "now",
-    "expiry",
-    "last_contact",
-    "licence",
-    "home",
-)
+
+class EvalContext(NamedTuple):
+    """Field values a policy can test; its fields are the names a condition may use.
+
+    All amounts and ticks are integers; an absent optional field is None,
+    which is what the literal NONE parses to.  `last_contact` carries the
+    age in ticks since the unit last contacted its government (not an
+    absolute tick), so the annual-contact rule stays expressible as a
+    field/literal comparison.
+    """
+
+    amount: int = 0
+    category: Optional[str] = None
+    counterparty: Optional[str] = None
+    location: Optional[str] = None
+    now: int = 0
+    expiry: Optional[int] = None
+    last_contact: int = 0
+    licence: Optional[str] = None
+    home: Optional[str] = None
+
+
+# the names a condition may test
+FIELDS = EvalContext._fields
 
 OPS = ("==", "!=", "<", ">")
 
@@ -548,28 +561,6 @@ EMPTY_POLICY = compile_policy("")
 
 
 # --- Evaluation --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EvalContext:
-    """Field values a policy can test.
-
-    All amounts and ticks are integers; an absent optional field is None,
-    which is what the literal NONE parses to.  `last_contact` carries the
-    age in ticks since the unit last contacted its government (not an
-    absolute tick), so the annual-contact rule stays expressible as a
-    field/literal comparison.
-    """
-
-    amount: int = 0
-    category: Optional[str] = None
-    counterparty: Optional[str] = None
-    location: Optional[str] = None
-    now: int = 0
-    expiry: Optional[int] = None
-    last_contact: int = 0
-    licence: Optional[str] = None
-    home: Optional[str] = None
 
 
 @dataclass(frozen=True)

@@ -70,7 +70,7 @@ class BadWindow(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerRecord:
     seq: int
     at: int
@@ -82,6 +82,26 @@ class LedgerRecord:
     # body() once built: both signatures on a record are checked against it
     _body: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
+    def __init__(
+        self,
+        seq: int,
+        at: int,
+        kind: RecordKind,
+        unit_ids: tuple[str, ...],
+        amounts: tuple[int, ...],
+        parties: tuple[str, ...],
+        reason: Optional[str] = None,
+    ) -> None:
+        # written out: the generated one sets each slot through object.__setattr__
+        _set_seq(self, seq)
+        _set_at(self, at)
+        _set_kind(self, kind)
+        _set_unit_ids(self, unit_ids)
+        _set_amounts(self, amounts)
+        _set_parties(self, parties)
+        _set_reason(self, reason)
+        _set_body(self, None)
+
     def body(self) -> str:
         """The record without its seq: what the requester signs."""
         if self._body is None:
@@ -89,12 +109,19 @@ class LedgerRecord:
             amounts = ",".join(str(a) for a in self.amounts)
             parties = ",".join(self.parties)
             body = f"{self.at}|{self.kind.value}|{ids}|{amounts}|{parties}|{self.reason or '-'}"
-            object.__setattr__(self, "_body", body)
+            _set_body(self, body)
         return self._body
 
     def line(self) -> str:
         """The ledger line: what the registry signs and exports."""
         return f"{self.seq}|{self.body()}"
+
+
+# the slots' setters, bound once
+_set_seq, _set_at, _set_kind, _set_unit_ids, _set_amounts, _set_parties, _set_reason, _set_body = (
+    LedgerRecord.__dict__[name].__set__
+    for name in ("seq", "at", "kind", "unit_ids", "amounts", "parties", "reason", "_body")
+)
 
 
 @dataclass

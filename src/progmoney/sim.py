@@ -77,7 +77,7 @@ class Message:
     sig: Signature
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, slots=True)
 class SimEvent:
     at: int
     seq: int
@@ -122,7 +122,9 @@ class Simulation:
         self.now = 0
         self.observations: list[str] = []
         self.executed_count = 0
-        self._queue: list[SimEvent] = []
+        # (at, seq, event): heapq orders by the two ints, and two events at
+        # one (at, seq) compare equal, so no event is ordered beyond that pair
+        self._queue: list[tuple[int, int, SimEvent]] = []
         self._event_seq = 0
         self._order_seq = 0
         self._config_observed = False
@@ -218,7 +220,7 @@ class Simulation:
     def schedule(self, event: SimEvent) -> None:
         if event.at < self.now:
             raise SchedulePast(f"cannot schedule at {event.at}, now is {self.now}")
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (event.at, event.seq, event))
 
     def _schedule(self, at: int, kind: str, target: str, args: tuple = ()) -> None:
         self._event_seq += 1
@@ -255,8 +257,9 @@ class Simulation:
     def _drain_events(self) -> None:
         # <= so a zero-latency send from the upkeep phase (which runs after
         # this drain) still executes at the very next drain
-        while self._queue and self._queue[0].at <= self.now:
-            event = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue and queue[0][0] <= self.now:
+            event = heapq.heappop(queue)[2]
             self.executed_count += 1
             if event.kind == "deliver":
                 self._deliver(event.target, event.args[0])

@@ -218,3 +218,24 @@ def test_non_utf8_input_is_a_load_error(tmp_path, capsys, command, name, code):
     capsys.readouterr()
     assert run(args.get(command, [command, bad])) == code
     assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, kind",
+    [("run", "dir"), ("audit", "dir"), ("check", "dir"), ("report", "file"), ("report", "artifact")],
+)
+def test_path_of_the_wrong_kind_exits_1(tmp_path, capsys, command, kind):
+    # a directory where a file is read, or a file where a run directory is;
+    # "artifact" is a run directory whose ledger is a directory
+    out = tmp_path / "out"
+    assert run(["run", SALES_TAX_SCN, "--seed", 7, "--out", out]) == 0
+    path = {"dir": out, "file": out / LEDGER_FILE, "artifact": out}[kind]
+    named = path
+    if kind == "artifact":
+        named = out / LEDGER_FILE
+        named.unlink()
+        named.mkdir()
+    args = {"run": ["run", path, "--out", tmp_path / "o"]}
+    capsys.readouterr()
+    assert run(args.get(command, [command, path])) == 1
+    assert str(named) in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """MoneyUnit lifecycle: mint, split, merge, transfer, integrity, zeroise."""
 
 import copy
+import dataclasses
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -446,7 +447,7 @@ def _edit_root_origin(edit):
 
 
 def _flip_origin_sig(origin, _directory):
-    return replace(origin, sig=replace(origin.sig, mac=origin.sig.mac ^ 1))
+    return replace(origin, sig=origin.sig._replace(mac=origin.sig.mac ^ 1))
 
 
 def _resign_origin_by_mallory(origin, directory):
@@ -556,11 +557,11 @@ class TestVerifyOnce:
         assert verify_integrity(carved, directory).ok
         node = rest.lineage
         genuine = getattr(node, attr)
-        rest.lineage = replace(node, **{attr: replace(genuine, mac=genuine.mac ^ 1)})
+        rest.lineage = replace(node, **{attr: genuine._replace(mac=genuine.mac ^ 1)})
         problem = "endorsement mismatch" if attr == "sig" else "sender signature mismatch"
         assert f"stamp 1 {problem}" in verify_integrity(rest, directory).problems
         # an equal copy of the genuine signature is checked again, and passes
-        rest.lineage = replace(node, **{attr: replace(genuine)})
+        rest.lineage = replace(node, **{attr: genuine._replace()})
         assert verify_integrity(rest, directory).ok
 
     def test_verified_unit_deep_copies(self, world):
@@ -684,7 +685,7 @@ class TestVerifyOnce:
         # a trusted node whose endorsement signer is no longer REGISTRY_KEY
         # is not trusted any more
         head = unit.lineage
-        object.__setattr__(head, "sig", replace(head.sig, signer="notary"))
+        object.__setattr__(head, "sig", head.sig._replace(signer="notary"))
         assert "stamp 0 endorsement by unexpected key" in verify_integrity(unit, directory).problems
 
 
@@ -749,9 +750,54 @@ class TestBornTrusted:
         directory, registry, bank = world
         unit = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
         node = unit.lineage
-        unit.lineage = replace(node, sig=replace(node.sig, mac=node.sig.mac ^ 1))
+        unit.lineage = replace(node, sig=node.sig._replace(mac=node.sig.mac ^ 1))
         carved, _ = split(unit, 40, registry, at=1)
         assert "stamp 0 endorsement mismatch" in verify_integrity(carved, directory).problems
+
+
+# (class, field) for every field of the values each lifecycle step builds
+VALUE_FIELDS = [
+    (cls.__name__, f.name) for cls in (LedgerRecord, LineageNode) for f in dataclasses.fields(cls)
+] + [(cls.__name__, name) for cls in (Signature, pol.EvalContext) for name in cls._fields]
+
+
+class TestHotPathValues:
+    """The values every lifecycle step builds stay immutable; a replaced node is built afresh."""
+
+    @pytest.mark.parametrize("cls, name", VALUE_FIELDS)
+    def test_assigning_any_field_raises(self, world, cls, name):
+        directory, registry, bank = world
+        unit = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
+        node = unit.lineage
+        value = {
+            "LedgerRecord": node.record,
+            "LineageNode": node,
+            "Signature": node.sig,
+            "EvalContext": ctx_for(unit),
+        }[cls]
+        current = getattr(value, name)  # set by the constructor, so readable
+        with pytest.raises(AttributeError):
+            setattr(value, name, current)
+
+    def test_replaced_node_is_untrusted_and_follows_its_record_and_parents(self, world):
+        directory, registry, bank = world
+        silver = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
+        gold = mint(bank, 100, "GOLD", pol.EMPTY_POLICY, registry)
+        carved, rest = split(silver, 40, registry, at=1)
+        node = carved.lineage
+        assert node.verified_by is directory
+        assert node.made == ((carved.id, "central", 40), (rest.id, "central", 60))
+        node.record.body()  # fill the cache a replaced record must not carry over
+        record = replace(node.record, amounts=(100, 30, 70), parties=("alice",))
+        assert "|100,30,70|alice|" in record.body()
+        edited = replace(node, record=record, parents=(gold.lineage,))
+        assert edited.verified_by is None
+        assert edited.made == ((carved.id, "alice", 30), (rest.id, "alice", 70))
+        assert edited.origin is gold.lineage.origin != node.origin
+        # untrusted, so checked in full: gold's MINT made no unit the record consumed
+        carved.lineage = edited
+        problems = verify_integrity(carved, directory).problems
+        assert "stamp 1 parents are not the units the record consumed" in problems
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.scn")))
