@@ -6,28 +6,31 @@
     progmoney check <policy.pol> [...]                # parse + check
     progmoney report <run dir>                        # recompute from artifacts
 
-Exit codes: 0 ok, 1 scenario/policy parse error or an input path that is
-missing or of the wrong kind, 2 audit or reconciliation violation, 3 runtime
-error.  The seed is 0 when --seed is not given.
+Exit codes: 0 ok, 1 scenario/policy parse error, or an input path or --out
+that is missing or of the wrong kind, 2 audit or reconciliation violation,
+3 runtime error.  The seed is 0 when --seed is not given.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
 
 from .policy import CheckFailure, ParseError, parse as parse_policy
 from .registry import audit_export
 from .report import build_report, render_report, report_for
-from .scenario import ScenarioError, load_scenario, run_scenario
+from .scenario import ScenarioError, build_simulation, load_scenario
 
 OBSERVATIONS_FILE = "observations.log"
 LEDGER_FILE = "ledger.txt"
 REPORT_FILE = "report.txt"
 
-# a file named where a directory is wanted, or the other way round
-_WRONG_KIND = (IsADirectoryError, NotADirectoryError)
+# a path that is missing, or a file named where a directory is wanted or
+# the other way round: exit 1 naming the path, whichever command met it
+_BAD_PATH = (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError)
 
 
 def _read_text(path: Path) -> str:
@@ -38,20 +41,26 @@ def _read_text(path: Path) -> str:
         raise ValueError(f"{path}: not UTF-8: {exc}") from None
 
 
+def _check_out(out: Path) -> None:
+    """Raise the error writing the artifacts into `out` would meet, writing nothing."""
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(existing))
+    for name in (OBSERVATIONS_FILE, LEDGER_FILE, REPORT_FILE):
+        if (out / name).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out / name))
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = load_scenario(args.scenario)
-    except FileNotFoundError:
-        print(f"error: no such scenario: {args.scenario}", file=sys.stderr)
-        return 1
-    except _WRONG_KIND:
-        print(f"error: not a scenario file: {args.scenario}", file=sys.stderr)
-        return 1
     except (ScenarioError, UnicodeDecodeError) as exc:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
         return 1
-    sim = run_scenario(cfg, args.seed)
+    sim = build_simulation(cfg, args.seed)
     out = Path(args.out)
+    _check_out(out)
+    sim.run_until(cfg.until)
     out.mkdir(parents=True, exist_ok=True)
     obs_text = "\n".join(sim.observations) + "\n"
     ledger_text = sim.registry.export() + "\n"
@@ -70,12 +79,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     try:
         text = _read_text(Path(args.ledger))
-    except FileNotFoundError:
-        print(f"error: no such ledger: {args.ledger}", file=sys.stderr)
-        return 1
-    except _WRONG_KIND:
-        print(f"error: not a ledger file: {args.ledger}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"audit: {exc}", file=sys.stderr)
         return 2
@@ -93,12 +96,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     for path in args.policies:
         try:
             program = parse_policy(_read_text(Path(path)))
-        except FileNotFoundError:
-            print(f"error: no such policy file: {path}", file=sys.stderr)
-            return 1
-        except _WRONG_KIND:
-            print(f"error: not a policy file: {path}", file=sys.stderr)
-            return 1
         except ValueError as exc:
             print(f"{path}: parse error: {exc}", file=sys.stderr)
             status = 1
@@ -120,15 +117,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         ledger_lines = _read_text(run_dir / LEDGER_FILE).splitlines()
         rendered = render_report(build_report(obs_lines, ledger_lines))
         stored_text = _read_text(stored) if stored.exists() else rendered
-    except FileNotFoundError as exc:
-        print(f"error: missing artifact: {exc.filename}", file=sys.stderr)
-        return 1
-    except NotADirectoryError:
-        print(f"error: not a run directory: {args.run_dir}", file=sys.stderr)
-        return 1
-    except IsADirectoryError as exc:
-        print(f"error: artifact is a directory: {exc.filename}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"report: {exc}", file=sys.stderr)
         return 2
@@ -173,6 +161,9 @@ def run_cli(argv: list[str]) -> int:
         return args.func(args)
     except (ScenarioError, ParseError, CheckFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except _BAD_PATH as exc:
+        print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return 1
     except Exception as exc:  # the CLI boundary reports and exits
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)

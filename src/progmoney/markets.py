@@ -12,6 +12,7 @@ resting order's price; partial remainders rest.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -58,12 +59,7 @@ class OrderBook:
 def _insert(orders: tuple[Order, ...], order: Order, descending: bool) -> tuple[Order, ...]:
     key = (lambda o: (-o.price, o.seq)) if descending else (lambda o: (o.price, o.seq))
     out = list(orders)
-    pos = len(out)
-    for i, existing in enumerate(out):
-        if key(order) < key(existing):
-            pos = i
-            break
-    out.insert(pos, order)
+    bisect.insort(out, order, key=key)  # after every order of an equal key
     return tuple(out)
 
 
@@ -108,13 +104,8 @@ def select_best_rate(board: RateBoard, current_bank: Optional[str] = None) -> Op
     """
     if not board:
         return None
-    best_bank = min(
-        (bank for bank in board), key=lambda bank: (-board[bank], bank)
-    )
-    if current_bank is not None and current_bank in board:
-        if board[best_bank] <= board[current_bank]:
-            return None
-    if best_bank == current_bank:
+    best_bank = min(board, key=lambda bank: (-board[bank], bank))
+    if current_bank in board and board[best_bank] <= board[current_bank]:
         return None
     return best_bank
 

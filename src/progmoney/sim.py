@@ -6,7 +6,7 @@ fixed (scenario, seed) pair reproduces a byte-identical observation log.
 
 Each tick runs three phases in fixed order:
 
-  1. scheduled events, in (tick, seq) order — script actions, message
+  1. queued calls, in (tick, seq) order — script actions, message
      deliveries, delegated moves;
   2. unit upkeep of the units due this tick, in (host id, unit id) order —
      integrity check (free for a unit unchanged since its last sound
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import markets, money, policy as pol, supply as supply_mod
@@ -70,22 +69,6 @@ LOCATION_AUTHORITY_KEY = "location_authority"
 DEFAULT_ISSUER_ALLOWANCE = 10**15
 
 
-@dataclass(frozen=True)
-class Message:
-    claimed_sender: str
-    body: str
-    sig: Signature
-
-
-@dataclass(frozen=True, slots=True)
-class SimEvent:
-    at: int
-    seq: int
-    kind: str = field(compare=False)
-    target: str = field(compare=False)
-    args: tuple = field(compare=False, default=())
-
-
 class Simulation:
     def __init__(
         self,
@@ -122,9 +105,9 @@ class Simulation:
         self.now = 0
         self.observations: list[str] = []
         self.executed_count = 0
-        # (at, seq, event): heapq orders by the two ints, and two events at
-        # one (at, seq) compare equal, so no event is ordered beyond that pair
-        self._queue: list[tuple[int, int, SimEvent]] = []
+        # (at, seq, call, args), run as call(self, *args); `_schedule` draws
+        # each seq, so no two entries tie and heapq compares only the ints
+        self._queue: list[tuple[int, int, Callable[..., object], tuple]] = []
         self._event_seq = 0
         self._order_seq = 0
         self._config_observed = False
@@ -217,17 +200,15 @@ class Simulation:
         self.obs("sim", "law_query", category=category, status=entry.status.value)
         return entry
 
-    def schedule(self, event: SimEvent) -> None:
-        if event.at < self.now:
-            raise SchedulePast(f"cannot schedule at {event.at}, now is {self.now}")
-        heapq.heappush(self._queue, (event.at, event.seq, event))
-
-    def _schedule(self, at: int, kind: str, target: str, args: tuple = ()) -> None:
+    def _schedule(self, at: int, call: Callable[..., object], *args) -> None:
+        """Queue `call(self, *args)` for tick `at`, after all queued there so far."""
+        if at < self.now:
+            raise SchedulePast(f"cannot schedule at {at}, now is {self.now}")
         self._event_seq += 1
-        self.schedule(SimEvent(at, self._event_seq, kind, target, args))
+        heapq.heappush(self._queue, (at, self._event_seq, call, args))
 
     def schedule_script(self, at: int, parts: tuple[str, ...]) -> None:
-        self._schedule(at, "script", "sim", parts)
+        self._schedule(at, ACTIONS[parts[0]], *parts[1:])
 
     def send(self, frm: str, to: str, body: str, claimed_sender: Optional[str] = None) -> None:
         """Deliver a signed message after a latency draw; bad claims get dropped."""
@@ -236,7 +217,7 @@ class Simulation:
         claimed = claimed_sender or frm
         sig = self.directory.sign(frm, body.encode())
         latency = self.rng.randint(*self.latency)
-        self._schedule(self.now + latency, "deliver", to, (Message(claimed, body, sig),))
+        self._schedule(self.now + latency, Simulation._deliver, to, claimed, body, sig)
 
     # -- the clock ---------------------------------------------------------
 
@@ -259,22 +240,15 @@ class Simulation:
         # this drain) still executes at the very next drain
         queue = self._queue
         while queue and queue[0][0] <= self.now:
-            event = heapq.heappop(queue)[2]
+            _, _, call, args = heapq.heappop(queue)
             self.executed_count += 1
-            if event.kind == "deliver":
-                self._deliver(event.target, event.args[0])
-            elif event.kind == "move":
-                self._execute_delegated_move(*event.args)
-            elif event.kind == "script":
-                self._run_script_action(event.args)
+            call(self, *args)
 
-    def _deliver(self, target: str, message: Message) -> None:
-        if not self.directory.verify(
-            message.claimed_sender, message.body.encode(), message.sig
-        ):
-            self.obs(target, "bad_signature", claimed=message.claimed_sender)
+    def _deliver(self, target: str, claimed_sender: str, body: str, sig: Signature) -> None:
+        if not self.directory.verify(claimed_sender, body.encode(), sig):
+            self.obs(target, "bad_signature", claimed=claimed_sender)
             return
-        self.obs(target, "message", sender=message.claimed_sender, body=message.body)
+        self.obs(target, "message", sender=claimed_sender, body=body)
 
     # -- holdings ---------------------------------------------------------
     # The registry's live set is the one record of who holds what; `units`
@@ -551,7 +525,7 @@ class Simulation:
         target = select_best_rate(self.rate_board, self._current_bank_of(host, unit.id))
         if target is None or target == host.id or (unit.id, target) in self._refused_moves:
             return
-        self._schedule(self.now + 1, "move", host.id, (unit.id,))
+        self._schedule(self.now + 1, Simulation._execute_delegated_move, unit.id)
         self.obs(host.id, "move_planned", unit=unit.id, target=target)
 
     def _execute_delegated_move(self, unit_id: str) -> None:
@@ -563,10 +537,8 @@ class Simulation:
         target = select_best_rate(self.rate_board, self._current_bank_of(holder, unit_id))
         if target is None:
             return
-        target_host = self.hosts.get(target)
-        if target_host is None:
-            return
-        outcome = self._transfer(holder, unit, target, target_host.category, holder.location)
+        # board keys come only from act_rate, which names a host; hosts stay
+        outcome = self._transfer(holder, unit, target, self.hosts[target].category, holder.location)
         if not isinstance(outcome, TransferOutcome):
             self._refused_moves.add((unit_id, target))
             if isinstance(outcome, money.PolicyForbids):
@@ -698,9 +670,6 @@ class Simulation:
         return burned
 
     # -- script actions ------------------------------------------------------
-
-    def _run_script_action(self, parts: tuple[str, ...]) -> None:
-        ACTIONS[parts[0]](self, *parts[1:])
 
     def act_mint(
         self, bank_id: IssuerArg, value: PositiveIntArg, policy_name: PolicyArg = "empty"

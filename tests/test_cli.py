@@ -239,3 +239,21 @@ def test_path_of_the_wrong_kind_exits_1(tmp_path, capsys, command, kind):
     capsys.readouterr()
     assert run(args.get(command, [command, path])) == 1
     assert str(named) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["file", "under_a_file", "artifact"])
+def test_bad_out_exits_1_and_writes_nothing(tmp_path, capsys, kind):
+    # --out a file, a path under a file, or a directory whose ledger.txt is a
+    # directory: refused before the run, naming the path, with nothing written
+    blocker = tmp_path / "blocker"
+    if kind == "artifact":
+        (blocker / LEDGER_FILE).mkdir(parents=True)
+    else:
+        blocker.write_text("not a directory\n", encoding="utf-8")
+    out = {"file": blocker, "under_a_file": blocker / "sub", "artifact": blocker}[kind]
+    named = blocker / LEDGER_FILE if kind == "artifact" else blocker
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run(["run", SALES_TAX_SCN, "--seed", 7, "--out", out]) == 1
+    assert str(named) in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before

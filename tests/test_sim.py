@@ -11,7 +11,7 @@ from progmoney.cli import LEDGER_FILE, OBSERVATIONS_FILE, run_cli
 from progmoney.registry import RecordKind, parse_ledger_line
 from progmoney.report import render_report, report_for
 from progmoney.scenario import build_simulation, load_scenario, run_scenario
-from progmoney.sim import Message, SimEvent, Simulation
+from progmoney.sim import Simulation
 from progmoney.sim_types import LawStatus, Role, SchedulePast, UnknownCategory, UnknownHost
 from progmoney.supply import ConstantGrowth
 
@@ -22,16 +22,16 @@ SCENARIO_DIR = (
 
 @pytest.fixture
 def scheduled(monkeypatch):
-    """Every event `Simulation.schedule` queues, in order."""
-    events = []
-    schedule = Simulation.schedule
+    """Every (at, call, args) `Simulation._schedule` queues, in order."""
+    calls = []
+    schedule = Simulation._schedule
 
-    def counted(sim, event):
-        schedule(sim, event)
-        events.append(event)
+    def counted(sim, at, call, *args):
+        schedule(sim, at, call, *args)
+        calls.append((at, call, args))
 
-    monkeypatch.setattr(Simulation, "schedule", counted)
-    return events
+    monkeypatch.setattr(Simulation, "_schedule", counted)
+    return calls
 
 
 def basic_sim(seed=1, **kwargs):
@@ -47,31 +47,28 @@ def basic_sim(seed=1, **kwargs):
 
 class TestClock:
     def test_same_tick_events_run_in_seq_order(self):
+        # a later tick queued first still runs last; one tick runs in queue order
         sim = basic_sim()
-        sim.schedule(SimEvent(2, 2, "script", "sim", ("MOVE_HOST", "alice", "B")))
-        sim.schedule(SimEvent(2, 1, "script", "sim", ("MOVE_HOST", "alice", "A")))
+        sim.schedule_script(3, ("MOVE_HOST", "alice", "C"))
+        sim.schedule_script(2, ("MOVE_HOST", "alice", "A"))
+        sim.schedule_script(2, ("MOVE_HOST", "alice", "B"))
         sim.run_until(3)
         moves = [line for line in sim.observations if "move_host" in line]
-        assert moves[0].endswith("location=A")
-        assert moves[1].endswith("location=B")
-        assert sim.hosts["alice"].location == "B"
-
-    def test_caller_events_sharing_a_seq_are_not_compared_beyond_it(self):
-        # schedule() takes any seq, so two events can tie on (at, seq); the
-        # queue must not fall through to comparing their payloads
-        sim = basic_sim()
-        for body in ("first", "second"):
-            message = Message("alice", body, sim.directory.sign("alice", body.encode()))
-            sim.schedule(SimEvent(2, 1, "deliver", "bob", (message,)))
-        sim.run_until(3)
-        bodies = sorted(line.rsplit("body=", 1)[1] for line in sim.observations if "body=" in line)
-        assert bodies == ["first", "second"]
+        assert [line.rsplit("=", 1)[1] for line in moves] == ["A", "B", "C"]
+        assert moves[1].startswith("2|") and moves[2].startswith("3|")
+        assert sim.hosts["alice"].location == "C"
 
     def test_schedule_past_rejected(self):
         sim = basic_sim()
         sim.run_until(5)
         with pytest.raises(SchedulePast):
-            sim.schedule(SimEvent(4, 99, "script", "sim", ("CONTACT", "alice")))
+            sim.schedule_script(4, ("CONTACT", "alice"))
+
+    def test_unknown_action_fails_when_scheduled(self):
+        sim = basic_sim()
+        with pytest.raises(KeyError):
+            sim.schedule_script(0, ("NOPE",))
+        assert sim._queue == []
 
     def test_run_until_past_rejected(self):
         sim = basic_sim()
