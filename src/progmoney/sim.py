@@ -1,8 +1,10 @@
 """Deterministic discrete-event environment for the money sandbox.
 
-One logical clock in integer ticks; all randomness (message latency, key
-material, tamper positions) comes from a single seeded generator, so a
-fixed (scenario, seed) pair reproduces a byte-identical observation log.
+One logical clock in integer ticks.  Each kind of randomness (key
+material, message latency, tamper positions) comes from its own generator
+seeded from the scenario seed, so a fixed (scenario, seed) pair reproduces
+a byte-identical observation log, and one more draw of one kind never
+moves the draws of another.
 
 Each tick runs three phases in fixed order:
 
@@ -79,7 +81,11 @@ class Simulation:
         latency: tuple[int, int] = (1, 1),
         currency: str = "SIM",
     ) -> None:
-        self.rng = random.Random(seed)
+        # one stream per kind of draw, so a draw of one kind never shifts
+        # another; string seeds do not depend on the string-hash seed
+        self._key_rng = random.Random(f"keys:{seed}")
+        self._latency_rng = random.Random(f"latency:{seed}")
+        self._tamper_rng = random.Random(f"tamper:{seed}")
         self.seed = seed
         self.scenario_name = scenario_name
         self.year_ticks = year_ticks
@@ -87,8 +93,8 @@ class Simulation:
         self.latency = latency
         self.currency = currency
         self.directory = KeyDirectory()
-        self.registry = Registry(self.directory, rng=self.rng)
-        self.directory.create(LOCATION_AUTHORITY_KEY, self.rng)
+        self.registry = Registry(self.directory, rng=self._key_rng)
+        self.directory.create(LOCATION_AUTHORITY_KEY, self._key_rng)
         self.hosts: dict[str, Host] = {}
         self.units: dict[str, MoneyUnit] = {}
         self.law = LawTable()
@@ -160,7 +166,7 @@ class Simulation:
         licence: Optional[str] = None,
         category: str = "deposit",
     ) -> Host:
-        self.directory.create(host_id, self.rng)
+        self.directory.create(host_id, self._key_rng)
         host = Host(
             id=host_id,
             location=location,
@@ -216,7 +222,7 @@ class Simulation:
         self.host(to)
         claimed = claimed_sender or frm
         sig = self.directory.sign(frm, body.encode())
-        latency = self.rng.randint(*self.latency)
+        latency = self._latency_rng.randint(*self.latency)
         self._schedule(self.now + latency, Simulation._deliver, to, claimed, body, sig)
 
     # -- the clock ---------------------------------------------------------
@@ -780,7 +786,7 @@ class Simulation:
         if not source:
             self.obs(host_id, "tamper_noop", reason="empty_policy")
             return
-        pos = self.rng.randrange(len(source))
+        pos = self._tamper_rng.randrange(len(source))
         old = source[pos]
         new = "X" if old != "X" else "Y"
         mutated = source[:pos] + new + source[pos + 1 :]

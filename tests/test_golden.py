@@ -23,7 +23,7 @@ SEED = 7
 # scenario -> SHA-256 of (observations, ledger export, rendered report) at SEED
 GOLDEN = {
     "adversary.scn": (
-        "21f31c9bcce9539ebc24c983d1c249f6bdc11a47d3ab5efd5e4bcb494fc9cabf",
+        "c204deea489d301a7d5101b7f8886d3c98f16b18f857c07cae30c28be1faf014",
         "16634625e5a6d52d262918db3477ffb6af4c412b8a178e0ead6ea53003578fb8",
         "94e510e67f9e09a3d4a7ab7331e13b1fbd0450d2957b1a226c5f64324d30dea0",
     ),
@@ -58,7 +58,7 @@ GOLDEN = {
         "f6849c99788acc3470812b1244a1f313be501b6bc75b299959744fd998b83268",
     ),
     "mixed.scn": (
-        "94cd6c8c74aadba6e7571a0cb40678237ae3b0a27a6ebd868143f8bfd164974f",
+        "8c9fe0eb322a4abc1d01fcf246726fba3992544f5e171443f03abe67052aef0f",
         "73c5375ce32f1ad27f1115a664cd243731c0004836c068777f6dfe8da36b46aa",
         "628a5f421bb4a1db2f3048ca1db80855bc01ea813196ce82c3254fd9e6c51a3f",
     ),

@@ -10,7 +10,7 @@ from progmoney import sim as sim_mod
 from progmoney.cli import LEDGER_FILE, OBSERVATIONS_FILE, run_cli
 from progmoney.registry import RecordKind, parse_ledger_line
 from progmoney.report import render_report, report_for
-from progmoney.scenario import build_simulation, load_scenario, run_scenario
+from progmoney.scenario import build_simulation, load_scenario, parse_scenario, run_scenario
 from progmoney.sim import Simulation
 from progmoney.sim_types import LawStatus, Role, SchedulePast, UnknownCategory, UnknownHost
 from progmoney.supply import ConstantGrowth
@@ -152,6 +152,42 @@ class TestMessaging:
         sim.run_until(4)
         assert any("|message|" in line for line in sim.observations)
         assert len(scheduled) == sim.executed_count + len(sim._queue)
+
+
+class TestRandomStreams:
+    """Keys, latencies and tamper positions each come from their own stream."""
+
+    ADVERSARY = (SCENARIO_DIR / "adversary.scn").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            ("[law]", "carol = CONSUMER HOME\n\n[law]"),  # one more key drawn
+            ("6 TAMPER", "5 SPOOF mallory bob government\n6 TAMPER"),  # one more latency
+        ],
+        ids=["extra_host", "extra_send"],
+    )
+    def test_tamper_position_ignores_other_draws(self, edit):
+        def tampers(text):
+            sim = run_scenario(parse_scenario(text), seed=7)
+            return [line for line in sim.observations if "|tamper|" in line]
+
+        assert tampers(self.ADVERSARY) == ["6|alice|tamper|unit=u2 pos=79"]
+        assert tampers(self.ADVERSARY.replace(*edit)) == tampers(self.ADVERSARY)
+
+    def test_latency_ignores_key_draws(self):
+        def deliveries(extra_hosts):
+            sim = basic_sim(latency=(1, 9))
+            for name in extra_hosts:
+                sim.add_host(name, Role.CONSUMER, "HOME")
+            sim.run_until(0)
+            for _ in range(5):
+                sim.send("alice", "bob", "hello")
+            sim.run_until(10)
+            return [line for line in sim.observations if "|message|" in line]
+
+        assert len(deliveries(())) == 5
+        assert deliveries(("carol", "dave")) == deliveries(())
 
 
 class TestLawAndAttestation:
