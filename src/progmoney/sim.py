@@ -12,11 +12,9 @@ Each tick runs three phases in fixed order:
      deliveries, delegated moves;
   2. unit upkeep of the units due this tick, in (host id, unit id) order —
      integrity check (free for a unit unchanged since its last sound
-     check), location attestation (made and verified once per host, at
-     its first due unit), TICK policy evaluation and its obligations; a
-     host that withholds its attestation, or whose attestation fails
-     verification, runs its units' ATTEST_FAIL rules instead of their
-     TICK rules.  A unit is due when it is placed (mint, split, merge,
+     check), then TICK policy evaluation and its obligations; a host that
+     withholds its location attestation, or is an adversary, runs its
+     units' ATTEST_FAIL rules instead of their TICK rules.  A unit is due when it is placed (mint, split, merge,
      transfer, payment, interest), tampered with, or its host moves,
      contacts its government or starts or stops withholding; it stays due
      every tick while its upkeep runs ATTEST_FAIL rules or TICK
@@ -36,13 +34,9 @@ import random
 from typing import Callable, Optional
 
 from . import markets, money, policy as pol, supply as supply_mod
-from .crypto import (
-    Attestation,
-    KeyDirectory,
-    Signature,
-    attest_location,
-    verify_attestation,
-)
+from .crypto import KeyDirectory, Signature
+# unused here; perfbench/tracing.py wraps sim's bindings of these by name
+from .crypto import attest_location, verify_attestation  # noqa: F401
 from .markets import Order, OrderBook, RateBoard, Side, cda_submit, select_best_rate
 from .money import MoneyUnit, TransferOutcome, UnitState
 from .registry import DoubleSpend, Registry, RegistryError
@@ -67,7 +61,6 @@ from .sim_types import (
     parse_fraction,
 )
 
-LOCATION_AUTHORITY_KEY = "location_authority"
 DEFAULT_ISSUER_ALLOWANCE = 10**15
 
 
@@ -94,7 +87,6 @@ class Simulation:
         self.currency = currency
         self.directory = KeyDirectory()
         self.registry = Registry(self.directory, rng=self._key_rng)
-        self.directory.create(LOCATION_AUTHORITY_KEY, self._key_rng)
         self.hosts: dict[str, Host] = {}
         self.units: dict[str, MoneyUnit] = {}
         self.law = LawTable()
@@ -117,8 +109,6 @@ class Simulation:
         self._event_seq = 0
         self._order_seq = 0
         self._config_observed = False
-        # host id -> whether its attestation verifies, for this tick's upkeep
-        self._attested: dict[str, bool] = {}
         # tick -> ids of the units whose upkeep is due then (see `_wake`)
         self._wakes: dict[int, set[str]] = {}
         # the first tick whose upkeep has not begun
@@ -194,12 +184,6 @@ class Simulation:
         self.registry.authorize_issuer(host_id, allowance)
 
     # -- core services ---------------------------------------------------
-
-    def attest(self, host_id: str) -> Attestation:
-        host = self.host(host_id)
-        return attest_location(
-            self.directory, LOCATION_AUTHORITY_KEY, host.id, host.location, self.now
-        )
 
     def query_law(self, category: str) -> LawEntry:
         entry = self.law.query(category)
@@ -355,13 +339,14 @@ class Simulation:
 
     # -- upkeep -----------------------------------------------------------
     # A unit's upkeep writes nothing while the head of its lineage is already
-    # verified, its host attests and its TICK decision carries no
-    # obligations.  Only a mutation of the unit or its host, or time
-    # reaching a tick at which a TICK comparison of `now` or `last_contact`
-    # flips, can end that, so each unit is visited only at the ticks `_wakes`
-    # names: the flip tick its last visit found, the next tick if that visit
-    # did anything, and the first upkeep after each mutation that touched
-    # it.  A stale or extra wake-up costs one visit that writes nothing.
+    # verified, its host neither withholds nor is an adversary, and its TICK
+    # decision carries no obligations.  Only a mutation of the unit or its
+    # host, or time reaching a tick at which a TICK comparison of `now` or
+    # `last_contact` flips, can end that, so each unit is visited only at the
+    # ticks `_wakes` names: the flip tick its last visit found, the next tick
+    # if that visit did anything, and the first upkeep after each mutation
+    # that touched it.  A stale or extra wake-up costs one visit that writes
+    # nothing.
 
     def _wake(self, unit_id: str, at: Optional[int] = None) -> None:
         """Make `unit_id` due at tick `at`, or at the first upkeep not yet begun."""
@@ -377,7 +362,6 @@ class Simulation:
             self._wake(uid)
 
     def _upkeep(self) -> None:
-        self._attested.clear()
         self._next_upkeep = self.now + 1
         owner_of = self.registry.owner_of
         # this tick's due units in (host, unit) order; ids consumed or held
@@ -402,11 +386,7 @@ class Simulation:
             return None
 
         if host.id in self.withholding or host.role is Role.ADVERSARY:
-            self._attest_failed(host, unit, "attest_fail")
-            return self.now + 1
-
-        if not self._attests(host):
-            self._attest_failed(host, unit, "attest_invalid")
+            self._attest_failed(host, unit)
             return self.now + 1
         ctx = self._eval_ctx(host, unit, location=host.location)
         decision = pol.evaluate(unit.policy, pol.EventKind.TICK, ctx)
@@ -415,26 +395,13 @@ class Simulation:
             return self.now + 1
         return unit.policy.next_tick_change(self.now, unit.last_contact)
 
-    def _attest_failed(self, host: Host, unit: MoneyUnit, event: str) -> None:
+    def _attest_failed(self, host: Host, unit: MoneyUnit) -> None:
         """Run `unit`'s ATTEST_FAIL rules: its host has no location it can prove."""
         decision = pol.evaluate(
             unit.policy, pol.EventKind.ATTEST_FAIL, self._eval_ctx(host, unit)
         )
-        self.obs(host.id, event, unit=unit.id)
+        self.obs(host.id, "attest_fail", unit=unit.id)
         self._execute_obligations(host, unit, decision.obligations, pol.EventKind.ATTEST_FAIL)
-
-    def _attests(self, host: Host) -> bool:
-        """Whether `host`'s location attestation verifies now.
-
-        Every unit of a host at one tick gets the same "host|location|now"
-        statement, so it is made and checked once, at the host's first unit
-        that asks.  Upkeep clears the verdicts each tick and moves no host.
-        """
-        valid = self._attested.get(host.id)
-        if valid is None:
-            valid = verify_attestation(self.directory, self.attest(host.id))
-            self._attested[host.id] = valid
-        return valid
 
     def _eval_ctx(
         self,

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from progmoney import sim as sim_mod
 from progmoney.cli import LEDGER_FILE, OBSERVATIONS_FILE, run_cli
 from progmoney.registry import RecordKind, parse_ledger_line
 from progmoney.report import render_report, report_for
@@ -202,19 +201,6 @@ class TestLawAndAttestation:
         sim = basic_sim()
         with pytest.raises(UnknownCategory):
             sim.query_law("mystery")
-
-    def test_attestation_tracks_location(self):
-        sim = basic_sim()
-        att = sim.attest("alice")
-        assert att.location == "HOME"
-        sim.hosts["alice"].location = "ABROAD"
-        assert sim.attest("alice").location == "ABROAD"
-
-    def test_attestation_verifies_for_third_parties(self):
-        from progmoney.crypto import verify_attestation
-
-        sim = basic_sim()
-        assert verify_attestation(sim.directory, sim.attest("bob"))
 
 
 class TestUpkeep:
@@ -523,21 +509,20 @@ def units_held(sim: Simulation) -> dict[str, set[str]]:
     return {h: set(sim.registry.holdings(h)) for h in ("central", "alice", "bob")}
 
 
+def never_attesting(how: str, policy: str) -> tuple[Simulation, str]:
+    """`three_hosts`, with one host that never attests: alice withholding, or an adversary."""
+    sim = three_hosts(policy)
+    if how == "withhold":
+        sim.schedule_script(0, ("WITHHOLD", "alice", "on"))
+        return sim, "alice"
+    sim.add_host("mallory", Role.ADVERSARY, "HOME")
+    for value in (60, 90):
+        sim.schedule_script(0, ("ISSUE", "central", "mallory", str(value), "p"))
+    return sim, "mallory"
+
+
 class TestAttestationPerHost:
     def test_one_attestation_per_host_and_tick(self, monkeypatch):
-        made, checked = [], []
-
-        def counting_attest(directory, authority, host, location, at):
-            made.append((host, at))
-            return attest(directory, authority, host, location, at)
-
-        def counting_verify(directory, attestation):
-            checked.append((attestation.host, attestation.at))
-            return verify(directory, attestation)
-
-        attest, verify = sim_mod.attest_location, sim_mod.verify_attestation
-        monkeypatch.setattr(sim_mod, "attest_location", counting_attest)
-        monkeypatch.setattr(sim_mod, "verify_attestation", counting_verify)
         upkept = []
         upkeep_unit = Simulation._upkeep_unit
         monkeypatch.setattr(
@@ -550,44 +535,51 @@ class TestAttestationPerHost:
         assert {h: len(ids) for h, ids in units_held(sim).items()} == {
             "central": 2, "alice": 3, "bob": 2
         }
-        # never more than one attestation per (host, tick)
-        assert len(set(made)) == len(made) and len(set(checked)) == len(checked)
         # the units are visited when placed at tick 0; with no TICK rule
         # nothing they hold can change with time, so none is due again
-        assert made == checked == [("alice", 0), ("bob", 0), ("central", 0)]
         assert sorted(upkept) == ["alice"] * 3 + ["bob"] * 2 + ["central"] * 2
 
-    def test_invalid_attestation_reaches_every_unit(self, monkeypatch):
-        monkeypatch.setattr(sim_mod, "verify_attestation", lambda directory, attestation: False)
-        sim = three_hosts('OBLIGATION ON TICK IF now > 1 DO ZEROISE;')
-        sim.schedule_script(1, ("MOVE_HOST", "alice", "ABROAD"))
-        sim.run_until(3)
-        invalid = [line for line in sim.observations if "|attest_invalid|" in line]
-        expected = [
-            f"{t}|{h}|attest_invalid|unit={uid}"
-            for t in range(4)
-            for h in ("alice", "bob", "central")
-            for uid in sim.registry.holdings(h)
-        ]
-        assert invalid == expected
-        assert not any("|zeroise|" in line for line in sim.observations)
-        assert sim.registry.live_supply == 70 + 80 + 100 + 200 + 300 + 40 + 50
-
-    def test_invalid_attestation_runs_attest_fail_rules(self, monkeypatch):
-        monkeypatch.setattr(sim_mod, "verify_attestation", lambda directory, attestation: False)
-        sim = three_hosts("OBLIGATION ON ATTEST_FAIL DO ZEROISE;")
+    @pytest.mark.parametrize("how", ["withhold", "adversary"])
+    def test_never_attesting_host_reaches_every_unit(self, how):
+        sim, failing = never_attesting(how, "OBLIGATION ON TICK IF now > 1 DO ZEROISE;")
         sim.run_until(1)
+        held = {h: sim.registry.holdings(h) for h in sim.hosts}
+        sim.run_until(3)
+        # every unit of the host writes attest_fail every tick and never
+        # runs its TICK rules; every other host's unit zeroises at tick 2
+        assert [line for line in sim.observations if "|attest_fail|" in line] == [
+            f"{t}|{failing}|attest_fail|unit={uid}" for t in range(4) for uid in held[failing]
+        ]
+        zeroised = [
+            (t, h, details.split()[0])
+            for t, h, event, details in (line.split("|") for line in sim.observations)
+            if event == "zeroise"
+        ]
+        assert zeroised == [
+            ("2", h, f"unit={uid}") for h in sorted(held) if h != failing for uid in held[h]
+        ]
+        assert sim.registry.holdings(failing) == held[failing]
+
+    @pytest.mark.parametrize("how", ["withhold", "adversary"])
+    def test_never_attesting_host_runs_attest_fail_rules(self, how):
+        sim, failing = never_attesting(how, "OBLIGATION ON ATTEST_FAIL DO ZEROISE;")
+        sim.run_until(0)
+        held = [line.split("unit=")[1] for line in sim.observations if "|attest_fail|" in line]
         upkeep = [
             line.split("|")
             for line in sim.observations
-            if "|attest_invalid|" in line or "|zeroise|" in line
+            if "|attest_fail|" in line or "|zeroise|" in line
         ]
-        # at tick 0 each unit writes attest_invalid, then its ATTEST_FAIL rule zeroises it
-        assert [event for _, _, event, _ in upkeep] == ["attest_invalid", "zeroise"] * 7
-        for (t1, h1, _, invalid), (t2, h2, _, zeroise) in zip(upkeep[::2], upkeep[1::2]):
-            assert (t1, h1) == (t2, h2) == ("0", h1)
-            assert zeroise.startswith(f"{invalid} reason=attest_fail value=")
-        assert sim.registry.live_supply == 0
+        # at tick 0 each of the host's units writes attest_fail, then its
+        # ATTEST_FAIL rule zeroises it; no other host's unit runs the rule
+        assert len(held) == {"withhold": 3, "adversary": 2}[how]
+        assert [event for _, _, event, _ in upkeep] == ["attest_fail", "zeroise"] * len(held)
+        for (t1, h1, _, failed), (t2, h2, _, zeroise) in zip(upkeep[::2], upkeep[1::2]):
+            assert (t1, h1) == (t2, h2) == ("0", failing)
+            assert zeroise.startswith(f"{failed} reason=attest_fail value=")
+        sim.run_until(2)
+        assert sim.registry.holdings(failing) == []
+        assert sim.registry.fold.burned == {"withhold": 600, "adversary": 150}[how]
 
     def test_move_abroad_zeroises_every_unit_of_the_host(self):
         sim = three_hosts('OBLIGATION ON TICK IF location != "HOME" DO ZEROISE;')
@@ -607,7 +599,6 @@ class TestAttestationPerHost:
 
 def every_tick_upkeep(self: Simulation) -> None:
     """The upkeep loop without wake-up ticks: every live unit of every host, every tick."""
-    self._attested.clear()
     pairs = [
         (host_id, uid) for host_id in sorted(self.hosts) for uid in self.registry.holdings(host_id)
     ]
