@@ -103,12 +103,8 @@ def rate_seeking_policy() -> str:
 
 
 def tamper_notify_policy(authority: str = GOVERNMENT) -> str:
-    """Report tampering and withheld attestations to the authority."""
-    return "\n".join(
-        [
-            f'OBLIGATION ON TAMPER DO NOTIFY "{authority}";',
-        ]
-    )
+    """Report tampering to the authority."""
+    return f'OBLIGATION ON TAMPER DO NOTIFY "{authority}";'
 
 
 def compose(*sources: str) -> str:

@@ -166,11 +166,6 @@ class LineageNode:
                 return held
         return None
 
-    def __deepcopy__(self, memo) -> LineageNode:
-        # immutable and shared by design; a copy would also drag along
-        # `verified_by`, whose keyed hashers cannot be copied
-        return self
-
 
 # the slots' setters, bound once; only `_node` sets `verified_by` to a directory
 _set_record, _set_sig, _set_sender_sig, _set_parents, _set_origin, _set_made, _set_verified_by = (

@@ -159,6 +159,18 @@ class MoveToBestRateAction:
 
 Action = Union[PayAction, ForbidAction, ZeroiseAction, NotifyAction, MoveToBestRateAction]
 
+PARTY_NAME_RULE = "must be one word without '|', ',' or '\"'"
+
+
+def is_party_name(name: str) -> bool:
+    """Whether `name` can name a host, payee or notice target.
+
+    A ledger line splits on "|" and ",", a report line on whitespace, and
+    policy text quotes a party between '"'.
+    """
+    return name.split() == [name] and not any(ch in name for ch in '|,"')
+
+
 # the actions written as one bare word, by that word
 _WORD_ACTIONS: dict[str, Action] = {
     "FORBID": ForbidAction(),
@@ -202,7 +214,11 @@ class PolicyProgram:
                     if name not in FIELDS:
                         errors.append(CheckError(i, f"unknown field '{name}'"))
             for action in rule.actions:
+                if isinstance(action, NotifyAction) and not is_party_name(action.target):
+                    errors.append(CheckError(i, f"NOTIFY target {action.target!r} {PARTY_NAME_RULE}"))
                 if isinstance(action, PayAction):
+                    if not is_party_name(action.payee):
+                        errors.append(CheckError(i, f"PAY payee {action.payee!r} {PARTY_NAME_RULE}"))
                     frac = action.fraction
                     if frac.den == 0:
                         errors.append(CheckError(i, "zero denominator"))

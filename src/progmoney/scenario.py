@@ -49,10 +49,11 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Optional, get_args
+from typing import Callable, Optional, get_args
 
 from . import fiscal
 from .markets import Side
+from .policy import PARTY_NAME_RULE, is_party_name
 from .sim import ACTIONS, Simulation
 from .sim_types import ISSUER_ROLES, ArgKind, Host, LawStatus, LawTable, Role, parse_fraction
 from .supply import ConstantGrowth, FixedCapGeometric, SupplyRule, VolumeResponsive
@@ -201,10 +202,8 @@ def _parse_host_entry(cfg: ScenarioConfig, key: str, value: str, line_no: int) -
         role = Role(parts[0])
     except ValueError:
         raise ScenarioError(f"unknown role {parts[0]!r}", line_no) from None
-    if key.split() != [key] or any(ch in key for ch in '|,"'):
-        # a ledger line splits on "|" and ",", a report line on whitespace,
-        # and policy text quotes a host id between '"'
-        raise ScenarioError(f"host id {key!r} must be one word without '|', ',' or '\"'", line_no)
+    if not is_party_name(key):
+        raise ScenarioError(f"host id {key!r} {PARTY_NAME_RULE}", line_no)
     if any(existing.id == key for existing in cfg.hosts):
         raise ScenarioError(f"duplicate host {key!r}", line_no)
     if "|" in parts[1]:  # an issuer's location is a field of the origin it signs
@@ -379,6 +378,29 @@ def _is_fraction(text: str) -> bool:
 # -- policy builders -----------------------------------------------------
 
 
+# builder -> fn(law, year_ticks, *arguments) -> policy source; a builder
+# takes exactly the arguments its signature binds
+_BUILDERS: dict[str, Callable[..., str]] = {
+    "empty": lambda law, year: "",
+    "sales_tax": lambda law, year, rate, category="sale", authority=fiscal.TAX_AUTHORITY: (
+        fiscal.sales_tax_policy(parse_fraction(rate), category, authority)
+    ),
+    "legality": lambda law, year: fiscal.legality_policy(law),
+    "annual_contact": lambda law, year, ticks=None: fiscal.annual_contact_policy(
+        year if ticks is None else int(ticks)
+    ),
+    "jurisdiction": lambda law, year, home: fiscal.jurisdiction_policy(home),
+    "owner_restriction": lambda law, year, banned: fiscal.owner_restriction_policy(
+        banned.split(",")
+    ),
+    "expiry": lambda law, year, deadline: fiscal.expiry_policy(int(deadline)),
+    "rate_seeker": lambda law, year: fiscal.rate_seeking_policy(),
+    "tamper_notify": lambda law, year, authority=fiscal.GOVERNMENT: (
+        fiscal.tamper_notify_policy(authority)
+    ),
+}
+
+
 def build_policy_source(spec: str, law: LawTable, year_ticks: int) -> str:
     """Expand a '[policies]' value: '+'-joined builder invocations."""
     sources = []
@@ -387,34 +409,16 @@ def build_policy_source(spec: str, law: LawTable, year_ticks: int) -> str:
         if not parts:
             raise ScenarioError(f"empty policy builder in {spec!r}")
         builder, args = parts[0], parts[1:]
+        build = _BUILDERS.get(builder)
+        if build is None:
+            raise ScenarioError(f"unknown policy builder {builder!r}")
         try:
-            if builder == "empty":
-                sources.append("")
-            elif builder == "sales_tax":
-                rate = parse_fraction(args[0])
-                category = args[1] if len(args) > 1 else "sale"
-                authority = args[2] if len(args) > 2 else fiscal.TAX_AUTHORITY
-                sources.append(fiscal.sales_tax_policy(rate, category, authority))
-            elif builder == "legality":
-                sources.append(fiscal.legality_policy(law))
-            elif builder == "annual_contact":
-                ticks = int(args[0]) if args else year_ticks
-                sources.append(fiscal.annual_contact_policy(ticks))
-            elif builder == "jurisdiction":
-                sources.append(fiscal.jurisdiction_policy(args[0]))
-            elif builder == "owner_restriction":
-                sources.append(fiscal.owner_restriction_policy(args[0].split(",")))
-            elif builder == "expiry":
-                sources.append(fiscal.expiry_policy(int(args[0])))
-            elif builder == "rate_seeker":
-                sources.append(fiscal.rate_seeking_policy())
-            elif builder == "tamper_notify":
-                sources.append(fiscal.tamper_notify_policy(*args))
-            else:
-                raise ScenarioError(f"unknown policy builder {builder!r}")
-        except (IndexError, ValueError, ZeroDivisionError, fiscal.BadRate) as exc:
-            if isinstance(exc, ScenarioError):
-                raise
+            inspect.signature(build).bind(law, year_ticks, *args)
+        except TypeError:
+            raise ScenarioError(f"wrong number of arguments for builder {builder!r}") from None
+        try:
+            sources.append(build(law, year_ticks, *args))
+        except (ValueError, ZeroDivisionError) as exc:  # fiscal.BadRate is a ValueError
             raise ScenarioError(f"bad arguments for builder {builder!r}: {exc}") from None
     return fiscal.compose(*sources)
 

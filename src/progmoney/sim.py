@@ -386,7 +386,11 @@ class Simulation:
             return None
 
         if host.id in self.withholding or host.role is Role.ADVERSARY:
-            self._attest_failed(host, unit)
+            # its host proves no location, so ATTEST_FAIL rules run instead of TICK rules
+            ctx = self._eval_ctx(host, unit)
+            decision = pol.evaluate(unit.policy, pol.EventKind.ATTEST_FAIL, ctx)
+            self.obs(host.id, "attest_fail", unit=unit.id)
+            self._execute_obligations(host, unit, decision.obligations, pol.EventKind.ATTEST_FAIL)
             return self.now + 1
         ctx = self._eval_ctx(host, unit, location=host.location)
         decision = pol.evaluate(unit.policy, pol.EventKind.TICK, ctx)
@@ -394,14 +398,6 @@ class Simulation:
             self._execute_obligations(host, unit, decision.obligations, pol.EventKind.TICK)
             return self.now + 1
         return unit.policy.next_tick_change(self.now, unit.last_contact)
-
-    def _attest_failed(self, host: Host, unit: MoneyUnit) -> None:
-        """Run `unit`'s ATTEST_FAIL rules: its host has no location it can prove."""
-        decision = pol.evaluate(
-            unit.policy, pol.EventKind.ATTEST_FAIL, self._eval_ctx(host, unit)
-        )
-        self.obs(host.id, "attest_fail", unit=unit.id)
-        self._execute_obligations(host, unit, decision.obligations, pol.EventKind.ATTEST_FAIL)
 
     def _eval_ctx(
         self,

@@ -1,6 +1,5 @@
 """MoneyUnit lifecycle: mint, split, merge, transfer, integrity, zeroise."""
 
-import copy
 import dataclasses
 import random
 from dataclasses import replace
@@ -265,9 +264,9 @@ class TestTransfer:
     def test_stale_unit_double_spend(self, world):
         _, registry, bank = world
         unit = mint(bank, 500, "SIM", pol.EMPTY_POLICY, registry)
-        stale = copy.deepcopy(unit)
+        stale = replace(unit)
         transfer(unit, "alice", ctx_for(unit, now=1), registry)
-        transferred = copy.deepcopy(unit)
+        transferred = replace(unit)
         transferred.owner = "central"  # pretend the first transfer never happened
         with pytest.raises(DoubleSpend):
             transfer(transferred, "bob", ctx_for(stale, now=2), registry)
@@ -568,7 +567,7 @@ class TestVerifyOnce:
         directory, registry, bank = world
         unit = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
         assert verify_integrity(unit, directory).ok
-        clone = copy.deepcopy(unit)
+        clone = replace(unit)  # a copy shares the immutable lineage
         assert clone.lineage is unit.lineage
         assert verify_integrity(clone, directory).ok
         clone.value = 1_000_000

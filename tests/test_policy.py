@@ -358,6 +358,25 @@ class TestCheck:
         program = parse('PROHIBITION ON RECEIVE DO PAY 1/5 TO "x";')
         assert any("PAY inside PROHIBITION" in e.message for e in program.check_errors)
 
+    @pytest.mark.parametrize(
+        "action, error",
+        [
+            ('PAY 1/5 TO "tax|man"', "PAY payee 'tax|man'"),
+            ('PAY 1/5 TO "tax,man"', "PAY payee 'tax,man'"),
+            ('PAY 1/5 TO "tax man"', "PAY payee 'tax man'"),
+            ('PAY 1/5 TO ""', "PAY payee ''"),
+            ('NOTIFY "gov|x"', "NOTIFY target 'gov|x'"),
+            ('NOTIFY "gov\tx"', "NOTIFY target 'gov\\tx'"),
+        ],
+    )
+    def test_party_the_ledger_cannot_carry(self, action, error):
+        # a party is written into ledger and observation lines, which split
+        # on '|', ',' and whitespace, so it follows the host-id rule
+        program = parse(f"OBLIGATION ON RECEIVE DO {action};")
+        assert [str(e) for e in program.check_errors] == [
+            f"rule 0: {error} must be one word without '|', ',' or '\"'"
+        ]
+
     def test_error_names_rule_index(self):
         program = parse(SALES_TAX + '\nOBLIGATION ON RECEIVE DO PAY 2/1 TO "x";')
         errors = program.check_errors

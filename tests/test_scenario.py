@@ -281,6 +281,7 @@ class TestPolicyBuilders:
             "empty",
             "sales_tax 1/5",
             "sales_tax 1/5 cake",
+            "sales_tax 1/5 cake tax_office",
             "legality",
             "annual_contact",
             "annual_contact 100",
@@ -289,6 +290,7 @@ class TestPolicyBuilders:
             "expiry 100",
             "rate_seeker",
             "tamper_notify",
+            "tamper_notify gov",
         ):
             build_policy_source(spec, self.law(), 360)
 
@@ -303,6 +305,28 @@ class TestPolicyBuilders:
             build_policy_source("expiry not_a_number", self.law(), 360)
         with pytest.raises(ScenarioError):
             build_policy_source("sales_tax 7/5", self.law(), 360)
+        # more arguments than the builder takes fail too, never dropped
+        for spec in (
+            "sales_tax 1/5 + tamper_notify gov extra",
+            "sales_tax 1/5 sale tax_authority extra",
+            "legality extra",
+            "expiry 100 7",
+            "rate_seeker now",
+            "jurisdiction HOME ABROAD",
+            "empty extra",
+        ):
+            with pytest.raises(ScenarioError):
+                build_policy_source(spec, self.law(), 360)
+
+    @pytest.mark.parametrize(
+        "policy", ["sales_tax 1/5 + tamper_notify gov extra", "sales_tax 1/5 sale tax|man"]
+    )
+    def test_bad_builder_run_is_exit_1_and_writes_nothing(self, tmp_path, policy):
+        # an extra argument, and a payee the ledger line cannot carry
+        path = tmp_path / "bad.scn"
+        path.write_text(WORLD.replace("sales_tax 1/5", policy), encoding="utf-8")
+        assert run_cli(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("rate", ["0.2", "1e-1", "-1/5", "1/0", "fifth"])
     def test_sales_tax_rate_is_a_scenario_fraction(self, tmp_path, rate):
