@@ -399,6 +399,7 @@ _BUILDERS: dict[str, Callable[..., str]] = {
         fiscal.tamper_notify_policy(authority)
     ),
 }
+_BUILDER_SIGNATURES = {name: inspect.signature(build) for name, build in _BUILDERS.items()}
 
 
 def build_policy_source(spec: str, law: LawTable, year_ticks: int) -> str:
@@ -409,15 +410,14 @@ def build_policy_source(spec: str, law: LawTable, year_ticks: int) -> str:
         if not parts:
             raise ScenarioError(f"empty policy builder in {spec!r}")
         builder, args = parts[0], parts[1:]
-        build = _BUILDERS.get(builder)
-        if build is None:
+        if builder not in _BUILDERS:
             raise ScenarioError(f"unknown policy builder {builder!r}")
         try:
-            inspect.signature(build).bind(law, year_ticks, *args)
+            _BUILDER_SIGNATURES[builder].bind(law, year_ticks, *args)
         except TypeError:
             raise ScenarioError(f"wrong number of arguments for builder {builder!r}") from None
         try:
-            sources.append(build(law, year_ticks, *args))
+            sources.append(_BUILDERS[builder](law, year_ticks, *args))
         except (ValueError, ZeroDivisionError) as exc:  # fiscal.BadRate is a ValueError
             raise ScenarioError(f"bad arguments for builder {builder!r}: {exc}") from None
     return fiscal.compose(*sources)

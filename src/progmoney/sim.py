@@ -14,13 +14,14 @@ Each tick runs three phases in fixed order:
      integrity check (free for a unit unchanged since its last sound
      check), then TICK policy evaluation and its obligations; a host that
      withholds its location attestation, or is an adversary, runs its
-     units' ATTEST_FAIL rules instead of their TICK rules.  A unit is due when it is placed (mint, split, merge,
-     transfer, payment, interest), tampered with, or its host moves,
-     contacts its government or starts or stops withholding; it stays due
-     every tick while its upkeep runs ATTEST_FAIL rules or TICK
-     obligations, and otherwise sleeps until the next tick at which one
-     of its TICK comparisons of `now` or `last_contact` can flip.  A unit
-     woken during upkeep or the period boundary is due the next tick;
+     units' ATTEST_FAIL rules instead of their TICK rules.  A unit is due
+     when it is placed (mint, split, merge, transfer, payment, interest),
+     tampered with, or its host moves, contacts its government or starts
+     or stops withholding; it stays due every tick while its upkeep runs
+     ATTEST_FAIL rules or TICK obligations, and otherwise sleeps until the
+     next tick at which one of its TICK comparisons of `now` or
+     `last_contact` can flip.  A unit woken during upkeep or the period
+     boundary is due the next tick;
   3. period boundary work — bank interest accrual and the supply rule.
 
 Observations are "tick|host|event|details" lines and are the authoritative
@@ -345,8 +346,7 @@ class Simulation:
     # `last_contact` flips, can end that, so each unit is visited only at the
     # ticks `_wakes` names: the flip tick its last visit found, the next tick
     # if that visit did anything, and the first upkeep after each mutation
-    # that touched it.  A stale or extra wake-up costs one visit that writes
-    # nothing.
+    # that touched it.  A stale or extra wake-up costs one idle visit.
 
     def _wake(self, unit_id: str, at: Optional[int] = None) -> None:
         """Make `unit_id` due at tick `at`, or at the first upkeep not yet begun."""
