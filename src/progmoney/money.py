@@ -334,18 +334,11 @@ def split(unit: MoneyUnit, amount: int, registry: Registry, at: int) -> tuple[Mo
     amounts = (unit.value, amount, unit.value - amount)
     endorsed = _endorse(registry, RecordKind.SPLIT, ids, amounts, (unit.owner,), at)
     node = _node(registry, endorsed, (unit.lineage,))
-
-    def child(i: int) -> MoneyUnit:
-        return MoneyUnit(
-            id=ids[i],
-            value=amounts[i],
-            owner=unit.owner,
-            policy=unit.policy,
-            lineage=node,
-            last_contact=unit.last_contact,
-        )
-
-    return child(1), child(2)
+    carved, rest = (
+        MoneyUnit(uid, value, owner, unit.policy, node, last_contact=unit.last_contact)
+        for uid, owner, value in node.made
+    )
+    return carved, rest
 
 
 def fungible(a: MoneyUnit, b: MoneyUnit) -> bool:

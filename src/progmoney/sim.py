@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence, TypeVar
 
 from . import markets, money, policy as pol, supply as supply_mod
 from .crypto import KeyDirectory, Signature
@@ -63,6 +63,8 @@ from .sim_types import (
 )
 
 DEFAULT_ISSUER_ALLOWANCE = 10**15
+
+_Made = TypeVar("_Made", bound=Sequence[MoneyUnit])
 
 
 class Simulation:
@@ -243,20 +245,23 @@ class Simulation:
 
     # -- holdings ---------------------------------------------------------
     # The registry's live set is the one record of who holds what; `units`
-    # maps each live id to its unit object.  Mint, split, merge, burn and
-    # transfer each go through one wrapper below, which places the units
-    # the operation made and drops the ones it consumed, so `units` always
-    # holds exactly the registry's live ids.
+    # maps each live id to its unit object.  Every money call that commits
+    # a record hands what it spent and what it made to `_book`, the one
+    # writer of `units` and the one place a unit leaves `deposits`, so
+    # `units` always holds exactly the registry's live ids.  A bank marks a
+    # unit a deposit only once its RECEIVE obligations have run.
 
-    def _place_unit(self, unit: MoneyUnit) -> None:
-        self.units[unit.id] = unit
-        self._wake(unit.id)
-        if unit.owner not in self.hosts:
-            self.obs("sim", "orphan_unit", unit=unit.id, owner=unit.owner)
-
-    def _consume_unit(self, unit: MoneyUnit) -> None:
-        del self.units[unit.id]
-        self.deposits.discard(unit.id)
+    def _book(self, spent: tuple[MoneyUnit, ...], made: _Made) -> _Made:
+        """Drop the units a record spent, place the ones it made in order; returns `made`."""
+        for unit in spent:
+            del self.units[unit.id]
+            self.deposits.discard(unit.id)
+        for unit in made:
+            self.units[unit.id] = unit
+            self._wake(unit.id)
+            if unit.owner not in self.hosts:
+                self.obs("sim", "orphan_unit", unit=unit.id, owner=unit.owner)
+        return made
 
     def _mint(self, issuer: Host, value: int, policy_name: str) -> MoneyUnit:
         """The one mint path: a unit of `issuer`'s, at home where `issuer` is now."""
@@ -264,26 +269,17 @@ class Simulation:
         unit = money.mint(
             issuer.id, value, self.currency, policy, self.registry, self.now, issuer.location
         )
-        self._place_unit(unit)
-        return unit
+        return self._book((), (unit,))[0]
 
     def _split(self, unit: MoneyUnit, amount: int) -> tuple[MoneyUnit, MoneyUnit]:
-        carved, rest = money.split(unit, amount, self.registry, self.now)
-        self._consume_unit(unit)
-        self._place_unit(carved)
-        self._place_unit(rest)
-        return carved, rest
+        return self._book((unit,), money.split(unit, amount, self.registry, self.now))
 
     def _merge(self, a: MoneyUnit, b: MoneyUnit) -> MoneyUnit:
-        merged = money.merge(a, b, self.registry, self.now)
-        self._consume_unit(a)
-        self._consume_unit(b)
-        self._place_unit(merged)
-        return merged
+        return self._book((a, b), (money.merge(a, b, self.registry, self.now),))[0]
 
     def _burn(self, unit: MoneyUnit, reason: str) -> None:
         money.zeroise(unit, reason, self.registry, self.now)
-        self._consume_unit(unit)
+        self._book((unit,), ())
 
     def _transfer(
         self,
@@ -307,9 +303,7 @@ class Simulation:
             return refusal
         # the unit left its holder (and its bank, if a deposit); what it
         # became is placed again, payments before the received unit
-        self._consume_unit(unit)
-        for placed in outcome.all_units():
-            self._place_unit(placed)
+        self._book((unit,), outcome.all_units())
         for payee, paid in outcome.payments:
             self.obs(to, "pay_obligation", unit=paid.id, to=payee, amount=paid.value)
         self._dispatch_notifications(to, outcome.notifications)
@@ -474,10 +468,7 @@ class Simulation:
         except money.PolicyForbids as refusal:
             self.obs(host.id, "obligation_blocked", unit=unit.id, error=type(refusal).__name__)
             return unit
-        self._consume_unit(unit)
-        self._place_unit(paid)
-        if rest is not None:
-            self._place_unit(rest)
+        self._book((unit,), (paid,) if rest is None else (paid, rest))
         self.obs(host.id, "pay_obligation", unit=paid.id, to=ob.payee, amount=paid.value)
         return rest
 
@@ -598,20 +589,12 @@ class Simulation:
             minted = directive.mint
             self.obs(issuer.id, "supply_mint", unit=unit.id, amount=minted)
         elif directive.burn > 0:
-            treasury_total = sum(
-                u.value for u in self.active_units_of(issuer.id) if u.id not in self.deposits
-            )
-            burn = min(directive.burn, treasury_total)
-            if directive.burn > treasury_total:
-                self.obs(
-                    issuer.id,
-                    "supply_clamp",
-                    requested=directive.burn,
-                    treasury=treasury_total,
-                )
-            if burn > 0:
-                burned = self._burn_from_treasury(issuer, burn)
-                self.obs(issuer.id, "supply_burn", amount=burned, requested=burn)
+            # burns min(asked, treasury); short of what was asked, it burned the treasury
+            burned = self._burn_from_treasury(issuer, directive.burn)
+            if burned < directive.burn:
+                self.obs(issuer.id, "supply_clamp", requested=directive.burn, treasury=burned)
+            if burned > 0:
+                self.obs(issuer.id, "supply_burn", amount=burned, requested=burned)
         fold = self.registry.fold
         self.obs(
             "sim",
@@ -723,13 +706,11 @@ class Simulation:
         return merged
 
     def act_contact(self, host_id: HostArg) -> None:
-        host = self.host(host_id)
-        touched = 0
-        for unit in self.active_units_of(host_id):
+        units = self.active_units_of(host_id)
+        for unit in units:
             unit.last_contact = self.now
             self._wake(unit.id)
-            touched += 1
-        self.obs(host_id, "contact", units=touched)
+        self.obs(host_id, "contact", units=len(units))
 
     def act_move_host(self, host_id: HostArg, location: LocationArg) -> None:
         host = self.host(host_id)
@@ -739,7 +720,6 @@ class Simulation:
 
     def act_tamper(self, host_id: HostArg, index: IntArg = "0") -> None:
         """Flip one character of a held unit's canonical policy text."""
-        host = self.host(host_id)
         units = self.active_units_of(host_id)
         if not units:
             self.obs(host_id, "tamper_noop", reason="no_units")
