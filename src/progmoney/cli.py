@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .policy import CheckFailure, ParseError, parse as parse_policy
+from .policy import parse as parse_policy
 from .registry import audit_export
 from .report import build_report, render_report, report_for
 from .scenario import ScenarioError, build_simulation, load_scenario
@@ -159,9 +159,6 @@ def run_cli(argv: list[str]) -> int:
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except (ScenarioError, ParseError, CheckFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except _BAD_PATH as exc:
         print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return 1

@@ -39,7 +39,9 @@ An issuer is a BANK or CENTRAL_BANK host, or the [supply] issuer when it is
 given an allowance; a [supply] issuer that is neither, or a negative
 allowance, fails at load too.  A script line that does not fit one fails
 at load, and so does a '"' in what policy builders quote: a host id, a
-[law] category or a [policies] value.
+[law] category or a [policies] value.  Each [policies] value is expanded
+and compiled once the whole file is read, so an error in it names its
+line, and a host may not take the registry's key id.
 """
 
 from __future__ import annotations
@@ -53,7 +55,15 @@ from typing import Callable, Optional, get_args
 
 from . import fiscal
 from .markets import Side
-from .policy import PARTY_NAME_RULE, is_party_name
+from .policy import (
+    PARTY_NAME_RULE,
+    CheckFailure,
+    ParseError,
+    PolicyProgram,
+    compile_policy,
+    is_party_name,
+)
+from .registry import REGISTRY_KEY
 from .sim import ACTIONS, Simulation
 from .sim_types import ISSUER_ROLES, ArgKind, Host, LawStatus, LawTable, Role, parse_fraction
 from .supply import ConstantGrowth, FixedCapGeometric, SupplyRule, VolumeResponsive
@@ -93,7 +103,7 @@ class ScenarioConfig:
     supply_allowance: Optional[int] = None
     supply_rule: Optional[SupplyRule] = None
     supply_policy: str = "empty"
-    policies: list[tuple[str, str]] = field(default_factory=list)  # name -> builder spec
+    policies: dict[str, PolicyProgram] = field(default_factory=dict)  # name -> compiled
     script: list[tuple[int, tuple[str, ...]]] = field(default_factory=list)
 
 
@@ -108,6 +118,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     cfg = ScenarioConfig()
     script_line_nos: list[int] = []  # the file line of each cfg.script entry
     supply_lines: dict[str, int] = {}  # [supply] key -> the file line that last set it
+    policy_lines: list[tuple[str, str, int]] = []  # (name, builder spec, file line)
     section = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -139,11 +150,18 @@ def parse_scenario(text: str) -> ScenarioConfig:
         elif section == "policies":
             if '"' in value:
                 raise ScenarioError(f"[policies] value {value!r} holds a '\"'", line_no)
-            cfg.policies.append((key, value))
+            policy_lines.append((key, value, line_no))
+    # builders read [law] and year_ticks, which may follow the [policies] lines
+    law = _law_table(cfg)
+    for name, spec, line_no in policy_lines:
+        try:
+            cfg.policies[name] = compile_policy(build_policy_source(spec, law, cfg.year_ticks))
+        except (ScenarioError, ParseError, CheckFailure) as exc:
+            raise ScenarioError(str(exc), line_no) from None
     # hosts and policies may be declared after the lines that name them
     hosts = {spec.id for spec in cfg.hosts}
     # "empty" is the policy every Simulation starts with
-    policies = {"empty"} | {name for name, _ in cfg.policies}
+    policies = {"empty"} | cfg.policies.keys()
     if cfg.supply_issuer is None:
         for key, value in (("rule", cfg.supply_rule), ("allowance", cfg.supply_allowance)):
             if value is not None:
@@ -204,6 +222,8 @@ def _parse_host_entry(cfg: ScenarioConfig, key: str, value: str, line_no: int) -
         raise ScenarioError(f"unknown role {parts[0]!r}", line_no) from None
     if not is_party_name(key):
         raise ScenarioError(f"host id {key!r} {PARTY_NAME_RULE}", line_no)
+    if key == REGISTRY_KEY:  # the registry's key signs every ledger line
+        raise ScenarioError(f"host id {key!r} is the registry's key id", line_no)
     if any(existing.id == key for existing in cfg.hosts):
         raise ScenarioError(f"duplicate host {key!r}", line_no)
     if "|" in parts[1]:  # an issuer's location is a field of the origin it signs
@@ -233,6 +253,14 @@ def _parse_law_entry(cfg: ScenarioConfig, key: str, value: str, line_no: int) ->
     if '"' in key:
         raise ScenarioError(f"[law] category {key!r} holds a '\"'", line_no)
     cfg.law.append((key, status, _parse_fraction(parts[1], line_no)))
+
+
+def _law_table(cfg: ScenarioConfig) -> LawTable:
+    """The [law] entries as the table policy builders and a simulation query."""
+    law = LawTable()
+    for category, status, rate in cfg.law:
+        law.add(category, status, rate)
+    return law
 
 
 # supply rule name -> the arguments it takes, in order
@@ -444,11 +472,8 @@ def build_simulation(cfg: ScenarioConfig, seed: int) -> Simulation:
             licence=spec.licence,
             category=spec.category,
         )
-    for category, status, rate in cfg.law:
-        sim.law.add(category, status, rate)
-    for name, builder_spec in cfg.policies:
-        source = build_policy_source(builder_spec, sim.law, cfg.year_ticks)
-        sim.add_policy(name, source)
+    sim.law = _law_table(cfg)
+    sim.policies.update(cfg.policies)
     if cfg.supply_rule is not None:
         sim.supply_rule = cfg.supply_rule
         sim.supply_issuer = cfg.supply_issuer

@@ -40,7 +40,7 @@ from .crypto import KeyDirectory, Signature
 from .crypto import attest_location, verify_attestation  # noqa: F401
 from .markets import Order, OrderBook, RateBoard, Side, cda_submit, select_best_rate
 from .money import MoneyUnit, TransferOutcome, UnitState
-from .registry import DoubleSpend, Registry, RegistryError
+from .registry import DoubleSpend, Registry, RegistryError, UnauthorizedIssuer
 from .sim_types import (
     ISSUER_ROLES,
     CategoryArg,
@@ -263,12 +263,19 @@ class Simulation:
                 self.obs("sim", "orphan_unit", unit=unit.id, owner=unit.owner)
         return made
 
-    def _mint(self, issuer: Host, value: int, policy_name: str) -> MoneyUnit:
-        """The one mint path: a unit of `issuer`'s, at home where `issuer` is now."""
+    def _mint(self, issuer: Host, value: int, policy_name: str) -> Optional[MoneyUnit]:
+        """The one mint path: a unit of `issuer`'s, at home where `issuer` is now.
+
+        A mint over the issuer's allowance is observed and gives None.
+        """
         policy = self.policies[policy_name]
-        unit = money.mint(
-            issuer.id, value, self.currency, policy, self.registry, self.now, issuer.location
-        )
+        try:
+            unit = money.mint(
+                issuer.id, value, self.currency, policy, self.registry, self.now, issuer.location
+            )
+        except UnauthorizedIssuer as refusal:
+            self.obs(issuer.id, "mint_refused", value=value, error=type(refusal).__name__)
+            return None
         return self._book((), (unit,))[0]
 
     def _split(self, unit: MoneyUnit, amount: int) -> tuple[MoneyUnit, MoneyUnit]:
@@ -586,8 +593,9 @@ class Simulation:
         minted = burned = 0
         if directive.mint > 0:
             unit = self._mint(issuer, directive.mint, self.supply_policy_name)
-            minted = directive.mint
-            self.obs(issuer.id, "supply_mint", unit=unit.id, amount=minted)
+            if unit is not None:
+                minted = directive.mint
+                self.obs(issuer.id, "supply_mint", unit=unit.id, amount=minted)
         elif directive.burn > 0:
             # burns min(asked, treasury); short of what was asked, it burned the treasury
             burned = self._burn_from_treasury(issuer, directive.burn)
@@ -625,9 +633,10 @@ class Simulation:
 
     def act_mint(
         self, bank_id: IssuerArg, value: PositiveIntArg, policy_name: PolicyArg = "empty"
-    ) -> MoneyUnit:
+    ) -> Optional[MoneyUnit]:
         unit = self._mint(self.host(bank_id), int(value), policy_name)
-        self.obs(bank_id, "mint", unit=unit.id, value=unit.value, policy=policy_name)
+        if unit is not None:
+            self.obs(bank_id, "mint", unit=unit.id, value=unit.value, policy=policy_name)
         return unit
 
     def act_issue(
@@ -638,6 +647,8 @@ class Simulation:
         policy_name: PolicyArg = "empty",
     ) -> Optional[MoneyUnit]:
         unit = self.act_mint(bank_id, value, policy_name)
+        if unit is None:
+            return None
         bank = self.host(bank_id)
         target = self.host(recipient)
         # the recipient's licence at the bank's location; the unit was

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from progmoney import money
 from progmoney.cli import LEDGER_FILE, OBSERVATIONS_FILE, REPORT_FILE, run_cli
 
 SCENARIO_DIR = (
@@ -55,17 +56,52 @@ class TestRun:
         assert run(["run", renamed, "--out", tmp_path / "o"]) == 1
         assert not (tmp_path / "o").exists()
 
-    def test_runtime_error_exits_3(self, tmp_path):
-        # parses fine, but the second mint exceeds what is left of the allowance
-        broken = tmp_path / "broken.scn"
-        broken.write_text(
-            "[sim]\nname = broken\nuntil = 3\n"
-            "[hosts]\ncentral = CENTRAL_BANK HOME\n"
-            "[supply]\nissuer = central\nallowance = 10\n"
-            "[script]\n0 MINT central 6\n1 MINT central 6\n",
+    def test_runtime_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        # a fault the program does not expect, met mid-run after a clean load
+        def fault(*args):
+            raise RuntimeError("fault mid-run")
+
+        monkeypatch.setattr(money, "transfer", fault)
+        assert run(["run", SALES_TAX_SCN, "--out", tmp_path / "o"]) == 3
+        assert capsys.readouterr().err == "runtime error: RuntimeError: fault mid-run\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "text, refused",
+        [
+            # over the default issuer allowance of 10**15
+            ("[script]\n1 MINT central 10000000000000000\n2 ISSUE central alice 10\n",
+             "1|central|mint_refused|value=10000000000000000 error=UnauthorizedIssuer"),
+            # an ISSUE over a [supply] allowance mints nothing and transfers nothing
+            ("[supply]\nissuer = central\nallowance = 5\n"
+             "[script]\n1 ISSUE central alice 10\n2 ISSUE central alice 5\n",
+             "1|central|mint_refused|value=10 error=UnauthorizedIssuer"),
+            # the second mint exceeds what is left of the allowance
+            ("[supply]\nissuer = central\nallowance = 10\n"
+             "[script]\n0 MINT central 6\n1 MINT central 6\n",
+             "1|central|mint_refused|value=6 error=UnauthorizedIssuer"),
+            # a supply rule whose first period mints past the allowance
+            ("[sim]\nuntil = 10\nperiod_ticks = 10\n[supply]\nissuer = central\n"
+             "allowance = 50\nrule = CONSTANT_GROWTH 36/1\n[script]\n0 MINT central 30\n",
+             "10|central|mint_refused|value=30 error=UnauthorizedIssuer"),
+        ],
+        ids=["default_allowance", "issue_over_allowance", "second_mint", "supply_rule"],
+    )
+    def test_refused_mint_is_observed_and_the_run_goes_on(self, tmp_path, text, refused):
+        scenario = tmp_path / "refused.scn"
+        scenario.write_text(
+            "[hosts]\ncentral = CENTRAL_BANK HOME\nalice = CONSUMER HOME\n" + text,
             encoding="utf-8",
         )
-        assert run(["run", broken, "--out", tmp_path / "o"]) == 3
+        out = tmp_path / "o"
+        assert run(["run", scenario, "--out", out]) == 0
+        assert run(["audit", out / LEDGER_FILE]) == 0
+        lines = (out / OBSERVATIONS_FILE).read_text(encoding="utf-8").splitlines()
+        assert refused in lines
+        # the refused action writes nothing more at its tick, and a period mints 0
+        tick = refused.split("|")[0]
+        assert [line for line in lines if line.startswith(f"{tick}|central|")] == [refused]
+        assert all("mint=0 " in line for line in lines if "|trajectory|" in line)
 
     def test_seed_defaults_to_zero(self, tmp_path, monkeypatch):
         # --seed is the one way to set the seed; the environment plays no part

@@ -1,11 +1,14 @@
 """Scenario file parsing and the shipped scenario set."""
 
+import importlib.util
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from progmoney.cli import run_cli
+from progmoney.registry import parse_ledger_line
 from progmoney.report import report_for
 from progmoney.scenario import (
     ScenarioError,
@@ -21,6 +24,7 @@ from progmoney.supply import ConstantGrowth, FixedCapGeometric
 SCENARIO_DIR = (
     Path(__file__).resolve().parents[1] / "src" / "progmoney" / "data" / "scenarios"
 )
+WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 MINIMAL = """
 [sim]
@@ -144,6 +148,8 @@ class TestParsing:
             (WORLD + "1 REPLAY alice -1\n", 8),
             ("[hosts]\nali,ce = CONSUMER HOME\n", 2),
             ("[hosts]\ncentral = CENTRAL_BANK HOME\nali|ce = CONSUMER HOME\n", 3),
+            # the registry's key signs every ledger line; no host may share it
+            ("[hosts]\nregistry = CONSUMER HOME\n", 2),
             # [supply] names checked once every host and policy is declared
             ("[supply]\nissuer = nobody\n[hosts]\ncentral = CENTRAL_BANK HOME\n", 2),
             (WORLD.replace("[script]\n", "[supply]\npolicy = nosuch\n"), 8),
@@ -194,6 +200,7 @@ class TestParsing:
             "replay_count_negative",
             "host_id_comma",
             "host_id_pipe",
+            "host_id_registry",
             "supply_issuer_undeclared",
             "supply_policy_undeclared",
             "supply_rule_without_issuer",
@@ -321,12 +328,14 @@ class TestPolicyBuilders:
     @pytest.mark.parametrize(
         "policy", ["sales_tax 1/5 + tamper_notify gov extra", "sales_tax 1/5 sale tax|man"]
     )
-    def test_bad_builder_run_is_exit_1_and_writes_nothing(self, tmp_path, policy):
-        # an extra argument, and a payee the ledger line cannot carry
+    def test_bad_builder_run_is_exit_1_and_writes_nothing(self, tmp_path, capsys, policy):
+        # an extra argument, and a payee the ledger line cannot carry; the
+        # error names the file and the [policies] line, WORLD's line 6
         path = tmp_path / "bad.scn"
         path.write_text(WORLD.replace("sales_tax 1/5", policy), encoding="utf-8")
         assert run_cli(["run", str(path), "--out", str(tmp_path / "out")]) == 1
         assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().err.startswith(f"error: {path}: line 6: ")
 
     @pytest.mark.parametrize("rate", ["0.2", "1e-1", "-1/5", "1/0", "fifth"])
     def test_sales_tax_rate_is_a_scenario_fraction(self, tmp_path, rate):
@@ -344,6 +353,17 @@ class TestPolicyBuilders:
         assert "PAY 1/1 TO" in build_policy_source("sales_tax 1", self.law(), 360)
 
 
+def _workloads():
+    """perfbench/workloads.py, which generates the benchmark scenarios."""
+    module = sys.modules.get("perfbench_workloads")
+    if module is None:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses look their module up here
+        spec.loader.exec_module(module)
+    return module
+
+
 class TestShippedScenarios:
     @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.scn")), ids=lambda p: p.stem)
     def test_runs_clean(self, path):
@@ -352,6 +372,22 @@ class TestShippedScenarios:
         assert sim.registry.audit() == []
         registry = sim.registry
         assert registry.fold.minted - registry.fold.burned == registry.live_supply
+
+    @pytest.mark.parametrize(
+        "source",
+        [path.stem for path in sorted(SCENARIO_DIR.glob("*.scn"))]
+        + ["workload:retail", "workload:holding", "workload:ledger"],
+    )
+    def test_every_committed_record_reads_back(self, source):
+        # shipped scenarios at seed 7, benchmark workloads at workload seed 1
+        if source.startswith("workload:"):
+            workload = _workloads().generate(source.split(":")[1], 1)
+            sim = run_scenario(parse_scenario(workload.text), workload.sim_seed)
+        else:
+            sim = run_scenario(load_scenario(str(SCENARIO_DIR / f"{source}.scn")), seed=7)
+        assert sim.registry.records
+        for rec in sim.registry.records:
+            assert parse_ledger_line(rec.line()) == rec
 
     def test_sales_tax_outcome(self):
         sim = run_scenario(load_scenario(str(SCENARIO_DIR / "sales_tax.scn")), seed=7)

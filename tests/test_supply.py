@@ -5,7 +5,7 @@ from typing import NamedTuple
 
 import pytest
 
-from progmoney.registry import SupplyStats, UnauthorizedIssuer
+from progmoney.registry import SupplyStats
 from progmoney.report import report_for
 from progmoney.sim import Simulation
 from progmoney.sim_types import Role
@@ -169,8 +169,12 @@ class TestRunSupply:
         assert [r.amounts[0] for r in mints] == [p.mint for p in trajectory(sim) if p.mint]
 
     def test_allowance_exceeded(self):
-        with pytest.raises(UnauthorizedIssuer):
-            supply_sim(ConstantGrowth(Fraction(0)), 1, initial_supply=100, allowance=10)
+        # the registry refuses the mint; the run observes that and goes on
+        sim = supply_sim(ConstantGrowth(Fraction(0)), 1, initial_supply=100, allowance=10)
+        assert "0|central|mint_refused|value=100 error=UnauthorizedIssuer" in sim.observations
+        assert not any("|mint|" in line for line in sim.observations)
+        assert sim.registry.records == []
+        assert [p.supply for p in trajectory(sim)] == [0]
 
     @pytest.mark.parametrize("periods", [200, 2000])
     def test_minting_period_walks_no_wallet(self, monkeypatch, periods):
