@@ -39,9 +39,9 @@ An issuer is a BANK or CENTRAL_BANK host, or the [supply] issuer when it is
 given an allowance; a [supply] issuer that is neither, or a negative
 allowance, fails at load too.  A script line that does not fit one fails
 at load, and so does a '"' in what policy builders quote: a host id, a
-[law] category or a [policies] value.  Each [policies] value is expanded
-and compiled once the whole file is read, so an error in it names its
-line, and a host may not take the registry's key id.
+[law] category or a [policies] value.  A host may not take the
+registry's key id.  Each [policies] value is expanded and compiled once
+the whole file is read, so an error in it names its line.
 """
 
 from __future__ import annotations

@@ -579,7 +579,8 @@ class Simulation:
         The statistics and the trajectory's supply come from the registry's
         fold, minted - burned and the window's per-tick volume, so a period
         reads no ledger record.  Only a burning period walks the issuer's
-        wallet: the clamp to its treasury is the treasury's only reader.
+        wallet, once: `_burn_from_treasury` burns min(asked, treasury), so a
+        burn short of what was asked is the clamp to the treasury.
         """
         assert self.supply_rule is not None and self.supply_issuer is not None
         issuer = self.host(self.supply_issuer)
@@ -597,7 +598,6 @@ class Simulation:
                 minted = directive.mint
                 self.obs(issuer.id, "supply_mint", unit=unit.id, amount=minted)
         elif directive.burn > 0:
-            # burns min(asked, treasury); short of what was asked, it burned the treasury
             burned = self._burn_from_treasury(issuer, directive.burn)
             if burned < directive.burn:
                 self.obs(issuer.id, "supply_clamp", requested=directive.burn, treasury=burned)
