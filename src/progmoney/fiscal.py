@@ -36,8 +36,8 @@ def sales_tax_policy(
 def legality_policy(law: LawTable) -> str:
     """Prohibit categories the law flags illegal or unlicensed."""
     rules = []
-    for category in sorted(law.categories()):
-        status = law.status(category)
+    for category in sorted(law):
+        status = law[category].status
         if status is LawStatus.ILLEGAL:
             rules.append(
                 f'PROHIBITION ON TRANSFER_REQUEST IF category == "{category}";'

@@ -177,29 +177,24 @@ _set_record, _set_sig, _set_sender_sig, _set_parents, _set_origin, _set_made, _s
 def _ancestry(
     head: LineageNode, skip: Optional[Callable[[LineageNode], bool]] = None
 ) -> list[LineageNode]:
-    """`head` and its ancestors, each once, every node after its parents.
+    """`head` and its ancestors, each once, in seq order.
 
     Nodes for which `skip` is true are left out, and so are their ancestors.
+    Ties keep the walk's own order, so the result is deterministic.
     """
     order: list[LineageNode] = []
     seen = {head}
-    stack = [(head, iter(head.parents))]
+    stack = [head]
     while stack:
-        node, parents = stack[-1]
-        for parent in parents:
+        node = stack.pop()
+        order.append(node)
+        for parent in node.parents:
             if parent not in seen:
                 seen.add(parent)
                 if skip is None or not skip(parent):
-                    stack.append((parent, iter(parent.parents)))
-                    break
-        else:
-            stack.pop()
-            order.append(node)
+                    stack.append(parent)
+    order.sort(key=lambda node: node.record.seq)
     return order
-
-
-def _in_seq_order(head: LineageNode) -> list[LineageNode]:
-    return sorted(_ancestry(head), key=lambda node: node.record.seq)
 
 
 @dataclass(eq=False, slots=True)  # units are entities: compare by identity
@@ -217,7 +212,7 @@ class MoneyUnit:
     @property
     def provenance(self) -> tuple[LedgerRecord, ...]:
         """The record of every lineage node in seq order, shared ancestors once."""
-        return tuple(node.record for node in _in_seq_order(self.lineage))
+        return tuple(node.record for node in _ancestry(self.lineage))
 
 
 @dataclass(frozen=True)
@@ -510,22 +505,18 @@ def _trusted(node: LineageNode, directory: KeyDirectory) -> bool:
 
 
 def _verify_lineage(head: LineageNode, directory: KeyDirectory) -> list[str]:
-    """Check every node not trusted under `directory`, parents first."""
-    faults: dict[LineageNode, list[str]] = {}
+    """Check every node not trusted under `directory`; faults name stamps in seq order."""
+    faults: list[tuple[LineageNode, list[str]]] = []
     for node in _ancestry(head, skip=lambda n: _trusted(n, directory)):
         found = _shape_faults(node)
         if node.made:  # a record that makes no unit reports only that
             found += _mac_faults(node, directory)
         if found:
-            faults[node] = found
+            faults.append((node, found))
     if not faults:
         return []
-    index = {node: i for i, node in enumerate(_in_seq_order(head))}
-    return [
-        f"stamp {index[node]} {fault}"
-        for node in sorted(faults, key=index.__getitem__)
-        for fault in faults[node]
-    ]
+    index = {node: i for i, node in enumerate(_ancestry(head))}
+    return [f"stamp {index[node]} {fault}" for node, found in faults for fault in found]
 
 
 def _shape_faults(node: LineageNode) -> list[str]:

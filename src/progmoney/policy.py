@@ -108,14 +108,6 @@ class AndTerm:
 class OrCondition:
     terms: tuple[AndTerm, ...]
 
-    def fields(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for term in self.terms:
-            for factor in term.factors:
-                if factor.field not in seen:
-                    seen.append(factor.field)
-        return tuple(seen)
-
 
 @dataclass(frozen=True)
 class FractionLit:
@@ -186,6 +178,12 @@ class Rule:
     condition: Optional[OrCondition]
     actions: tuple[Action, ...]
 
+    @property
+    def comparisons(self) -> tuple[Comparison, ...]:
+        """The condition's comparisons, term by term; none without a condition."""
+        terms = self.condition.terms if self.condition is not None else ()
+        return tuple(factor for term in terms for factor in term.factors)
+
 
 @dataclass(frozen=True)
 class PolicyProgram:
@@ -209,10 +207,9 @@ class PolicyProgram:
         """Every static check violation, in rule order; empty for a sound program."""
         errors: list[CheckError] = []
         for i, rule in enumerate(self.rules):
-            if rule.condition is not None:
-                for name in rule.condition.fields():
-                    if name not in FIELDS:
-                        errors.append(CheckError(i, f"unknown field '{name}'"))
+            for name in dict.fromkeys(factor.field for factor in rule.comparisons):
+                if name not in FIELDS:
+                    errors.append(CheckError(i, f"unknown field '{name}'"))
             for action in rule.actions:
                 if isinstance(action, NotifyAction) and not is_party_name(action.target):
                     errors.append(CheckError(i, f"NOTIFY target {action.target!r} {PARTY_NAME_RULE}"))
@@ -247,12 +244,11 @@ class PolicyProgram:
         """
         flips: dict[str, set[int]] = {"now": set(), "last_contact": set()}
         for rule in self.rules:
-            if rule.event is not EventKind.TICK or rule.condition is None:
+            if rule.event is not EventKind.TICK:
                 continue
-            for term in rule.condition.terms:
-                for factor in term.factors:
-                    if factor.field in flips and isinstance(factor.literal, int):
-                        flips[factor.field].update(_flip_points(factor.op, factor.literal))
+            for factor in rule.comparisons:
+                if factor.field in flips and isinstance(factor.literal, int):
+                    flips[factor.field].update(_flip_points(factor.op, factor.literal))
         return tuple(sorted(flips["now"])), tuple(sorted(flips["last_contact"]))
 
     @cached_property
@@ -265,9 +261,7 @@ class PolicyProgram:
         ticks = [
             factor.literal
             for rule in self.rules
-            if rule.condition is not None
-            for term in rule.condition.terms
-            for factor in term.factors
+            for factor in rule.comparisons
             if isinstance(factor.literal, int)
             and (factor.field == "expiry" or (factor.field == "now" and factor.op == ">"))
         ]
@@ -690,7 +684,7 @@ def _zeroise_reason(rule: Rule, event: EventKind) -> str:
         return "tamper"
     if event is EventKind.ATTEST_FAIL:
         return "attest_fail"
-    cond_fields = rule.condition.fields() if rule.condition is not None else ()
+    cond_fields = {factor.field for factor in rule.comparisons}
     if "last_contact" in cond_fields:
         return "contact"
     if "location" in cond_fields or "home" in cond_fields:

@@ -65,7 +65,7 @@ from .policy import (
 )
 from .registry import REGISTRY_KEY
 from .sim import ACTIONS, Simulation
-from .sim_types import ISSUER_ROLES, ArgKind, Host, LawStatus, LawTable, Role, parse_fraction
+from .sim_types import ISSUER_ROLES, ArgKind, Host, LawEntry, LawStatus, Role, parse_fraction
 from .supply import ConstantGrowth, FixedCapGeometric, SupplyRule, VolumeResponsive
 
 
@@ -97,8 +97,8 @@ class ScenarioConfig:
     period_ticks: Optional[int] = None
     latency: tuple[int, int] = (1, 1)
     currency: str = "SIM"
-    hosts: list[Host] = field(default_factory=list)
-    law: list[tuple[str, LawStatus, Fraction]] = field(default_factory=list)
+    hosts: dict[str, Host] = field(default_factory=dict)  # id -> host, in file order
+    law: dict[str, LawEntry] = field(default_factory=dict)  # [law] category -> entry
     supply_issuer: Optional[str] = None
     supply_allowance: Optional[int] = None
     supply_rule: Optional[SupplyRule] = None
@@ -152,23 +152,21 @@ def parse_scenario(text: str) -> ScenarioConfig:
                 raise ScenarioError(f"[policies] value {value!r} holds a '\"'", line_no)
             policy_lines.append((key, value, line_no))
     # builders read [law] and year_ticks, which may follow the [policies] lines
-    law = _law_table(cfg)
     for name, spec, line_no in policy_lines:
         try:
-            cfg.policies[name] = compile_policy(build_policy_source(spec, law, cfg.year_ticks))
+            cfg.policies[name] = compile_policy(build_policy_source(spec, cfg.law, cfg.year_ticks))
         except (ScenarioError, ParseError, CheckFailure) as exc:
             raise ScenarioError(str(exc), line_no) from None
-    # hosts and policies may be declared after the lines that name them
-    hosts = {spec.id for spec in cfg.hosts}
+    # hosts and policies may be declared after the lines that name them;
     # "empty" is the policy every Simulation starts with
     policies = {"empty"} | cfg.policies.keys()
     if cfg.supply_issuer is None:
         for key, value in (("rule", cfg.supply_rule), ("allowance", cfg.supply_allowance)):
             if value is not None:
                 raise ScenarioError(f"[supply] {key} without an issuer", supply_lines[key])
-    elif cfg.supply_issuer not in hosts:
+    elif cfg.supply_issuer not in cfg.hosts:
         raise ScenarioError(f"undeclared issuer {cfg.supply_issuer!r}", supply_lines["issuer"])
-    issuers = {spec.id for spec in cfg.hosts if spec.role in ISSUER_ROLES}
+    issuers = {spec.id for spec in cfg.hosts.values() if spec.role in ISSUER_ROLES}
     if cfg.supply_allowance is not None:
         issuers.add(cfg.supply_issuer)
     if cfg.supply_issuer is not None and cfg.supply_issuer not in issuers:
@@ -179,7 +177,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         )
     if cfg.supply_policy not in policies:
         raise ScenarioError(f"undeclared policy {cfg.supply_policy!r}", supply_lines["policy"])
-    _check_script_args(cfg, script_line_nos, hosts, issuers, policies)
+    _check_script_args(cfg, script_line_nos, issuers, policies)
     return cfg
 
 
@@ -224,7 +222,7 @@ def _parse_host_entry(cfg: ScenarioConfig, key: str, value: str, line_no: int) -
         raise ScenarioError(f"host id {key!r} {PARTY_NAME_RULE}", line_no)
     if key == REGISTRY_KEY:  # the registry's key signs every ledger line
         raise ScenarioError(f"host id {key!r} is the registry's key id", line_no)
-    if any(existing.id == key for existing in cfg.hosts):
+    if key in cfg.hosts:
         raise ScenarioError(f"duplicate host {key!r}", line_no)
     if "|" in parts[1]:  # an issuer's location is a field of the origin it signs
         raise ScenarioError(f"host location {parts[1]!r} holds a '|'", line_no)
@@ -239,7 +237,7 @@ def _parse_host_entry(cfg: ScenarioConfig, key: str, value: str, line_no: int) -
             spec.category = attr_value
         else:
             raise ScenarioError(f"unknown host attribute {attr!r}", line_no)
-    cfg.hosts.append(spec)
+    cfg.hosts[key] = spec
 
 
 def _parse_law_entry(cfg: ScenarioConfig, key: str, value: str, line_no: int) -> None:
@@ -252,15 +250,7 @@ def _parse_law_entry(cfg: ScenarioConfig, key: str, value: str, line_no: int) ->
         raise ScenarioError(f"unknown law status {parts[0]!r}", line_no) from None
     if '"' in key:
         raise ScenarioError(f"[law] category {key!r} holds a '\"'", line_no)
-    cfg.law.append((key, status, _parse_fraction(parts[1], line_no)))
-
-
-def _law_table(cfg: ScenarioConfig) -> LawTable:
-    """The [law] entries as the table policy builders and a simulation query."""
-    law = LawTable()
-    for category, status, rate in cfg.law:
-        law.add(category, status, rate)
-    return law
+    cfg.law[key] = LawEntry(status, _parse_fraction(parts[1], line_no))
 
 
 # supply rule name -> the arguments it takes, in order
@@ -331,7 +321,6 @@ def _parse_script_line(cfg: ScenarioConfig, line: str, line_no: int) -> None:
 def _check_script_args(
     cfg: ScenarioConfig,
     line_nos: list[int],
-    hosts: set[str],
     issuers: set[str],
     policies: set[str],
 ) -> None:
@@ -342,10 +331,10 @@ def _check_script_args(
     again only to report the first one holding a value that failed it.
     """
     fits = {
-        ArgKind.HOST: hosts.__contains__,
+        ArgKind.HOST: cfg.hosts.__contains__,
         ArgKind.ISSUER: issuers.__contains__,
         ArgKind.POLICY: policies.__contains__,
-        ArgKind.CATEGORY: {category for category, _, _ in cfg.law}.__contains__,
+        ArgKind.CATEGORY: cfg.law.__contains__,
         ArgKind.INT: _is_non_negative_int,
         ArgKind.POSITIVE_INT: _is_positive_int,
         ArgKind.FRACTION: _is_fraction,
@@ -430,7 +419,7 @@ _BUILDERS: dict[str, Callable[..., str]] = {
 _BUILDER_SIGNATURES = {name: inspect.signature(build) for name, build in _BUILDERS.items()}
 
 
-def build_policy_source(spec: str, law: LawTable, year_ticks: int) -> str:
+def build_policy_source(spec: str, law: dict[str, LawEntry], year_ticks: int) -> str:
     """Expand a '[policies]' value: '+'-joined builder invocations."""
     sources = []
     for chunk in spec.split("+"):
@@ -464,7 +453,7 @@ def build_simulation(cfg: ScenarioConfig, seed: int) -> Simulation:
         currency=cfg.currency,
     )
     # add_host makes the run's own Host, so a run never edits the config's
-    for spec in cfg.hosts:
+    for spec in cfg.hosts.values():
         sim.add_host(
             spec.id,
             spec.role,
@@ -472,14 +461,14 @@ def build_simulation(cfg: ScenarioConfig, seed: int) -> Simulation:
             licence=spec.licence,
             category=spec.category,
         )
-    sim.law = _law_table(cfg)
+    sim.law = dict(cfg.law)
     sim.policies.update(cfg.policies)
     if cfg.supply_rule is not None:
         sim.supply_rule = cfg.supply_rule
         sim.supply_issuer = cfg.supply_issuer
         sim.supply_policy_name = cfg.supply_policy
     if cfg.supply_issuer is not None and cfg.supply_allowance is not None:
-        sim.set_issuer_allowance(cfg.supply_issuer, cfg.supply_allowance)
+        sim.registry.authorize_issuer(cfg.supply_issuer, cfg.supply_allowance)
     for tick, parts in cfg.script:
         sim.schedule_script(tick, parts)
     return sim

@@ -58,6 +58,7 @@ from .sim_types import (
     Role,
     SchedulePast,
     SideArg,
+    UnknownCategory,
     UnknownHost,
     parse_fraction,
 )
@@ -92,7 +93,7 @@ class Simulation:
         self.registry = Registry(self.directory, rng=self._key_rng)
         self.hosts: dict[str, Host] = {}
         self.units: dict[str, MoneyUnit] = {}
-        self.law = LawTable()
+        self.law: LawTable = {}
         self.policies: dict[str, pol.PolicyProgram] = {"empty": pol.EMPTY_POLICY}
         self.rate_board: RateBoard = {}
         # (unit id, target) moves refused under the current rate board
@@ -178,18 +179,13 @@ class Simulation:
         except KeyError:
             raise UnknownHost(host_id) from None
 
-    def add_policy(self, name: str, source: str) -> pol.PolicyProgram:
-        program = pol.compile_policy(source)
-        self.policies[name] = program
-        return program
-
-    def set_issuer_allowance(self, host_id: str, allowance: int) -> None:
-        self.registry.authorize_issuer(host_id, allowance)
-
     # -- core services ---------------------------------------------------
 
     def query_law(self, category: str) -> LawEntry:
-        entry = self.law.query(category)
+        try:
+            entry = self.law[category]
+        except KeyError:
+            raise UnknownCategory(category) from None
         self.obs("sim", "law_query", category=category, status=entry.status.value)
         return entry
 

@@ -95,23 +95,5 @@ class LawEntry:
     tax_rate: Fraction
 
 
-class LawTable:
-    """Category -> legality status and tax rate; every query must resolve."""
-
-    def __init__(self) -> None:
-        self._entries: dict[str, LawEntry] = {}
-
-    def add(self, category: str, status: LawStatus, tax_rate: Fraction) -> None:
-        self._entries[category] = LawEntry(status, tax_rate)
-
-    def categories(self) -> list[str]:
-        return list(self._entries)
-
-    def query(self, category: str) -> LawEntry:
-        try:
-            return self._entries[category]
-        except KeyError:
-            raise UnknownCategory(category) from None
-
-    def status(self, category: str) -> LawStatus:
-        return self.query(category).status
+# category -> legality status and tax rate
+LawTable = dict[str, LawEntry]

@@ -22,7 +22,7 @@ from progmoney.money import PolicyForbids, UnitState, mint, transfer, verify_int
 from progmoney.registry import RecordKind, Registry
 from progmoney.report import report_for
 from progmoney.sim import Simulation
-from progmoney.sim_types import LawStatus, Role
+from progmoney.sim_types import LawEntry, LawStatus, Role
 from progmoney.supply import ConstantGrowth, FixedCapGeometric, issuance
 
 from test_markets import brute_force_submit, random_book_and_order
@@ -153,7 +153,7 @@ def test_02_double_spend_replays():
         sim.add_host("alice", Role.CONSUMER, "HOME")
         sim.add_host("bob", Role.VENDOR, "HOME")
         sim.add_host("mallory", Role.ADVERSARY, "HOME")
-        sim.law.add("sale", LawStatus.LEGAL, Fraction(1, 5))
+        sim.law["sale"] = LawEntry(LawStatus.LEGAL, Fraction(1, 5))
         sim.schedule_script(0, ("ISSUE", "central", "alice", "1000", "empty"))
         sim.schedule_script(1, ("BUY", "alice", "bob", "1000", "sale"))
         sim.schedule_script(2, ("REPLAY", "mallory", "1000"))
@@ -178,8 +178,8 @@ def test_03_sales_tax_500_randomized_purchases():
         sim.add_host("alice", Role.CONSUMER, "HOME")
         sim.add_host("bob", Role.VENDOR, "HOME")
         sim.add_host("tax_authority", Role.TAX_AUTHORITY, "HOME")
-        sim.law.add("sale", LawStatus.LEGAL, Fraction(1, 5))
-        sim.add_policy("retail", sales_tax_policy(Fraction(1, 5)))
+        sim.law["sale"] = LawEntry(LawStatus.LEGAL, Fraction(1, 5))
+        sim.policies["retail"] = pol.compile_policy(sales_tax_policy(Fraction(1, 5)))
         for i, price in enumerate(prices):
             tick = i // 10  # ten purchases per tick keeps upkeep cheap
             sim.schedule_script(tick, ("ISSUE", "central", "alice", str(price), "retail"))
@@ -242,13 +242,11 @@ def test_05_jurisdiction_and_annual_contact():
         sim.add_host("dave", Role.CONSUMER, "HOME")
         sim.add_host("frank", Role.CONSUMER, "HOME")
         sim.add_host("government", Role.LAW_SERVER, "HOME")
-        sim.add_policy(
-            "homebound",
-            'OBLIGATION ON TICK IF location != "HOME" DO ZEROISE, NOTIFY "government";',
+        sim.policies["homebound"] = pol.compile_policy(
+            'OBLIGATION ON TICK IF location != "HOME" DO ZEROISE, NOTIFY "government";'
         )
-        sim.add_policy(
-            "declared",
-            'OBLIGATION ON TICK IF last_contact > 30 DO ZEROISE, NOTIFY "government";',
+        sim.policies["declared"] = pol.compile_policy(
+            'OBLIGATION ON TICK IF last_contact > 30 DO ZEROISE, NOTIFY "government";'
         )
         sim.schedule_script(0, ("ISSUE", "central", "dave", "700", "homebound"))
         sim.schedule_script(0, ("ISSUE", "central", "frank", "400", "declared"))

@@ -18,16 +18,17 @@ from progmoney.fiscal import (
     tamper_notify_policy,
 )
 from progmoney.policy import EvalContext, EventKind, Verdict, compile_policy, evaluate
-from progmoney.sim_types import LawStatus, LawTable
+from progmoney.sim_types import LawEntry, LawStatus, LawTable
 
 PACK_DIR = Path(__file__).resolve().parents[1] / "src" / "progmoney" / "data" / "policies"
 
 
 def law_table():
-    law = LawTable()
-    law.add("cake", LawStatus.LEGAL, Fraction(1, 5))
-    law.add("weapons", LawStatus.LICENCE_REQUIRED, Fraction(1, 5))
-    law.add("stolen_goods", LawStatus.ILLEGAL, Fraction(0, 1))
+    law: LawTable = {
+        "cake": LawEntry(LawStatus.LEGAL, Fraction(1, 5)),
+        "weapons": LawEntry(LawStatus.LICENCE_REQUIRED, Fraction(1, 5)),
+        "stolen_goods": LawEntry(LawStatus.ILLEGAL, Fraction(0, 1)),
+    }
     return law
 
 
@@ -75,9 +76,7 @@ class TestLegality:
         assert not forbid(EvalContext(category="cake"))
 
     def test_legal_categories_emit_nothing(self):
-        law = LawTable()
-        law.add("cake", LawStatus.LEGAL, Fraction(1, 5))
-        assert legality_policy(law) == ""
+        assert legality_policy({"cake": LawEntry(LawStatus.LEGAL, Fraction(1, 5))}) == ""
 
 
 class TestAnnualContact:
@@ -204,10 +203,10 @@ class TestScenarioOutcome:
         sim.add_host("alice", Role.CONSUMER, "HOME")
         sim.add_host("bob", Role.VENDOR, "HOME")
         sim.add_host("tax_authority", Role.TAX_AUTHORITY, "HOME")
-        sim.law.add("sale", LawStatus.LEGAL, Fraction(1, 5))
-        sim.law.add("stolen_goods", LawStatus.ILLEGAL, Fraction(0, 1))
-        sim.add_policy(
-            "retail", fiscal.compose(sales_tax_policy(Fraction(1, 5)), legality_policy(law_table()))
+        sim.law["sale"] = LawEntry(LawStatus.LEGAL, Fraction(1, 5))
+        sim.law["stolen_goods"] = LawEntry(LawStatus.ILLEGAL, Fraction(0, 1))
+        sim.policies["retail"] = compile_policy(
+            fiscal.compose(sales_tax_policy(Fraction(1, 5)), legality_policy(law_table()))
         )
         sim.schedule_script(0, ("ISSUE", "central", "alice", "1000", "retail"))
         sim.schedule_script(1, ("BUY", "alice", "bob", "600", "sale"))

@@ -480,7 +480,7 @@ class TestVerifyOnce:
         sim = Simulation(seed=3)
         sim.add_host("central", Role.CENTRAL_BANK, "HOME")
         sim.add_host("alice", Role.CONSUMER, "HOME")
-        sim.add_policy("taxed", SALES_TAX)
+        sim.policies["taxed"] = pol.compile_policy(SALES_TAX)
         sim.schedule_script(0, ("ISSUE", "central", "alice", "100", "taxed"))
         sim.run_until(1)
         [unit] = sim.active_units_of("alice")
@@ -876,7 +876,7 @@ class TestZeroise:
         sim = Simulation(seed=1)
         sim.add_host("central", Role.CENTRAL_BANK, "HOME")
         sim.add_host("government", Role.LAW_SERVER, "HOME")
-        sim.add_policy("p", 'OBLIGATION ON TAMPER DO NOTIFY "government";')
+        sim.policies["p"] = pol.compile_policy('OBLIGATION ON TAMPER DO NOTIFY "government";')
         sim.schedule_script(0, ("MINT", "central", "100", "p"))
         sim.schedule_script(1, ("TAMPER", "central"))
         sim.run_until(2)

@@ -657,7 +657,8 @@ def reference_zeroise_reason(rule, event):
         return "tamper"
     if event is EventKind.ATTEST_FAIL:
         return "attest_fail"
-    fields = rule.condition.fields() if rule.condition is not None else ()
+    terms = rule.condition.terms if rule.condition is not None else ()
+    fields = {factor.field for term in terms for factor in term.factors}
     if "last_contact" in fields:
         return "contact"
     if "location" in fields or "home" in fields:

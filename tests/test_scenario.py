@@ -18,7 +18,7 @@ from progmoney.scenario import (
     parse_scenario,
     run_scenario,
 )
-from progmoney.sim_types import Host, LawStatus, LawTable, Role
+from progmoney.sim_types import Host, LawEntry, LawStatus, LawTable, Role
 from progmoney.supply import ConstantGrowth, FixedCapGeometric
 
 SCENARIO_DIR = (
@@ -58,8 +58,8 @@ class TestParsing:
         cfg = parse_scenario(MINIMAL)
         assert cfg.name == "minimal"
         assert cfg.until == 5
-        assert [h.id for h in cfg.hosts] == ["central", "alice"]
-        assert cfg.law == [("sale", LawStatus.LEGAL, Fraction(1, 5))]
+        assert list(cfg.hosts) == ["central", "alice"]
+        assert cfg.law == {"sale": LawEntry(LawStatus.LEGAL, Fraction(1, 5))}
         assert cfg.script == [(0, ("ISSUE", "central", "alice", "100", "plain"))]
 
     def test_comments_and_blanks_ignored(self):
@@ -100,15 +100,15 @@ class TestParsing:
             "[hosts]\ncarol = CONSUMER HOME licence=arms_permit\n"
             "shark = BANK HOME category=arms_lender\n"
         )
-        assert cfg.hosts == [
-            Host("carol", "HOME", Role.CONSUMER, licence="arms_permit"),
-            Host("shark", "HOME", Role.BANK, category="arms_lender"),
-        ]
+        assert cfg.hosts == {
+            "carol": Host("carol", "HOME", Role.CONSUMER, licence="arms_permit"),
+            "shark": Host("shark", "HOME", Role.BANK, category="arms_lender"),
+        }
         # a run holds hosts of its own: editing one leaves the config as it was
         sim = build_simulation(cfg, seed=1)
-        assert list(sim.hosts.values()) == cfg.hosts
+        assert list(sim.hosts.values()) == list(cfg.hosts.values())
         sim.hosts["carol"].licence = None
-        assert cfg.hosts[0].licence == "arms_permit"
+        assert cfg.hosts["carol"].licence == "arms_permit"
 
     def test_supply_rules(self):
         cfg = parse_scenario(
@@ -274,8 +274,7 @@ class TestParsing:
 
 class TestPolicyBuilders:
     def law(self):
-        law = LawTable()
-        law.add("stolen_goods", LawStatus.ILLEGAL, Fraction(0, 1))
+        law: LawTable = {"stolen_goods": LawEntry(LawStatus.ILLEGAL, Fraction(0, 1))}
         return law
 
     def test_composition(self):

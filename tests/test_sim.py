@@ -7,11 +7,12 @@ from pathlib import Path
 import pytest
 
 from progmoney.cli import LEDGER_FILE, OBSERVATIONS_FILE, run_cli
+from progmoney.policy import compile_policy
 from progmoney.registry import RecordKind, parse_ledger_line
 from progmoney.report import render_report, report_for
 from progmoney.scenario import build_simulation, load_scenario, parse_scenario, run_scenario
 from progmoney.sim import Simulation
-from progmoney.sim_types import LawStatus, Role, SchedulePast, UnknownCategory, UnknownHost
+from progmoney.sim_types import LawEntry, LawStatus, Role, SchedulePast, UnknownCategory, UnknownHost
 from progmoney.supply import ConstantGrowth
 
 SCENARIO_DIR = (
@@ -40,7 +41,7 @@ def basic_sim(seed=1, **kwargs):
     sim.add_host("bob", Role.VENDOR, "HOME")
     sim.add_host("tax_authority", Role.TAX_AUTHORITY, "HOME")
     sim.add_host("government", Role.LAW_SERVER, "HOME")
-    sim.law.add("sale", LawStatus.LEGAL, Fraction(1, 5))
+    sim.law["sale"] = LawEntry(LawStatus.LEGAL, Fraction(1, 5))
     return sim
 
 
@@ -144,8 +145,8 @@ class TestMessaging:
     def test_zero_latency_messages_are_not_lost(self, scheduled):
         # a zero-latency notify emitted during upkeep lands next drain
         sim = basic_sim(latency=(0, 0))
-        sim.add_policy(
-            "chatty", 'OBLIGATION ON TICK IF now == 2 DO NOTIFY "government";'
+        sim.policies["chatty"] = compile_policy(
+            'OBLIGATION ON TICK IF now == 2 DO NOTIFY "government";'
         )
         sim.schedule_script(0, ("ISSUE", "central", "alice", "100", "chatty"))
         sim.run_until(4)
@@ -192,7 +193,7 @@ class TestRandomStreams:
 class TestLawAndAttestation:
     def test_law_lookup(self):
         sim = basic_sim()
-        sim.law.add("weapons", LawStatus.LICENCE_REQUIRED, Fraction(1, 10))
+        sim.law["weapons"] = LawEntry(LawStatus.LICENCE_REQUIRED, Fraction(1, 10))
         entry = sim.query_law("weapons")
         assert entry.status is LawStatus.LICENCE_REQUIRED
         assert entry.tax_rate == Fraction(1, 10)
@@ -206,7 +207,9 @@ class TestLawAndAttestation:
 class TestUpkeep:
     def test_tampered_unit_zeroises_same_tick(self):
         sim = basic_sim()
-        sim.add_policy("taxed", 'OBLIGATION ON RECEIVE IF category == "sale" DO PAY 1/5 TO "tax_authority";')
+        sim.policies["taxed"] = compile_policy(
+            'OBLIGATION ON RECEIVE IF category == "sale" DO PAY 1/5 TO "tax_authority";'
+        )
         sim.schedule_script(0, ("ISSUE", "central", "alice", "400", "taxed"))
         sim.schedule_script(3, ("TAMPER", "alice"))
         sim.run_until(3)
@@ -219,7 +222,9 @@ class TestUpkeep:
 
     def test_jurisdiction_zeroise_within_one_tick(self):
         sim = basic_sim()
-        sim.add_policy("homebound", 'OBLIGATION ON TICK IF location != "HOME" DO ZEROISE, NOTIFY "government";')
+        sim.policies["homebound"] = compile_policy(
+            'OBLIGATION ON TICK IF location != "HOME" DO ZEROISE, NOTIFY "government";'
+        )
         sim.schedule_script(0, ("ISSUE", "central", "alice", "700", "homebound"))
         sim.schedule_script(5, ("MOVE_HOST", "alice", "PANAMA"))
         sim.run_until(6)
@@ -230,7 +235,9 @@ class TestUpkeep:
 
     def test_withheld_attestation_triggers_attest_fail(self):
         sim = basic_sim()
-        sim.add_policy("homebound", 'OBLIGATION ON ATTEST_FAIL DO ZEROISE, NOTIFY "government";')
+        sim.policies["homebound"] = compile_policy(
+            'OBLIGATION ON ATTEST_FAIL DO ZEROISE, NOTIFY "government";'
+        )
         sim.schedule_script(0, ("ISSUE", "central", "alice", "300", "homebound"))
         sim.schedule_script(4, ("WITHHOLD", "alice", "on"))
         sim.run_until(5)
@@ -240,7 +247,9 @@ class TestUpkeep:
 
     def test_annual_contact_refresh(self):
         sim = basic_sim(year_ticks=10, period_ticks=10)
-        sim.add_policy("declared", 'OBLIGATION ON TICK IF last_contact > 10 DO ZEROISE, NOTIFY "government";')
+        sim.policies["declared"] = compile_policy(
+            'OBLIGATION ON TICK IF last_contact > 10 DO ZEROISE, NOTIFY "government";'
+        )
         sim.schedule_script(0, ("ISSUE", "central", "alice", "100", "declared"))
         sim.schedule_script(0, ("ISSUE", "central", "bob", "100", "declared"))
         sim.schedule_script(8, ("CONTACT", "bob"))
@@ -253,9 +262,8 @@ class TestUpkeep:
 
     def test_expiry_forbids_then_burns(self):
         sim = basic_sim()
-        sim.add_policy(
-            "stimulus",
-            "PROHIBITION ON TRANSFER_REQUEST IF now > 5;\nOBLIGATION ON TICK IF now > 5 DO ZEROISE;",
+        sim.policies["stimulus"] = compile_policy(
+            "PROHIBITION ON TRANSFER_REQUEST IF now > 5;\nOBLIGATION ON TICK IF now > 5 DO ZEROISE;"
         )
         sim.schedule_script(0, ("ISSUE", "central", "alice", "100", "stimulus"))
         sim.schedule_script(6, ("BUY", "alice", "bob", "100", "sale"))
@@ -269,9 +277,8 @@ class TestUpkeep:
     def test_tick_pay_obligation_executes(self):
         # a demurrage-style levy: 10% to the tax authority at tick 3
         sim = basic_sim()
-        sim.add_policy(
-            "levied",
-            'OBLIGATION ON TICK IF now == 3 DO PAY 1/10 TO "tax_authority";',
+        sim.policies["levied"] = compile_policy(
+            'OBLIGATION ON TICK IF now == 3 DO PAY 1/10 TO "tax_authority";'
         )
         sim.schedule_script(0, ("ISSUE", "central", "alice", "500", "levied"))
         sim.run_until(4)
@@ -285,10 +292,9 @@ class TestUpkeep:
         sim = basic_sim()
         sim.add_host("x", Role.CONSUMER, "HOME")
         sim.add_host("y", Role.CONSUMER, "HOME")
-        sim.add_policy(
-            "levied",
+        sim.policies["levied"] = compile_policy(
             'OBLIGATION ON TICK IF now == 3 DO PAY 1/10 TO "x";\n'
-            'OBLIGATION ON RECEIVE DO PAY 1/10 TO "y";',
+            'OBLIGATION ON RECEIVE DO PAY 1/10 TO "y";'
         )
         sim.schedule_script(0, ("MINT", "central", "1000", "levied"))
         sim.run_until(4)
@@ -300,10 +306,9 @@ class TestUpkeep:
 
     def test_refused_tick_levy_changes_nothing(self):
         sim = basic_sim()
-        sim.add_policy(
-            "levied",
+        sim.policies["levied"] = compile_policy(
             'OBLIGATION ON TICK IF now == 3 DO PAY 1/10 TO "tax_authority";\n'
-            'PROHIBITION ON TRANSFER_REQUEST IF category == "obligation";',
+            'PROHIBITION ON TRANSFER_REQUEST IF category == "obligation";'
         )
         sim.schedule_script(0, ("MINT", "central", "1000", "levied"))
         sim.run_until(4)
@@ -333,7 +338,7 @@ class TestUpkeep:
     def test_conditioned_zeroise_notice_is_sent(self, rule, script):
         # the condition reads the unit's home, which the notice is evaluated with
         sim = basic_sim()
-        sim.add_policy("p", rule)
+        sim.policies["p"] = compile_policy(rule)
         sim.schedule_script(0, ("ISSUE", "central", "alice", "300", "p"))
         sim.schedule_script(3, script)
         sim.run_until(4)
@@ -347,7 +352,7 @@ class TestUpkeep:
 
     def test_attest_fail_notice_names_its_event(self):
         sim = basic_sim()
-        sim.add_policy("p", 'OBLIGATION ON ATTEST_FAIL DO NOTIFY "government";')
+        sim.policies["p"] = compile_policy('OBLIGATION ON ATTEST_FAIL DO NOTIFY "government";')
         sim.schedule_script(0, ("ISSUE", "central", "alice", "300", "p"))
         sim.schedule_script(3, ("WITHHOLD", "alice", "on"))
         sim.run_until(4)
@@ -358,7 +363,9 @@ class TestUpkeep:
     def test_tampered_unit_zeroises_when_spent(self):
         # tamper and spend inside the same tick, before upkeep runs
         sim = basic_sim()
-        sim.add_policy("taxed", 'OBLIGATION ON RECEIVE IF category == "sale" DO PAY 1/5 TO "tax_authority";')
+        sim.policies["taxed"] = compile_policy(
+            'OBLIGATION ON RECEIVE IF category == "sale" DO PAY 1/5 TO "tax_authority";'
+        )
         sim.schedule_script(0, ("ISSUE", "central", "alice", "300", "taxed"))
         sim.schedule_script(2, ("TAMPER", "alice"))
         sim.schedule_script(2, ("BUY", "alice", "bob", "300", "sale"))
@@ -371,9 +378,8 @@ class TestUpkeep:
 
     def test_unit_expiry_read_from_policy(self):
         sim = basic_sim()
-        sim.add_policy(
-            "stimulus",
-            "PROHIBITION ON TRANSFER_REQUEST IF now > 5;\nOBLIGATION ON TICK IF now > 5 DO ZEROISE;",
+        sim.policies["stimulus"] = compile_policy(
+            "PROHIBITION ON TRANSFER_REQUEST IF now > 5;\nOBLIGATION ON TICK IF now > 5 DO ZEROISE;"
         )
         sim.schedule_script(0, ("MINT", "central", "100", "stimulus"))
         sim.run_until(0)
@@ -383,7 +389,9 @@ class TestUpkeep:
 
     def test_unit_without_a_birth_origin_is_zeroised_as_tamper(self):
         sim = basic_sim()
-        sim.add_policy("p", 'OBLIGATION ON TAMPER IF home == NONE DO NOTIFY "government";')
+        sim.policies["p"] = compile_policy(
+            'OBLIGATION ON TAMPER IF home == NONE DO NOTIFY "government";'
+        )
         sim.schedule_script(0, ("MINT", "central", "100", "p"))
         sim.run_until(0)
         unit = next(iter(sim.units.values()))
@@ -403,7 +411,7 @@ class TestReceiveObligations:
 
     def test_issue_reports_the_value_issued(self):
         sim = basic_sim()
-        sim.add_policy("p", 'OBLIGATION ON RECEIVE DO ZEROISE, NOTIFY "government";')
+        sim.policies["p"] = compile_policy('OBLIGATION ON RECEIVE DO ZEROISE, NOTIFY "government";')
         # the recipient holds nothing of a unit its RECEIVE rule zeroised
         assert sim.act_issue("central", "alice", "100", "p") is None
         assert sim.observations[-1] == "0|central|issue|unit=u1 to=alice value=100"
@@ -412,7 +420,7 @@ class TestReceiveObligations:
 
     def test_zeroise_sends_the_zeroise_notice(self):
         sim = basic_sim()
-        sim.add_policy("p", 'OBLIGATION ON RECEIVE DO ZEROISE, NOTIFY "government";')
+        sim.policies["p"] = compile_policy('OBLIGATION ON RECEIVE DO ZEROISE, NOTIFY "government";')
         sim.schedule_script(0, ("ISSUE", "central", "alice", "100", "p"))
         sim.run_until(2)
         assert [line for line in sim.observations if line.startswith("0|alice|")] == [
@@ -428,9 +436,8 @@ class TestReceiveObligations:
 
     def test_nothing_runs_after_a_zeroise(self):
         sim = basic_sim()
-        sim.add_policy(
-            "p",
-            'OBLIGATION ON RECEIVE DO ZEROISE;\nOBLIGATION ON RECEIVE DO NOTIFY "government";',
+        sim.policies["p"] = compile_policy(
+            'OBLIGATION ON RECEIVE DO ZEROISE;\nOBLIGATION ON RECEIVE DO NOTIFY "government";'
         )
         sim.schedule_script(0, ("ISSUE", "central", "alice", "100", "p"))
         sim.run_until(2)
@@ -441,10 +448,9 @@ class TestReceiveObligations:
 
     def test_taxed_receipt_notifies_on_what_is_left(self):
         sim = basic_sim()
-        sim.add_policy(
-            "p",
+        sim.policies["p"] = compile_policy(
             'OBLIGATION ON RECEIVE DO NOTIFY "government";\n'
-            'OBLIGATION ON RECEIVE DO PAY 1/5 TO "tax_authority";',
+            'OBLIGATION ON RECEIVE DO PAY 1/5 TO "tax_authority";'
         )
         sim.schedule_script(0, ("ISSUE", "central", "alice", "100", "p"))
         sim.run_until(2)
@@ -460,7 +466,7 @@ class TestReceiveObligations:
         sim.add_host("central", Role.CENTRAL_BANK, "HOME")
         sim.add_host("judy", Role.CONSUMER, "HOME")
         sim.add_host("bank_a", Role.BANK, "HOME")
-        sim.add_policy("seeker", "OBLIGATION ON RECEIVE DO MOVE_TO_BEST_RATE;")
+        sim.policies["seeker"] = compile_policy("OBLIGATION ON RECEIVE DO MOVE_TO_BEST_RATE;")
         sim.schedule_script(0, ("RATE", "bank_a", "1/100"))
         sim.schedule_script(0, ("ISSUE", "central", "judy", "1000", "seeker"))
         sim.run_until(3)
@@ -478,10 +484,9 @@ class TestReceiveObligations:
         sim.add_host("central", Role.CENTRAL_BANK, "HOME")
         sim.add_host("judy", Role.CONSUMER, "HOME")
         sim.add_host("bank_a", Role.BANK, "HOME")
-        sim.add_policy(
-            "p",
+        sim.policies["p"] = compile_policy(
             "OBLIGATION ON TICK DO MOVE_TO_BEST_RATE;\n"
-            'OBLIGATION ON RECEIVE IF category == "deposit" DO ZEROISE;',
+            'OBLIGATION ON RECEIVE IF category == "deposit" DO ZEROISE;'
         )
         sim.schedule_script(0, ("RATE", "bank_a", "1/100"))
         sim.schedule_script(0, ("ISSUE", "central", "judy", "1000", "p"))
@@ -496,7 +501,7 @@ def three_hosts(policy: str = "") -> Simulation:
     sim.add_host("central", Role.CENTRAL_BANK, "HOME")
     sim.add_host("alice", Role.CONSUMER, "HOME")
     sim.add_host("bob", Role.VENDOR, "HOME")
-    sim.add_policy("p", policy)
+    sim.policies["p"] = compile_policy(policy)
     for value in (70, 80):
         sim.schedule_script(0, ("MINT", "central", str(value), "p"))
     for holder, values in (("alice", (100, 200, 300)), ("bob", (40, 50))):
@@ -620,7 +625,7 @@ class TestWakeUp:
 
     def test_now_equals_rule_notifies_once(self, upkeep):
         sim = basic_sim()
-        sim.add_policy("p", 'OBLIGATION ON TICK IF now == 3 DO NOTIFY "government";')
+        sim.policies["p"] = compile_policy('OBLIGATION ON TICK IF now == 3 DO NOTIFY "government";')
         sim.schedule_script(0, ("ISSUE", "central", "alice", "100", "p"))
         sim.run_until(8)
         assert [line for line in sim.observations if "|notify|" in line] == [
@@ -629,7 +634,9 @@ class TestWakeUp:
 
     def test_tick_levy_pays_every_tick(self, upkeep):
         sim = basic_sim()
-        sim.add_policy("levied", 'OBLIGATION ON TICK DO PAY 1/100 TO "tax_authority";')
+        sim.policies["levied"] = compile_policy(
+            'OBLIGATION ON TICK DO PAY 1/100 TO "tax_authority";'
+        )
         sim.schedule_script(0, ("MINT", "central", "1000", "levied"))
         sim.run_until(5)
         paid = [line for line in sim.observations if "|central|pay_obligation|" in line]
@@ -638,7 +645,7 @@ class TestWakeUp:
 
     def test_withhold_off_runs_tick_rules_that_same_tick(self, upkeep):
         sim = basic_sim()
-        sim.add_policy("p", "OBLIGATION ON TICK IF now > 2 DO ZEROISE;")
+        sim.policies["p"] = compile_policy("OBLIGATION ON TICK IF now > 2 DO ZEROISE;")
         sim.schedule_script(0, ("ISSUE", "central", "alice", "100", "p"))
         sim.schedule_script(2, ("WITHHOLD", "alice", "on"))
         sim.schedule_script(6, ("WITHHOLD", "alice", "off"))
@@ -686,7 +693,9 @@ def test_wake_up_upkeep_matches_every_tick_upkeep(monkeypatch, name, seed):
 class TestBuy:
     def test_exact_change_and_tax(self):
         sim = basic_sim()
-        sim.add_policy("taxed", 'OBLIGATION ON RECEIVE IF category == "sale" DO PAY 1/5 TO "tax_authority";')
+        sim.policies["taxed"] = compile_policy(
+            'OBLIGATION ON RECEIVE IF category == "sale" DO PAY 1/5 TO "tax_authority";'
+        )
         sim.schedule_script(0, ("ISSUE", "central", "alice", "300", "taxed"))
         sim.schedule_script(0, ("ISSUE", "central", "alice", "300", "taxed"))
         sim.schedule_script(2, ("BUY", "alice", "bob", "450", "sale"))
@@ -721,7 +730,7 @@ class TestDelegation:
         sim.add_host("bank_a", Role.BANK, "HOME")
         sim.add_host("bank_b", Role.BANK, "HOME")
         sim.add_host("government", Role.LAW_SERVER, "HOME")
-        sim.add_policy("seeker", "OBLIGATION ON TICK DO MOVE_TO_BEST_RATE;")
+        sim.policies["seeker"] = compile_policy("OBLIGATION ON TICK DO MOVE_TO_BEST_RATE;")
         return sim
 
     def test_one_tick_decision_latency(self):
@@ -767,10 +776,9 @@ class TestDelegation:
     def test_owner_restriction_beats_best_rate(self):
         sim = self.delegation_sim()
         sim.add_host("shark", Role.BANK, "HOME", category="arms_lender")
-        sim.add_policy(
-            "picky",
+        sim.policies["picky"] = compile_policy(
             'PROHIBITION ON TRANSFER_REQUEST IF category == "arms_lender";\n'
-            "OBLIGATION ON TICK DO MOVE_TO_BEST_RATE;",
+            "OBLIGATION ON TICK DO MOVE_TO_BEST_RATE;"
         )
         sim.schedule_script(0, ("ISSUE", "central", "judy", "1000", "picky"))
         sim.schedule_script(2, ("RATE", "shark", "9/100"))
@@ -820,8 +828,8 @@ class TestSupplyInSim:
         sim.add_host("central", Role.CENTRAL_BANK, "HOME")
         sim.add_host("judy", Role.CONSUMER, "HOME")
         sim.add_host("bank", Role.BANK, "HOME")
-        sim.add_policy("seeker", "OBLIGATION ON TICK DO MOVE_TO_BEST_RATE;")
-        sim.set_issuer_allowance("bank", 10**9)
+        sim.policies["seeker"] = compile_policy("OBLIGATION ON TICK DO MOVE_TO_BEST_RATE;")
+        sim.registry.authorize_issuer("bank", 10**9)
         sim.supply_rule = ConstantGrowth(Fraction(2, 100))
         sim.supply_issuer = "bank"
         sim.supply_policy_name = "seeker"
@@ -838,7 +846,9 @@ class TestSupplyInSim:
         sim = Simulation(seed=2, scenario_name="supply", year_ticks=10, period_ticks=10)
         sim.add_host("central", Role.CENTRAL_BANK, "HOME")
         sim.add_host("government", Role.LAW_SERVER, "HOME")
-        sim.add_policy("dated", 'OBLIGATION ON TICK IF expiry == 50 DO NOTIFY "government";')
+        sim.policies["dated"] = compile_policy(
+            'OBLIGATION ON TICK IF expiry == 50 DO NOTIFY "government";'
+        )
         sim.supply_rule = ConstantGrowth(Fraction(2, 100))
         sim.supply_issuer = "central"
         sim.supply_policy_name = "dated"

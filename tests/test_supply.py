@@ -51,7 +51,7 @@ def supply_sim(
     )
     sim.add_host("central", Role.CENTRAL_BANK, "HOME")
     if allowance is not None:
-        sim.set_issuer_allowance("central", allowance)
+        sim.registry.authorize_issuer("central", allowance)
     sim.supply_rule = rule
     sim.supply_issuer = "central"
     if initial_supply > 0:
