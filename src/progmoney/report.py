@@ -37,11 +37,15 @@ class Report:
 
 
 def _parse_details(details: str) -> dict[str, str]:
+    """An observation's `key=value` details; a message `body`, always last, is kept whole."""
+    head, has_body, body = f" {details}".partition(" body=")
     out = {}
-    for chunk in details.split():
+    for chunk in head.split():
         if "=" in chunk:
             key, value = chunk.split("=", 1)
             out[key] = value
+    if has_body:
+        out["body"] = body
     return out
 
 

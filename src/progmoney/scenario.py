@@ -40,7 +40,8 @@ given an allowance; a [supply] issuer that is neither, or a negative
 allowance, fails at load too.  A script line that does not fit one fails
 at load, and so does a '"' in what policy builders quote: a host id, a
 [law] category or a [policies] value.  A host may not take the
-registry's key id.  Each [policies] value is expanded and compiled once
+registry's key id, and no host id, [law] category or [policies] name
+may repeat.  Each [policies] value is expanded and compiled once
 the whole file is read, so an error in it names its line.
 """
 
@@ -118,7 +119,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     cfg = ScenarioConfig()
     script_line_nos: list[int] = []  # the file line of each cfg.script entry
     supply_lines: dict[str, int] = {}  # [supply] key -> the file line that last set it
-    policy_lines: list[tuple[str, str, int]] = []  # (name, builder spec, file line)
+    policy_lines: dict[str, tuple[str, int]] = {}  # name -> (builder spec, file line)
     section = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -150,9 +151,11 @@ def parse_scenario(text: str) -> ScenarioConfig:
         elif section == "policies":
             if '"' in value:
                 raise ScenarioError(f"[policies] value {value!r} holds a '\"'", line_no)
-            policy_lines.append((key, value, line_no))
+            if key in policy_lines:
+                raise ScenarioError(f"duplicate [policies] name {key!r}", line_no)
+            policy_lines[key] = (value, line_no)
     # builders read [law] and year_ticks, which may follow the [policies] lines
-    for name, spec, line_no in policy_lines:
+    for name, (spec, line_no) in policy_lines.items():
         try:
             cfg.policies[name] = compile_policy(build_policy_source(spec, cfg.law, cfg.year_ticks))
         except (ScenarioError, ParseError, CheckFailure) as exc:
@@ -250,6 +253,8 @@ def _parse_law_entry(cfg: ScenarioConfig, key: str, value: str, line_no: int) ->
         raise ScenarioError(f"unknown law status {parts[0]!r}", line_no) from None
     if '"' in key:
         raise ScenarioError(f"[law] category {key!r} holds a '\"'", line_no)
+    if key in cfg.law:
+        raise ScenarioError(f"duplicate [law] category {key!r}", line_no)
     cfg.law[key] = LawEntry(status, _parse_fraction(parts[1], line_no))
 
 

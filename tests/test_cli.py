@@ -15,6 +15,7 @@ POLICY_DIR = (
     Path(__file__).resolve().parents[1] / "src" / "progmoney" / "data" / "policies"
 )
 SALES_TAX_SCN = str(SCENARIO_DIR / "sales_tax.scn")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(args):
@@ -293,3 +294,22 @@ def test_bad_out_exits_1_and_writes_nothing(tmp_path, capsys, kind):
     assert run(["run", SALES_TAX_SCN, "--seed", 7, "--out", out]) == 1
     assert str(named) in capsys.readouterr().err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def readme_block(heading, fence):
+    """The first fenced block opened by `fence` under the README's `heading`."""
+    section = README.read_text(encoding="utf-8").split(f"\n{heading}\n", 1)[1]
+    return section.split(f"{fence}\n", 1)[1].split("```\n", 1)[0]
+
+
+def test_readme_examples_run(tmp_path):
+    policy = tmp_path / "readme.pol"
+    policy.write_text(readme_block("## The policy language", "```"), encoding="utf-8")
+    scenario = tmp_path / "readme.scn"
+    scenario.write_text(readme_block("## Scenario files", "```ini"), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["check", policy]) == 0
+    assert run(["run", scenario, "--seed", 7, "--out", out]) == 0
+    assert run(["audit", out / LEDGER_FILE]) == 0
+    report = (out / REPORT_FILE).read_text(encoding="utf-8").splitlines()
+    assert "tax_collected = 200" in report

@@ -6,7 +6,7 @@ import pytest
 
 from progmoney.metrics import log_utility
 from progmoney.registry import RecordKind, parse_ledger_line, replay_records
-from progmoney.report import _observed, build_report, render_report, report_for
+from progmoney.report import _observed, _parse_details, build_report, render_report, report_for
 from progmoney.scenario import load_scenario, run_scenario
 
 SCENARIO_DIR = (
@@ -85,3 +85,15 @@ def test_finished_run_is_read_without_its_records(name):
     before = render_report(report_for(sim)), registry.supply_stats(window)
     registry.records = Unreadable(registry.records)
     assert (render_report(report_for(sim)), registry.supply_stats(window)) == before
+
+
+def test_message_body_parses_back_whole():
+    # the body is the last detail and holds spaces and '=' of its own; it
+    # gives the message no unit, reason or value keys
+    sim = run_scenario(load_scenario(str(SCENARIO_DIR / "mixed.scn")), seed=7)
+    line = "13|government|message|sender=dave body=zeroise unit=u4 reason=jurisdiction value=800"
+    assert line in sim.observations
+    assert _parse_details(line.split("|", 3)[3]) == {
+        "sender": "dave",
+        "body": "zeroise unit=u4 reason=jurisdiction value=800",
+    }

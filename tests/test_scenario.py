@@ -176,6 +176,9 @@ class TestParsing:
             ("[sim]\ncurrency = S M\n", 2),
             ("[hosts]\ncentral = CENTRAL_BANK HO|ME\n", 2),
             (WORLD + "1 MOVE_HOST central HO|ME\n", 8),
+            # a repeated key would silently replace the first line's entry
+            ("[law]\nsale = legal 1/5\nsale = illegal 0/1\n", 3),
+            (WORLD.replace("[script]\n", "retail = empty\n[script]\n"), 7),
         ],
         ids=[
             "too_few_args",
@@ -220,6 +223,8 @@ class TestParsing:
             "sim_currency_whitespace",
             "host_location_pipe",
             "move_host_location_pipe",
+            "law_category_repeated",
+            "policy_name_repeated",
         ],
     )
     def test_bad_line_fails_at_load(self, tmp_path, text, line_no):
