@@ -61,6 +61,14 @@ class UnitState(Enum):
     EXPIRED = "EXPIRED"
 
 
+# bound once: looking an Enum member up on its class is slow on the commit path
+_ACTIVE = UnitState.ACTIVE
+_MINT, _TRANSFER, _SPLIT, _MERGE, _BURN = (
+    RecordKind.MINT, RecordKind.TRANSFER, RecordKind.SPLIT, RecordKind.MERGE, RecordKind.BURN
+)
+_TRANSFER_REQUEST, _RECEIVE = pol.EventKind.TRANSFER_REQUEST, pol.EventKind.RECEIVE
+
+
 class InvalidPolicy(ValueError):
     pass
 
@@ -132,8 +140,9 @@ class LineageNode:
     sender_sig: Signature
     parents: tuple[LineageNode, ...] = ()
     origin: Optional[Origin] = None
-    # (id, owner, amount) of each unit the record makes; empty if it makes
-    # none, or has no party or no id and amount at each position
+    # (id, owner, amount) of each unit the record makes, at its kind's
+    # `LAYOUT` positions; empty if it makes none, has no party, or its ids or
+    # amounts are not as many as the layout's width
     made: tuple[tuple[str, str, int], ...] = field(init=False)
     verified_by: Optional[KeyDirectory] = field(default=None, init=False, repr=False)
 
@@ -146,11 +155,13 @@ class LineageNode:
         origin: Optional[Origin] = None,
     ) -> None:
         # written out: the generated one sets each slot through object.__setattr__
-        made, consumed = LAYOUT[record.kind]
+        made, _, width = LAYOUT[record.kind]
         ids, amounts, parties = record.unit_ids, record.amounts, record.parties
         held: tuple[tuple[str, str, int], ...] = ()
-        if parties and len(ids) == len(amounts) == 1 + max(made + consumed):
-            held = tuple((ids[i], parties[-1], amounts[i]) for i in made)
+        if parties and len(ids) == width and len(amounts) == width:
+            owner = parties[-1]
+            for i in made:
+                held += ((ids[i], owner, amounts[i]),)
         _set_record(self, record)
         _set_sig(self, sig)
         _set_sender_sig(self, sender_sig)
@@ -242,7 +253,7 @@ class TransferOutcome:
 
 
 def _require_active(unit: MoneyUnit) -> None:
-    if unit.state is not UnitState.ACTIVE:
+    if unit.state is not _ACTIVE:
         raise NotActive(f"unit {unit.id} is {unit.state.value}")
 
 
@@ -285,7 +296,10 @@ def _node(
     """
     node = LineageNode(*endorsed, parents, origin)
     directory = registry.directory
-    if all(_trusted(parent, directory) for parent in parents) and not _shape_faults(node):
+    for parent in parents:
+        if not _trusted(parent, directory):
+            return node
+    if not _shape_faults(node):
         _set_verified_by(node, directory)
     return node
 
@@ -305,7 +319,7 @@ def mint(
     if policy.check_errors:
         raise InvalidPolicy("; ".join(str(e) for e in policy.check_errors))
     unit_id = registry.new_unit_id()
-    endorsed = _endorse(registry, RecordKind.MINT, (unit_id,), (value,), (bank,), at)
+    endorsed = _endorse(registry, _MINT, (unit_id,), (value,), (bank,), at)
     body = origin_body(unit_id, value, currency, home, policy.text_hash)
     origin = Origin(currency, home, policy.text_hash, registry.directory.sign(bank, body))
     return MoneyUnit(
@@ -327,7 +341,7 @@ def split(unit: MoneyUnit, amount: int, registry: Registry, at: int) -> tuple[Mo
         )
     ids = (unit.id, registry.new_unit_id(), registry.new_unit_id())
     amounts = (unit.value, amount, unit.value - amount)
-    endorsed = _endorse(registry, RecordKind.SPLIT, ids, amounts, (unit.owner,), at)
+    endorsed = _endorse(registry, _SPLIT, ids, amounts, (unit.owner,), at)
     node = _node(registry, endorsed, (unit.lineage,))
     carved, rest = (
         MoneyUnit(uid, value, owner, unit.policy, node, last_contact=unit.last_contact)
@@ -350,7 +364,7 @@ def merge(a: MoneyUnit, b: MoneyUnit, registry: Registry, at: int) -> MoneyUnit:
         raise MixedPolicy(f"units {a.id} and {b.id} are not fungible")
     ids = (a.id, b.id, registry.new_unit_id())
     amounts = (a.value, b.value, a.value + b.value)
-    endorsed = _endorse(registry, RecordKind.MERGE, ids, amounts, (a.owner,), at)
+    endorsed = _endorse(registry, _MERGE, ids, amounts, (a.owner,), at)
     return MoneyUnit(
         id=ids[2],
         value=amounts[2],
@@ -365,7 +379,7 @@ def merge(a: MoneyUnit, b: MoneyUnit, registry: Registry, at: int) -> MoneyUnit:
 def _move(unit: MoneyUnit, to: str, registry: Registry, at: int) -> None:
     """Endorse and record an ownership change, no policy involvement."""
     endorsed = _endorse(
-        registry, RecordKind.TRANSFER, (unit.id,), (unit.value,), (unit.owner, to), at
+        registry, _TRANSFER, (unit.id,), (unit.value,), (unit.owner, to), at
     )
     unit.lineage = _node(registry, endorsed, (unit.lineage,))
     unit.owner = to
@@ -374,7 +388,7 @@ def _move(unit: MoneyUnit, to: str, registry: Registry, at: int) -> None:
 def _check_payment(unit: MoneyUnit, ob: pol.PayObligation, ctx: pol.EvalContext) -> None:
     """Raise PolicyForbids unless `unit` may pay `ob`, as category "obligation"."""
     pay_ctx = ctx._replace(amount=ob.amount, category=OBLIGATION_CATEGORY, counterparty=ob.payee)
-    for event in (pol.EventKind.TRANSFER_REQUEST, pol.EventKind.RECEIVE):
+    for event in (_TRANSFER_REQUEST, _RECEIVE):
         if not pol.evaluate(unit.policy, event, pay_ctx).permitted:
             raise PolicyForbids(f"unit {unit.id} obligation payment to {ob.payee} vetoed", event)
 
@@ -420,15 +434,13 @@ def transfer(
         raise InvalidAmount(f"ctx.amount {ctx.amount} != unit value {unit.value}")
     tick = ctx.now
 
-    request_decision = pol.evaluate(unit.policy, pol.EventKind.TRANSFER_REQUEST, ctx)
+    request_decision = pol.evaluate(unit.policy, _TRANSFER_REQUEST, ctx)
     if not request_decision.permitted:
-        raise PolicyForbids(
-            f"unit {unit.id} refuses transfer", pol.EventKind.TRANSFER_REQUEST
-        )
+        raise PolicyForbids(f"unit {unit.id} refuses transfer", _TRANSFER_REQUEST)
     receive_ctx = ctx._replace(counterparty=unit.owner)
-    receive_decision = pol.evaluate(unit.policy, pol.EventKind.RECEIVE, receive_ctx)
+    receive_decision = pol.evaluate(unit.policy, _RECEIVE, receive_ctx)
     if not receive_decision.permitted:
-        raise PolicyForbids(f"unit {unit.id} refuses receipt", pol.EventKind.RECEIVE)
+        raise PolicyForbids(f"unit {unit.id} refuses receipt", _RECEIVE)
 
     obligations = receive_decision.obligations
     pays = [ob for ob in obligations if isinstance(ob, pol.PayObligation) and ob.amount > 0]
@@ -486,7 +498,7 @@ def verify_integrity(unit: MoneyUnit, directory: KeyDirectory) -> IntegrityResul
         problems.append("policy text hash mismatch")
     if not unit.policy.rules_match_text:
         problems.append("policy rules do not match canonical text")
-    if unit.state is UnitState.ACTIVE:
+    if unit.state is _ACTIVE:
         held = head.holding(unit.id)
         if held is None:
             problems.append("provenance is another unit's")
@@ -530,25 +542,29 @@ def _shape_faults(node: LineageNode) -> list[str]:
         faults.append("endorsement by unexpected key")
     if node.sender_sig.signer != requester:
         faults.append("sender is not the requester")
-    ids, amounts = record.unit_ids, record.amounts
-    consumed = LAYOUT[record.kind][1]
-    if (
-        len(node.parents) != len(consumed)
-        or any(
-            parent.holding(ids[i]) != (ids[i], requester, amounts[i])
-            for parent, i in zip(node.parents, consumed)
-        )
-        or any(parent.record.seq >= record.seq for parent in node.parents)
-    ):
+    ids, amounts, kind, parents = record.unit_ids, record.amounts, record.kind, node.parents
+    consumed = LAYOUT[kind].consumed
+    # `made` is set only when the record is as wide as its layout, so every position is in range
+    if len(parents) != len(consumed):
         faults.append("parents are not the units the record consumed")
-    if record.kind is RecordKind.MINT:
+    else:
+        seq = record.seq
+        for parent, i in zip(parents, consumed):
+            uid = ids[i]
+            if parent.record.seq >= seq or parent.holding(uid) != (uid, requester, amounts[i]):
+                faults.append("parents are not the units the record consumed")
+                break
+    if kind is _MINT:
         origin = node.origin
         if origin is None:
             faults.append("no birth signature")
         elif origin.sig.signer != requester:
             faults.append("birth signature by unexpected key")
-    elif record.kind is RecordKind.MERGE and len({parent.origin for parent in node.parents}) > 1:
-        faults.append("parents differ in currency or policy")
+    elif kind is _MERGE:
+        for parent in parents[1:]:
+            if parent.origin != parents[0].origin:
+                faults.append("parents differ in currency or policy")
+                break
     return faults
 
 
@@ -565,7 +581,7 @@ def _mac_faults(node: LineageNode, directory: KeyDirectory) -> list[str]:
         ("sender signature", requester, record.body().encode(), node.sender_sig),
     ]
     origin = node.origin
-    if record.kind is RecordKind.MINT and origin is not None:
+    if record.kind is _MINT and origin is not None:
         body = origin_body(
             record.unit_ids[0], record.amounts[0], origin.currency, origin.home, origin.policy_hash
         )
@@ -588,6 +604,6 @@ def zeroise(unit: MoneyUnit, reason: str, registry: Registry, at: int) -> None:
     ZEROISED.
     """
     _require_active(unit)
-    _endorse(registry, RecordKind.BURN, (unit.id,), (unit.value,), (unit.owner,), at, reason)
+    _endorse(registry, _BURN, (unit.id,), (unit.value,), (unit.owner,), at, reason)
     unit.state = UnitState.EXPIRED if reason == "expiry" else UnitState.ZEROISED
     unit.value = 0

@@ -85,6 +85,11 @@ class Verdict(Enum):
     FORBID = "FORBID"
 
 
+# bound once: looking an Enum member up on its class is slow on the evaluation path
+_OBLIGATION, _PROHIBITION = RuleKind.OBLIGATION, RuleKind.PROHIBITION
+_PERMIT = Verdict.PERMIT
+
+
 # NONE parses to None, which equals only an absent (None) context field
 Literal = Union[int, str, None]
 
@@ -609,7 +614,7 @@ class Decision:
 
     @property
     def permitted(self) -> bool:
-        return self.verdict is Verdict.PERMIT
+        return self.verdict is _PERMIT
 
 
 # the two decisions that carry no obligations, shared by every evaluation
@@ -713,13 +718,13 @@ def evaluate(policy: PolicyProgram, event: EventKind, ctx: EvalContext) -> Decis
     """
     matching = [(i, r) for i, r, matches in policy.by_event[event] if matches(ctx)]
     for _, rule in matching:
-        if rule.kind is RuleKind.PROHIBITION:
+        if rule.kind is _PROHIBITION:
             return FORBIDDEN
         if any(isinstance(a, ForbidAction) for a in rule.actions):
             return FORBIDDEN
     obligations: list[Obligation] = []
     for i, rule in matching:
-        if rule.kind is not RuleKind.OBLIGATION:
+        if rule.kind is not _OBLIGATION:
             continue  # PERMISSION rules are documentation markers
         for action in rule.actions:
             if isinstance(action, PayAction):
@@ -732,4 +737,4 @@ def evaluate(policy: PolicyProgram, event: EventKind, ctx: EvalContext) -> Decis
                 obligations.append(ZeroiseObligation(_zeroise_reason(rule, event), i))
             elif isinstance(action, MoveToBestRateAction):
                 obligations.append(MoveToBestRateObligation(i))
-    return Decision(Verdict.PERMIT, tuple(obligations)) if obligations else PERMITTED
+    return Decision(_PERMIT, tuple(obligations)) if obligations else PERMITTED

@@ -23,9 +23,13 @@ fold, and `audit_export` and the rebuilt report replay an export through
 it.  A replay therefore makes every check an endorsement makes except the
 issuer allowance, which the ledger export does not carry.
 
-`Registry.holdings` answers "which live units does this owner hold" from an
-owner -> ids index that `endorse` refreshes, after `step` succeeds, for the
-ids the new record names; replay has no use for it and does not keep one.
+`LAYOUT` is the one description of a record kind's shape: the positions of
+`unit_ids` and `amounts` it makes live, those it consumes or moves, and its
+width.  `Registry.holdings` answers "which live units does this owner hold"
+from an owner -> ids index that `endorse` updates from the record's layout
+once `step` succeeds: the requester loses the consumed ids and `parties[-1]`
+gains the made ones, with no look at the live set before or after.  Replay
+has no use for the index and does not keep one.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .crypto import KeyDirectory, Signature
 
@@ -106,9 +110,10 @@ class LedgerRecord:
         """The record without its seq: what the requester signs."""
         if self._body is None:
             ids = ",".join(self.unit_ids)
-            amounts = ",".join(str(a) for a in self.amounts)
+            amounts = ",".join(map(str, self.amounts))
             parties = ",".join(self.parties)
-            body = f"{self.at}|{self.kind.value}|{ids}|{amounts}|{parties}|{self.reason or '-'}"
+            # `_value_` is the member's own attribute; `.value` is a slower property
+            body = f"{self.at}|{self.kind._value_}|{ids}|{amounts}|{parties}|{self.reason or '-'}"
             _set_body(self, body)
         return self._body
 
@@ -188,14 +193,21 @@ _MINT, _TRANSFER, _SPLIT, _MERGE, _BURN = (
 )
 
 
-# kind -> (positions in `unit_ids`/`amounts` the record makes live, those it
-# consumes or moves); a TRANSFER moves position 0 to `parties[1]`
-LAYOUT: dict[RecordKind, tuple[tuple[int, ...], tuple[int, ...]]] = {
-    RecordKind.MINT: ((0,), ()),
-    RecordKind.TRANSFER: ((0,), (0,)),
-    RecordKind.SPLIT: ((1, 2), (0,)),
-    RecordKind.MERGE: ((2,), (0, 1)),
-    RecordKind.BURN: ((), (0,)),
+class Layout(NamedTuple):
+    """Where a record kind keeps its units in `unit_ids` and `amounts`."""
+
+    made: tuple[int, ...]  # positions the record makes live, owned by `parties[-1]`
+    consumed: tuple[int, ...]  # positions it consumes or moves, owned by `parties[0]`
+    width: int  # the length of `unit_ids` and `amounts`
+
+
+# a TRANSFER moves position 0 from `parties[0]` to `parties[1]`
+LAYOUT: dict[RecordKind, Layout] = {
+    RecordKind.MINT: Layout((0,), (), 1),
+    RecordKind.TRANSFER: Layout((0,), (0,), 1),
+    RecordKind.SPLIT: Layout((1, 2), (0,), 3),
+    RecordKind.MERGE: Layout((2,), (0, 1), 3),
+    RecordKind.BURN: Layout((), (0,), 1),
 }
 
 
@@ -344,15 +356,21 @@ class Registry:
             raise BadSignature(f"request not signed by its requester: {body}")
         seq = len(self.records)
         record = asked if asked.seq == seq else replace(asked, seq=seq)
-        live = self._state.live
-        before = [live.get(uid) for uid in record.unit_ids]
         step(self._state, record, self._issuers)
-        for uid, old in zip(record.unit_ids, before):
-            if old is not None:
-                self._held[old[0]].discard(uid)
-            new = live.get(uid)
-            if new is not None:
-                self._held.setdefault(new[0], set()).add(uid)
+        # `step` accepted the record, so its requester held every consumed id
+        made, consumed, _ = LAYOUT[record.kind]
+        ids, parties, held = record.unit_ids, record.parties, self._held
+        if consumed:
+            spent = held[parties[0]]
+            for i in consumed:
+                spent.discard(ids[i])
+        if made:
+            owner = parties[-1]
+            gained = held.get(owner)
+            if gained is None:
+                gained = held[owner] = set()
+            for i in made:
+                gained.add(ids[i])
         sig = self.directory.sign(REGISTRY_KEY, record.line().encode())
         self.records.append(record)
         self.record_sigs.append(sig)

@@ -65,6 +65,13 @@ from .sim_types import (
 
 DEFAULT_ISSUER_ALLOWANCE = 10**15
 
+# bound once: looking an Enum member up on its class is slow on the upkeep path
+_ACTIVE = UnitState.ACTIVE
+_ADVERSARY = Role.ADVERSARY
+_RECEIVE, _TICK, _ATTEST_FAIL, _TAMPER = (
+    pol.EventKind.RECEIVE, pol.EventKind.TICK, pol.EventKind.ATTEST_FAIL, pol.EventKind.TAMPER
+)
+
 _Made = TypeVar("_Made", bound=Sequence[MoneyUnit])
 
 
@@ -312,7 +319,7 @@ class Simulation:
         self._dispatch_notifications(to, outcome.notifications)
         if outcome.owed:
             host = self.hosts[to]
-            self._execute_obligations(host, outcome.received, outcome.owed, pol.EventKind.RECEIVE)
+            self._execute_obligations(host, outcome.received, outcome.owed, _RECEIVE)
         return outcome
 
     def _forbidden(
@@ -382,17 +389,17 @@ class Simulation:
             self._tampered(host, unit, len(integrity.problems))
             return None
 
-        if host.id in self.withholding or host.role is Role.ADVERSARY:
+        if host.id in self.withholding or host.role is _ADVERSARY:
             # its host proves no location, so ATTEST_FAIL rules run instead of TICK rules
             ctx = self._eval_ctx(host, unit)
-            decision = pol.evaluate(unit.policy, pol.EventKind.ATTEST_FAIL, ctx)
+            decision = pol.evaluate(unit.policy, _ATTEST_FAIL, ctx)
             self.obs(host.id, "attest_fail", unit=unit.id)
-            self._execute_obligations(host, unit, decision.obligations, pol.EventKind.ATTEST_FAIL)
+            self._execute_obligations(host, unit, decision.obligations, _ATTEST_FAIL)
             return self.now + 1
         ctx = self._eval_ctx(host, unit, location=host.location)
-        decision = pol.evaluate(unit.policy, pol.EventKind.TICK, ctx)
+        decision = pol.evaluate(unit.policy, _TICK, ctx)
         if decision.obligations:
-            self._execute_obligations(host, unit, decision.obligations, pol.EventKind.TICK)
+            self._execute_obligations(host, unit, decision.obligations, _TICK)
             return self.now + 1
         return unit.policy.next_tick_change(self.now, unit.last_contact)
 
@@ -430,7 +437,7 @@ class Simulation:
     def _tampered(self, host: Host, unit: MoneyUnit, problems: int | str) -> None:
         """Zeroise `unit`, which failed its integrity check; notify per its TAMPER rules."""
         self.obs(host.id, "tamper_detected", unit=unit.id, problems=problems)
-        decision = pol.evaluate(unit.policy, pol.EventKind.TAMPER, self._eval_ctx(host, unit))
+        decision = pol.evaluate(unit.policy, _TAMPER, self._eval_ctx(host, unit))
         self._zeroise(host.id, unit, "tamper", decision.obligations)
 
     def _execute_obligations(
@@ -443,7 +450,7 @@ class Simulation:
         """
         current = unit
         for ob in obligations:
-            if current is None or current.state is not UnitState.ACTIVE:
+            if current is None or current.state is not _ACTIVE:
                 break
             if isinstance(ob, pol.PayObligation):
                 current = self._pay_obligation(host, current, ob)
@@ -510,7 +517,7 @@ class Simulation:
                 self.obs(holder.id, "move_failed", unit=unit_id, error=type(outcome).__name__)
             return
         # a RECEIVE obligation may have zeroised what the bank received
-        if outcome.received is not None and outcome.received.state is UnitState.ACTIVE:
+        if outcome.received is not None and outcome.received.state is _ACTIVE:
             self.deposits.add(outcome.received.id)
         self.obs(
             holder.id,
@@ -656,7 +663,7 @@ class Simulation:
         # the value issued: a RECEIVE obligation may have zeroised the unit since
         self.obs(bank_id, "issue", unit=unit.id, to=recipient, value=int(value))
         received = outcome.received
-        return received if received is not None and received.state is UnitState.ACTIVE else None
+        return received if received is not None and received.state is _ACTIVE else None
 
     def act_buy(
         self, buyer_id: HostArg, vendor_id: HostArg, price: PositiveIntArg, category: CategoryArg
