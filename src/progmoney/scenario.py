@@ -40,9 +40,11 @@ given an allowance; a [supply] issuer that is neither, or a negative
 allowance, fails at load too.  A script line that does not fit one fails
 at load, and so does a '"' in what policy builders quote: a host id, a
 [law] category or a [policies] value.  A host may not take the
-registry's key id, and no host id, [law] category or [policies] name
-may repeat.  Each [policies] value is expanded and compiled once
-the whole file is read, so an error in it names its line.
+registry's key id, no host id, [law] category or [policies] name
+may repeat, and no [policies] line may take the name "empty", the
+built-in policy that a MINT, an ISSUE or [supply] names by default.  Each
+[policies] value is expanded and compiled once the whole file is read, so
+an error in it names its line.
 """
 
 from __future__ import annotations
@@ -149,6 +151,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
             _parse_supply_entry(cfg, key, value, line_no)
             supply_lines[key] = line_no
         elif section == "policies":
+            if key == "empty":
+                raise ScenarioError("[policies] name 'empty' is reserved", line_no)
             if '"' in value:
                 raise ScenarioError(f"[policies] value {value!r} holds a '\"'", line_no)
             if key in policy_lines:

@@ -7,7 +7,9 @@ import pytest
 
 from progmoney.cli import run_cli
 from progmoney.crypto import KeyDirectory, Signature
+from progmoney.money import LineageNode
 from progmoney.registry import (
+    LAYOUT,
     BadSignature,
     BadWindow,
     DoubleSpend,
@@ -17,9 +19,11 @@ from progmoney.registry import (
     RecordKind,
     Registry,
     UnauthorizedIssuer,
+    _State,
     audit_export,
     parse_ledger_line,
     replay_records,
+    step,
 )
 
 
@@ -466,3 +470,50 @@ def test_holdings_follow_the_live_set():
         assert {o: registry.holdings(o) for o in OWNERS} == held_by_live_set(registry)
     assert accepted > 500 and refused > 200 and replays > 20
     assert registry.audit() == []
+
+
+# a well-formed (unit_ids, amounts, parties) of each kind, once its consumed ids are minted
+WELL_FORMED = {
+    RecordKind.MINT: (("u1",), (10,), ("central",)),
+    RecordKind.TRANSFER: (("u1",), (10,), ("central", "alice")),
+    RecordKind.SPLIT: (("u1", "u2", "u3"), (10, 4, 6), ("central",)),
+    RecordKind.MERGE: (("u1", "u2", "u3"), (10, 7, 17), ("central",)),
+    RecordKind.BURN: (("u1",), (10,), ("central",)),
+}
+
+
+def state_holding(kind):
+    """A fresh state in which the requester of `WELL_FORMED[kind]` holds what it consumes."""
+    ids, amounts, parties = WELL_FORMED[kind]
+    state = _State()
+    for seq, i in enumerate(LAYOUT[kind].consumed):
+        step(state, LedgerRecord(seq, 0, RecordKind.MINT, (ids[i],), (amounts[i],), parties[:1]))
+    return state
+
+
+@pytest.mark.parametrize("kind", list(RecordKind), ids=lambda kind: kind.value)
+def test_layout_is_what_step_does(kind):
+    # the owner index and LineageNode.made read LAYOUT instead of the live set
+    ids, amounts, parties = WELL_FORMED[kind]
+    made, consumed, width = LAYOUT[kind]
+    state = state_holding(kind)
+    before = dict(state.live)
+    record = LedgerRecord(len(before), 1, kind, ids, amounts, parties)
+    step(state, record)
+    after = state.live
+    gone = {uid: entry for uid, entry in before.items() if after.get(uid) != entry}
+    new = {uid: entry for uid, entry in after.items() if before.get(uid) != entry}
+    assert gone == {ids[i]: (parties[0], amounts[i]) for i in consumed}
+    assert new == {ids[i]: (parties[-1], amounts[i]) for i in made}
+    sig = Signature(REGISTRY_KEY, 0)
+    assert LineageNode(record, sig, sig).made == tuple(
+        (ids[i], parties[-1], amounts[i]) for i in made
+    )
+    assert len(ids) == len(amounts) == width
+    # one id short of the width or one past it, the amounts as they were or of the same length
+    for n in (width - 1, width + 1):
+        short_or_long = (ids + ("u9",))[:n]
+        for asked_amounts in (amounts, (amounts + (1,))[:n]):
+            asked = LedgerRecord(len(before), 1, kind, short_or_long, asked_amounts, parties)
+            with pytest.raises(InvalidRequest):
+                step(state_holding(kind), asked)

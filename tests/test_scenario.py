@@ -179,6 +179,8 @@ class TestParsing:
             # a repeated key would silently replace the first line's entry
             ("[law]\nsale = legal 1/5\nsale = illegal 0/1\n", 3),
             (WORLD.replace("[script]\n", "retail = empty\n[script]\n"), 7),
+            # "empty" is the policy a MINT or ISSUE names by default
+            (WORLD.replace("[script]\n", "empty = sales_tax 1/5\n[script]\n"), 7),
         ],
         ids=[
             "too_few_args",
@@ -225,6 +227,7 @@ class TestParsing:
             "move_host_location_pipe",
             "law_category_repeated",
             "policy_name_repeated",
+            "policy_name_reserved",
         ],
     )
     def test_bad_line_fails_at_load(self, tmp_path, text, line_no):
@@ -389,9 +392,18 @@ class TestShippedScenarios:
             sim = run_scenario(parse_scenario(workload.text), workload.sim_seed)
         else:
             sim = run_scenario(load_scenario(str(SCENARIO_DIR / f"{source}.scn")), seed=7)
-        assert sim.registry.records
-        for rec in sim.registry.records:
+        registry = sim.registry
+        assert registry.records
+        for rec in registry.records:
             assert parse_ledger_line(rec.line()) == rec
+        # the owner index, updated from each record's layout, agrees with the fold
+        held: dict[str, list[str]] = {}
+        for uid, (owner, _) in registry.fold.live.items():
+            held.setdefault(owner, []).append(uid)
+        owners = held.keys() | {owner for rec in registry.records for owner in rec.parties}
+        for owner in owners:
+            assert registry.holdings(owner) == sorted(held.get(owner, ()))
+        assert sim.units.keys() == registry.fold.live.keys()
 
     def test_sales_tax_outcome(self):
         sim = run_scenario(load_scenario(str(SCENARIO_DIR / "sales_tax.scn")), seed=7)
