@@ -14,7 +14,6 @@ from .policy import (
     EvalContext,
     EventKind,
     PolicyProgram,
-    Verdict,
     check,
     compile_policy,
     evaluate,
@@ -37,7 +36,6 @@ __all__ = [
     "Signature",
     "Simulation",
     "TransferOutcome",
-    "Verdict",
     "check",
     "compile_policy",
     "digest_hex",

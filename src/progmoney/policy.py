@@ -8,10 +8,12 @@ Each money unit carries a small rule program of the form
 Rule kinds are OBLIGATION, PERMISSION, PROHIBITION.  Conditions compare a
 context field against a literal with ==, !=, <, > and combine with OR/AND
 (AND binds tighter).  NONE parses to None, the value of an absent field.
-The default verdict with no matching rule is PERMIT; illegality is
-expressed as explicit PROHIBITION rules.  Fractions are exact rationals
-("1/5") or basis points ("2000bp"); money arithmetic floors to minor units
-and never touches floating point.
+A parsed condition is a tuple of AND-terms, each a tuple of comparisons;
+() is a rule without one.  A decision is a `permitted` bool and the
+obligations to carry out.  With no matching rule an event is permitted
+with no obligations; illegality is expressed as explicit PROHIBITION
+rules.  Fractions are exact rationals ("1/5") or basis points ("2000bp");
+money arithmetic floors to minor units and never touches floating point.
 
 The token grammar is one regular expression, `_TOKEN`.  Identifiers and
 numbers are ASCII.  Outside a string literal or a comment, a character that
@@ -80,14 +82,8 @@ class EventKind(Enum):
     TAMPER = "TAMPER"
 
 
-class Verdict(Enum):
-    PERMIT = "PERMIT"
-    FORBID = "FORBID"
-
-
 # bound once: looking an Enum member up on its class is slow on the evaluation path
 _OBLIGATION, _PROHIBITION = RuleKind.OBLIGATION, RuleKind.PROHIBITION
-_PERMIT = Verdict.PERMIT
 
 
 # NONE parses to None, which equals only an absent (None) context field
@@ -104,14 +100,8 @@ class Comparison:
     literal: Literal
 
 
-@dataclass(frozen=True)
-class AndTerm:
-    factors: tuple[Comparison, ...]
-
-
-@dataclass(frozen=True)
-class OrCondition:
-    terms: tuple[AndTerm, ...]
+# a condition is an OR of AND-terms, each one or more comparisons; () is none
+Condition = tuple[tuple[Comparison, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -180,14 +170,13 @@ _WORD_ACTIONS: dict[str, Action] = {
 class Rule:
     kind: RuleKind
     event: EventKind
-    condition: Optional[OrCondition]
+    condition: Condition
     actions: tuple[Action, ...]
 
     @property
     def comparisons(self) -> tuple[Comparison, ...]:
         """The condition's comparisons, term by term; none without a condition."""
-        terms = self.condition.terms if self.condition is not None else ()
-        return tuple(factor for term in terms for factor in term.factors)
+        return tuple(factor for term in self.condition for factor in term)
 
 
 @dataclass(frozen=True)
@@ -455,16 +444,13 @@ class _Parser:
         kind = self.one_of(RuleKind.__members__, "rule kind")
         self.expect("ON")
         event = self.one_of(EventKind.__members__, "event")
-        condition = self.parse_condition() if self.accept("IF") else None
+        condition = self.many(self.parse_term, "OR") if self.accept("IF") else ()
         actions = self.many(self.parse_action, ",") if self.accept("DO") else ()
         self.expect(";")
         return Rule(kind, event, condition, actions)
 
-    def parse_condition(self) -> OrCondition:
-        return OrCondition(self.many(self.parse_term, "OR"))
-
-    def parse_term(self) -> AndTerm:
-        return AndTerm(self.many(self.parse_factor, "AND"))
+    def parse_term(self) -> tuple[Comparison, ...]:
+        return self.many(self.parse_factor, "AND")
 
     def parse_factor(self) -> Comparison:
         # any lowercase identifier that is no keyword is accepted here (only
@@ -529,15 +515,12 @@ def _render_action(action: Action) -> str:
 
 def _render_rule(rule: Rule) -> str:
     parts = [rule.kind.value, "ON", rule.event.value]
-    if rule.condition is not None:
+    if rule.condition:
         parts.append("IF")
         parts.append(
             " OR ".join(
-                " AND ".join(
-                    f"{c.field} {c.op} {_render_literal(c.literal)}"
-                    for c in term.factors
-                )
-                for term in rule.condition.terms
+                " AND ".join(f"{c.field} {c.op} {_render_literal(c.literal)}" for c in term)
+                for term in rule.condition
             )
         )
     if rule.actions:
@@ -607,19 +590,14 @@ Obligation = Union[
 ]
 
 
-@dataclass(frozen=True)
-class Decision:
-    verdict: Verdict
+class Decision(NamedTuple):
+    permitted: bool
     obligations: tuple[Obligation, ...] = ()
-
-    @property
-    def permitted(self) -> bool:
-        return self.verdict is _PERMIT
 
 
 # the two decisions that carry no obligations, shared by every evaluation
-PERMITTED = Decision(Verdict.PERMIT)
-FORBIDDEN = Decision(Verdict.FORBID)
+PERMITTED = Decision(True)
+FORBIDDEN = Decision(False)
 
 
 # A rule's condition compiled to one test of a context
@@ -675,12 +653,12 @@ def _compile_any(tests: list[Matcher]) -> Matcher:
     return any_holds
 
 
-def _compile_condition(condition: Optional[OrCondition]) -> Matcher:
+def _compile_condition(condition: Condition) -> Matcher:
     """One callable deciding `condition`: an OR of ANDs of comparisons."""
-    if condition is None:
+    if not condition:
         return _always
     return _compile_any(
-        [_compile_all([_compile_comparison(f) for f in term.factors]) for term in condition.terms]
+        [_compile_all([_compile_comparison(f) for f in term]) for term in condition]
     )
 
 
@@ -709,21 +687,20 @@ def evaluate(policy: PolicyProgram, event: EventKind, ctx: EvalContext) -> Decis
     """Decide an event.  Pure and total over checked programs.
 
     Precedence is PROHIBITION > OBLIGATION > PERMISSION: any matching
-    prohibition (or a FORBID action on a matching rule) yields FORBID with no
+    prohibition (or a FORBID action on a matching rule) forbids with no
     obligations; otherwise matching obligations resolve in rule order.
 
     Only the rules written for `event` are tested, each through the matcher
     its program compiled once (`PolicyProgram.by_event`); rules for other
-    events cost nothing.
+    events cost nothing.  One pass suffices: a forbid discards whatever
+    obligations came before it.
     """
-    matching = [(i, r) for i, r, matches in policy.by_event[event] if matches(ctx)]
-    for _, rule in matching:
-        if rule.kind is _PROHIBITION:
-            return FORBIDDEN
-        if any(isinstance(a, ForbidAction) for a in rule.actions):
-            return FORBIDDEN
     obligations: list[Obligation] = []
-    for i, rule in matching:
+    for i, rule, matches in policy.by_event[event]:
+        if not matches(ctx):
+            continue
+        if rule.kind is _PROHIBITION or any(isinstance(a, ForbidAction) for a in rule.actions):
+            return FORBIDDEN
         if rule.kind is not _OBLIGATION:
             continue  # PERMISSION rules are documentation markers
         for action in rule.actions:
@@ -737,4 +714,4 @@ def evaluate(policy: PolicyProgram, event: EventKind, ctx: EvalContext) -> Decis
                 obligations.append(ZeroiseObligation(_zeroise_reason(rule, event), i))
             elif isinstance(action, MoveToBestRateAction):
                 obligations.append(MoveToBestRateObligation(i))
-    return Decision(_PERMIT, tuple(obligations)) if obligations else PERMITTED
+    return Decision(True, tuple(obligations)) if obligations else PERMITTED

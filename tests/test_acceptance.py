@@ -414,11 +414,11 @@ def test_11_parser_round_trip_and_precedence():
                 pol.compile_policy("\n".join(sources)), pol.EventKind.RECEIVE, ctx
             )
             if has_p:
-                assert decision.verdict is pol.Verdict.FORBID
+                assert not decision.permitted
                 assert decision.obligations == ()
             elif has_o:
-                assert decision.verdict is pol.Verdict.PERMIT
+                assert decision.permitted
                 assert len(decision.obligations) == 1
             else:
-                assert decision.verdict is pol.Verdict.PERMIT
+                assert decision.permitted
                 assert decision.obligations == ()

@@ -17,7 +17,7 @@ from progmoney.fiscal import (
     sales_tax_policy,
     tamper_notify_policy,
 )
-from progmoney.policy import EvalContext, EventKind, Verdict, compile_policy, evaluate
+from progmoney.policy import EvalContext, EventKind, compile_policy, evaluate
 from progmoney.sim_types import LawEntry, LawStatus, LawTable
 
 PACK_DIR = Path(__file__).resolve().parents[1] / "src" / "progmoney" / "data" / "policies"
@@ -67,9 +67,7 @@ class TestLegality:
     def test_generated_rules(self):
         source = legality_policy(law_table())
         checked = compile_policy(source)
-        forbid = lambda ctx: evaluate(
-            checked, EventKind.TRANSFER_REQUEST, ctx
-        ).verdict is Verdict.FORBID
+        forbid = lambda ctx: not evaluate(checked, EventKind.TRANSFER_REQUEST, ctx).permitted
         assert forbid(EvalContext(category="stolen_goods"))
         assert forbid(EvalContext(category="weapons"))
         assert not forbid(EvalContext(category="weapons", licence="arms_permit"))
@@ -135,11 +133,11 @@ class TestOwnerRestriction:
         banned = evaluate(
             checked, EventKind.TRANSFER_REQUEST, EvalContext(category="arms")
         )
-        assert banned.verdict is Verdict.FORBID
+        assert not banned.permitted
         fine = evaluate(
             checked, EventKind.TRANSFER_REQUEST, EvalContext(category="cake")
         )
-        assert fine.verdict is Verdict.PERMIT
+        assert fine.permitted
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
@@ -152,9 +150,9 @@ class TestExpiry:
         at_deadline = evaluate(
             checked, EventKind.TRANSFER_REQUEST, EvalContext(now=100)
         )
-        assert at_deadline.verdict is Verdict.PERMIT
+        assert at_deadline.permitted
         past = evaluate(checked, EventKind.TRANSFER_REQUEST, EvalContext(now=101))
-        assert past.verdict is Verdict.FORBID
+        assert not past.permitted
 
     def test_tick_zeroise_past_deadline(self):
         checked = compile_policy(expiry_policy(100))

@@ -10,19 +10,16 @@ from hypothesis import strategies as st
 from progmoney import policy as pol
 from progmoney.crypto import h64
 from progmoney.policy import (
-    AndTerm,
     CheckFailure,
     Comparison,
     EvalContext,
     EventKind,
     FractionLit,
     NotifyAction,
-    OrCondition,
     ParseError,
     PayAction,
     Rule,
     RuleKind,
-    Verdict,
     ZeroiseObligation,
     check,
     compile_policy,
@@ -82,7 +79,7 @@ class TestParse:
     def test_none_parses_to_python_none(self):
         # NONE is the value of an absent field, and prints back as NONE
         program = parse("PROHIBITION ON RECEIVE IF licence == NONE;")
-        assert program.rules[0].condition.terms[0].factors[0] == Comparison("licence", "==", None)
+        assert program.rules[0].condition[0][0] == Comparison("licence", "==", None)
         assert program.source_canonical == "PROHIBITION ON RECEIVE IF licence == NONE;"
 
     def test_sales_tax_ast(self):
@@ -92,9 +89,7 @@ class TestParse:
             Rule(
                 kind=RuleKind.OBLIGATION,
                 event=EventKind.RECEIVE,
-                condition=OrCondition(
-                    (AndTerm((Comparison("category", "==", "sale"),)),)
-                ),
+                condition=((Comparison("category", "==", "sale"),),),
                 actions=(
                     PayAction(FractionLit(2000, 10_000, basis_points=True), "tax_authority"),
                 ),
@@ -235,14 +230,9 @@ _comparisons = st.builds(
     st.sampled_from(pol.OPS),
     _literals,
 )
-_conditions = st.builds(
-    OrCondition,
-    st.lists(
-        st.builds(AndTerm, st.lists(_comparisons, min_size=1, max_size=3).map(tuple)),
-        min_size=1,
-        max_size=3,
-    ).map(tuple),
-)
+_conditions = st.lists(
+    st.lists(_comparisons, min_size=1, max_size=3).map(tuple), min_size=1, max_size=3
+).map(tuple)
 _fractions = st.one_of(
     st.builds(FractionLit, st.integers(0, 10**6), st.just(10_000), st.just(True)),
     st.builds(FractionLit, st.integers(0, 10**6), st.integers(0, 10**6)),
@@ -258,7 +248,7 @@ _rules = st.builds(
     Rule,
     st.sampled_from(RuleKind),
     st.sampled_from(EventKind),
-    st.none() | _conditions,
+    st.just(()) | _conditions,
     st.lists(_actions, max_size=3).map(tuple),
 )
 
@@ -300,15 +290,12 @@ def test_parse_fails_only_with_a_positioned_parse_error(source):
 def random_rule(rng):
     kind = rng.choice(list(RuleKind))
     event = rng.choice(list(EventKind))
-    condition = None
+    condition = ()
     if rng.random() < 0.7:
-        terms = tuple(
-            AndTerm(
-                tuple(random_comparison(rng) for _ in range(rng.randrange(1, 3)))
-            )
+        condition = tuple(
+            tuple(random_comparison(rng) for _ in range(rng.randrange(1, 3)))
             for _ in range(rng.randrange(1, 3))
         )
-        condition = OrCondition(terms)
     actions = tuple(random_action(rng) for _ in range(rng.randrange(0, 3)))
     return Rule(kind, event, condition, actions)
 
@@ -451,7 +438,7 @@ class TestEvaluate:
         decision = evaluate(
             checked, EventKind.RECEIVE, EvalContext(amount=1000, category="sale")
         )
-        assert decision.verdict is Verdict.PERMIT
+        assert decision.permitted
         assert decision.obligations == (
             pol.PayObligation(payee="tax_authority", amount=200, rule_index=0),
         )
@@ -465,7 +452,7 @@ class TestEvaluate:
             EventKind.TRANSFER_REQUEST,
             EvalContext(amount=10, category="weapons"),
         )
-        assert decision.verdict is Verdict.FORBID
+        assert not decision.permitted
         assert decision.obligations == ()
 
     def test_licence_satisfies_prohibition(self):
@@ -477,12 +464,12 @@ class TestEvaluate:
             EventKind.TRANSFER_REQUEST,
             EvalContext(amount=10, category="weapons", licence="arms_permit"),
         )
-        assert decision.verdict is Verdict.PERMIT
+        assert decision.permitted
 
     def test_empty_policy_default_permit(self):
         for event in EventKind:
             decision = evaluate(pol.EMPTY_POLICY, event, EvalContext())
-            assert decision.verdict is Verdict.PERMIT
+            assert decision.permitted
             assert decision.obligations == ()
 
     def test_precedence_table_all_eight_subsets(self):
@@ -503,10 +490,10 @@ class TestEvaluate:
             checked = compile_policy("\n".join(rules))
             decision = evaluate(checked, EventKind.RECEIVE, ctx)
             if has_p:
-                assert decision.verdict is Verdict.FORBID
+                assert not decision.permitted
                 assert decision.obligations == ()
             else:
-                assert decision.verdict is Verdict.PERMIT
+                assert decision.permitted
                 if has_o:
                     assert decision.obligations == (
                         pol.PayObligation(payee="t", amount=10, rule_index=rules.index(obligation)),
@@ -517,7 +504,7 @@ class TestEvaluate:
     def test_forbid_action_forbids(self):
         checked = compile_policy("OBLIGATION ON TRANSFER_REQUEST DO FORBID;")
         decision = evaluate(checked, EventKind.TRANSFER_REQUEST, EvalContext())
-        assert decision.verdict is Verdict.FORBID
+        assert not decision.permitted
 
     def test_evaluation_is_pure(self):
         checked = compile_policy(SALES_TAX)
@@ -547,7 +534,7 @@ class TestEvaluate:
         checked = compile_policy(
             'PROHIBITION ON RECEIVE IF amount > 100 OR category == "x" AND licence == NONE;'
         )
-        forbid = lambda ctx: evaluate(checked, EventKind.RECEIVE, ctx).verdict is Verdict.FORBID
+        forbid = lambda ctx: not evaluate(checked, EventKind.RECEIVE, ctx).permitted
         assert forbid(EvalContext(amount=101))
         assert forbid(EvalContext(amount=1, category="x"))
         assert not forbid(EvalContext(amount=1, category="x", licence="yes"))
@@ -555,16 +542,13 @@ class TestEvaluate:
 
     def test_none_sentinel_comparisons(self):
         checked = compile_policy("PROHIBITION ON RECEIVE IF expiry == NONE;")
-        assert evaluate(checked, EventKind.RECEIVE, EvalContext()).verdict is Verdict.FORBID
-        assert (
-            evaluate(checked, EventKind.RECEIVE, EvalContext(expiry=7)).verdict
-            is Verdict.PERMIT
-        )
+        assert not evaluate(checked, EventKind.RECEIVE, EvalContext()).permitted
+        assert evaluate(checked, EventKind.RECEIVE, EvalContext(expiry=7)).permitted
 
     def test_ordering_on_non_integers_never_matches(self):
         checked = compile_policy('PROHIBITION ON RECEIVE IF category > 5;')
         decision = evaluate(checked, EventKind.RECEIVE, EvalContext(category="sale"))
-        assert decision.verdict is Verdict.PERMIT
+        assert decision.permitted
 
     def test_zeroise_reason_derivation(self):
         cases = [
@@ -644,11 +628,11 @@ def reference_compare(value, op, literal):
 def reference_matches(rule, event, ctx):
     if rule.event is not event:
         return False
-    if rule.condition is None:
+    if not rule.condition:
         return True
     return any(
-        all(reference_compare(getattr(ctx, f.field), f.op, f.literal) for f in term.factors)
-        for term in rule.condition.terms
+        all(reference_compare(getattr(ctx, f.field), f.op, f.literal) for f in term)
+        for term in rule.condition
     )
 
 
@@ -657,8 +641,7 @@ def reference_zeroise_reason(rule, event):
         return "tamper"
     if event is EventKind.ATTEST_FAIL:
         return "attest_fail"
-    terms = rule.condition.terms if rule.condition is not None else ()
-    fields = {factor.field for term in terms for factor in term.factors}
+    fields = {factor.field for term in rule.condition for factor in term}
     if "last_contact" in fields:
         return "contact"
     if "location" in fields or "home" in fields:
@@ -676,7 +659,7 @@ def reference_evaluate(checked, event, ctx):
         if rule.kind is RuleKind.PROHIBITION or any(
             isinstance(a, pol.ForbidAction) for a in rule.actions
         ):
-            return pol.Decision(Verdict.FORBID)
+            return pol.Decision(False)
     obligations = []
     for i, rule in matching:
         if rule.kind is not RuleKind.OBLIGATION:
@@ -691,7 +674,7 @@ def reference_evaluate(checked, event, ctx):
                 obligations.append(ZeroiseObligation(reference_zeroise_reason(rule, event), i))
             elif isinstance(action, pol.MoveToBestRateAction):
                 obligations.append(pol.MoveToBestRateObligation(i))
-    return pol.Decision(Verdict.PERMIT, tuple(obligations))
+    return pol.Decision(True, tuple(obligations))
 
 
 # literals and context values drawn from one small pool, so that == and the
@@ -702,20 +685,14 @@ CONTEXT_VALUES = [None, 0, 1, 5, 12, True, False, "HOME", "ABROAD", "sale", "5"]
 
 def differential_rule(rng, events):
     kind = rng.choice(list(RuleKind))
-    condition = None
+    condition = ()
     if rng.random() < 0.8:
-        condition = OrCondition(
+        condition = tuple(
             tuple(
-                AndTerm(
-                    tuple(
-                        Comparison(
-                            rng.choice(pol.FIELDS), rng.choice(pol.OPS), rng.choice(LITERALS)
-                        )
-                        for _ in range(rng.randrange(1, 4))
-                    )
-                )
+                Comparison(rng.choice(pol.FIELDS), rng.choice(pol.OPS), rng.choice(LITERALS))
                 for _ in range(rng.randrange(1, 4))
             )
+            for _ in range(rng.randrange(1, 4))
         )
     actions = tuple(
         action
@@ -745,12 +722,12 @@ def test_evaluate_agrees_with_the_reference_evaluator():
             for event in EventKind:
                 expected = reference_evaluate(checked, event, ctx)
                 assert evaluate(checked, event, ctx) == expected, (rules, event, ctx)
-                seen.add(expected.verdict)
+                seen.add(expected.permitted)
                 seen.update(type(ob) for ob in expected.obligations)
-    # the stream reached both verdicts and every kind of obligation
+    # the stream reached both outcomes and every kind of obligation
     assert seen == {
-        Verdict.PERMIT,
-        Verdict.FORBID,
+        True,
+        False,
         pol.PayObligation,
         pol.NotifyObligation,
         ZeroiseObligation,
@@ -767,10 +744,8 @@ _tick_comparisons = st.builds(
     st.integers(0, 40) | st.sampled_from(["7", "x"]),
 )
 _tick_conditions = st.lists(
-    st.lists(_tick_comparisons, min_size=1, max_size=3).map(lambda fs: AndTerm(tuple(fs))),
-    min_size=1,
-    max_size=3,
-).map(lambda terms: OrCondition(tuple(terms)))
+    st.lists(_tick_comparisons, min_size=1, max_size=3).map(tuple), min_size=1, max_size=3
+).map(tuple)
 _tick_rules = st.builds(
     Rule,
     st.just(RuleKind.OBLIGATION),
