@@ -34,6 +34,7 @@ has no use for the index and does not keep one.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from types import MappingProxyType
@@ -441,20 +442,31 @@ def replay_records(records: list[LedgerRecord]) -> tuple[Optional[LedgerFold], l
 # kind text -> kind: a dict lookup, where `RecordKind(text)` runs Enum's __call__
 _KIND_OF = {kind.value: kind for kind in RecordKind}
 
+# an integer as str() writes it: ASCII digits, no sign but a minus, no
+# leading zero, no "_" or space, and no "-0"
+_INT = "(?:0|-?[1-9][0-9]*)"
+
+# a ledger line exactly as `LedgerRecord.line()` writes it: a reason is
+# never empty (None is written "-") and never ends in a newline
+_LINE = re.compile(
+    rf"{_INT}\|{_INT}\|(?:{'|'.join(_KIND_OF)})\|[^|]*"
+    rf"\|(?:{_INT}(?:,{_INT})*)?\|[^|]*\|[^|]*[^|\n]"
+)
+
 
 def parse_ledger_line(line: str) -> LedgerRecord:
-    """The record an exported line names; a ValueError if the line is not one."""
-    parts = line.rstrip("\n").split("|")
-    if len(parts) != 7:
+    """The record an exported line names; a ValueError if the line is not one.
+
+    Only a line that `line()` of the record it names writes back byte for
+    byte is one, so a record has a single spelling in an export.
+    """
+    if _LINE.fullmatch(line) is None:
         raise ValueError(f"malformed ledger line: {line!r}")
-    seq, at, kind, ids, amounts, parties, reason = parts
-    record_kind = _KIND_OF.get(kind)
-    if record_kind is None:
-        raise ValueError(f"{kind!r} is not a valid RecordKind")
+    seq, at, kind, ids, amounts, parties, reason = line.split("|")
     return LedgerRecord(
         int(seq),
         int(at),
-        record_kind,
+        _KIND_OF[kind],
         tuple(ids.split(",")) if ids else (),
         tuple(map(int, amounts.split(","))) if amounts else (),
         tuple(parties.split(",")) if parties else (),

@@ -4,6 +4,8 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from progmoney.cli import run_cli
 from progmoney.crypto import KeyDirectory, Signature
@@ -384,6 +386,13 @@ UNPARSEABLE_LEDGERS = {
     "amount_not_an_integer": MINT_U1 + "\n1|1|BURN|u1|ten|central|-",
     "seq_not_an_integer": "zero|0|MINT|u1|100|central|-",
     "six_fields": "0|0|MINT|u1|100|central",
+    # numbers int() reads that no registry writes, an empty reason, and a
+    # minus zero: each line would read back as some other line
+    "underscore_sign_and_space": "0|0|MINT|u1|1_000|central|-\n1|+1|BURN|u1| 1000 |central|-",
+    "empty_reason": "0|0|MINT|u1|1000|central|",
+    "full_width_digits": "0|0|MINT|u1|\uff10\uff11\uff10\uff10\uff10|central|-",
+    "minus_zero": "0|-0|MINT|u1|100|central|-",
+    "leading_zero": "00|0|MINT|u1|100|central|-",
 }
 
 
@@ -397,6 +406,65 @@ def test_unparseable_ledger_is_a_violation_not_a_crash(name, tmp_path):
     (tmp_path / "observations.log").write_text("", encoding="utf-8")
     assert run_cli(["audit", str(tmp_path / "ledger.txt")]) == 2
     assert run_cli(["report", str(tmp_path)]) == 2
+
+
+def lenient_record(line):
+    """The record `line` names when every number is read as int() reads it."""
+    parts = line.rstrip("\n").split("|")
+    if len(parts) != 7:
+        raise ValueError(line)
+    seq, at, kind, ids, amounts, parties, reason = parts
+    return LedgerRecord(
+        int(seq),
+        int(at),
+        RecordKind(kind),
+        tuple(ids.split(",")) if ids else (),
+        tuple(map(int, amounts.split(","))) if amounts else (),
+        tuple(parties.split(",")) if parties else (),
+        None if reason == "-" else reason,
+    )
+
+
+# lines as the registry writes them, and the pieces a mutation splices in:
+# digits, signs and whitespace int() skips or reads, separators, non-ASCII
+# digits, kind names and a newline
+CANONICAL_LINES = [
+    MINT_U1,
+    "12|3|SPLIT|u1,u2,u3|100,40,60|alice|-",
+    "7|-3|BURN|u9|7|central|expiry",
+    "1|10|TRANSFER|u1|100|central,bob|-",
+    "0|0|MERGE|||x|y",
+]
+_LINE_PIECES = st.sampled_from(
+    ["0", "1", "9", "-", "+", "_", " ", "\t", "\n", "|", ",", "-0", "00"]
+    + ["\uff11", "\u0663", "MINT", "x"]
+)
+
+
+@settings(max_examples=400)
+@given(
+    st.sampled_from(CANONICAL_LINES),
+    st.lists(st.tuples(st.integers(0, 40), st.integers(0, 2), _LINE_PIECES), max_size=3),
+)
+def test_a_ledger_line_parses_iff_it_reads_back(line, edits):
+    for pos, how, piece in edits:
+        if how == 0:
+            line = line[:pos] + piece + line[pos:]
+        elif how == 1:
+            line = line[:pos] + line[pos + 1 :]
+        else:
+            line = line[:pos] + piece + line[pos + 1 :]
+    try:
+        read = lenient_record(line)
+    except ValueError:
+        read = None
+    reads_back = read is not None and read.line() == line
+    try:
+        record = parse_ledger_line(line)
+    except ValueError:
+        assert not reads_back, line
+    else:
+        assert reads_back and record == read, line
 
 
 def test_replayed_self_transfer_still_passes():
