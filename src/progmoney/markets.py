@@ -47,7 +47,6 @@ class Trade:
     qty: int
     buyer: str
     seller: str
-    at: int
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,7 @@ def _insert(orders: tuple[Order, ...], order: Order, descending: bool) -> tuple[
     return tuple(out)
 
 
-def cda_submit(book: OrderBook, order: Order, at: int = 0) -> tuple[OrderBook, list[Trade]]:
+def cda_submit(book: OrderBook, order: Order) -> tuple[OrderBook, list[Trade]]:
     """Match `order` against `book`; returns the new book and the trades."""
     if order.price <= 0 or order.qty <= 0:
         raise InvalidOrder(f"price and qty must be positive: {order}")
@@ -79,7 +78,7 @@ def cda_submit(book: OrderBook, order: Order, at: int = 0) -> tuple[OrderBook, l
         best = opposite[0]
         qty = min(remaining, best.qty)
         buyer, seller = (order.owner, best.owner) if bid else (best.owner, order.owner)
-        trades.append(Trade(best.price, qty, buyer, seller, at))
+        trades.append(Trade(best.price, qty, buyer, seller))
         remaining -= qty
         if qty == best.qty:
             opposite.pop(0)

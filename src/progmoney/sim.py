@@ -779,7 +779,7 @@ class Simulation:
         self.host(owner)
         self._order_seq += 1
         order = Order(Side(side), int(price), int(qty), owner, self._order_seq)
-        self.book, trades = cda_submit(self.book, order, at=self.now)
+        self.book, trades = cda_submit(self.book, order)
         self.obs(owner, "order", side=side, price=price, qty=qty)
         for trade in trades:
             self.obs(

@@ -26,7 +26,7 @@ def ask(price, qty, owner="s", seq=0):
     return Order(Side.ASK, price, qty, owner, seq)
 
 
-def brute_force_submit(book: OrderBook, order: Order, at=0):
+def brute_force_submit(book: OrderBook, order: Order):
     """Independent oracle: scan the opposite side in (price, seq) order."""
     resting = list(book.asks if order.side is Side.BID else book.bids)
     remaining = order.qty
@@ -44,9 +44,9 @@ def brute_force_submit(book: OrderBook, order: Order, at=0):
             best = min(candidates, key=lambda o: (-o.price, o.seq))
         qty = min(remaining, best.qty)
         if order.side is Side.BID:
-            trades.append(Trade(best.price, qty, order.owner, best.owner, at))
+            trades.append(Trade(best.price, qty, order.owner, best.owner))
         else:
-            trades.append(Trade(best.price, qty, best.owner, order.owner, at))
+            trades.append(Trade(best.price, qty, best.owner, order.owner))
         remaining -= qty
         resting.remove(best)
         if qty < best.qty:
@@ -71,7 +71,7 @@ class TestCdaSubmit:
         # derived by hand: ASK 100x5 resting, BID 105x3 incoming
         book = OrderBook(asks=(ask(100, 5, "s", 1),))
         new_book, trades = cda_submit(book, bid(105, 3, "b", 2))
-        assert trades == [Trade(100, 3, "b", "s", 0)]
+        assert trades == [Trade(100, 3, "b", "s")]
         assert new_book.asks == (ask(100, 2, "s", 1),)
         assert new_book.bids == ()
 
@@ -84,18 +84,18 @@ class TestCdaSubmit:
     def test_time_priority(self):
         book = OrderBook(asks=(ask(100, 1, "s1", 1), ask(100, 1, "s2", 2)))
         _, trades = cda_submit(book, bid(100, 1, "b", 3))
-        assert trades == [Trade(100, 1, "b", "s1", 0)]
+        assert trades == [Trade(100, 1, "b", "s1")]
 
     def test_price_priority_over_time(self):
         # resting asks sorted by (price, seq): the later-but-cheaper ask wins
         book = OrderBook(asks=(ask(99, 1, "s2", 2), ask(101, 1, "s1", 1)))
         _, trades = cda_submit(book, bid(105, 1, "b", 3))
-        assert trades == [Trade(99, 1, "b", "s2", 0)]
+        assert trades == [Trade(99, 1, "b", "s2")]
 
     def test_incoming_ask_matches_best_bid(self):
         book = OrderBook(bids=(bid(105, 2, "b1", 1), bid(103, 2, "b2", 2)))
         new_book, trades = cda_submit(book, ask(100, 3, "s", 3))
-        assert trades == [Trade(105, 2, "b1", "s", 0), Trade(103, 1, "b2", "s", 0)]
+        assert trades == [Trade(105, 2, "b1", "s"), Trade(103, 1, "b2", "s")]
         assert new_book.bids == (bid(103, 1, "b2", 2),)
 
     def test_invalid_order(self):
