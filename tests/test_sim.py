@@ -944,7 +944,7 @@ def taxed_scenario(policy: str, script: str) -> str:
         "[sim]\nname = taxed\nuntil = 6\nyear_ticks = 20\nperiod_ticks = 10\n"
         "[hosts]\ncentral = CENTRAL_BANK HOME\ntaker = CONSUMER HOME\n"
         "maker = VENDOR HOME\nbank_a = BANK HOME\ntax_authority = TAX_AUTHORITY HOME\n"
-        f"[policies]\ntaxed = {policy}\n[script]\n{script}"
+        f"[law]\nsale = legal 0/1\n[policies]\ntaxed = {policy}\n[script]\n{script}"
     )
 
 
@@ -1013,6 +1013,61 @@ def test_refused_move_waits_for_a_new_rate(tmp_path, policy, refusal):
     assert moves(script + "4 RATE bank_a 2/100\n") == [
         (2, "move_planned"), (3, refusal), (4, "move_planned"), (5, refusal)
     ]
+
+
+# each observation no shipped scenario or benchmark workload writes, on the
+# run path: the policy, the script, and the line the run must write
+@pytest.mark.parametrize(
+    "policy, script, observed",
+    [
+        (
+            "sales_tax 1/5",
+            "0 ISSUE central taker 600 taxed\n0 ISSUE central taker 600\n"
+            "1 BUY taker maker 1000 sale\n",
+            "1|taker|mixed_funds|needed=1000",
+        ),
+        (
+            "empty",
+            "2 ORDER ASK 100 1 maker\n3 ORDER BID 100 1 taker\n",
+            "3|taker|settlement_failed|cost=100",
+        ),
+        (
+            "sales_tax 3/5 sale + sales_tax 3/5 sale",
+            "0 ISSUE central taker 1000 taxed\n1 BUY taker maker 1000 sale\n",
+            "1|taker|buy_failed|error=ObligationUnpayable",
+        ),
+        (
+            "tamper_notify nobody",
+            "0 ISSUE central taker 1000 taxed\n1 TAMPER taker\n",
+            "1|taker|notify_undeliverable|target=nobody",
+        ),
+        (
+            "sales_tax 1/5 issuance nobody",
+            "0 ISSUE central taker 1000 taxed\n",
+            "0|sim|orphan_unit|unit=u2 owner=nobody",
+        ),
+        ("empty", "0 REPLAY taker\n", "0|taker|replay_noop|reason=nothing_captured"),
+        ("empty", "0 TAMPER maker\n", "0|maker|tamper_noop|reason=no_units"),
+        (
+            "empty",
+            "0 ISSUE central taker 1000\n1 TAMPER taker\n",
+            "1|taker|tamper_noop|reason=empty_policy",
+        ),
+    ],
+    ids=[
+        "mixed_funds",
+        "settlement_failed",
+        "buy_failed",
+        "notify_undeliverable",
+        "orphan_unit",
+        "replay_noop",
+        "tamper_noop_no_units",
+        "tamper_noop_empty_policy",
+    ],
+)
+def test_rare_observations_are_written(tmp_path, policy, script, observed):
+    observations, _ = run_cli_scenario(tmp_path, taxed_scenario(policy, script))
+    assert observed in observations
 
 
 def test_issue_and_trade_taxes_are_observed(tmp_path):
