@@ -457,8 +457,8 @@ _LINE = re.compile(
 def parse_ledger_line(line: str) -> LedgerRecord:
     """The record an exported line names; a ValueError if the line is not one.
 
-    Only a line that `line()` of the record it names writes back byte for
-    byte is one, so a record has a single spelling in an export.
+    A line is one only if `line()` of the record it names gives it back
+    byte for byte, so each record has a single spelling in an export.
     """
     if _LINE.fullmatch(line) is None:
         raise ValueError(f"malformed ledger line: {line!r}")
