@@ -67,6 +67,9 @@ _MINT, _TRANSFER, _SPLIT, _MERGE, _BURN = (
     RecordKind.MINT, RecordKind.TRANSFER, RecordKind.SPLIT, RecordKind.MERGE, RecordKind.BURN
 )
 _TRANSFER_REQUEST, _RECEIVE = pol.EventKind.TRANSFER_REQUEST, pol.EventKind.RECEIVE
+# `LAYOUT` keyed by each kind's `_value_`, a str whose hash is cached: a
+# lookup keyed by the member itself runs `Enum.__hash__` in Python
+_LAYOUT_OF = {kind._value_: layout for kind, layout in LAYOUT.items()}
 
 
 class InvalidPolicy(ValueError):
@@ -106,19 +109,29 @@ def origin_body(
     return f"{unit_id}|{value}|{currency}|{home or ''}|{digest_hex(policy_hash)}".encode()
 
 
+# an origin's (currency, home, policy hash): what `fungible` compares
+OriginKey = tuple[str, Optional[str], int]
+
+
 @dataclass(frozen=True, slots=True)
 class Origin:
     """The currency, home and policy a mint gives a unit and all its descendants.
 
     `home` is the minting issuer's location.  `sig` is the issuer's
     signature on `origin_body` of the minted unit.  Two origins are equal
-    when their currency, home and policy are: units that may merge.
+    when their currency, home and policy are: units that may merge.  `key`
+    holds those three as a plain tuple, built once and shared by every
+    descendant, whose hash runs no Python.
     """
 
     currency: str
     home: Optional[str]
     policy_hash: int
     sig: Signature = field(compare=False)
+    key: OriginKey = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", (self.currency, self.home, self.policy_hash))
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -155,7 +168,7 @@ class LineageNode:
         origin: Optional[Origin] = None,
     ) -> None:
         # written out: the generated one sets each slot through object.__setattr__
-        made, _, width = LAYOUT[record.kind]
+        made, _, width = _LAYOUT_OF[record.kind._value_]
         ids, amounts, parties = record.unit_ids, record.amounts, record.parties
         held: tuple[tuple[str, str, int], ...] = ()
         if parties and len(ids) == width and len(amounts) == width:
@@ -355,6 +368,12 @@ def fungible(a: MoneyUnit, b: MoneyUnit) -> bool:
     return a.lineage.origin == b.lineage.origin
 
 
+def origin_key(unit: MoneyUnit) -> Optional[OriginKey]:
+    """What `fungible` compares, as `Origin.key`; None with no origin."""
+    origin = unit.lineage.origin
+    return None if origin is None else origin.key
+
+
 def merge(a: MoneyUnit, b: MoneyUnit, registry: Registry, at: int) -> MoneyUnit:
     _require_active(a)
     _require_active(b)
@@ -543,7 +562,7 @@ def _shape_faults(node: LineageNode) -> list[str]:
     if node.sender_sig.signer != requester:
         faults.append("sender is not the requester")
     ids, amounts, kind, parents = record.unit_ids, record.amounts, record.kind, node.parents
-    consumed = LAYOUT[kind].consumed
+    consumed = _LAYOUT_OF[kind._value_].consumed
     # `made` is set only when the record is as wide as its layout, so every position is in range
     if len(parents) != len(consumed):
         faults.append("parents are not the units the record consumed")

@@ -228,6 +228,14 @@ class PolicyProgram:
         return {event: tuple(entries) for event, entries in index.items()}
 
     @cached_property
+    def _by_event_value(self) -> dict[str, tuple[tuple[int, Rule, Matcher], ...]]:
+        """`by_event` keyed by each event's `_value_`, a str whose hash is cached.
+
+        A lookup keyed by the member itself runs `Enum.__hash__` in Python.
+        """
+        return {event._value_: entries for event, entries in self.by_event.items()}
+
+    @cached_property
     def tick_flips(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Where a TICK condition's comparison can change truth, in ascending order.
 
@@ -696,7 +704,7 @@ def evaluate(policy: PolicyProgram, event: EventKind, ctx: EvalContext) -> Decis
     obligations came before it.
     """
     obligations: list[Obligation] = []
-    for i, rule, matches in policy.by_event[event]:
+    for i, rule, matches in policy._by_event_value[event._value_]:
         if not matches(ctx):
             continue
         if rule.kind is _PROHIBITION or any(isinstance(a, ForbidAction) for a in rule.actions):

@@ -25,11 +25,8 @@ issuer allowance, which the ledger export does not carry.
 
 `LAYOUT` is the one description of a record kind's shape: the positions of
 `unit_ids` and `amounts` it makes live, those it consumes or moves, and its
-width.  `Registry.holdings` answers "which live units does this owner hold"
-from an owner -> ids index that `endorse` updates from the record's layout
-once `step` succeeds: the requester loses the consumed ids and `parties[-1]`
-gains the made ones, with no look at the live set before or after.  Replay
-has no use for the index and does not keep one.
+width.  The registry keeps no owner -> ids index: the simulation, which
+books every unit a record spends or makes, keeps its own.
 """
 
 from __future__ import annotations
@@ -307,7 +304,6 @@ class Registry:
         self.record_sigs: list[Signature] = []
         self._state = _State()
         self.fold = LedgerFold(self._state)  # the live fold, read-only
-        self._held: dict[str, set[str]] = {}  # owner -> ids of the live units held
         self._issuers: dict[str, int] = {}  # key_id -> remaining allowance
         self._id_counter = 0
         self.now = 0
@@ -328,10 +324,6 @@ class Registry:
     def owner_of(self, unit_id: str) -> Optional[str]:
         entry = self._state.live.get(unit_id)
         return entry[0] if entry else None
-
-    def holdings(self, owner: str) -> list[str]:
-        """The sorted ids of the live units `owner` holds."""
-        return sorted(self._held.get(owner, ()))
 
     @property
     def live_supply(self) -> int:
@@ -358,20 +350,6 @@ class Registry:
         seq = len(self.records)
         record = asked if asked.seq == seq else replace(asked, seq=seq)
         step(self._state, record, self._issuers)
-        # `step` accepted the record, so its requester held every consumed id
-        made, consumed, _ = LAYOUT[record.kind]
-        ids, parties, held = record.unit_ids, record.parties, self._held
-        if consumed:
-            spent = held[parties[0]]
-            for i in consumed:
-                spent.discard(ids[i])
-        if made:
-            owner = parties[-1]
-            gained = held.get(owner)
-            if gained is None:
-                gained = held[owner] = set()
-            for i in made:
-                gained.add(ids[i])
         sig = self.directory.sign(REGISTRY_KEY, record.line().encode())
         self.records.append(record)
         self.record_sigs.append(sig)

@@ -44,7 +44,9 @@ registry's key id, no host id, [law] category or [policies] name
 may repeat, and no [policies] line may take the name "empty", the
 built-in policy that a MINT, an ISSUE or [supply] names by default.  Each
 [policies] value is expanded and compiled once the whole file is read, so
-an error in it names its line.
+an error in it names its line; so does a PAY payee or NOTIFY target in it
+that is not a declared host, a builder's default authority (`government`,
+`tax_authority`) included.
 """
 
 from __future__ import annotations
@@ -61,7 +63,9 @@ from .markets import Side
 from .policy import (
     PARTY_NAME_RULE,
     CheckFailure,
+    NotifyAction,
     ParseError,
+    PayAction,
     PolicyProgram,
     compile_policy,
     is_party_name,
@@ -158,12 +162,17 @@ def parse_scenario(text: str) -> ScenarioConfig:
             if key in policy_lines:
                 raise ScenarioError(f"duplicate [policies] name {key!r}", line_no)
             policy_lines[key] = (value, line_no)
-    # builders read [law] and year_ticks, which may follow the [policies] lines
+    # builders read [law] and year_ticks, and a policy names hosts, all of
+    # which may follow the [policies] lines
     for name, (spec, line_no) in policy_lines.items():
         try:
-            cfg.policies[name] = compile_policy(build_policy_source(spec, cfg.law, cfg.year_ticks))
+            program = compile_policy(build_policy_source(spec, cfg.law, cfg.year_ticks))
         except (ScenarioError, ParseError, CheckFailure) as exc:
             raise ScenarioError(str(exc), line_no) from None
+        for party in _parties(program):
+            if party not in cfg.hosts:
+                raise ScenarioError(f"[policies] {name!r} names undeclared host {party!r}", line_no)
+        cfg.policies[name] = program
     # hosts and policies may be declared after the lines that name them;
     # "empty" is the policy every Simulation starts with
     policies = {"empty"} | cfg.policies.keys()
@@ -186,6 +195,16 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raise ScenarioError(f"undeclared policy {cfg.supply_policy!r}", supply_lines["policy"])
     _check_script_args(cfg, script_line_nos, issuers, policies)
     return cfg
+
+
+def _parties(program: PolicyProgram) -> list[str]:
+    """Each PAY payee and NOTIFY target `program` names, in rule order."""
+    return [
+        action.payee if isinstance(action, PayAction) else action.target
+        for rule in program.rules
+        for action in rule.actions
+        if isinstance(action, (PayAction, NotifyAction))
+    ]
 
 
 # integer [sim] keys -> the least value each may take

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from bisect import bisect_left, insort
 from typing import Callable, Optional, Sequence, TypeVar
 
 from . import markets, money, policy as pol, supply as supply_mod
@@ -39,7 +40,7 @@ from .crypto import KeyDirectory, Signature
 # unused here; perfbench/tracing.py wraps sim's bindings of these by name
 from .crypto import attest_location, verify_attestation  # noqa: F401
 from .markets import Order, OrderBook, RateBoard, Side, cda_submit, select_best_rate
-from .money import MoneyUnit, TransferOutcome, UnitState
+from .money import MoneyUnit, OriginKey, TransferOutcome, UnitState
 from .registry import DoubleSpend, Registry, RegistryError, UnauthorizedIssuer
 from .sim_types import (
     ISSUER_ROLES,
@@ -73,6 +74,8 @@ _RECEIVE, _TICK, _ATTEST_FAIL, _TAMPER = (
 )
 
 _Made = TypeVar("_Made", bound=Sequence[MoneyUnit])
+# (owner, origin key, value): what `_book` files a live unit under
+_Filing = tuple[str, Optional[OriginKey], int]
 
 
 class Simulation:
@@ -100,6 +103,10 @@ class Simulation:
         self.registry = Registry(self.directory, rng=self._key_rng)
         self.hosts: dict[str, Host] = {}
         self.units: dict[str, MoneyUnit] = {}
+        # the wallet index, written only by `_book` (see "holdings" below)
+        self._held: dict[str, list[str]] = {}
+        self._priced: dict[_Filing, dict[str, None]] = {}
+        self._filed: dict[str, _Filing] = {}
         self.law: LawTable = {}
         self.policies: dict[str, pol.PolicyProgram] = {"empty": pol.EMPTY_POLICY}
         self.rate_board: RateBoard = {}
@@ -253,17 +260,46 @@ class Simulation:
     # writer of `units` and the one place a unit leaves `deposits`, so
     # `units` always holds exactly the registry's live ids.  A bank marks a
     # unit a deposit only once its RECEIVE obligations have run.
+    #
+    # `_book` also keeps the wallet index over those ids: `_held`, owner ->
+    # ids in string order (`u10` before `u2`); `_priced`, (owner, origin key,
+    # value) -> ids in booking order, as dict keys so that any one drops in
+    # constant time; and `_filed`, id -> the (owner, origin key, value) it is
+    # filed under.  A unit is dropped under what it was filed under, because
+    # a transfer has moved it and a burn has emptied it by the time `_book`
+    # sees it.
 
     def _book(self, spent: tuple[MoneyUnit, ...], made: _Made) -> _Made:
         """Drop the units a record spent, place the ones it made in order; returns `made`."""
+        units, held, priced, filed = self.units, self._held, self._priced, self._filed
         for unit in spent:
-            del self.units[unit.id]
-            self.deposits.discard(unit.id)
+            uid = unit.id
+            del units[uid]
+            self.deposits.discard(uid)
+            key = filed.pop(uid)
+            ids = held[key[0]]
+            del ids[bisect_left(ids, uid)]
+            same = priced[key]
+            del same[uid]
+            if not same:
+                del priced[key]
         for unit in made:
-            self.units[unit.id] = unit
-            self._wake(unit.id)
-            if unit.owner not in self.hosts:
-                self.obs("sim", "orphan_unit", unit=unit.id, owner=unit.owner)
+            uid, owner = unit.id, unit.owner
+            units[uid] = unit
+            ids = held.get(owner)
+            if ids is None:
+                held[owner] = [uid]
+            else:
+                insort(ids, uid)
+            key = filed[uid] = (owner, money.origin_key(unit), unit.value)
+            same = priced.get(key)
+            if same is None:
+                priced[key] = {uid: None}
+            else:
+                same[uid] = None
+            self._wake(uid)
+            if owner not in self.hosts:
+                self.obs("sim", "orphan_unit", unit=uid, owner=owner)
         return made
 
     def _mint(self, issuer: Host, value: int, policy_name: str) -> Optional[MoneyUnit]:
@@ -338,9 +374,13 @@ class Simulation:
             else:
                 self.obs(frm, "notify_undeliverable", target=target)
 
+    def holdings(self, owner: str) -> list[str]:
+        """The ids of the live units `owner` holds, in string order."""
+        return list(self._held.get(owner, ()))
+
     def active_units_of(self, host_id: str) -> list[MoneyUnit]:
         self.host(host_id)
-        return [self.units[uid] for uid in self.registry.holdings(host_id)]
+        return [self.units[uid] for uid in self.holdings(host_id)]
 
     # -- upkeep -----------------------------------------------------------
     # A unit's upkeep writes nothing while the head of its lineage is already
@@ -362,7 +402,7 @@ class Simulation:
             due.add(unit_id)
 
     def _wake_units_of(self, host_id: str) -> None:
-        for uid in self.registry.holdings(host_id):
+        for uid in self.holdings(host_id):
             self._wake(uid)
 
     def _upkeep(self) -> None:
@@ -543,7 +583,7 @@ class Simulation:
             rate = self.rate_board.get(bank_id)
             if not rate or rate <= 0:
                 continue
-            for uid in self.registry.holdings(bank_id):
+            for uid in self.holdings(bank_id):
                 if uid not in self.deposits:
                     continue
                 deposit = self.units[uid]
@@ -565,7 +605,7 @@ class Simulation:
     def _treasury_piece(
         self, bank: Host, deposit: MoneyUnit, amount: int
     ) -> Optional[MoneyUnit]:
-        for uid in self.registry.holdings(bank.id):
+        for uid in self.holdings(bank.id):
             if uid in self.deposits:
                 continue
             unit = self.units[uid]
@@ -671,9 +711,10 @@ class Simulation:
         buyer, vendor = self.host(buyer_id), self.host(vendor_id)
         amount = int(price)
         entry = self.query_law(category)
-        payment = self._gather_payment(buyer, amount)
+        payment = self._gather_payment(
+            buyer, amount, "insufficient_funds", price=amount, category=category
+        )
         if payment is None:
-            self.obs(buyer_id, "insufficient_funds", price=amount, category=category)
             return
         outcome = self._transfer(buyer, payment, vendor_id, category, buyer.location)
         if isinstance(outcome, money.PolicyForbids):
@@ -692,28 +733,73 @@ class Simulation:
             category=category,
         )
 
-    def _gather_payment(self, buyer: Host, amount: int) -> Optional[MoneyUnit]:
-        """Assemble one unit worth exactly `amount` from the units the buyer holds."""
-        pool: list[MoneyUnit] = []
-        total = 0
-        for unit in self.active_units_of(buyer.id):
-            # a unit failing integrity zeroises the moment it is touched
+    def _gather_payment(
+        self, buyer: Host, amount: int, short: str, **details
+    ) -> Optional[MoneyUnit]:
+        """One unit worth exactly `amount`, out of the buyer's units of one origin.
+
+        The buyer's ids are walked in string order.  Each unit is checked
+        for integrity as it is touched, and zeroised if it fails, and each
+        origin keeps a running total.  The first origin whose total reaches
+        `amount` pays (`_pay_from`).  If none does, the refusal is one
+        observation and the result is None: `mixed_funds` if the units
+        walked hold `amount` together, else `short` with `details`.
+        """
+        held = self._held.get(buyer.id, ())
+        pools: dict[Optional[OriginKey], list[MoneyUnit]] = {}
+        totals: dict[Optional[OriginKey], int] = {}
+        total = i = 0
+        while i < len(held):
+            unit = self.units[held[i]]
             if not money.verify_integrity(unit, self.directory):
+                # the zeroise drops the unit from `held`: position i is the next id
                 self._tampered(buyer, unit, "spend")
                 continue
+            i += 1
+            origin = money.origin_key(unit)
+            pool = pools.get(origin)
+            if pool is None:
+                pool = pools[origin] = []
             pool.append(unit)
+            paid = totals[origin] = totals.get(origin, 0) + unit.value
+            if paid >= amount:
+                return self._pay_from(buyer, origin, pool, paid, amount)
             total += unit.value
-            if total >= amount:
-                break
-        if total < amount:
-            return None
-        if not all(money.fungible(u, pool[0]) for u in pool):
+        if total >= amount:
             self.obs(buyer.id, "mixed_funds", needed=amount)
-            return None
+        else:
+            self.obs(buyer.id, short, **details)
+        return None
+
+    def _pay_from(
+        self,
+        buyer: Host,
+        origin: Optional[OriginKey],
+        pool: list[MoneyUnit],
+        total: int,
+        amount: int,
+    ) -> MoneyUnit:
+        """One unit worth `amount` of `origin`, whose walked units `pool` hold `total`.
+
+        A unit worth exactly `amount` pays alone: the last one walked, or
+        else the first of that origin and value `buyer` booked, whose
+        integrity is checked first (a unit failing it is zeroised, and the
+        next one is tried).  Otherwise `pool` merges, its last unit split so
+        that the result is worth `amount`.
+        """
+        last = pool[-1]
+        if last.value == amount:
+            return last
+        # the units walked before `last` are each worth less than `amount`,
+        # so every unit of that value is one the walk has not touched
+        key = (buyer.id, origin, amount)
+        while same := self._priced.get(key):
+            unit = self.units[next(iter(same))]
+            if money.verify_integrity(unit, self.directory):
+                return unit
+            self._tampered(buyer, unit, "spend")  # drops it from `same`
         if total > amount:
-            last = pool.pop()
-            keep = amount - sum(u.value for u in pool)
-            pool.append(self._split(last, keep)[0])
+            pool[-1] = self._split(last, last.value - (total - amount))[0]
         merged = pool[0]
         for unit in pool[1:]:
             merged = self._merge(merged, unit)
@@ -795,9 +881,8 @@ class Simulation:
     def _settle_trade(self, trade) -> None:
         buyer = self.host(trade.buyer)
         cost = trade.price * trade.qty
-        payment = self._gather_payment(buyer, cost)
+        payment = self._gather_payment(buyer, cost, "settlement_failed", cost=cost)
         if payment is None:
-            self.obs(trade.buyer, "settlement_failed", cost=cost)
             return
         outcome = self._transfer(buyer, payment, trade.seller, "trade", buyer.location)
         if not isinstance(outcome, TransferOutcome):

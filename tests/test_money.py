@@ -3,6 +3,7 @@
 import dataclasses
 import random
 from dataclasses import replace
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -777,6 +778,24 @@ class TestHotPathValues:
         current = getattr(value, name)  # set by the constructor, so readable
         with pytest.raises(AttributeError):
             setattr(value, name, current)
+
+    def test_a_lifecycle_hashes_no_enum_member(self, world, monkeypatch):
+        # record kinds and events are looked up by their str `_value_`, so no
+        # commit or evaluation runs Enum.__hash__ in Python
+        directory, registry, bank = world
+        policy = pol.compile_policy(SALES_TAX)
+        unit = mint(bank, 100, "SIM", policy, registry)
+        pol.evaluate(policy, pol.EventKind.TICK, ctx_for(unit))  # builds the policy's tables
+        hashed = []
+        enum_hash = Enum.__hash__
+        monkeypatch.setattr(Enum, "__hash__", lambda m: hashed.append(m) or enum_hash(m))
+        outcome = transfer(unit, "alice", ctx_for(unit, "sale"), registry)
+        carved, rest = split(outcome.received, 30, registry, at=1)
+        zeroise(merge(carved, rest, registry, at=2), "test", registry, at=3)
+        assert verify_integrity(outcome.payments[0][1], directory)
+        monkeypatch.undo()
+        assert [payee for payee, _ in outcome.payments] == ["tax_authority"]
+        assert hashed == []
 
     def test_replaced_node_is_untrusted_and_follows_its_record_and_parents(self, world):
         directory, registry, bank = world

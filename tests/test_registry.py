@@ -475,12 +475,6 @@ def test_replayed_self_transfer_still_passes():
 OWNERS = ("central", "alice", "bob", "mallory")
 
 
-def held_by_live_set(registry):
-    """owner -> sorted ids, computed from the live set itself."""
-    live = registry.fold.live
-    return {o: sorted(uid for uid, (owner, _) in live.items() if owner == o) for o in OWNERS}
-
-
 def random_request(rng, registry, at, self_transfer):
     """One asked record, often one the registry must refuse."""
     live = registry.fold.live
@@ -519,6 +513,8 @@ def random_request(rng, registry, at, self_transfer):
 
 
 def test_holdings_follow_the_live_set():
+    # a refused request leaves the live set as it was, and the live fold
+    # always equals a replay of the records committed so far
     directory, registry = make_registry()
     rng = random.Random(4)
     self_transfer = None
@@ -526,16 +522,18 @@ def test_holdings_follow_the_live_set():
     for at in range(1500):
         request = random_request(rng, registry, at, self_transfer)
         replays += request is self_transfer
-        before = {o: registry.holdings(o) for o in OWNERS}
+        before = dict(registry.fold.live)
         try:
             registry.endorse(request, directory.sign(request.parties[0], request.body().encode()))
             accepted += 1
         except (DoubleSpend, InvalidRequest, UnauthorizedIssuer):
             refused += 1
-            assert {o: registry.holdings(o) for o in OWNERS} == before
+            assert registry.fold.live == before
         if request.kind is RecordKind.TRANSFER and request.parties[1] == request.parties[0]:
             self_transfer = request
-        assert {o: registry.holdings(o) for o in OWNERS} == held_by_live_set(registry)
+        if at % 100 == 99:
+            replayed, errors = replay_records(registry.records)
+            assert errors == [] and replayed.live == registry.fold.live
     assert accepted > 500 and refused > 200 and replays > 20
     assert registry.audit() == []
 
@@ -561,7 +559,7 @@ def state_holding(kind):
 
 @pytest.mark.parametrize("kind", list(RecordKind), ids=lambda kind: kind.value)
 def test_layout_is_what_step_does(kind):
-    # the owner index and LineageNode.made read LAYOUT instead of the live set
+    # LineageNode.made and the shape check read LAYOUT instead of the live set
     ids, amounts, parties = WELL_FORMED[kind]
     made, consumed, width = LAYOUT[kind]
     state = state_holding(kind)

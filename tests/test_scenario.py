@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from progmoney.cli import run_cli
+from progmoney.money import origin_key
 from progmoney.registry import parse_ledger_line
 from progmoney.report import report_for
 from progmoney.scenario import (
@@ -46,10 +47,10 @@ plain = empty
 """
 
 
-# hosts and a policy for script lines to refer to; a script line here is line 8
+# hosts and a policy for script lines to refer to; a script line here is line 9
 WORLD = (
     "[hosts]\ncentral = CENTRAL_BANK HOME\nalice = CONSUMER HOME\nbob = VENDOR HOME\n"
-    "[policies]\nretail = sales_tax 1/5\n[script]\n"
+    "tax_authority = TAX_AUTHORITY HOME\n[policies]\nretail = sales_tax 1/5\n[script]\n"
 )
 
 
@@ -134,53 +135,58 @@ class TestParsing:
             ("[sim]\nname = x\nyear_ticks = 0\n", 3),
             ("[sim]\nperiod_ticks = 0\n", 2),
             ("[sim]\nuntil = -1\n", 2),
-            (WORLD + "2 BUY alice zed 10 sale\n", 8),
-            (WORLD + "2 BUY alice bob ten sale\n", 8),
-            (WORLD + "0 ISSUE central alice -5 retail\n", 8),
-            (WORLD + "0 ISSUE central alice 5 nopolicy\n", 8),
-            (WORLD + "2 RATE central 1/0\n", 8),
-            (WORLD + "2 RATE central half\n", 8),
-            (WORLD + "2 RATE central 0.5\n", 8),
-            (WORLD + "0 CONTACT ghost\n", 8),
-            (WORLD + "1 ORDER BUY 5 1 alice\n", 8),
-            (WORLD + "2 WITHHOLD alice yes\n", 8),
-            (WORLD + "1 TAMPER alice -100\n", 8),
-            (WORLD + "1 REPLAY alice -1\n", 8),
+            (WORLD + "2 BUY alice zed 10 sale\n", 9),
+            (WORLD + "2 BUY alice bob ten sale\n", 9),
+            (WORLD + "0 ISSUE central alice -5 retail\n", 9),
+            (WORLD + "0 ISSUE central alice 5 nopolicy\n", 9),
+            (WORLD + "2 RATE central 1/0\n", 9),
+            (WORLD + "2 RATE central half\n", 9),
+            (WORLD + "2 RATE central 0.5\n", 9),
+            (WORLD + "0 CONTACT ghost\n", 9),
+            (WORLD + "1 ORDER BUY 5 1 alice\n", 9),
+            (WORLD + "2 WITHHOLD alice yes\n", 9),
+            (WORLD + "1 TAMPER alice -100\n", 9),
+            (WORLD + "1 REPLAY alice -1\n", 9),
             ("[hosts]\nali,ce = CONSUMER HOME\n", 2),
             ("[hosts]\ncentral = CENTRAL_BANK HOME\nali|ce = CONSUMER HOME\n", 3),
             # the registry's key signs every ledger line; no host may share it
             ("[hosts]\nregistry = CONSUMER HOME\n", 2),
             # [supply] names checked once every host and policy is declared
             ("[supply]\nissuer = nobody\n[hosts]\ncentral = CENTRAL_BANK HOME\n", 2),
-            (WORLD.replace("[script]\n", "[supply]\npolicy = nosuch\n"), 8),
+            (WORLD.replace("[script]\n", "[supply]\npolicy = nosuch\n"), 9),
             # a rule or allowance needs an issuer to run it
             ("[supply]\nrule = CONSTANT_GROWTH 2/100\n", 2),
             ("[hosts]\ncentral = CENTRAL_BANK HOME\n[supply]\nallowance = 500\n", 4),
             # only an issuer may mint, and an allowance is never negative
-            (WORLD + "1 MINT alice 100 retail\n", 8),
-            (WORLD + "1 ISSUE bob alice 100 retail\n", 8),
-            (WORLD.replace("[script]\n", "[supply]\nissuer = alice\nrule = FIXED_CAP 5 10\n"), 8),
-            (WORLD.replace("[script]\n", "[supply]\nissuer = central\nallowance = -5\n"), 9),
+            (WORLD + "1 MINT alice 100 retail\n", 9),
+            (WORLD + "1 ISSUE bob alice 100 retail\n", 9),
+            (WORLD.replace("[script]\n", "[supply]\nissuer = alice\nrule = FIXED_CAP 5 10\n"), 9),
+            (WORLD.replace("[script]\n", "[supply]\nissuer = central\nallowance = -5\n"), 10),
             # a tick before the start, or a category the law does not know
-            (WORLD + "-1 ISSUE central alice 5\n", 8),
-            (WORLD + "1 BUY alice bob 5 nosuchcat\n", 8),
+            (WORLD + "-1 ISSUE central alice 5\n", 9),
+            (WORLD + "1 BUY alice bob 5 nosuchcat\n", 9),
             # policy text quotes host ids, categories and builder arguments
             ('[hosts]\nta"x = TAX_AUTHORITY HOME\n', 2),
             ("[hosts]\ncentral = CENTRAL_BANK HOME\nal ice = CONSUMER HOME\n", 3),
             ('[law]\nca"ke = illegal 0/1\n[policies]\nlawful = legality\n', 2),
-            (WORLD.replace("sales_tax 1/5", 'sales_tax 1/5 sale ta"x'), 6),
+            (WORLD.replace("sales_tax 1/5", 'sales_tax 1/5 sale ta"x'), 7),
             # a report line splits on whitespace, and the origin body a mint
             # signs on "|": its currency and home are the issuer's
             ("[sim]\nname = my scen\n", 2),
             ("[sim]\nname = x\ncurrency = S|M\n", 3),
             ("[sim]\ncurrency = S M\n", 2),
             ("[hosts]\ncentral = CENTRAL_BANK HO|ME\n", 2),
-            (WORLD + "1 MOVE_HOST central HO|ME\n", 8),
+            (WORLD + "1 MOVE_HOST central HO|ME\n", 9),
             # a repeated key would silently replace the first line's entry
             ("[law]\nsale = legal 1/5\nsale = illegal 0/1\n", 3),
-            (WORLD.replace("[script]\n", "retail = empty\n[script]\n"), 7),
+            (WORLD.replace("[script]\n", "retail = empty\n[script]\n"), 8),
             # "empty" is the policy a MINT or ISSUE names by default
-            (WORLD.replace("[script]\n", "empty = sales_tax 1/5\n[script]\n"), 7),
+            (WORLD.replace("[script]\n", "empty = sales_tax 1/5\n[script]\n"), 8),
+            # every party a policy pays or notifies is a declared host, a
+            # builder's default authority included
+            (WORLD.replace("sales_tax 1/5", "sales_tax 1/5 sale nobody"), 7),
+            (WORLD.replace("sales_tax 1/5", "sales_tax 1/5 + tamper_notify nobody"), 7),
+            (WORLD.replace("sales_tax 1/5", "sales_tax 1/5 + tamper_notify"), 7),
         ],
         ids=[
             "too_few_args",
@@ -228,6 +234,9 @@ class TestParsing:
             "law_category_repeated",
             "policy_name_repeated",
             "policy_name_reserved",
+            "undeclared_payee",
+            "undeclared_notify",
+            "undeclared_default_authority",
         ],
     )
     def test_bad_line_fails_at_load(self, tmp_path, text, line_no):
@@ -337,12 +346,12 @@ class TestPolicyBuilders:
     )
     def test_bad_builder_run_is_exit_1_and_writes_nothing(self, tmp_path, capsys, policy):
         # an extra argument, and a payee the ledger line cannot carry; the
-        # error names the file and the [policies] line, WORLD's line 6
+        # error names the file and the [policies] line, WORLD's line 7
         path = tmp_path / "bad.scn"
         path.write_text(WORLD.replace("sales_tax 1/5", policy), encoding="utf-8")
         assert run_cli(["run", str(path), "--out", str(tmp_path / "out")]) == 1
         assert not (tmp_path / "out").exists()
-        assert capsys.readouterr().err.startswith(f"error: {path}: line 6: ")
+        assert capsys.readouterr().err.startswith(f"error: {path}: line 7: ")
 
     @pytest.mark.parametrize("rate", ["0.2", "1e-1", "-1/5", "1/0", "fifth"])
     def test_sales_tax_rate_is_a_scenario_fraction(self, tmp_path, rate):
@@ -396,14 +405,20 @@ class TestShippedScenarios:
         assert registry.records
         for rec in registry.records:
             assert parse_ledger_line(rec.line()) == rec
-        # the owner index, updated from each record's layout, agrees with the fold
+        # the simulation's wallet index, kept where units are booked, agrees with the fold
         held: dict[str, list[str]] = {}
         for uid, (owner, _) in registry.fold.live.items():
             held.setdefault(owner, []).append(uid)
         owners = held.keys() | {owner for rec in registry.records for owner in rec.parties}
         for owner in owners:
-            assert registry.holdings(owner) == sorted(held.get(owner, ()))
+            assert sim.holdings(owner) == sorted(held.get(owner, ()))
         assert sim.units.keys() == registry.fold.live.keys()
+        # each live unit is filed under its owner, origin and value, once
+        for uid, unit in sim.units.items():
+            key = (unit.owner, origin_key(unit), unit.value)
+            assert sim._filed[uid] == key and uid in sim._priced[key]
+        assert sum(map(len, sim._priced.values())) == len(sim.units)
+        assert all(sim._priced.values())
 
     def test_sales_tax_outcome(self):
         sim = run_scenario(load_scenario(str(SCENARIO_DIR / "sales_tax.scn")), seed=7)

@@ -6,11 +6,18 @@ from pathlib import Path
 
 import pytest
 
+from progmoney import money
 from progmoney.cli import LEDGER_FILE, OBSERVATIONS_FILE, run_cli
 from progmoney.policy import compile_policy
 from progmoney.registry import RecordKind, parse_ledger_line
 from progmoney.report import render_report, report_for
-from progmoney.scenario import build_simulation, load_scenario, parse_scenario, run_scenario
+from progmoney.scenario import (
+    build_policy_source,
+    build_simulation,
+    load_scenario,
+    parse_scenario,
+    run_scenario,
+)
 from progmoney.sim import Simulation
 from progmoney.sim_types import LawEntry, LawStatus, Role, SchedulePast, UnknownCategory, UnknownHost
 from progmoney.supply import ConstantGrowth
@@ -312,7 +319,7 @@ class TestUpkeep:
         )
         sim.schedule_script(0, ("MINT", "central", "1000", "levied"))
         sim.run_until(4)
-        (unit_id,) = sim.registry.holdings("central")
+        (unit_id,) = sim.holdings("central")
         assert sim.units[unit_id].value == 1000
         assert [r.kind for r in sim.registry.records] == [RecordKind.MINT]
         assert f"3|central|obligation_blocked|unit={unit_id} error=PolicyForbids" in (
@@ -477,7 +484,7 @@ class TestReceiveObligations:
             "0|judy|move_planned|unit=u1 target=bank_a"
         ]
         assert report_for(sim).balances["bank_a"] == 1000
-        assert sim.deposits == set(sim.registry.holdings("bank_a"))
+        assert sim.deposits == set(sim.holdings("bank_a"))
 
     def test_deposit_zeroised_on_receipt_is_not_kept(self):
         sim = Simulation(seed=3, scenario_name="delegation")
@@ -511,7 +518,7 @@ def three_hosts(policy: str = "") -> Simulation:
 
 
 def units_held(sim: Simulation) -> dict[str, set[str]]:
-    return {h: set(sim.registry.holdings(h)) for h in ("central", "alice", "bob")}
+    return {h: set(sim.holdings(h)) for h in ("central", "alice", "bob")}
 
 
 def never_attesting(how: str, policy: str) -> tuple[Simulation, str]:
@@ -548,7 +555,7 @@ class TestAttestationPerHost:
     def test_never_attesting_host_reaches_every_unit(self, how):
         sim, failing = never_attesting(how, "OBLIGATION ON TICK IF now > 1 DO ZEROISE;")
         sim.run_until(1)
-        held = {h: sim.registry.holdings(h) for h in sim.hosts}
+        held = {h: sim.holdings(h) for h in sim.hosts}
         sim.run_until(3)
         # every unit of the host writes attest_fail every tick and never
         # runs its TICK rules; every other host's unit zeroises at tick 2
@@ -563,7 +570,7 @@ class TestAttestationPerHost:
         assert zeroised == [
             ("2", h, f"unit={uid}") for h in sorted(held) if h != failing for uid in held[h]
         ]
-        assert sim.registry.holdings(failing) == held[failing]
+        assert sim.holdings(failing) == held[failing]
 
     @pytest.mark.parametrize("how", ["withhold", "adversary"])
     def test_never_attesting_host_runs_attest_fail_rules(self, how):
@@ -583,7 +590,7 @@ class TestAttestationPerHost:
             assert (t1, h1) == (t2, h2) == ("0", failing)
             assert zeroise.startswith(f"{failed} reason=attest_fail value=")
         sim.run_until(2)
-        assert sim.registry.holdings(failing) == []
+        assert sim.holdings(failing) == []
         assert sim.registry.fold.burned == {"withhold": 600, "adversary": 150}[how]
 
     def test_move_abroad_zeroises_every_unit_of_the_host(self):
@@ -605,7 +612,7 @@ class TestAttestationPerHost:
 def every_tick_upkeep(self: Simulation) -> None:
     """The upkeep loop without wake-up ticks: every live unit of every host, every tick."""
     pairs = [
-        (host_id, uid) for host_id in sorted(self.hosts) for uid in self.registry.holdings(host_id)
+        (host_id, uid) for host_id in sorted(self.hosts) for uid in self.holdings(host_id)
     ]
     for host_id, uid in pairs:
         if self.registry.owner_of(uid) == host_id:
@@ -900,8 +907,8 @@ class TestSupplyInSim:
 
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.scn")))
 def test_balances_match_the_report(name):
-    # the simulation's units held by each host, as the registry's holdings
-    # index names them, against the balances the report reads from the fold
+    # the simulation's units held by each host, as its wallet index names them,
+    # against the balances the report reads from the fold
     sim = run_scenario(load_scenario(str(SCENARIO_DIR / name)), seed=7)
     lines = render_report(report_for(sim)).splitlines()
     reported = {
@@ -1016,7 +1023,9 @@ def test_refused_move_waits_for_a_new_rate(tmp_path, policy, refusal):
 
 
 # each observation no shipped scenario or benchmark workload writes, on the
-# run path: the policy, the script, and the line the run must write
+# run path: the policy, the script, and the line the run must write.  A
+# policy that pays or notifies a party no host is fails at load, so the rows
+# that name `nobody` install their policy straight into `sim.policies`
 @pytest.mark.parametrize(
     "policy, script, observed",
     [
@@ -1066,8 +1075,130 @@ def test_refused_move_waits_for_a_new_rate(tmp_path, policy, refusal):
     ],
 )
 def test_rare_observations_are_written(tmp_path, policy, script, observed):
-    observations, _ = run_cli_scenario(tmp_path, taxed_scenario(policy, script))
+    if "nobody" in policy:
+        cfg = parse_scenario(taxed_scenario("empty", script))
+        sim = build_simulation(cfg, seed=7)
+        sim.policies["taxed"] = compile_policy(
+            build_policy_source(policy, cfg.law, cfg.year_ticks)
+        )
+        observations = sim.run_until(cfg.until)
+        assert sim.registry.audit() == []
+    else:
+        observations, _ = run_cli_scenario(tmp_path, taxed_scenario(policy, script))
     assert observed in observations
+    # a refused purchase is one line
+    refusals = ("mixed_funds", "insufficient_funds", "settlement_failed")
+    assert sum(line.split("|")[2] in refusals for line in observations) <= 1
+
+
+# the taker's wallet, issued at tick 0 in id order as (value, policy), the
+# position of a unit tampered with at tick 1 (or None), and a tick-1 BUY for
+# 1000 under `sales_tax 1/5`: the records the taker commits to pay, the unit
+# the payment moves (None: a merged one), and the tax paid
+@pytest.mark.parametrize(
+    "wallet, tampered, paying, moved, tax",
+    [
+        # taxed 600 + 600 pay, around an untaxed 300 between them
+        (
+            [(600, "taxed"), (300, ""), (600, "taxed")],
+            None,
+            ["SPLIT", "MERGE", "TRANSFER"],
+            None,
+            200,
+        ),
+        # the walk's last unit is worth the price
+        ([(300, ""), (1000, "")], None, ["TRANSFER"], "u2", 0),
+        # a unit worth the price, of the origin that pays, past the walk
+        ([(600, "taxed"), (600, "taxed"), (1000, "taxed")], None, ["TRANSFER"], "u3", 200),
+        # a unit worth the price, of another origin, does not pay
+        (
+            [(600, "taxed"), (300, ""), (600, "taxed"), (1000, "")],
+            None,
+            ["SPLIT", "MERGE", "TRANSFER"],
+            None,
+            200,
+        ),
+        # a unit failing integrity is zeroised where it is touched, and the
+        # walk, or the search for a unit worth the price, goes on past it
+        (
+            [(400, "taxed"), (600, "taxed"), (400, "taxed")],
+            0,
+            ["BURN", "MERGE", "TRANSFER"],
+            None,
+            200,
+        ),
+        (
+            [(600, "taxed"), (600, "taxed"), (1000, "taxed"), (1000, "taxed")],
+            2,
+            ["BURN", "TRANSFER"],
+            "u4",
+            200,
+        ),
+    ],
+    ids=[
+        "one_origin_of_two",
+        "walked_exact",
+        "exact_past_the_walk",
+        "exact_of_another_origin",
+        "tampered_in_the_walk",
+        "tampered_exact",
+    ],
+)
+def test_a_purchase_pays_from_one_origin(tmp_path, wallet, tampered, paying, moved, tax):
+    script = "".join(f"0 ISSUE central taker {value} {policy}\n" for value, policy in wallet)
+    if tampered is not None:
+        script += f"1 TAMPER taker {tampered}\n"
+    observations, ledger = run_cli_scenario(
+        tmp_path, taxed_scenario("sales_tax 1/5", script + "1 BUY taker maker 1000 sale\n")
+    )
+    records = [parse_ledger_line(line) for line in ledger if line.split("|")[1] == "1"]
+    assert [rec.kind.value for rec in records if rec.parties[0] == "taker"] == paying
+    payment = next(rec for rec in records if rec.parties[0] == "taker" and rec.parties[1:])
+    assert payment.amounts == (1000,) and moved in (None, payment.unit_ids[0])
+    taxes = [rec.amounts[0] for rec in records if rec.parties[1:] == ("tax_authority",)]
+    assert sum(taxes) == tax
+    events = [line.split("|")[2] for line in observations if line.startswith("1|taker|")]
+    if tampered is not None:
+        burned = next(rec.unit_ids[0] for rec in records if rec.kind.value == "BURN")
+        assert burned == f"u{tampered + 1}"
+        assert f"1|taker|tamper_detected|unit={burned} problems=spend" in observations
+        assert events[:3] == ["tamper", "tamper_detected", "zeroise"]
+        events = events[3:]
+    assert events == ["transfer_complete"]
+
+
+def test_a_purchase_reads_a_bounded_part_of_the_wallet(monkeypatch):
+    # a BUY of 25 out of ten-unit coins touches the same few units whatever
+    # the wallet's size: integrity checks and unit reads, counted
+    counts = {}
+    for size in (10, 100, 1000):
+        sim = basic_sim()
+        sim.law["sale"] = LawEntry(LawStatus.LEGAL, Fraction(0))
+        for _ in range(size):
+            sim.schedule_script(0, ("ISSUE", "central", "alice", "10"))
+        sim.run_until(1)
+        checked = []
+        verify = money.verify_integrity
+
+        def counted(unit, directory):
+            checked.append(unit.id)
+            return verify(unit, directory)
+
+        class CountedUnits(dict):
+            reads = 0
+
+            def __getitem__(self, uid):
+                CountedUnits.reads += 1
+                return super().__getitem__(uid)
+
+        monkeypatch.setattr(money, "verify_integrity", counted)
+        sim.units = CountedUnits(sim.units)
+        sim.act_buy("alice", "bob", "25", "sale")
+        monkeypatch.undo()
+        assert "|alice|transfer_complete|" in sim.observations[-1]
+        counts[size] = (len(checked), CountedUnits.reads)
+    assert counts[10] == counts[100] == counts[1000]
+    assert max(counts[10]) <= 5, counts
 
 
 def test_issue_and_trade_taxes_are_observed(tmp_path):

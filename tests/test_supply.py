@@ -178,15 +178,16 @@ class TestRunSupply:
 
     @pytest.mark.parametrize("periods", [200, 2000])
     def test_minting_period_walks_no_wallet(self, monkeypatch, periods):
-        # only a burn reads the treasury, so a period that mints sums no wallet
+        # only a burn reads the treasury, so a period that mints reads no
+        # wallet out of the simulation's index
         walks = []
-        walk = Simulation.active_units_of
+        walk = Simulation.holdings
 
-        def counted(sim, host_id):
-            walks.append(host_id)
-            return walk(sim, host_id)
+        def counted(sim, owner):
+            walks.append(owner)
+            return walk(sim, owner)
 
-        monkeypatch.setattr(Simulation, "active_units_of", counted)
+        monkeypatch.setattr(Simulation, "holdings", counted)
         sim = supply_sim(FixedCapGeometric(5, 100_000), periods, initial_supply=1000)
         assert [p.mint for p in trajectory(sim)] == [5] * periods
         assert walks == []
