@@ -255,7 +255,7 @@ INTEGRITY_OK = IntegrityResult(True)
 class TransferOutcome:
     received: Optional[MoneyUnit]  # what the recipient ends up holding
     payments: list[tuple[str, MoneyUnit]] = field(default_factory=list)
-    notifications: list[tuple[str, str]] = field(default_factory=list)  # TRANSFER_REQUEST's
+    notify: tuple[str, ...] = ()  # TRANSFER_REQUEST's NOTIFY targets, in rule order
     owed: tuple[pol.Obligation, ...] = ()  # RECEIVE's other than PAY, in rule order
 
     def all_units(self) -> list[MoneyUnit]:
@@ -446,7 +446,8 @@ def transfer(
     The unit's policy must PERMIT both the TRANSFER_REQUEST and the RECEIVE
     event; PAY obligations from the RECEIVE decision carve value out of the
     received unit immediately; its other obligations are returned in `owed`
-    for the recipient to carry out.  On any error nothing has changed.
+    for the recipient to carry out, and the TRANSFER_REQUEST decision's
+    NOTIFY targets in `notify`.  On any error nothing has changed.
     """
     _require_active(unit)
     if ctx.amount != unit.value:
@@ -472,12 +473,10 @@ def transfer(
         _check_payment(unit, ob, ctx)
 
     owed = tuple(ob for ob in obligations if not isinstance(ob, pol.PayObligation))
-    outcome = TransferOutcome(received=None, owed=owed)
-    outcome.notifications.extend(
-        (ob.target, f"transfer unit={unit.id} amount={unit.value}")
-        for ob in request_decision.obligations
-        if isinstance(ob, pol.NotifyObligation)
+    notify = tuple(
+        ob.target for ob in request_decision.obligations if isinstance(ob, pol.NotifyObligation)
     )
+    outcome = TransferOutcome(received=None, notify=notify, owed=owed)
 
     _move(unit, to, registry, tick)
     current: Optional[MoneyUnit] = unit

@@ -21,11 +21,11 @@ is neither whitespace nor part of a token is a ParseError at its line and
 column.
 
 A parsed program is one `PolicyProgram` value.  It works out once, and
-keeps, what follows from its rules: its static check errors, its per-event
-compiled matchers, the ticks where a TICK rule can change and its deadline.
-Parsing, checking and evaluation are pure; the canonical print of a program
-is the byte string whose 64-bit hash travels with the unit for tamper
-evidence.
+keeps, what follows from its rules: its static check errors, the parties
+it pays or notifies, its per-event compiled matchers, the ticks where a
+TICK rule can change and its deadline.  Parsing, checking and evaluation
+are pure; the canonical print of a program is the byte string whose 64-bit
+hash travels with the unit for tamper evidence.
 """
 
 from __future__ import annotations
@@ -218,6 +218,16 @@ class PolicyProgram:
                     if rule.kind is RuleKind.PROHIBITION:
                         errors.append(CheckError(i, "PAY inside PROHIBITION"))
         return tuple(errors)
+
+    @cached_property
+    def parties(self) -> tuple[str, ...]:
+        """Each PAY payee and NOTIFY target, in rule order."""
+        return tuple(
+            action.payee if isinstance(action, PayAction) else action.target
+            for rule in self.rules
+            for action in rule.actions
+            if isinstance(action, (PayAction, NotifyAction))
+        )
 
     @cached_property
     def by_event(self) -> dict[EventKind, tuple[tuple[int, Rule, Matcher], ...]]:

@@ -32,7 +32,9 @@ Format (UTF-8, "#" comments):
     1 BUY alice bob 1000 cake
 
 Script action names, argument counts and argument kinds are those of the
-handlers in `sim.ACTIONS`: a script tick must not be negative, a host,
+handlers in `sim.ACTIONS`: a script tick must not be negative nor above
+`until`, the last tick the run processes (checked once the whole file is
+read, so [sim] may follow [script]), a host,
 policy or BUY category argument must be declared in the file, a number
 must parse, and a MINT or ISSUE must name an issuer.
 An issuer is a BANK or CENTRAL_BANK host, or the [supply] issuer when it is
@@ -56,16 +58,14 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Callable, Optional, get_args
+from typing import Callable, Optional, get_args, get_type_hints
 
 from . import fiscal
 from .markets import Side
 from .policy import (
     PARTY_NAME_RULE,
     CheckFailure,
-    NotifyAction,
     ParseError,
-    PayAction,
     PolicyProgram,
     compile_policy,
     is_party_name,
@@ -169,7 +169,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
             program = compile_policy(build_policy_source(spec, cfg.law, cfg.year_ticks))
         except (ScenarioError, ParseError, CheckFailure) as exc:
             raise ScenarioError(str(exc), line_no) from None
-        for party in _parties(program):
+        for party in program.parties:
             if party not in cfg.hosts:
                 raise ScenarioError(f"[policies] {name!r} names undeclared host {party!r}", line_no)
         cfg.policies[name] = program
@@ -193,18 +193,11 @@ def parse_scenario(text: str) -> ScenarioConfig:
         )
     if cfg.supply_policy not in policies:
         raise ScenarioError(f"undeclared policy {cfg.supply_policy!r}", supply_lines["policy"])
+    for line_no, (tick, _) in zip(script_line_nos, cfg.script):
+        if tick > cfg.until:
+            raise ScenarioError(f"script tick {tick} is after until = {cfg.until}", line_no)
     _check_script_args(cfg, script_line_nos, issuers, policies)
     return cfg
-
-
-def _parties(program: PolicyProgram) -> list[str]:
-    """Each PAY payee and NOTIFY target `program` names, in rule order."""
-    return [
-        action.payee if isinstance(action, PayAction) else action.target
-        for rule in program.rules
-        for action in rule.actions
-        if isinstance(action, (PayAction, NotifyAction))
-    ]
 
 
 # integer [sim] keys -> the least value each may take
@@ -281,12 +274,13 @@ def _parse_law_entry(cfg: ScenarioConfig, key: str, value: str, line_no: int) ->
     cfg.law[key] = LawEntry(status, _parse_fraction(parts[1], line_no))
 
 
-# supply rule name -> the arguments it takes, in order
-_SUPPLY_RULE_ARGS = {
-    "NONE": (),
-    "FIXED_CAP": ("issuance_start", "halving_periods"),
-    "CONSTANT_GROWTH": ("rate_per_year",),
-    "VOLUME_RESPONSIVE": ("base_rate", "sensitivity", "target_volume"),
+# supply rule name -> the rule it builds, None for none; its arguments are
+# the rule's fields, by their annotations, in order: each an int or a Fraction
+_SUPPLY_RULES: dict[str, Optional[type[SupplyRule]]] = {
+    "NONE": None,
+    "FIXED_CAP": FixedCapGeometric,
+    "CONSTANT_GROWTH": ConstantGrowth,
+    "VOLUME_RESPONSIVE": VolumeResponsive,
 }
 
 
@@ -305,25 +299,19 @@ def _parse_supply_entry(cfg: ScenarioConfig, key: str, value: str, line_no: int)
     if key != "rule":
         raise ScenarioError(f"unknown [supply] key {key!r}", line_no)
     kind, *args = value.split() or [""]
-    if kind not in _SUPPLY_RULE_ARGS:
+    if kind not in _SUPPLY_RULES:
         raise ScenarioError(f"unknown supply rule {kind!r}", line_no)
-    wanted = _SUPPLY_RULE_ARGS[kind]
+    rule = _SUPPLY_RULES[kind]
+    wanted = get_type_hints(rule) if rule is not None else {}  # field name -> type
     if len(args) != len(wanted):
-        usage = " ".join((kind,) + wanted)
+        usage = " ".join((kind, *wanted))
         raise ScenarioError(f"expected 'rule = {usage}', got {len(args)} arguments", line_no)
     try:
-        if kind == "NONE":
-            cfg.supply_rule = None
-        elif kind == "FIXED_CAP":
-            cfg.supply_rule = FixedCapGeometric(int(args[0]), int(args[1]))
-        elif kind == "CONSTANT_GROWTH":
-            cfg.supply_rule = ConstantGrowth(_parse_fraction(args[0], line_no))
-        else:
-            cfg.supply_rule = VolumeResponsive(
-                _parse_fraction(args[0], line_no),
-                _parse_fraction(args[1], line_no),
-                int(args[2]),
-            )
+        values = [
+            int(arg) if t is int else _parse_fraction(arg, line_no)
+            for t, arg in zip(wanted.values(), args)
+        ]
+        cfg.supply_rule = None if rule is None else rule(*values)
     except ScenarioError:
         raise
     except ValueError as exc:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import bisect_left, insort
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from . import markets, money, policy as pol, supply as supply_mod
 from .crypto import KeyDirectory, Signature
@@ -298,16 +298,18 @@ class Simulation:
             else:
                 same[uid] = None
             self._wake(uid)
-            if owner not in self.hosts:
-                self.obs("sim", "orphan_unit", unit=uid, owner=owner)
         return made
 
     def _mint(self, issuer: Host, value: int, policy_name: str) -> Optional[MoneyUnit]:
         """The one mint path: a unit of `issuer`'s, at home where `issuer` is now.
 
+        The one place a unit takes its policy, so every party the policy
+        pays or notifies must be a host (`UnknownHost` before any record).
         A mint over the issuer's allowance is observed and gives None.
         """
         policy = self.policies[policy_name]
+        for party in policy.parties:
+            self.host(party)
         try:
             unit = money.mint(
                 issuer.id, value, self.currency, policy, self.registry, self.now, issuer.location
@@ -352,7 +354,7 @@ class Simulation:
         self._book((unit,), outcome.all_units())
         for payee, paid in outcome.payments:
             self.obs(to, "pay_obligation", unit=paid.id, to=payee, amount=paid.value)
-        self._dispatch_notifications(to, outcome.notifications)
+        self._notify(to, f"transfer unit={unit.id} amount={ctx.amount}", outcome.notify)
         if outcome.owed:
             host = self.hosts[to]
             self._execute_obligations(host, outcome.received, outcome.owed, _RECEIVE)
@@ -366,13 +368,11 @@ class Simulation:
             details["error"] = type(refusal).__name__
         self.obs(host_id, "forbidden", unit=unit.id, category=category, **details)
 
-    def _dispatch_notifications(self, frm: str, notifications: list[tuple[str, str]]) -> None:
-        for target, body in notifications:
-            if target in self.hosts and frm in self.hosts:
-                self.send(frm, target, body)
-                self.obs(frm, "notify", target=target)
-            else:
-                self.obs(frm, "notify_undeliverable", target=target)
+    def _notify(self, frm: str, body: str, targets: Iterable[str]) -> None:
+        """Send `body` from `frm` to each of `targets`: the one notice path."""
+        for target in targets:
+            self.send(frm, target, body)
+            self.obs(frm, "notify", target=target)
 
     def holdings(self, owner: str) -> list[str]:
         """The ids of the live units `owner` holds, in string order."""
@@ -408,12 +408,12 @@ class Simulation:
     def _upkeep(self) -> None:
         self._next_upkeep = self.now + 1
         owner_of = self.registry.owner_of
-        # this tick's due units in (host, unit) order; ids consumed or held
-        # by no host since they were woken are dropped
+        # this tick's due units in (host, unit) order; ids consumed since
+        # they were woken are dropped
         due = sorted(
             (owner, uid)
             for uid in self._wakes.pop(self.now, ())
-            if (owner := owner_of(uid)) in self.hosts
+            if (owner := owner_of(uid)) is not None
         )
         for host_id, uid in due:
             # an earlier unit's upkeep this tick may have moved or consumed it
@@ -471,8 +471,8 @@ class Simulation:
         self._burn(unit, reason)
         self.obs(host_id, "zeroise", unit=unit.id, reason=reason, value=value)
         body = f"zeroise unit={unit.id} reason={reason} value={value}"
-        notes = [(ob.target, body) for ob in obligations if isinstance(ob, pol.NotifyObligation)]
-        self._dispatch_notifications(host_id, notes)
+        targets = [ob.target for ob in obligations if isinstance(ob, pol.NotifyObligation)]
+        self._notify(host_id, body, targets)
 
     def _tampered(self, host: Host, unit: MoneyUnit, problems: int | str) -> None:
         """Zeroise `unit`, which failed its integrity check; notify per its TAMPER rules."""
@@ -495,8 +495,7 @@ class Simulation:
             if isinstance(ob, pol.PayObligation):
                 current = self._pay_obligation(host, current, ob)
             elif isinstance(ob, pol.NotifyObligation):
-                body = f"{event.value.lower()} unit={current.id}"
-                self._dispatch_notifications(host.id, [(ob.target, body)])
+                self._notify(host.id, f"{event.value.lower()} unit={current.id}", (ob.target,))
             elif isinstance(ob, pol.ZeroiseObligation):
                 self._zeroise(host.id, current, ob.reason, obligations)
                 current = None
@@ -540,8 +539,8 @@ class Simulation:
 
     def _execute_delegated_move(self, unit_id: str) -> None:
         owner = self.registry.owner_of(unit_id)
-        if owner not in self.hosts:
-            return  # moved to a non-host, or consumed, since the move was planned
+        if owner is None:
+            return  # consumed since the move was planned
         holder, unit = self.hosts[owner], self.units[unit_id]
         # re-check under the board as it stands now (it may have moved on)
         target = select_best_rate(self.rate_board, self._current_bank_of(holder, unit_id))

@@ -325,7 +325,7 @@ class TestTransfer:
         )
         unit = mint(bank, 10, "SIM", noisy, registry)
         outcome = transfer(unit, "alice", ctx_for(unit, now=1), registry)
-        assert outcome.notifications == [("watcher", "transfer unit=u1 amount=10")]
+        assert outcome.notify == ("watcher",)
         assert outcome.owed == (
             pol.NotifyObligation("auditor", 1),
             pol.ZeroiseObligation("policy", 1),
@@ -481,6 +481,7 @@ class TestVerifyOnce:
         sim = Simulation(seed=3)
         sim.add_host("central", Role.CENTRAL_BANK, "HOME")
         sim.add_host("alice", Role.CONSUMER, "HOME")
+        sim.add_host("tax_authority", Role.TAX_AUTHORITY, "HOME")
         sim.policies["taxed"] = pol.compile_policy(SALES_TAX)
         sim.schedule_script(0, ("ISSUE", "central", "alice", "100", "taxed"))
         sim.run_until(1)

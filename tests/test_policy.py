@@ -2,11 +2,13 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from progmoney import fiscal
 from progmoney import policy as pol
 from progmoney.crypto import h64
 from progmoney.policy import (
@@ -321,6 +323,19 @@ def random_action(rng):
     if roll < 0.85:
         return NotifyAction("target_" + str(rng.randrange(9)))
     return pol.MoveToBestRateAction()
+
+
+def test_parties_in_rule_order():
+    program = compile_policy(
+        fiscal.compose(
+            'OBLIGATION ON TICK DO NOTIFY "watcher", PAY 1/10 TO "levy";',
+            fiscal.sales_tax_policy(Fraction(1, 5)),
+            fiscal.tamper_notify_policy(),
+            'OBLIGATION ON ATTEST_FAIL DO PAY 1/10 TO "levy", ZEROISE;',
+        )
+    )
+    # each occurrence, a builder's default authority among them
+    assert program.parties == ("watcher", "levy", "tax_authority", "government", "levy")
 
 
 class TestCheck:

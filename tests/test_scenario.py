@@ -187,6 +187,13 @@ class TestParsing:
             (WORLD.replace("sales_tax 1/5", "sales_tax 1/5 sale nobody"), 7),
             (WORLD.replace("sales_tax 1/5", "sales_tax 1/5 + tamper_notify nobody"), 7),
             (WORLD.replace("sales_tax 1/5", "sales_tax 1/5 + tamper_notify"), 7),
+            # a script line after the run's last tick would never run; [sim]
+            # may follow [script], and a line at `until` itself runs
+            (
+                "[script]\n3 CONTACT central\n99 CONTACT central\n[sim]\nuntil = 3\n"
+                "[hosts]\ncentral = CENTRAL_BANK HOME\n",
+                3,
+            ),
         ],
         ids=[
             "too_few_args",
@@ -237,6 +244,7 @@ class TestParsing:
             "undeclared_payee",
             "undeclared_notify",
             "undeclared_default_authority",
+            "script_tick_after_until",
         ],
     )
     def test_bad_line_fails_at_load(self, tmp_path, text, line_no):
@@ -246,6 +254,10 @@ class TestParsing:
         path = tmp_path / "bad.scn"
         path.write_text(text, encoding="utf-8")
         assert run_cli(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+
+    def test_script_line_at_until_runs(self):
+        text = "[script]\n3 CONTACT central\n[sim]\nuntil = 3\n[hosts]\ncentral = CENTRAL_BANK HOME\n"
+        assert "3|central|contact|units=0" in run_scenario(parse_scenario(text), seed=1).observations
 
     def test_supply_issuer_with_allowance_may_mint(self, tmp_path):
         # an allowance makes any declared host an issuer, up to the allowance

@@ -12,7 +12,6 @@ from progmoney.policy import compile_policy
 from progmoney.registry import RecordKind, parse_ledger_line
 from progmoney.report import render_report, report_for
 from progmoney.scenario import (
-    build_policy_source,
     build_simulation,
     load_scenario,
     parse_scenario,
@@ -671,6 +670,7 @@ class TestWakeUp:
             lambda self, host, unit: upkept.append(self.now) or upkeep_unit(self, host, unit),
         )
         sim = three_hosts('OBLIGATION ON TICK IF last_contact > 4 DO NOTIFY "government";')
+        sim.add_host("government", Role.LAW_SERVER, "HOME")
         sim.schedule_script(3, ("CONTACT", "bob"))
         sim.run_until(12)
         per_tick = {t: upkept.count(t) for t in sorted(set(upkept))}
@@ -697,6 +697,32 @@ def test_wake_up_upkeep_matches_every_tick_upkeep(monkeypatch, name, seed):
     assert artifacts_of(run_scenario(load_scenario(path), seed=seed)) == woken
 
 
+@pytest.mark.parametrize(
+    "source",
+    [
+        'OBLIGATION ON RECEIVE DO PAY 1/5 TO "nobody";',
+        'OBLIGATION ON TAMPER DO NOTIFY "government", NOTIFY "nobody";',
+    ],
+    ids=["payee", "notice_target"],
+)
+@pytest.mark.parametrize(
+    "action", [("MINT", "central"), ("ISSUE", "central", "alice")], ids=["mint", "issue"]
+)
+def test_mint_refuses_a_policy_naming_no_host(source, action):
+    # a scenario file cannot name such a policy; one put straight into
+    # `sim.policies` is refused where a unit takes it, before any record
+    sim = basic_sim()
+    sim.policies["stray"] = compile_policy(source)
+    sim.schedule_script(0, ("MINT", "central", "100"))
+    sim.run_until(0)
+    before = (list(sim.registry.records), dict(sim.units), list(sim.observations))
+    sim.schedule_script(1, (*action, "100", "stray"))
+    with pytest.raises(UnknownHost) as exc_info:
+        sim.run_until(1)
+    assert exc_info.value.args == ("nobody",)
+    assert (sim.registry.records, sim.units, sim.observations) == before
+
+
 class TestBuy:
     def test_exact_change_and_tax(self):
         sim = basic_sim()
@@ -712,6 +738,24 @@ class TestBuy:
         assert balances["bob"] == 360  # 450 - floor(450/5)
         assert balances["tax_authority"] == 90
         assert sim.registry.audit() == []
+
+    def test_transfer_notice_names_the_pre_tax_amount(self):
+        sim = basic_sim()
+        sim.policies["watched"] = compile_policy(
+            'OBLIGATION ON TRANSFER_REQUEST IF category == "sale" DO NOTIFY "government";\n'
+            'OBLIGATION ON RECEIVE IF category == "sale" DO PAY 1/5 TO "tax_authority";'
+        )
+        sim.schedule_script(0, ("ISSUE", "central", "alice", "1000", "watched"))
+        sim.schedule_script(1, ("BUY", "alice", "bob", "1000", "sale"))
+        sim.run_until(2)
+        # the recipient sends the notice, naming what was sent, not what it kept
+        assert [line for line in sim.observations if line.startswith("1|bob|")] == [
+            "1|bob|pay_obligation|unit=u2 to=tax_authority amount=200",
+            "1|bob|notify|target=government",
+        ]
+        assert "2|government|message|sender=bob body=transfer unit=u1 amount=1000" in (
+            sim.observations
+        )
 
     def test_insufficient_funds(self):
         sim = basic_sim()
@@ -918,6 +962,14 @@ def test_balances_match_the_report(name):
     assert set(reported) >= set(sim.hosts)
     for host_id in sim.hosts:
         assert sum(u.value for u in sim.active_units_of(host_id)) == reported[host_id], host_id
+    # what the run keeps no fallback for: an owner or a notice target no host is
+    assert {owner for owner, _ in sim.registry.fold.live.values()} <= set(sim.hosts)
+    notified = {
+        line.rsplit("|", 1)[1].removeprefix("target=")
+        for line in sim.observations
+        if line.split("|")[2] == "notify"
+    }
+    assert notified <= set(sim.hosts)
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.scn")))
@@ -1023,9 +1075,7 @@ def test_refused_move_waits_for_a_new_rate(tmp_path, policy, refusal):
 
 
 # each observation no shipped scenario or benchmark workload writes, on the
-# run path: the policy, the script, and the line the run must write.  A
-# policy that pays or notifies a party no host is fails at load, so the rows
-# that name `nobody` install their policy straight into `sim.policies`
+# run path: the policy, the script, and the line the run must write
 @pytest.mark.parametrize(
     "policy, script, observed",
     [
@@ -1045,16 +1095,6 @@ def test_refused_move_waits_for_a_new_rate(tmp_path, policy, refusal):
             "0 ISSUE central taker 1000 taxed\n1 BUY taker maker 1000 sale\n",
             "1|taker|buy_failed|error=ObligationUnpayable",
         ),
-        (
-            "tamper_notify nobody",
-            "0 ISSUE central taker 1000 taxed\n1 TAMPER taker\n",
-            "1|taker|notify_undeliverable|target=nobody",
-        ),
-        (
-            "sales_tax 1/5 issuance nobody",
-            "0 ISSUE central taker 1000 taxed\n",
-            "0|sim|orphan_unit|unit=u2 owner=nobody",
-        ),
         ("empty", "0 REPLAY taker\n", "0|taker|replay_noop|reason=nothing_captured"),
         ("empty", "0 TAMPER maker\n", "0|maker|tamper_noop|reason=no_units"),
         (
@@ -1067,24 +1107,13 @@ def test_refused_move_waits_for_a_new_rate(tmp_path, policy, refusal):
         "mixed_funds",
         "settlement_failed",
         "buy_failed",
-        "notify_undeliverable",
-        "orphan_unit",
         "replay_noop",
         "tamper_noop_no_units",
         "tamper_noop_empty_policy",
     ],
 )
 def test_rare_observations_are_written(tmp_path, policy, script, observed):
-    if "nobody" in policy:
-        cfg = parse_scenario(taxed_scenario("empty", script))
-        sim = build_simulation(cfg, seed=7)
-        sim.policies["taxed"] = compile_policy(
-            build_policy_source(policy, cfg.law, cfg.year_ticks)
-        )
-        observations = sim.run_until(cfg.until)
-        assert sim.registry.audit() == []
-    else:
-        observations, _ = run_cli_scenario(tmp_path, taxed_scenario(policy, script))
+    observations, _ = run_cli_scenario(tmp_path, taxed_scenario(policy, script))
     assert observed in observations
     # a refused purchase is one line
     refusals = ("mixed_funds", "insufficient_funds", "settlement_failed")
