@@ -1,15 +1,17 @@
 """MoneyUnit lifecycle: mint, split, merge, transfer, pay, integrity, zeroise.
 
 Every operation is gated twice: by the unit's own policy and by the central
-registry.  A transfer or a payment is atomic — all policy verdicts and
-obligation feasibility are established before the first registry call, so a
-rejected one leaves both the unit and the ledger untouched.
+registry.  A transfer is atomic — all policy verdicts and obligation
+feasibility are established before the first registry call, so a rejected
+one leaves both the unit and the ledger untouched.
 
 Every PAY obligation takes one path, whether it is a tax raised by the
 RECEIVE evaluation inside `transfer` or a levy the simulation runs from a
 TICK or ATTEST_FAIL decision (`pay`): it is checked under the reserved
-category "obligation" for TRANSFER_REQUEST and RECEIVE, then carved off the
-unit and moved to the payee.  A payment executes no obligations of its own,
+category "obligation" for TRANSFER_REQUEST and RECEIVE, then paid by one
+registry call, so it is atomic at the registry by construction: a SPLIT
+whose first child is the payee's and whose second is the payer's change, or
+one TRANSFER when it takes the whole unit.  A payment executes no obligations of its own,
 which keeps tax-on-tax recursion impossible.  A transfer pays its RECEIVE
 taxes, as its atomicity needs, and leaves the RECEIVE decision's other
 obligations to the recipient, which carries them out as it does a TICK's.
@@ -19,7 +21,8 @@ record `Registry.endorse` committed.  Each node holds the record, the
 registry's signature on its line and the requester's on its body, and the
 nodes of the units the record consumed: mint is a root, a transfer appends
 one node, a split makes one node that both its children point at, and a
-merge makes one node over both parents.  The record binds seq, kind, unit
+merge makes one node over both parents.  Each unit a node makes is owned by
+the party its kind's `LAYOUT` names, so a paid SPLIT child is the payee's.  The record binds seq, kind, unit
 ids, amounts and parties, so a node cannot be moved onto another unit's
 history.  Nodes are shared by every descendant and never copied, so
 lineage grows with the ledger, not with the number of splits and merges
@@ -70,6 +73,10 @@ _TRANSFER_REQUEST, _RECEIVE = pol.EventKind.TRANSFER_REQUEST, pol.EventKind.RECE
 # `LAYOUT` keyed by each kind's `_value_`, a str whose hash is cached: a
 # lookup keyed by the member itself runs `Enum.__hash__` in Python
 _LAYOUT_OF = {kind._value_: layout for kind, layout in LAYOUT.items()}
+# how many parties a record of each kind must name for its made units to have owners
+_PARTIES_OF = {
+    kind._value_: 1 + max(layout.owners, default=0) for kind, layout in LAYOUT.items()
+}
 
 
 class InvalidPolicy(ValueError):
@@ -154,8 +161,8 @@ class LineageNode:
     parents: tuple[LineageNode, ...] = ()
     origin: Optional[Origin] = None
     # (id, owner, amount) of each unit the record makes, at its kind's
-    # `LAYOUT` positions; empty if it makes none, has no party, or its ids or
-    # amounts are not as many as the layout's width
+    # `LAYOUT` positions; empty if it makes none, lacks a party the layout
+    # names, or its ids or amounts are not as many as the layout's width
     made: tuple[tuple[str, str, int], ...] = field(init=False)
     verified_by: Optional[KeyDirectory] = field(default=None, init=False, repr=False)
 
@@ -168,13 +175,13 @@ class LineageNode:
         origin: Optional[Origin] = None,
     ) -> None:
         # written out: the generated one sets each slot through object.__setattr__
-        made, _, width = _LAYOUT_OF[record.kind._value_]
+        kind = record.kind._value_
+        made, owners, _, width = _LAYOUT_OF[kind]
         ids, amounts, parties = record.unit_ids, record.amounts, record.parties
         held: tuple[tuple[str, str, int], ...] = ()
-        if parties and len(ids) == width and len(amounts) == width:
-            owner = parties[-1]
-            for i in made:
-                held += ((ids[i], owner, amounts[i]),)
+        if len(parties) >= _PARTIES_OF[kind] and len(ids) == width and len(amounts) == width:
+            for i, owner in zip(made, owners):
+                held += ((ids[i], parties[owner], amounts[i]),)
         _set_record(self, record)
         _set_sig(self, sig)
         _set_sender_sig(self, sender_sig)
@@ -345,8 +352,14 @@ def mint(
     )
 
 
-def split(unit: MoneyUnit, amount: int, registry: Registry, at: int) -> tuple[MoneyUnit, MoneyUnit]:
-    """Carve `amount` out of `unit`; returns (carved, remainder)."""
+def split(
+    unit: MoneyUnit, amount: int, registry: Registry, at: int, to: Optional[str] = None
+) -> tuple[MoneyUnit, MoneyUnit]:
+    """Carve `amount` out of `unit`; returns (carved, remainder).
+
+    The carved unit is `to`'s, by default the owner's; the remainder stays
+    the owner's.  Either way it is one SPLIT record.
+    """
     _require_active(unit)
     if amount <= 0 or amount >= unit.value:
         raise InvalidAmount(
@@ -354,7 +367,9 @@ def split(unit: MoneyUnit, amount: int, registry: Registry, at: int) -> tuple[Mo
         )
     ids = (unit.id, registry.new_unit_id(), registry.new_unit_id())
     amounts = (unit.value, amount, unit.value - amount)
-    endorsed = _endorse(registry, _SPLIT, ids, amounts, (unit.owner,), at)
+    owner = unit.owner
+    parties = (owner, owner if to is None else to, owner)
+    endorsed = _endorse(registry, _SPLIT, ids, amounts, parties, at)
     node = _node(registry, endorsed, (unit.lineage,))
     carved, rest = (
         MoneyUnit(uid, value, owner, unit.policy, node, last_contact=unit.last_contact)
@@ -415,13 +430,15 @@ def _check_payment(unit: MoneyUnit, ob: pol.PayObligation, ctx: pol.EvalContext)
 def _carve(
     unit: MoneyUnit, ob: pol.PayObligation, registry: Registry, at: int
 ) -> tuple[MoneyUnit, Optional[MoneyUnit]]:
-    """Move `ob.amount` of `unit` to the payee: (the paid unit, what is left)."""
+    """Move `ob.amount` of `unit` to the payee: (the paid unit, what is left).
+
+    One record: the whole unit is one TRANSFER, which keeps its id; a part
+    is one SPLIT whose first child is the payee's.
+    """
     if ob.amount == unit.value:
         _move(unit, ob.payee, registry, at)
         return unit, None
-    paid, rest = split(unit, ob.amount, registry, at)
-    _move(paid, ob.payee, registry, at)
-    return paid, rest
+    return split(unit, ob.amount, registry, at, ob.payee)
 
 
 def pay(

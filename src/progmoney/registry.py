@@ -10,11 +10,15 @@ record as a unit's lineage node.  A unit id is consumed by
 split/merge/burn; a transfer keeps the id live and moves its owner, so a
 replayed transfer fails the owner check and is rejected as a double spend.
 A self-transfer (sender == new owner) leaves the owner as it was, so its
-replay is endorsed again.
+replay is endorsed again.  A SPLIT's parties are the requester and the
+owner of each child, so a payment carved out of a unit is one record: a
+plain split is `alice,alice,alice`, a tax `bob,tax_authority,bob`.
 
 `step` is the ledger's one transition, and its state is the one fold every
-reader reads: the live units, the mint and burn totals, TRANSFER amounts by
-new owner, BURN amounts by reason and TRANSFER volume by tick.
+reader reads: the live units, the mint and burn totals, BURN amounts by reason,
+and the amounts records give to an owner other than their requester — a
+TRANSFER's unit (a self-transfer too) and a SPLIT child paid away — by
+owner and by tick.
 `Registry.endorse` runs `step` on the live state, which `Registry.fold`
 hands out read-only: the live report and the per-period supply statistics
 read it there, and read no record.  `replay_records` folds `step` over
@@ -24,8 +28,8 @@ it.  A replay therefore makes every check an endorsement makes except the
 issuer allowance, which the ledger export does not carry.
 
 `LAYOUT` is the one description of a record kind's shape: the positions of
-`unit_ids` and `amounts` it makes live, those it consumes or moves, and its
-width.  The registry keeps no owner -> ids index: the simulation, which
+`unit_ids` and `amounts` it makes live and the party owning each, those it
+consumes or moves, and its width.  The registry keeps no owner -> ids index: the simulation, which
 books every unit a record spends or makes, keeps its own.
 """
 
@@ -141,9 +145,9 @@ class _State:
     consumed: set[str] = field(default_factory=set)
     minted: int = 0
     burned: int = 0
-    received: dict[str, int] = field(default_factory=dict)  # new owner -> TRANSFER amounts
+    received: dict[str, int] = field(default_factory=dict)  # owner -> amounts given to it
     burns: dict[Optional[str], int] = field(default_factory=dict)  # reason -> BURN amounts
-    volume: dict[int, int] = field(default_factory=dict)  # tick -> TRANSFER amounts
+    volume: dict[int, int] = field(default_factory=dict)  # tick -> amounts given
 
 
 class LedgerFold:
@@ -192,20 +196,22 @@ _MINT, _TRANSFER, _SPLIT, _MERGE, _BURN = (
 
 
 class Layout(NamedTuple):
-    """Where a record kind keeps its units in `unit_ids` and `amounts`."""
+    """Where a record kind keeps its units in `unit_ids`, `amounts` and `parties`."""
 
-    made: tuple[int, ...]  # positions the record makes live, owned by `parties[-1]`
+    made: tuple[int, ...]  # positions the record makes live
+    owners: tuple[int, ...]  # for each made position, the party position that owns it
     consumed: tuple[int, ...]  # positions it consumes or moves, owned by `parties[0]`
     width: int  # the length of `unit_ids` and `amounts`
 
 
-# a TRANSFER moves position 0 from `parties[0]` to `parties[1]`
+# a TRANSFER moves position 0 from `parties[0]` to `parties[1]`; a SPLIT's
+# children belong to `parties[1]` and `parties[2]`
 LAYOUT: dict[RecordKind, Layout] = {
-    RecordKind.MINT: Layout((0,), (), 1),
-    RecordKind.TRANSFER: Layout((0,), (0,), 1),
-    RecordKind.SPLIT: Layout((1, 2), (0,), 3),
-    RecordKind.MERGE: Layout((2,), (0, 1), 3),
-    RecordKind.BURN: Layout((), (0,), 1),
+    RecordKind.MINT: Layout((0,), (0,), (), 1),
+    RecordKind.TRANSFER: Layout((0,), (1,), (0,), 1),
+    RecordKind.SPLIT: Layout((1, 2), (1, 2), (0,), 3),
+    RecordKind.MERGE: Layout((2,), (0,), (0, 1), 3),
+    RecordKind.BURN: Layout((), (), (0,), 1),
 }
 
 
@@ -216,7 +222,8 @@ def step(
 
     Raises a RegistryError, leaving `state` untouched, if the record may not
     follow `state`.  `parties[0]` is the requester, who must own every unit
-    the record consumes or moves; a TRANSFER's `parties[1]` is the new owner.
+    the record consumes or moves; a TRANSFER's `parties[1]` is the new owner,
+    and a SPLIT's `parties[1]` and `parties[2]` own its two children.
     `issuers` (key id -> remaining allowance) is checked and charged on MINT
     when given; a replayed ledger carries no allowances and passes None.
     """
@@ -248,11 +255,15 @@ def step(
         received[parties[1]] = received.get(parties[1], 0) + value
         volume[rec.at] = volume.get(rec.at, 0) + value
     elif kind is _SPLIT:
-        if len(ids) != 3 or len(amounts) != 3 or len(parties) != 1:
-            raise InvalidRequest("SPLIT wants parent and two children")
+        if (
+            len(ids) != 3 or len(amounts) != 3 or len(parties) != 3
+            or not parties[1] or not parties[2]
+        ):
+            raise InvalidRequest("SPLIT wants parent, two children and each child's owner")
         parent, c1, c2 = ids
         pv, a, b = amounts
-        value = _owned_value(state, parent, parties[0])
+        requester, o1, o2 = parties
+        value = _owned_value(state, parent, requester)
         if pv != value or a <= 0 or b <= 0 or a + b != pv:
             raise InvalidRequest("SPLIT amounts do not conserve")
         _require_fresh(state, c1)
@@ -261,8 +272,17 @@ def step(
             raise InvalidRequest(f"SPLIT children share id {c1}")
         del live[parent]
         state.consumed.add(parent)
-        live[c1] = (parties[0], a)
-        live[c2] = (parties[0], b)
+        live[c1] = (o1, a)
+        live[c2] = (o2, b)
+        # a child paid to another owner counts as the TRANSFER of it would
+        if o1 != requester:
+            received, volume = state.received, state.volume
+            received[o1] = received.get(o1, 0) + a
+            volume[rec.at] = volume.get(rec.at, 0) + a
+        if o2 != requester:
+            received, volume = state.received, state.volume
+            received[o2] = received.get(o2, 0) + b
+            volume[rec.at] = volume.get(rec.at, 0) + b
     elif kind is _MERGE:
         if len(ids) != 3 or len(amounts) != 3 or len(parties) != 1:
             raise InvalidRequest("MERGE wants two parents and the result")
@@ -360,7 +380,7 @@ class Registry:
     # -- statistics ------------------------------------------------------
 
     def supply_stats(self, window: tuple[int, int]) -> SupplyStats:
-        """Live supply and the TRANSFER volume of ticks `lo..hi`, read from the fold.
+        """Live supply and the volume given in ticks `lo..hi`, read from the fold.
 
         Live supply is minted - burned, and the volume sums the fold's
         per-tick totals, so a call costs O(hi - lo) and reads no record.

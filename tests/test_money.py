@@ -344,7 +344,68 @@ class TestTransfer:
             assert current.lineage.holding(current.id) == (current.id, current.owner, current.value)
 
 
+    def test_a_tax_is_one_split_to_the_payee(self, world):
+        # the recipient's tax is carved off as one SPLIT naming each child's owner
+        directory, registry, bank = world
+        unit = mint(bank, 1000, "SIM", pol.compile_policy(SALES_TAX), registry)
+        outcome = transfer(unit, "bob", ctx_for(unit, category="sale", now=1), registry)
+        (payee, tax), rest = outcome.payments[0], outcome.received
+        assert [rec.line() for rec in registry.records[1:]] == [
+            f"1|1|TRANSFER|{unit.id}|1000|central,bob|-",
+            f"2|1|SPLIT|{unit.id},{tax.id},{rest.id}|1000,200,800|bob,tax_authority,bob|-",
+        ]
+        assert tax.lineage is rest.lineage
+        assert (payee, tax.owner, rest.owner) == ("tax_authority", "tax_authority", "bob")
+        assert verify_integrity(tax, directory) and verify_integrity(rest, directory)
+
+    def test_split_to_a_payee(self, world):
+        directory, registry, bank = world
+        unit = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
+        carved, rest = split(unit, 40, registry, at=1, to="alice")
+        assert (carved.owner, carved.value, rest.owner, rest.value) == ("alice", 40, "central", 60)
+        assert registry.fold.live == {carved.id: ("alice", 40), rest.id: ("central", 60)}
+        assert registry.records[-1].parties == ("central", "alice", "central")
+        assert verify_integrity(carved, directory) and verify_integrity(rest, directory)
+
+
+def _paid_tax(world):
+    """The tax unit a 1000 sale at 1/5 carves off for the tax authority."""
+    directory, registry, bank = world
+    unit = mint(bank, 1000, "SIM", pol.compile_policy(SALES_TAX), registry)
+    outcome = transfer(unit, "bob", ctx_for(unit, category="sale", now=1), registry)
+    tax = outcome.payments[0][1]
+    assert tax.lineage.record.kind is RecordKind.SPLIT and verify_integrity(tax, directory)
+    return directory, tax
+
+
 class TestIntegrity:
+    def test_paying_split_with_an_edited_payee_detected(self, world):
+        # the payee is edited after signing and the unit follows it; the signatures stay
+        directory, tax = _paid_tax(world)
+        node = tax.lineage
+        tax.lineage = replace(node, record=replace(node.record, parties=("bob", "mallory", "bob")))
+        tax.owner = "mallory"
+        result = verify_integrity(tax, directory)
+        assert not result.ok
+        assert "stamp 2 endorsement mismatch" in result.problems
+        assert "stamp 2 sender signature mismatch" in result.problems
+
+    def test_paying_split_resigned_by_an_adversary_detected(self, world):
+        directory, tax = _paid_tax(world)
+        directory.create("mallory", random.Random(66))
+        node = tax.lineage
+        record = replace(node.record, parties=("mallory", "mallory", "bob"))
+        tax.lineage = replace(
+            node,
+            record=record,
+            sig=directory.sign("mallory", record.line().encode()),
+            sender_sig=directory.sign("mallory", record.body().encode()),
+        )
+        tax.owner = "mallory"
+        result = verify_integrity(tax, directory)
+        assert not result.ok
+        assert "stamp 2 endorsement by unexpected key" in result.problems
+
     def test_untouched_unit_ok(self, world):
         directory, registry, bank = world
         unit = mint(bank, 100, "SIM", pol.compile_policy(SALES_TAX), registry)
@@ -807,11 +868,11 @@ class TestHotPathValues:
         assert node.verified_by is directory
         assert node.made == ((carved.id, "central", 40), (rest.id, "central", 60))
         node.record.body()  # fill the cache a replaced record must not carry over
-        record = replace(node.record, amounts=(100, 30, 70), parties=("alice",))
-        assert "|100,30,70|alice|" in record.body()
+        record = replace(node.record, amounts=(100, 30, 70), parties=("alice", "bob", "alice"))
+        assert "|100,30,70|alice,bob,alice|" in record.body()
         edited = replace(node, record=record, parents=(gold.lineage,))
         assert edited.verified_by is None
-        assert edited.made == ((carved.id, "alice", 30), (rest.id, "alice", 70))
+        assert edited.made == ((carved.id, "bob", 30), (rest.id, "alice", 70))
         assert edited.origin is gold.lineage.origin != node.origin
         # untrusted, so checked in full: gold's MINT made no unit the record consumed
         carved.lineage = edited

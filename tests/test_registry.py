@@ -156,7 +156,7 @@ class TestEndorse:
             RecordKind.SPLIT,
             (parent, registry.new_unit_id(), registry.new_unit_id()),
             (1000, 300, 600),
-            ("central",),
+            ("central", "central", "central"),
             1,
         )
         with pytest.raises(InvalidRequest):
@@ -167,7 +167,12 @@ class TestEndorse:
         parent = minted(directory, registry)
         child = registry.new_unit_id()
         split = ask(
-            directory, RecordKind.SPLIT, (parent, child, child), (1000, 400, 600), ("central",), 1
+            directory,
+            RecordKind.SPLIT,
+            (parent, child, child),
+            (1000, 400, 600),
+            ("central", "central", "central"),
+            1,
         )
         with pytest.raises(InvalidRequest):
             registry.endorse(*split)
@@ -226,7 +231,7 @@ class TestReplayHarness:
             RecordKind.SPLIT,
             (uid, registry.new_unit_id(), registry.new_unit_id()),
             (1000, 400, 600),
-            ("alice",),
+            ("alice", "alice", "alice"),
             2,
         )
         registry.endorse(*split)
@@ -242,6 +247,86 @@ class TestReplayHarness:
         assert outcomes.count("accepted") == 0
         assert outcomes.count("double_spend") == 1000
         assert registry.audit() == []
+
+
+class TestPayingSplit:
+    """A SPLIT whose first child is paid to another owner: a tax in one record."""
+
+    def paid(self):
+        """alice holds u1 (1000) and pays bob 200 of it at tick 2, keeping 800."""
+        directory, registry = make_registry()
+        uid = minted(directory, registry)
+        registry.endorse(
+            *ask(directory, RecordKind.TRANSFER, (uid,), (1000,), ("central", "alice"), 1)
+        )
+        children = (registry.new_unit_id(), registry.new_unit_id())
+        split = ask(
+            directory,
+            RecordKind.SPLIT,
+            (uid, *children),
+            (1000, 200, 800),
+            ("alice", "bob", "alice"),
+            2,
+        )
+        received_before = dict(registry.fold.received)
+        registry.endorse(*split)
+        return directory, registry, split, children, received_before
+
+    @pytest.mark.parametrize(
+        "parties",
+        [("alice",), ("alice", "bob"), ("alice", "", "alice"), ("alice", "bob", "")],
+        ids=["one_party", "two_parties", "empty_first_owner", "empty_second_owner"],
+    )
+    def test_step_refuses_a_split_without_three_owners(self, parties):
+        state = _State()
+        step(state, LedgerRecord(0, 0, RecordKind.MINT, ("u1",), (1000,), ("alice",)))
+        before = dataclasses.replace(
+            state, live=dict(state.live), consumed=set(state.consumed)
+        )
+        record = LedgerRecord(1, 1, RecordKind.SPLIT, ("u1", "u2", "u3"), (1000, 200, 800), parties)
+        with pytest.raises(InvalidRequest):
+            step(state, record)
+        assert state == before
+
+    def test_children_are_booked_to_their_owners(self):
+        _, registry, _, (c1, c2), _ = self.paid()
+        assert registry.fold.live == {c1: ("bob", 200), c2: ("alice", 800)}
+        assert registry.owner_of(c1) == "bob" and registry.owner_of(c2) == "alice"
+        assert registry.records[-1].line() == "2|2|SPLIT|u1,u2,u3|1000,200,800|alice,bob,alice|-"
+
+    def test_payment_is_received_and_volume(self):
+        _, registry, _, _, received_before = self.paid()
+        fold = registry.fold
+        assert fold.received["bob"] == received_before.get("bob", 0) + 200
+        assert fold.received["alice"] == received_before["alice"]
+        assert fold.volume[2] == 200
+        assert registry.supply_stats((2, 2)).tx_volume == 200
+        assert fold.minted - fold.burned == registry.live_supply == 1000
+        assert registry.audit() == []
+
+    def test_replay_is_a_double_spend(self):
+        _, registry, split, _, _ = self.paid()
+        records = len(registry.records)
+        with pytest.raises(DoubleSpend):
+            registry.endorse(*split)
+        assert len(registry.records) == records
+
+    def test_split_by_other_than_the_owner_is_a_double_spend(self):
+        directory, registry = make_registry()
+        uid = minted(directory, registry)
+        before = dict(registry.fold.live)
+        children = (registry.new_unit_id(), registry.new_unit_id())
+        theft = ask(
+            directory,
+            RecordKind.SPLIT,
+            (uid, *children),
+            (1000, 200, 800),
+            ("mallory", "mallory", "central"),
+            1,
+        )
+        with pytest.raises(DoubleSpend):
+            registry.endorse(*theft)
+        assert registry.fold.live == before
 
 
 class TestSupplyStats:
@@ -288,7 +373,14 @@ class TestAudit:
         )
         c1, c2 = registry.new_unit_id(), registry.new_unit_id()
         registry.endorse(
-            *ask(directory, RecordKind.SPLIT, (uid, c1, c2), (1000, 400, 600), ("alice",), 2)
+            *ask(
+                directory,
+                RecordKind.SPLIT,
+                (uid, c1, c2),
+                (1000, 400, 600),
+                ("alice", "alice", "alice"),
+                2,
+            )
         )
         registry.endorse(*ask(directory, RecordKind.BURN, (c1,), (400,), ("alice",), 3, "tamper"))
         return directory, registry
@@ -363,8 +455,15 @@ REFUSED_LEDGERS = {
     "transfer_with_one_party": (MINT_U1 + "\n1|1|TRANSFER|u1|100|central|-", 1),
     "burn_without_amount": (MINT_U1 + "\n1|1|BURN|u1||central|-", 1),
     "merge_of_one_unit_twice": (MINT_U1 + "\n1|1|MERGE|u1,u1,u2|100,100,200|central|-", 1),
-    "split_by_non_owner": (MINT_U1 + "\n1|1|SPLIT|u1,u2,u3|100,40,60|mallory|-", 1),
-    "split_into_one_id_twice": (MINT_U1 + "\n1|1|SPLIT|u1,u2,u2|100,40,60|central|-", 1),
+    "split_by_non_owner": (
+        MINT_U1 + "\n1|1|SPLIT|u1,u2,u3|100,40,60|mallory,mallory,mallory|-", 1
+    ),
+    "split_into_one_id_twice": (
+        MINT_U1 + "\n1|1|SPLIT|u1,u2,u2|100,40,60|central,central,central|-", 1
+    ),
+    # a SPLIT names each child's owner, so the one-party form is no record
+    "split_with_one_party": (MINT_U1 + "\n1|1|SPLIT|u1,u2,u3|100,40,60|central|-", 1),
+    "split_to_an_empty_owner": (MINT_U1 + "\n1|1|SPLIT|u1,u2,u3|100,40,60|central,,central|-", 1),
 }
 
 
@@ -430,7 +529,7 @@ def lenient_record(line):
 # digits, kind names and a newline
 CANONICAL_LINES = [
     MINT_U1,
-    "12|3|SPLIT|u1,u2,u3|100,40,60|alice|-",
+    "12|3|SPLIT|u1,u2,u3|100,40,60|alice,bob,alice|-",
     "7|-3|BURN|u9|7|central|expiry",
     "1|10|TRANSFER|u1|100|central,bob|-",
     "0|0|MERGE|||x|y",
@@ -501,8 +600,10 @@ def random_request(rng, registry, at, self_transfer):
     if kind == "split":
         a = rng.randint(0, value)
         children = (registry.new_unit_id(), registry.new_unit_id())
+        # the first child is paid to someone, often the sender
+        parties = (sender, rng.choice(OWNERS), sender)
         return LedgerRecord(
-            0, at, RecordKind.SPLIT, (uid, *children), (value, a, value - a), (sender,)
+            0, at, RecordKind.SPLIT, (uid, *children), (value, a, value - a), parties
         )
     if kind == "merge":
         amounts = (value, live[other][1], value + live[other][1])
@@ -542,7 +643,7 @@ def test_holdings_follow_the_live_set():
 WELL_FORMED = {
     RecordKind.MINT: (("u1",), (10,), ("central",)),
     RecordKind.TRANSFER: (("u1",), (10,), ("central", "alice")),
-    RecordKind.SPLIT: (("u1", "u2", "u3"), (10, 4, 6), ("central",)),
+    RecordKind.SPLIT: (("u1", "u2", "u3"), (10, 4, 6), ("central", "alice", "central")),
     RecordKind.MERGE: (("u1", "u2", "u3"), (10, 7, 17), ("central",)),
     RecordKind.BURN: (("u1",), (10,), ("central",)),
 }
@@ -561,7 +662,8 @@ def state_holding(kind):
 def test_layout_is_what_step_does(kind):
     # LineageNode.made and the shape check read LAYOUT instead of the live set
     ids, amounts, parties = WELL_FORMED[kind]
-    made, consumed, width = LAYOUT[kind]
+    made, owners, consumed, width = LAYOUT[kind]
+    assert len(owners) == len(made)
     state = state_holding(kind)
     before = dict(state.live)
     record = LedgerRecord(len(before), 1, kind, ids, amounts, parties)
@@ -570,11 +672,14 @@ def test_layout_is_what_step_does(kind):
     gone = {uid: entry for uid, entry in before.items() if after.get(uid) != entry}
     new = {uid: entry for uid, entry in after.items() if before.get(uid) != entry}
     assert gone == {ids[i]: (parties[0], amounts[i]) for i in consumed}
-    assert new == {ids[i]: (parties[-1], amounts[i]) for i in made}
+    owned = tuple((ids[i], parties[o], amounts[i]) for i, o in zip(made, owners))
+    assert new == {uid: (owner, amount) for uid, owner, amount in owned}
+    # what a made unit gives an owner other than the requester is received, and volume
+    given = [(owner, amount) for _, owner, amount in owned if owner != parties[0]]
+    assert state.received == dict(given)
+    assert state.volume == ({1: sum(amount for _, amount in given)} if given else {})
     sig = Signature(REGISTRY_KEY, 0)
-    assert LineageNode(record, sig, sig).made == tuple(
-        (ids[i], parties[-1], amounts[i]) for i in made
-    )
+    assert LineageNode(record, sig, sig).made == owned
     assert len(ids) == len(amounts) == width
     # one id short of the width or one past it, the amounts as they were or of the same length
     for n in (width - 1, width + 1):

@@ -15,6 +15,17 @@ SCENARIO_DIR = (
 SCENARIOS = sorted(p.name for p in SCENARIO_DIR.glob("*.scn"))
 
 
+def given(rec):
+    """(owner, amount) of each unit `rec` gives away: a TRANSFER's unit, and
+    each SPLIT child owned by someone other than the requester."""
+    if rec.kind is RecordKind.TRANSFER:
+        return [(rec.parties[1], rec.amounts[0])]
+    if rec.kind is RecordKind.SPLIT:
+        requester = rec.parties[0]
+        return [(o, a) for o, a in zip(rec.parties[1:], rec.amounts[1:]) if o != requester]
+    return []
+
+
 def report_from_records(sim):
     """The report folded the way it was before the fold kept totals: a replay
     of `sim.registry.records`, then one loop over them for tax and burns."""
@@ -30,9 +41,10 @@ def report_from_records(sim):
     report.balances = dict(sorted(balances.items()))
     burns = {}
     for rec in records:
-        if rec.kind is RecordKind.TRANSFER and roles.get(rec.parties[1]) == "TAX_AUTHORITY":
-            report.tax_collected += rec.amounts[0]
-        elif rec.kind is RecordKind.BURN:
+        for owner, amount in given(rec):
+            if roles.get(owner) == "TAX_AUTHORITY":
+                report.tax_collected += amount
+        if rec.kind is RecordKind.BURN:
             reason = rec.reason or "unspecified"
             burns[reason] = burns.get(reason, 0) + rec.amounts[0]
     report.burns_by_reason = dict(sorted(burns.items()))
@@ -69,7 +81,7 @@ def test_supply_stats_equal_a_sum_over_records(name):
         r.amounts[0] for r in records if r.kind is RecordKind.BURN
     )
     assert supply == registry.live_supply
-    transfers = [(r.at, r.amounts[0]) for r in records if r.kind is RecordKind.TRANSFER]
+    transfers = [(r.at, amount) for r in records for _, amount in given(r)]
     for lo in range(registry.now + 1):
         for hi in range(lo, registry.now + 1):
             stats = registry.supply_stats((lo, hi))

@@ -1019,6 +1019,19 @@ def run_cli_scenario(tmp_path, text: str):
     )
 
 
+def paid_to(records, owner):
+    """(id, amount) of each unit a record gives `owner`: a TRANSFER to it, or a
+    SPLIT child it owns that another party split off."""
+    paid = []
+    for rec in records:
+        if rec.kind is RecordKind.TRANSFER and rec.parties[1] == owner:
+            paid.append((rec.unit_ids[0], rec.amounts[0]))
+        elif rec.kind is RecordKind.SPLIT and rec.parties[0] != owner:
+            children = zip(rec.parties[1:], rec.unit_ids[1:], rec.amounts[1:])
+            paid.extend((uid, amount) for who, uid, amount in children if who == owner)
+    return paid
+
+
 ONE_TRADE = "0 ISSUE central taker 1000 taxed\n2 ORDER ASK 100 1 maker\n3 ORDER BID 100 1 taker\n"
 
 
@@ -1182,9 +1195,9 @@ def test_a_purchase_pays_from_one_origin(tmp_path, wallet, tampered, paying, mov
     )
     records = [parse_ledger_line(line) for line in ledger if line.split("|")[1] == "1"]
     assert [rec.kind.value for rec in records if rec.parties[0] == "taker"] == paying
-    payment = next(rec for rec in records if rec.parties[0] == "taker" and rec.parties[1:])
+    payment = next(rec for rec in records if rec.parties[0] == "taker" and "maker" in rec.parties)
     assert payment.amounts == (1000,) and moved in (None, payment.unit_ids[0])
-    taxes = [rec.amounts[0] for rec in records if rec.parties[1:] == ("tax_authority",)]
+    taxes = [amount for _, amount in paid_to(records, "tax_authority")]
     assert sum(taxes) == tax
     events = [line.split("|")[2] for line in observations if line.startswith("1|taker|")]
     if tampered is not None:
@@ -1235,13 +1248,39 @@ def test_issue_and_trade_taxes_are_observed(tmp_path):
         tmp_path, taxed_scenario("sales_tax 1/5 issuance + sales_tax 1/10 trade", ONE_TRADE)
     )
     records = [parse_ledger_line(line) for line in ledger]
-    taxes = [
-        (rec.unit_ids[0], rec.amounts[0])
-        for rec in records
-        if rec.kind.value == "TRANSFER" and rec.parties[1] == "tax_authority"
-    ]
+    taxes = paid_to(records, "tax_authority")
     assert [amount for _, amount in taxes] == [200, 10]
     paid = [line for line in observations if "|pay_obligation|" in line]
     assert [line.split("|", 3)[3] for line in paid] == [
         f"unit={uid} to=tax_authority amount={amount}" for uid, amount in taxes
     ]
+
+
+def test_a_shipped_tax_is_one_split_per_payment(tmp_path):
+    # each sales tax is carved off as a SPLIT child the tax authority owns;
+    # no TRANSFER follows it
+    out = tmp_path / "out"
+    scenario = SCENARIO_DIR / "sales_tax.scn"
+    assert run_cli(["run", str(scenario), "--seed", "7", "--out", str(out)]) == 0
+    records = [
+        parse_ledger_line(line)
+        for line in (out / LEDGER_FILE).read_text(encoding="utf-8").splitlines()
+    ]
+    assert not [
+        rec for rec in records
+        if rec.kind is RecordKind.TRANSFER and rec.parties[1] == "tax_authority"
+    ]
+    children = {
+        (uid, amount): rec
+        for rec in records if rec.kind is RecordKind.SPLIT
+        for uid, amount, owner in zip(rec.unit_ids[1:], rec.amounts[1:], rec.parties[1:])
+        if owner == "tax_authority"
+    }
+    observations = (out / OBSERVATIONS_FILE).read_text(encoding="utf-8").splitlines()
+    paid = [line.split("|", 3)[3] for line in observations if "|pay_obligation|" in line]
+    assert paid
+    for details in paid:
+        fields = dict(chunk.split("=", 1) for chunk in details.split())
+        assert fields["to"] == "tax_authority"
+        rec = children[(fields["unit"], int(fields["amount"]))]
+        assert rec.parties[0] != "tax_authority"
