@@ -23,8 +23,8 @@ SEED = 7
 # scenario -> SHA-256 of (observations, ledger export, rendered report) at SEED
 GOLDEN = {
     "adversary.scn": (
-        "c204deea489d301a7d5101b7f8886d3c98f16b18f857c07cae30c28be1faf014",
-        "16634625e5a6d52d262918db3477ffb6af4c412b8a178e0ead6ea53003578fb8",
+        "c6b054131800c1cca34b8340d985ff1343aac28768b47fd86052d5399ae0fa1b",
+        "cdaebbcc09bab61f10715221d04091c5392d80ec5f743c92be893ac305e3f1dd",
         "94e510e67f9e09a3d4a7ab7331e13b1fbd0450d2957b1a226c5f64324d30dea0",
     ),
     "annual_contact.scn": (
@@ -34,7 +34,7 @@ GOLDEN = {
     ),
     "delegation.scn": (
         "25ed47785d8d9147984cf3a5a92862519968273d6a29013be88c8eb21c87a6da",
-        "f4af4689bc7acf962327cb5e75f30ca577d330b6fbd5fcc8596f055e2830b41a",
+        "4f78200815f72c6f363ea0b5525dc37775ae247bb8b27dfd52c31e783b8c02d1",
         "5e2edf679663d6d2892b12121a247f125e43f6dc938f8366d1a0a0417b83a87a",
     ),
     "expiry.scn": (
@@ -49,22 +49,22 @@ GOLDEN = {
     ),
     "legality.scn": (
         "cd8e180b0954d202e2816f59e785c9c28386ef0c1aa34384dd0ba07f2ea44cbc",
-        "90a0588f73a086f1360e2c324cda9df3856f6013dab818d65581936e7f56bdd4",
+        "29e05f6e2e2535b2a00d1c135714836714fb522c9670b6520eed30b3be1c0938",
         "6352ab5401e89b0b01a53227e894a89f334f6f2c649dc65f07ece790e14a26f0",
     ),
     "market.scn": (
         "96dfead79de50b5597ccc8679304c8bd6cb028ba727c1daff07c943ae5fb1d7f",
-        "4dfacf8fbfaa812a6b934f643bdadd4123fe4112bbbd2f049eea2358ec612263",
+        "b046ea950f8d06cb022dc770a9ebea96f39317194c5f822aa38a6b99a6f5bf58",
         "f6849c99788acc3470812b1244a1f313be501b6bc75b299959744fd998b83268",
     ),
     "mixed.scn": (
         "8c9fe0eb322a4abc1d01fcf246726fba3992544f5e171443f03abe67052aef0f",
-        "73c5375ce32f1ad27f1115a664cd243731c0004836c068777f6dfe8da36b46aa",
+        "a9395a2b8511cf60f6bc97541bc654361b23ce06a07a83b1c209b60edb33b816",
         "628a5f421bb4a1db2f3048ca1db80855bc01ea813196ce82c3254fd9e6c51a3f",
     ),
     "sales_tax.scn": (
         "ad7f523801ab231ccccfb025b00c4a7b02ad8dd749807e44b342f0df936eee75",
-        "0017aee787a0405241859698e4278f865bbf19f88ac71002cfcaf3e1648c4eb8",
+        "744bf63976de256dd756760e00087b8474caa47eaa4968716ce73bfea4625a65",
         "9c6dd24e1ce454dda5b1c224b73e4bb9e999cde2ee1189bacbc0fea14919802a",
     ),
     "supply_cap.scn": (
@@ -79,7 +79,7 @@ GOLDEN = {
     ),
     "vat_chain.scn": (
         "59f6c06c4f33881dff35819a9e37f8221e814414e19feb07bdf89d5780f43486",
-        "31c7713c33bc89dae9ed1a62109f5a949dee6c43ba79b102593002d5dc7ef76a",
+        "de74e72b65c64990c8dea5ed47fbc209f34e114acd62873f305e14197618b8fa",
         "a8dff83be0f26bbe6698a6892ce263d6d3e0de1be2e2632a58d0260b43f030f9",
     ),
 }
@@ -88,8 +88,8 @@ LEDGER_EXCERPT = [
     "0|0|MINT|u1|1000|central|-",
     "1|0|TRANSFER|u1|1000|central,alice|-",
     "2|2|TRANSFER|u1|1000|alice,bob|-",
-    "3|2|SPLIT|u1,u2,u3|1000,200,800|bob|-",
-    "4|2|TRANSFER|u2|200|bob,tax_authority|-",
+    "3|2|SPLIT|u1,u2,u3|1000,200,800|bob,tax_authority,bob|-",
+    "4|4|MINT|u4|999|central|-",
 ]
 
 OBS_EXCERPT = [
