@@ -36,7 +36,16 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Mapping, NamedTuple, Optional, TypeVar, Union
+from typing import (
+    Callable,
+    Mapping,
+    NamedTuple,
+    Optional,
+    TypeVar,
+    Union,
+    get_args,
+    get_type_hints,
+)
 
 from .crypto import h64
 
@@ -64,6 +73,16 @@ class EvalContext(NamedTuple):
 
 # the names a condition may test
 FIELDS = EvalContext._fields
+
+# each field's value type (int or str) and whether it may be None, read from
+# EvalContext's annotations
+FIELD_TYPES: dict[str, tuple[type, bool]] = {
+    name: (
+        next(arg for arg in get_args(hint) or (hint,) if arg is not type(None)),
+        type(None) in get_args(hint),
+    )
+    for name, hint in get_type_hints(EvalContext).items()
+}
 
 OPS = ("==", "!=", "<", ">")
 
@@ -204,6 +223,10 @@ class PolicyProgram:
             for name in dict.fromkeys(factor.field for factor in rule.comparisons):
                 if name not in FIELDS:
                     errors.append(CheckError(i, f"unknown field '{name}'"))
+            for factor in rule.comparisons:
+                fault = _type_fault(factor)
+                if fault is not None:
+                    errors.append(CheckError(i, fault))
             for action in rule.actions:
                 if isinstance(action, NotifyAction) and not is_party_name(action.target):
                     errors.append(CheckError(i, f"NOTIFY target {action.target!r} {PARTY_NAME_RULE}"))
@@ -292,6 +315,33 @@ class PolicyProgram:
         if j < len(at_age):
             ticks.append(at_age[j] + contact_origin)
         return min(ticks) if ticks else None
+
+
+def _type_fault(factor: Comparison) -> Optional[str]:
+    """Why `factor`'s types make it constant, whatever the context; None if they do not.
+
+    The evaluator gives such a comparison one value: `<` and `>` order
+    integers only, a field never equals a literal of another type, and a
+    field that is never None never equals NONE.  An unknown field is
+    reported as such, not here.
+    """
+    types = FIELD_TYPES.get(factor.field)
+    if types is None:
+        return None
+    kind, nullable = types
+    lit = factor.literal
+    text = f"'{factor.field} {factor.op} {_render_literal(lit)}'"
+    if factor.op in ("<", ">"):
+        if kind is not int:
+            return f"{text} orders a string field, which never matches"
+        if not isinstance(lit, int):
+            return f"{text} orders against a literal that is not an integer, which never matches"
+    if lit is None:
+        return None if nullable else f"{text} tests for NONE a field that is never NONE"
+    if not isinstance(lit, kind):
+        what = "an integer" if kind is int else "a string"
+        return f"{text} compares {what} field with a literal of another type"
+    return None
 
 
 def _flip_points(op: str, c: int) -> tuple[int, ...]:

@@ -379,6 +379,70 @@ class TestCheck:
             f"rule 0: {error} must be one word without '|', ',' or '\"'"
         ]
 
+    @pytest.mark.parametrize(
+        "condition, error",
+        [
+            # a string literal against an integer field
+            ('now == "soon"', "'now == \"soon\"' compares an integer field"),
+            ('amount != "1000"', "'amount != \"1000\"' compares an integer field"),
+            ('expiry == "soon"', "'expiry == \"soon\"' compares an integer field"),
+            ('last_contact == "old"', "'last_contact == \"old\"' compares an integer field"),
+            # an integer literal against a string field
+            ("category == 3", "'category == 3' compares a string field"),
+            ("licence != 0", "'licence != 0' compares a string field"),
+            # an ordering of a string field, or against a literal not an integer
+            ("category > 3", "'category > 3' orders a string field"),
+            ('location < "HOME"', "'location < \"HOME\"' orders a string field"),
+            ('now > "5"', "'now > \"5\"' orders against a literal that is not an integer"),
+            ("expiry < NONE", "'expiry < NONE' orders against a literal that is not an integer"),
+            # NONE against a field that is never None
+            ("amount == NONE", "'amount == NONE' tests for NONE a field that is never NONE"),
+            ("now != NONE", "'now != NONE' tests for NONE a field that is never NONE"),
+            ("last_contact == NONE", "'last_contact == NONE' tests for NONE"),
+        ],
+        ids=[
+            "now_string",
+            "amount_string",
+            "expiry_string",
+            "last_contact_string",
+            "category_integer",
+            "licence_integer",
+            "category_ordered",
+            "location_ordered",
+            "now_ordered_by_string",
+            "expiry_ordered_by_none",
+            "amount_none",
+            "now_none",
+            "last_contact_none",
+        ],
+    )
+    def test_comparison_its_types_make_constant(self, condition, error):
+        # the evaluator gives each of these one value whatever the context,
+        # so the rule would silently never (or always) fire
+        program = parse(f"OBLIGATION ON TICK IF {condition} DO ZEROISE;")
+        assert [e.rule_index for e in program.check_errors] == [0]
+        assert str(program.check_errors[0]).startswith(f"rule 0: {error}")
+        with pytest.raises(CheckFailure):
+            check(program)
+
+    @pytest.mark.parametrize(
+        "condition",
+        [
+            "now > 5",
+            "amount < 100",
+            "expiry == NONE",
+            "expiry != 40",
+            "last_contact > 360",
+            'category == "sale"',
+            "licence == NONE",
+            'home != "HOME"',
+            'counterparty == "bob" AND location != NONE',
+        ],
+        ids=lambda condition: condition.split()[0],
+    )
+    def test_comparison_of_matching_types_checks_clean(self, condition):
+        assert parse(f"OBLIGATION ON TICK IF {condition} DO ZEROISE;").check_errors == ()
+
     def test_error_names_rule_index(self):
         program = parse(SALES_TAX + '\nOBLIGATION ON RECEIVE DO PAY 2/1 TO "x";')
         errors = program.check_errors
@@ -444,7 +508,8 @@ class TestDeadline:
         ],
     )
     def test_deadline(self, source, deadline):
-        assert compile_policy(source).deadline == deadline
+        # parsed, not checked: the check refuses the ill-typed `expiry == "soon"`
+        assert parse(source).deadline == deadline
 
 
 class TestEvaluate:
@@ -561,7 +626,8 @@ class TestEvaluate:
         assert evaluate(checked, EventKind.RECEIVE, EvalContext(expiry=7)).permitted
 
     def test_ordering_on_non_integers_never_matches(self):
-        checked = compile_policy('PROHIBITION ON RECEIVE IF category > 5;')
+        # parsed, not checked: the check refuses an ordering of a string field
+        checked = parse('PROHIBITION ON RECEIVE IF category > 5;')
         decision = evaluate(checked, EventKind.RECEIVE, EvalContext(category="sale"))
         assert decision.permitted
 
@@ -730,7 +796,8 @@ def test_evaluate_agrees_with_the_reference_evaluator():
         # each program leaves some events without rules
         events = rng.sample(list(EventKind), rng.randrange(1, len(EventKind)))
         rules = tuple(differential_rule(rng, events) for _ in range(rng.randrange(0, 6)))
-        checked = compile_policy(pol.render_rules(rules))
+        # parsed, not checked: the rules may compare fields with ill-typed literals
+        checked = parse(pol.render_rules(rules))
         assert checked.rules == rules
         for _ in range(12):
             ctx = differential_context(rng)
@@ -777,7 +844,8 @@ _tick_rules = st.builds(
     contact_origin=st.integers(0, 60),
 )
 def test_no_tick_matcher_changes_before_next_tick_change(rules, now, contact_origin):
-    program = compile_policy(pol.render_rules(rules))
+    # parsed, not checked: the rules may compare fields with ill-typed literals
+    program = parse(pol.render_rules(rules))
     after = program.next_tick_change(now, contact_origin)
     assert after is None or after > now
     end = now + 2_000 if after is None else after
