@@ -1,18 +1,18 @@
 """MoneyUnit lifecycle: mint, split, merge, transfer, pay, integrity, zeroise.
 
 Every operation is gated twice: by the unit's own policy and by the central
-registry.  A transfer is atomic — all policy verdicts and obligation
-feasibility are established before the first registry call, so a rejected
-one leaves both the unit and the ledger untouched.
+registry.  A transfer or a payment is atomic — all policy verdicts and
+obligation feasibility are established before the first registry call, so a
+rejected one leaves both the unit and the ledger untouched.
 
 Every PAY obligation takes one path, whether it is a tax raised by the
 RECEIVE evaluation inside `transfer` or a levy the simulation runs from a
 TICK or ATTEST_FAIL decision (`pay`): it is checked under the reserved
-category "obligation" for TRANSFER_REQUEST and RECEIVE, then paid by one
+category "obligation" for TRANSFER_REQUEST and RECEIVE, then paid in one
 registry call, so it is atomic at the registry by construction: a SPLIT
 whose first child is the payee's and whose second is the payer's change, or
-one TRANSFER when it takes the whole unit.  A payment executes no obligations of its own,
-which keeps tax-on-tax recursion impossible.  A transfer pays its RECEIVE
+one TRANSFER when it takes the whole unit.  A payment executes no
+obligations of its own, which keeps tax-on-tax recursion impossible.  A transfer pays its RECEIVE
 taxes, as its atomicity needs, and leaves the RECEIVE decision's other
 obligations to the recipient, which carries them out as it does a TICK's.
 
@@ -21,10 +21,10 @@ record `Registry.endorse` committed.  Each node holds the record, the
 registry's signature on its line and the requester's on its body, and the
 nodes of the units the record consumed: mint is a root, a transfer appends
 one node, a split makes one node that both its children point at, and a
-merge makes one node over both parents.  Each unit a node makes is owned by
-the party its kind's `LAYOUT` names, so a paid SPLIT child is the payee's.  The record binds seq, kind, unit
-ids, amounts and parties, so a node cannot be moved onto another unit's
-history.  Nodes are shared by every descendant and never copied, so
+merge makes one node over both parents.  Each unit a node makes is owned
+by the party its kind's `LAYOUT` names, so a paid SPLIT child is the
+payee's.  The record binds seq, kind, unit ids, amounts and parties, so a
+node cannot be moved onto another unit's history.  Nodes are shared by every descendant and never copied, so
 lineage grows with the ledger, not with the number of splits and merges
 behind a unit.
 

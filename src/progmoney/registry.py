@@ -15,10 +15,10 @@ owner of each child, so a payment carved out of a unit is one record: a
 plain split is `alice,alice,alice`, a tax `bob,tax_authority,bob`.
 
 `step` is the ledger's one transition, and its state is the one fold every
-reader reads: the live units, the mint and burn totals, BURN amounts by reason,
-and the amounts records give to an owner other than their requester — a
-TRANSFER's unit (a self-transfer too) and a SPLIT child paid away — by
-owner and by tick.
+reader reads: the live units, the mint and burn totals, BURN amounts by
+reason, and the amounts records give away — a TRANSFER's unit (a
+self-transfer too) and a SPLIT child owned by other than the requester —
+by owner and by tick.
 `Registry.endorse` runs `step` on the live state, which `Registry.fold`
 hands out read-only: the live report and the per-period supply statistics
 read it there, and read no record.  `replay_records` folds `step` over
@@ -29,8 +29,9 @@ issuer allowance, which the ledger export does not carry.
 
 `LAYOUT` is the one description of a record kind's shape: the positions of
 `unit_ids` and `amounts` it makes live and the party owning each, those it
-consumes or moves, and its width.  The registry keeps no owner -> ids index: the simulation, which
-books every unit a record spends or makes, keeps its own.
+consumes or moves, and its width.  The registry keeps no owner -> ids
+index: the simulation, which books every unit a record spends or makes,
+keeps its own.
 """
 
 from __future__ import annotations

@@ -358,6 +358,19 @@ class TestTransfer:
         assert (payee, tax.owner, rest.owner) == ("tax_authority", "tax_authority", "bob")
         assert verify_integrity(tax, directory) and verify_integrity(rest, directory)
 
+    def test_a_tax_owed_to_oneself_is_a_plain_split(self, world):
+        # a SPLIT can only say who owns each child, so a payee paying itself
+        # writes a plain split, which gives nobody anything
+        _, registry, bank = world
+        unit = mint(bank, 1000, "SIM", pol.compile_policy(SALES_TAX), registry)
+        outcome = transfer(
+            unit, "tax_authority", ctx_for(unit, category="sale", now=1), registry
+        )
+        assert [(payee, paid.value) for payee, paid in outcome.payments] == [("tax_authority", 200)]
+        assert registry.records[-1].parties == ("tax_authority",) * 3
+        assert registry.fold.received == {"tax_authority": 1000}
+        assert registry.fold.volume == {1: 1000}
+
     def test_split_to_a_payee(self, world):
         directory, registry, bank = world
         unit = mint(bank, 100, "SIM", pol.EMPTY_POLICY, registry)
