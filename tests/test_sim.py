@@ -1259,28 +1259,16 @@ def test_issue_and_trade_taxes_are_observed(tmp_path):
 def test_a_shipped_tax_is_one_split_per_payment(tmp_path):
     # each sales tax is carved off as a SPLIT child the tax authority owns;
     # no TRANSFER follows it
-    out = tmp_path / "out"
-    scenario = SCENARIO_DIR / "sales_tax.scn"
-    assert run_cli(["run", str(scenario), "--seed", "7", "--out", str(out)]) == 0
-    records = [
-        parse_ledger_line(line)
-        for line in (out / LEDGER_FILE).read_text(encoding="utf-8").splitlines()
-    ]
+    observations, ledger = run_cli_scenario(
+        tmp_path, (SCENARIO_DIR / "sales_tax.scn").read_text(encoding="utf-8")
+    )
+    records = [parse_ledger_line(line) for line in ledger]
     assert not [
         rec for rec in records
         if rec.kind is RecordKind.TRANSFER and rec.parties[1] == "tax_authority"
     ]
-    children = {
-        (uid, amount): rec
-        for rec in records if rec.kind is RecordKind.SPLIT
-        for uid, amount, owner in zip(rec.unit_ids[1:], rec.amounts[1:], rec.parties[1:])
-        if owner == "tax_authority"
-    }
-    observations = (out / OBSERVATIONS_FILE).read_text(encoding="utf-8").splitlines()
     paid = [line.split("|", 3)[3] for line in observations if "|pay_obligation|" in line]
-    assert paid
-    for details in paid:
-        fields = dict(chunk.split("=", 1) for chunk in details.split())
-        assert fields["to"] == "tax_authority"
-        rec = children[(fields["unit"], int(fields["amount"]))]
-        assert rec.parties[0] != "tax_authority"
+    assert paid and paid == [
+        f"unit={uid} to=tax_authority amount={amount}"
+        for uid, amount in paid_to(records, "tax_authority")
+    ]
