@@ -275,7 +275,7 @@ def step(
         state.consumed.add(parent)
         live[c1] = (o1, a)
         live[c2] = (o2, b)
-        # a child paid to another owner counts as the TRANSFER of it would
+        # a child owned by other than the requester is given away, as by a TRANSFER
         if o1 != requester:
             received, volume = state.received, state.volume
             received[o1] = received.get(o1, 0) + a
